@@ -1,41 +1,19 @@
-"""Batch enumerate-and-rank kernels behind the brute-force oracle.
+"""Batched enumerate-and-rank kernel behind the brute-force oracle.
 
-Two interchangeable backends: a numba @njit scalar kernel and a pure-numpy
-batched one.  Selection order: explicit argument, then the GFMINRANK_BACKEND
-environment variable ("numba" or "numpy"), then numba when importable.
-Both walk the identical enumeration (diagonal counter outermost, edge
-counter innermost, both little-endian) and return the same minimum.
+The scan visits the symmetric matrices whose spanning-forest edges are 1,
+whose diagonal takes every value of GF(q) and whose remaining edges take
+every nonzero value (the oracle module says why these suffice).  Scan
+ticket t = diag_index * free_count + free_index, with free_count =
+(q-1)^len(free); both counters are little-endian, so the diagonal changes
+slowest.  Matrices are built and ranked in numpy batches.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    import numba
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    numba = None
-    HAVE_NUMBA = False
-
-BACKEND_ENV = "GFMINRANK_BACKEND"
-
-
-def active_backend(override: str | None = None) -> str:
-    choice = override or os.environ.get(BACKEND_ENV, "").strip().lower() or None
-    if choice is None:
-        return "numba" if HAVE_NUMBA else "numpy"
-    if choice not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {choice!r}; use 'numba' or 'numpy'")
-    if choice == "numba" and not HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    return choice
-
-
-def _rank_batch_numpy(mats: np.ndarray, add_t, sub_t, mul_t, inv_t) -> np.ndarray:
+def _rank_batch(mats: np.ndarray, add_t, sub_t, mul_t, inv_t) -> np.ndarray:
     """Row-echelon rank of every matrix in a (B, n, n) batch, in lockstep."""
     a = mats.copy()
     bsz, n, _ = a.shape
@@ -65,130 +43,33 @@ def _rank_batch_numpy(mats: np.ndarray, add_t, sub_t, mul_t, inv_t) -> np.ndarra
     return row
 
 
-def _build_batch(n: int, edges: np.ndarray, q: int,
-                 tickets: np.ndarray, edge_count: int) -> np.ndarray:
-    """Matrices for enumeration tickets t = diag_index * edge_count + edge_index."""
-    m = edges.shape[0]
-    bsz = tickets.shape[0]
-    mats = np.zeros((bsz, n, n), dtype=np.int64)
-    diag_idx = tickets // edge_count
-    edge_idx = tickets % edge_count
+def _build_batch(n: int, forest: np.ndarray, free: np.ndarray, q: int,
+                 tickets: np.ndarray) -> np.ndarray:
+    """The (B, n, n) matrices of a batch of scan tickets."""
+    mats = np.zeros((tickets.shape[0], n, n), dtype=np.int64)
+    mats[:, forest[:, 0], forest[:, 1]] = 1
+    mats[:, forest[:, 1], forest[:, 0]] = 1
+    diag_idx, free_idx = np.divmod(tickets, (q - 1) ** free.shape[0])
     for i in range(n):
-        mats[:, i, i] = diag_idx % q
-        diag_idx = diag_idx // q
-    for j in range(m):
-        val = edge_idx % (q - 1) + 1
-        edge_idx = edge_idx // (q - 1)
-        u, v = int(edges[j, 0]), int(edges[j, 1])
-        mats[:, u, v] = val
-        mats[:, v, u] = val
+        diag_idx, mats[:, i, i] = np.divmod(diag_idx, q)
+    for u, v in free.tolist():
+        free_idx, rem = np.divmod(free_idx, q - 1)
+        mats[:, u, v] = mats[:, v, u] = rem + 1
     return mats
 
 
-def scan_min_rank_numpy(n: int, edges: np.ndarray, q: int,
-                        add_t, sub_t, mul_t, inv_t,
-                        start: int, stop: int, floor: int,
-                        batch: int = 4096) -> int:
-    edge_count = (q - 1) ** edges.shape[0]
+def scan_min_rank(n: int, forest: np.ndarray, free: np.ndarray, q: int, tables,
+                  start: int, stop: int, floor: int, batch: int = 4096) -> int:
+    """Smallest rank over scan tickets [start, stop), n + 1 for an empty range.
+
+    ``forest`` and ``free`` are (k, 2) arrays of vertex pairs.  The scan stops
+    as soon as the smallest rank seen is at most ``floor``.
+    """
     best = n + 1
-    at = start
-    while at < stop:
-        hi = min(at + batch, stop)
-        tickets = np.arange(at, hi, dtype=np.int64)
-        mats = _build_batch(n, edges, q, tickets, edge_count)
-        ranks = _rank_batch_numpy(mats, add_t, sub_t, mul_t, inv_t)
+    for at in range(start, stop, batch):
+        tickets = np.arange(at, min(at + batch, stop), dtype=np.int64)
+        ranks = _rank_batch(_build_batch(n, forest, free, q, tickets), *tables)
         best = min(best, int(ranks.min()))
         if best <= floor:
-            return best
-        at = hi
+            break
     return best
-
-
-if HAVE_NUMBA:
-
-    @numba.njit(cache=True)
-    def _rank_one(a, w, n, add_t, sub_t, mul_t, inv_t):  # pragma: no cover - jitted
-        for i in range(n):
-            for j in range(n):
-                w[i, j] = a[i, j]
-        r = 0
-        for col in range(n):
-            piv = -1
-            for i in range(r, n):
-                if w[i, col] != 0:
-                    piv = i
-                    break
-            if piv < 0:
-                continue
-            if piv != r:
-                for j in range(n):
-                    t = w[r, j]
-                    w[r, j] = w[piv, j]
-                    w[piv, j] = t
-            pinv = inv_t[w[r, col]]
-            for i in range(r + 1, n):
-                lead = w[i, col]
-                if lead != 0:
-                    f = mul_t[lead, pinv]
-                    for j in range(col, n):
-                        w[i, j] = sub_t[w[i, j], mul_t[f, w[r, j]]]
-            r += 1
-            if r == n:
-                break
-        return r
-
-    @numba.njit(cache=True)
-    def _scan_min_rank_numba(n, edges_u, edges_v, q,
-                             add_t, sub_t, mul_t, inv_t,
-                             start, stop, floor):  # pragma: no cover - jitted
-        m = edges_u.shape[0]
-        edge_count = 1
-        for _ in range(m):
-            edge_count *= q - 1
-        a = np.zeros((n, n), dtype=np.int64)
-        w = np.zeros((n, n), dtype=np.int64)
-        best = n + 1
-        for ticket in range(start, stop):
-            for i in range(n):
-                for j in range(n):
-                    a[i, j] = 0
-            di = ticket // edge_count
-            ei = ticket - di * edge_count
-            for i in range(n):
-                a[i, i] = di % q
-                di //= q
-            for j in range(m):
-                val = ei % (q - 1) + 1
-                ei //= q - 1
-                a[edges_u[j], edges_v[j]] = val
-                a[edges_v[j], edges_u[j]] = val
-            r = _rank_one(a, w, n, add_t, sub_t, mul_t, inv_t)
-            if r < best:
-                best = r
-                if best <= floor:
-                    return best
-        return best
-
-
-def scan_min_rank_numba(n: int, edges: np.ndarray, q: int,
-                        add_t, sub_t, mul_t, inv_t,
-                        start: int, stop: int, floor: int) -> int:
-    if not HAVE_NUMBA:
-        raise RuntimeError("numba is not available")
-    edges_u = np.ascontiguousarray(edges[:, 0], dtype=np.int64)
-    edges_v = np.ascontiguousarray(edges[:, 1], dtype=np.int64)
-    return int(_scan_min_rank_numba(n, edges_u, edges_v, q,
-                                    add_t, sub_t, mul_t, inv_t,
-                                    start, stop, floor))
-
-
-def scan_min_rank(n: int, edges: np.ndarray, q: int, tables,
-                  start: int, stop: int, floor: int,
-                  backend: str | None = None) -> int:
-    add_t, sub_t, mul_t, inv_t = tables
-    which = active_backend(backend)
-    if which == "numba":
-        return scan_min_rank_numba(n, edges, q, add_t, sub_t, mul_t, inv_t,
-                                   start, stop, floor)
-    return scan_min_rank_numpy(n, edges, q, add_t, sub_t, mul_t, inv_t,
-                               start, stop, floor)

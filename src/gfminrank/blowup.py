@@ -35,6 +35,12 @@ class MinRankBoundError(Exception):
         self.lower_bound = lower_bound
 
 
+class InvariantError(AssertionError):
+    """A result failed the check that re-derives it from its definition.
+
+    Raised explicitly, so the check survives ``python -O``."""
+
+
 @dataclass(frozen=True)
 class BlowupWitness:
     """Map from each non-isolated vertex to the pattern vertex it blows up."""
@@ -204,7 +210,8 @@ def is_blowup(g: SimpleGraph, h: LoopedGraph,
             for m, v in zip(members, group):
                 assignment[core[m]] = v
     witness = BlowupWitness(assignment)
-    assert verify_blowup(g, h, assignment), "witness failed the raw definition"
+    if not verify_blowup(g, h, assignment):
+        raise InvariantError("witness failed the raw blowup definition")
     return witness
 
 
@@ -275,7 +282,8 @@ def min_rank(g: SimpleGraph, q: int, max_k: int | None = None,
         except VertexBudgetError as exc:
             raise MinRankBoundError(k - 1, str(exc)) from exc
         if ok:
-            assert k <= g.n
+            if k > g.n:
+                raise InvariantError(f"sweep accepted k = {k} above n = {g.n}")
             return k
     if max_k is not None and max_k < g.n:
         raise MinRankBoundError(max_k, f"k sweep capped at {max_k}")

@@ -19,7 +19,7 @@ from .gf import factor_prime_power
 from .graphs import emit_graph6, looped_to_json, parse_graph6, to_dot
 from .matfq import MatrixFq, classify_invertible_symmetric
 from .miner import mine
-from .oracle import DEFAULT_BUDGET, OracleBudgetError, enumeration_size, oracle_min_rank
+from .oracle import DEFAULT_BUDGET, OracleBudgetError, oracle_min_rank, plan_scan
 from .patterns import DEFAULT_VERTEX_BUDGET, generate, gram_matrix
 
 
@@ -116,10 +116,7 @@ def cmd_oracle(args) -> int:
         g = parse_graph6(line)
         try:
             if args.jobs > 1 and g.edge_count() > 0:
-                total = enumeration_size(g.n, g.edge_count(), q)
-                if total > args.budget:
-                    raise OracleBudgetError(
-                        f"enumeration of {total} matrices exceeds budget {args.budget}")
+                _, _, total = plan_scan(g, q, args.budget)
                 step = (total + args.jobs - 1) // args.jobs
                 spans = [(emit_graph6(g), q, args.budget, lo, min(lo + step, total))
                          for lo in range(0, total, step)]

@@ -14,7 +14,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from .blowup import member
+from .blowup import InvariantError, member
 from .graphs import SimpleGraph, are_isomorphic, emit_graph6, parse_graph6
 
 CHECKPOINT_EVERY = 10_000
@@ -318,7 +318,8 @@ def mine(q: int, k: int, n_max: int | None = None, source=None,
 
     # report-time re-verification of the minimality invariant
     for g in run.found:
-        assert _is_minimal_forbidden(g, q, k), "mined graph failed re-verification"
+        if not _is_minimal_forbidden(g, q, k):
+            raise InvariantError(f"mined graph {emit_graph6(g)} failed re-verification")
 
     run.stats = {
         "scanned": scanned,

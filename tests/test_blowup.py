@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from gfminrank import (LoopedGraph, SimpleGraph, blow_up, generate, is_blowup,
                        member, min_rank, multipartite_bound_check,
-                       oracle_min_rank, twin_reduce)
+                       oracle_min_rank, parse_graph6, twin_reduce)
 from gfminrank.blowup import MinRankBoundError, verify_blowup
 from gfminrank.miner import enumerate_graphs, enumerate_trees
 
@@ -207,3 +212,35 @@ def test_small_sweep_matches_oracle_gf5():
     for n in range(1, 5):
         for g in enumerate_graphs(n):
             assert min_rank(g, 5) == oracle_min_rank(g, 5)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: orbit pruning is unsound for the "
+                   "non-alternating form in characteristic 2, so min_rank gives 4")
+def test_f_czg_has_minimum_rank_three_over_gf2():
+    # a blowup of the rank-3 GF(2) pattern; the oracle gives 3
+    assert min_rank(parse_graph6("F{czG"), 2) == 3
+
+
+# Run under python -O: the first assert is stripped there, which shows the
+# flag took effect; the witness check in is_blowup must still raise.
+GUARD = """
+import gfminrank.blowup as b
+from gfminrank import SimpleGraph, generate
+assert False, "asserts are live"
+b.verify_blowup = lambda *args: False
+k222 = SimpleGraph.complete_multipartite([2, 2, 2])
+try:
+    b.is_blowup(k222, generate(2, 2).patterns[1].graph)
+except b.InvariantError:
+    print("raised")
+"""
+
+
+def test_invariant_checks_survive_python_O():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-O", "-c", GUARD], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "raised"
