@@ -46,7 +46,7 @@ def parse_order(text: str) -> int:
 
 
 def _graph_lines(args) -> list[str]:
-    if getattr(args, "input", None):
+    if args.input:
         with open(args.input) as fh:
             data = fh.read()
     else:
@@ -68,15 +68,12 @@ def cmd_patterns(args) -> int:
             _emit(obj)
         elif args.format == "dot":
             sys.stdout.write(to_dot(pat.graph, name=f"pattern_{idx}") + "\n")
-        elif args.format == "matrix":
+        else:  # matrix
             gm = gram_matrix(ps.field, ps.points, pat.form)
             for row in gm.to_lists():
                 sys.stdout.write(" ".join(str(x) for x in row) + "\n")
             if idx + 1 < len(ps.patterns):
                 sys.stdout.write("\n")
-        else:
-            raise DomainError(f"patterns cannot be written as {args.format}"
-                              " (looped graphs do not fit graph6)")
     return 0
 
 
@@ -144,7 +141,7 @@ def cmd_mine(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    if getattr(args, "input", None):
+    if args.input:
         with open(args.input) as fh:
             obj = json.load(fh)
     else:
@@ -169,42 +166,47 @@ def cmd_selftest(args) -> int:
     return 0 if failures == 0 else 1
 
 
+Q_HELP = "field order, e.g. 4 or 2^2"
+INPUT_HELP = "read graphs from a file instead of stdin"
+JOBS_HELP = "worker processes (default 1)"
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="gfminrank", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_q=True):
-        if with_q:
-            p.add_argument("--q", required=True, help="field order, e.g. 4 or 2^2")
-        p.add_argument("--input", help="read graphs/matrix from a file instead of stdin")
-        p.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
-
     p = sub.add_parser("patterns", help="emit the pattern graphs for (q, k)")
-    add_common(p)
+    p.add_argument("--q", required=True, help=Q_HELP)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--format", choices=["json", "dot", "matrix", "g6"], default="json")
+    p.add_argument("--format", choices=["json", "dot", "matrix"], default="json")
     p.add_argument("--vertex-budget", type=int, default=DEFAULT_VERTEX_BUDGET)
     p.set_defaults(func=cmd_patterns)
 
     p = sub.add_parser("minrank", help="minimum rank of each input graph")
-    add_common(p)
+    p.add_argument("--q", required=True, help=Q_HELP)
+    p.add_argument("--input", help=INPUT_HELP)
     p.add_argument("--max-k", type=int, default=None)
     p.add_argument("--vertex-budget", type=int, default=DEFAULT_VERTEX_BUDGET)
     p.set_defaults(func=cmd_minrank)
 
     p = sub.add_parser("member", help="is minimum rank at most k?")
-    add_common(p)
+    p.add_argument("--q", required=True, help=Q_HELP)
+    p.add_argument("--input", help=INPUT_HELP)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--vertex-budget", type=int, default=DEFAULT_VERTEX_BUDGET)
     p.set_defaults(func=cmd_member)
 
     p = sub.add_parser("oracle", help="brute-force minimum rank of each input graph")
-    add_common(p)
+    p.add_argument("--q", required=True, help=Q_HELP)
+    p.add_argument("--input", help=INPUT_HELP)
+    p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("mine", help="collect minimal forbidden subgraphs")
-    add_common(p)
+    p.add_argument("--q", required=True, help=Q_HELP)
+    p.add_argument("--input", help=INPUT_HELP)
+    p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--max-n", type=int, default=None)
     p.add_argument("--max-graphs", type=int, default=None)
@@ -212,11 +214,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_mine)
 
     p = sub.add_parser("classify", help="congruence class of a JSON symmetric matrix")
-    add_common(p, with_q=False)
+    p.add_argument("--input", help="read the matrix from a file instead of stdin")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("selftest", help="replay the built-in reference checks")
-    add_common(p, with_q=False)
     p.set_defaults(func=cmd_selftest)
 
     return top

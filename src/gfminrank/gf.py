@@ -7,9 +7,15 @@ encodes the multiplicative identity.  A :class:`FieldCtx` owns the modulus
 polynomial and the lookup tables; every operation is pure and contexts are
 immutable after construction, so they are safe to share across threads.
 
-Prime fields compute directly mod p.  Extension fields multiply through
-log/antilog tables over a fixed generator of the multiplicative group and
-add digit-wise mod p (XOR when p = 2).
+Each operation (add, neg, sub, mul) takes Python ints or int64 numpy
+arrays of reps, and ``matmul`` multiplies int64 matrices of reps.  Prime
+fields compute directly mod p.  Extension fields add digit-wise mod p (XOR
+when p = 2) and multiply through log/antilog tables over a fixed generator
+g of the multiplicative group.  Zero gets the sentinel log 2(q-1), and the
+antilog table repeats its period once and then holds zeros up to index
+4(q-1), so ``exp[log[a] + log[b]]`` is the product for every pair with no
+reduction mod q-1 and no zero test.  Scalar results of the table path are
+numpy integers.
 """
 
 from __future__ import annotations
@@ -118,8 +124,7 @@ class FieldCtx:
 
     __slots__ = (
         "p", "e", "q", "modulus",
-        "_exp", "_log", "_sqrt", "_nonsquare",
-        "_vexp", "_vlog", "_kernel_tables",
+        "_exp", "_log", "_sqrt", "_nonsquare", "_kernel_tables",
     )
 
     def __init__(self, p: int, e: int):
@@ -135,8 +140,8 @@ class FieldCtx:
         self.q = q
         self.modulus = _find_modulus(p, e)
 
-        self._exp: list[int] | None = None
-        self._log: list[int] | None = None
+        self._exp: np.ndarray | None = None
+        self._log: np.ndarray | None = None
         if e >= 2:
             self._build_log_tables()
 
@@ -145,8 +150,6 @@ class FieldCtx:
         if q % 2 == 1:
             self._build_sqrt_table()
 
-        self._vexp: np.ndarray | None = None
-        self._vlog: np.ndarray | None = None
         self._kernel_tables: tuple[np.ndarray, ...] | None = None
 
     # -- construction helpers ------------------------------------------------
@@ -186,12 +189,15 @@ class FieldCtx:
             if all(self._raw_pow(g, n // f) != 1 for f in factors):
                 gen = g
                 break
-        assert gen is not None, "multiplicative group of a finite field is cyclic"
-        exp = [1] * n
-        log = [0] * self.q
+        if gen is None:
+            raise AssertionError("no generator found, but the multiplicative group is cyclic")
+        # exp: g^0..g^(n-1) twice over (log sums of nonzero elements stay
+        # below 2n-1), then zeros up to 4n (any sum involving log[0] = 2n)
+        exp = np.zeros(4 * n + 1, dtype=np.int64)
+        log = np.full(self.q, 2 * n, dtype=np.int64)
         x = 1
         for i in range(n):
-            exp[i] = x
+            exp[i] = exp[i + n] = x
             log[x] = i
             x = self._raw_mul(x, gen)
         self._exp = exp
@@ -199,8 +205,8 @@ class FieldCtx:
 
     def _build_sqrt_table(self) -> None:
         table = [-1] * self.q
-        for b in range(self.q):
-            s = self.mul(b, b)
+        reps = np.arange(self.q, dtype=np.int64)
+        for b, s in enumerate(self.mul(reps, reps).tolist()):
             if table[s] < 0:
                 table[s] = b  # ascending scan keeps the smaller root
         self._sqrt = table
@@ -209,9 +215,9 @@ class FieldCtx:
                 self._nonsquare = a
                 break
 
-    # -- scalar arithmetic ---------------------------------------------------
+    # -- arithmetic on ints or int64 arrays of reps ---------------------------
 
-    def add(self, a: int, b: int) -> int:
+    def add(self, a, b):
         if self.e == 1:
             return (a + b) % self.p
         if self.p == 2:
@@ -222,7 +228,7 @@ class FieldCtx:
             pw *= self.p
         return out
 
-    def neg(self, a: int) -> int:
+    def neg(self, a):
         if self.e == 1:
             return (-a) % self.p
         if self.p == 2:
@@ -233,23 +239,30 @@ class FieldCtx:
             pw *= self.p
         return out
 
-    def sub(self, a: int, b: int) -> int:
+    def sub(self, a, b):
         return self.add(a, self.neg(b))
 
-    def mul(self, a: int, b: int) -> int:
+    def mul(self, a, b):
         if self.e == 1:
             return (a * b) % self.p
-        if a == 0 or b == 0:
-            return 0
-        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
+        return self._exp[self._log[a] + self._log[b]]
+
+    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Product of two 2-D int64 arrays of reps."""
+        if self.e == 1:
+            return (a @ b) % self.p
+        acc = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+        for t in range(a.shape[1]):
+            acc = self.add(acc, self.mul(a[:, t:t + 1], b[t:t + 1, :]))
+        return acc
 
     def inv(self, a: int) -> int:
         """Multiplicative inverse; raises on zero."""
         if a == 0:
             raise ZeroDivisionError("inversion of zero field element")
         if self.e == 1:
-            return pow(a, self.p - 2, self.p)
-        return self._exp[(-self._log[a]) % (self.q - 1)]
+            return pow(int(a), self.p - 2, self.p)
+        return self._exp[self.q - 1 - self._log[a]]
 
     def pow(self, a: int, k: int) -> int:
         if k == 0:
@@ -257,7 +270,7 @@ class FieldCtx:
         if a == 0:
             return 0
         if self.e == 1:
-            return pow(a, k, self.p)
+            return pow(int(a), k, self.p)
         return self._exp[(self._log[a] * k) % (self.q - 1)]
 
     def is_square(self, a: int) -> bool:
@@ -281,8 +294,6 @@ class FieldCtx:
             raise ValueError(f"every element of GF({self.q}) is a square")
         return self._nonsquare
 
-    find_nonsquare = nonsquare
-
     def sum_of_two_squares(self, nu: int) -> tuple[int, int]:
         """Smallest (c, d) in scan order with c^2 + d^2 = nu (odd q only)."""
         if self.q % 2 == 0:
@@ -296,64 +307,15 @@ class FieldCtx:
     def elements(self) -> range:
         return range(self.q)
 
-    # -- vectorised arithmetic on numpy arrays of reps -----------------------
-
-    def _ensure_vtables(self) -> None:
-        if self._vexp is None:
-            self._vexp = np.asarray(self._exp, dtype=np.int64)
-            vlog = np.asarray(self._log, dtype=np.int64)
-            self._vlog = vlog
-
-    def vadd(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self.e == 1:
-            return (a + b) % self.p
-        if self.p == 2:
-            return a ^ b
-        out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
-        pw = 1
-        for _ in range(self.e):
-            out += ((a // pw + b // pw) % self.p) * pw
-            pw *= self.p
-        return out
-
-    def vneg(self, a: np.ndarray) -> np.ndarray:
-        if self.e == 1:
-            return (-a) % self.p
-        if self.p == 2:
-            return np.array(a, copy=True)
-        out = np.zeros_like(a)
-        pw = 1
-        for _ in range(self.e):
-            out += ((-(a // pw)) % self.p) * pw
-            pw *= self.p
-        return out
-
-    def vsub(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self.vadd(a, self.vneg(b))
-
-    def vmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self.e == 1:
-            return (a * b) % self.p
-        self._ensure_vtables()
-        zero = (a == 0) | (b == 0)
-        r = self._vexp[(self._vlog[a] + self._vlog[b]) % (self.q - 1)]
-        return np.where(zero, 0, r)
-
     def kernel_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Dense (add, sub, mul, inv) tables for the batch rank kernels."""
         if self.q > KERNEL_TABLE_MAX_Q:
             raise ValueError(f"field order {self.q} too large for dense kernel tables")
         if self._kernel_tables is None:
             reps = np.arange(self.q, dtype=np.int64)
-            a = reps[:, None]
-            b = reps[None, :]
-            add_t = np.broadcast_to(self.vadd(a, b), (self.q, self.q)).copy()
-            sub_t = np.broadcast_to(self.vsub(a, b), (self.q, self.q)).copy()
-            mul_t = np.broadcast_to(self.vmul(a, b), (self.q, self.q)).copy()
-            inv_t = np.zeros(self.q, dtype=np.int64)
-            for x in range(1, self.q):
-                inv_t[x] = self.inv(x)
-            self._kernel_tables = (add_t, sub_t, mul_t, inv_t)
+            a, b = reps[:, None], reps[None, :]
+            inv_t = np.array([0] + [self.inv(x) for x in range(1, self.q)], dtype=np.int64)
+            self._kernel_tables = (self.add(a, b), self.sub(a, b), self.mul(a, b), inv_t)
         return self._kernel_tables
 
     # -- misc ----------------------------------------------------------------

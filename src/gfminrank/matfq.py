@@ -72,13 +72,7 @@ class MatrixFq:
             raise ValueError("field mismatch")
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
-        f = self.field
-        if f.e == 1:
-            return MatrixFq(f, (self.entries @ other.entries) % f.p)
-        acc = np.zeros((self.rows, other.cols), dtype=np.int64)
-        for t in range(self.cols):
-            acc = f.vadd(acc, f.vmul(self.entries[:, t:t + 1], other.entries[t:t + 1, :]))
-        return MatrixFq(f, acc)
+        return MatrixFq(self.field, self.field.matmul(self.entries, other.entries))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, MatrixFq) and self.field is other.field
@@ -149,7 +143,7 @@ def det(a: MatrixFq) -> int:
     if n == 0:
         return 1 % a.field.q if a.field.q > 1 else 0
     r, d = _echelon(a.field, np.array(a.entries))
-    return d if r == n else 0
+    return int(d) if r == n else 0
 
 
 def _echelon(field: FieldCtx, m: np.ndarray) -> tuple[int, int]:
@@ -178,9 +172,9 @@ def _echelon(field: FieldCtx, m: np.ndarray) -> tuple[int, int]:
         below = m[r + 1:, col]
         nz = np.nonzero(below)[0]
         if nz.size:
-            factors = field.vmul(below[nz], np.int64(pinv))
-            updates = field.vmul(factors[:, None], m[r:r + 1, col:])
-            m[r + 1 + nz, col:] = field.vsub(m[r + 1 + nz, col:], updates)
+            factors = field.mul(below[nz], pinv)
+            updates = field.mul(factors[:, None], m[r:r + 1, col:])
+            m[r + 1 + nz, col:] = field.sub(m[r + 1 + nz, col:], updates)
         r += 1
         if r == rows:
             break
@@ -205,23 +199,21 @@ class _CongruenceWorker:
     def addmul(self, i: int, j: int, alpha: int) -> None:
         # congruence by E = I + alpha * e_i e_j^t: column j += alpha * column i
         f = self.field
-        a = np.int64(alpha)
-        self.d[j, :] = f.vadd(self.d[j, :], f.vmul(a, self.d[i, :]))
-        self.d[:, j] = f.vadd(self.d[:, j], f.vmul(a, self.d[:, i]))
-        self.c[:, j] = f.vadd(self.c[:, j], f.vmul(a, self.c[:, i]))
+        self.d[j, :] = f.add(self.d[j, :], f.mul(alpha, self.d[i, :]))
+        self.d[:, j] = f.add(self.d[:, j], f.mul(alpha, self.d[:, i]))
+        self.c[:, j] = f.add(self.c[:, j], f.mul(alpha, self.c[:, i]))
 
     def scale(self, i: int, c: int) -> None:
         f = self.field
-        cc = np.int64(c)
-        self.d[i, :] = f.vmul(cc, self.d[i, :])
-        self.d[:, i] = f.vmul(cc, self.d[:, i])
-        self.c[:, i] = f.vmul(cc, self.c[:, i])
+        self.d[i, :] = f.mul(c, self.d[i, :])
+        self.d[:, i] = f.mul(c, self.d[:, i])
+        self.c[:, i] = f.mul(c, self.c[:, i])
 
     def apply(self, e: np.ndarray) -> None:
         # general congruence by an explicit matrix E
         f = self.field
-        self.d = _mm(f, _mm(f, e.T, self.d), e)
-        self.c = _mm(f, self.c, e)
+        self.d = f.matmul(f.matmul(e.T, self.d), e)
+        self.c = f.matmul(self.c, e)
 
     def permute(self, order: list[int]) -> None:
         idx = np.asarray(order, dtype=np.int64)
@@ -230,15 +222,6 @@ class _CongruenceWorker:
 
     def result(self) -> tuple[MatrixFq, MatrixFq]:
         return MatrixFq(self.field, self.c), MatrixFq(self.field, self.d)
-
-
-def _mm(field: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if field.e == 1:
-        return (a @ b) % field.p
-    acc = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for t in range(a.shape[1]):
-        acc = field.vadd(acc, field.vmul(a[:, t:t + 1], b[t:t + 1, :]))
-    return acc
 
 
 def congruence_diagonalize(b: MatrixFq) -> tuple[MatrixFq, MatrixFq]:
@@ -418,59 +401,52 @@ def rank_decomposition(a: MatrixFq) -> tuple[MatrixFq, MatrixFq]:
     if not a.is_symmetric():
         raise ValueError("rank decomposition requires a symmetric matrix")
     f = a.field
-    n = a.rows
-    pivots = _symmetric_pivot_indices(f, np.array(a.entries))
-    s = sorted(pivots)
+    s = sorted(_symmetric_pivot_indices(a))
     bmat = a.entries[np.ix_(s, s)]
     rhs = a.entries[s, :]
     u = _solve(f, np.array(bmat), np.array(rhs))
     return MatrixFq(f, bmat), MatrixFq(f, u)
 
 
-def _symmetric_pivot_indices(f: FieldCtx, w: np.ndarray) -> list[int]:
-    n = w.shape[0]
+def _symmetric_pivot_indices(a: MatrixFq) -> list[int]:
+    f = a.field
+    n = a.rows
+    w = _CongruenceWorker(a)
     idx = list(range(n))
     out: list[int] = []
 
-    def sym_swap(i, j):
-        if i != j:
-            w[[i, j], :] = w[[j, i], :]
-            w[:, [i, j]] = w[:, [j, i]]
-            idx[i], idx[j] = idx[j], idx[i]
-
-    def sym_addmul(i, j, alpha):
-        aa = np.int64(alpha)
-        w[j, :] = f.vadd(w[j, :], f.vmul(aa, w[i, :]))
-        w[:, j] = f.vadd(w[:, j], f.vmul(aa, w[:, i]))
+    def swap(i, j):
+        w.swap(i, j)
+        idx[i], idx[j] = idx[j], idx[i]
 
     r = 0
     while r < n:
-        cand = [i for i in range(r, n) if w[i, i]]
+        cand = [i for i in range(r, n) if w.d[i, i]]
         if cand:
             i = min(cand, key=lambda t: idx[t])
-            sym_swap(r, i)
+            swap(r, i)
             out.append(idx[r])
-            pinv = f.inv(int(w[r, r]))
+            pinv = f.inv(int(w.d[r, r]))
             for j in range(r + 1, n):
-                if w[r, j]:
-                    sym_addmul(r, j, f.neg(f.mul(int(w[r, j]), pinv)))
+                if w.d[r, j]:
+                    w.addmul(r, j, f.neg(f.mul(int(w.d[r, j]), pinv)))
             r += 1
             continue
-        pairs = [(i, j) for i in range(r, n) for j in range(i + 1, n) if w[i, j]]
+        pairs = [(i, j) for i in range(r, n) for j in range(i + 1, n) if w.d[i, j]]
         if not pairs:
             break
         i, j = min(pairs, key=lambda t: tuple(sorted((idx[t[0]], idx[t[1]]))))
-        sym_swap(r, i)
+        swap(r, i)
         if j == r:
             j = i
-        sym_swap(r + 1, j)
+        swap(r + 1, j)
         out.extend((idx[r], idx[r + 1]))
-        binv = f.inv(int(w[r, r + 1]))
+        binv = f.inv(int(w.d[r, r + 1]))
         for m in range(r + 2, n):
-            if w[r, m]:
-                sym_addmul(r + 1, m, f.neg(f.mul(int(w[r, m]), binv)))
-            if w[r + 1, m]:
-                sym_addmul(r, m, f.neg(f.mul(int(w[r + 1, m]), binv)))
+            if w.d[r, m]:
+                w.addmul(r + 1, m, f.neg(f.mul(int(w.d[r, m]), binv)))
+            if w.d[r + 1, m]:
+                w.addmul(r, m, f.neg(f.mul(int(w.d[r + 1, m]), binv)))
         r += 2
     return out
 
@@ -489,10 +465,8 @@ def _solve(f: FieldCtx, b: np.ndarray, rhs: np.ndarray) -> np.ndarray:
             raise ValueError("singular pivot block")
         if piv != col:
             aug[[col, piv], :] = aug[[piv, col], :]
-        pinv = np.int64(f.inv(int(aug[col, col])))
-        aug[col, :] = f.vmul(pinv, aug[col, :])
+        aug[col, :] = f.mul(f.inv(int(aug[col, col])), aug[col, :])
         for i in range(r):
             if i != col and aug[i, col]:
-                factor = np.int64(int(aug[i, col]))
-                aug[i, :] = f.vsub(aug[i, :], f.vmul(factor, aug[col, :]))
+                aug[i, :] = f.sub(aug[i, :], f.mul(aug[i, col], aug[col, :]))
     return aug[:, r:]

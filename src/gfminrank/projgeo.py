@@ -76,39 +76,19 @@ def canonicalize(field: FieldCtx, vec) -> Point:
 
 def pairing(x: Point, y: Point, b: MatrixFq) -> int:
     """The scalar x^t B y."""
-    f = b.field
     k = b.rows
     if b.cols != k or len(x) != k or len(y) != k:
         raise ValueError("dimension mismatch in pairing")
-    acc = 0
-    for i in range(k):
-        if not x[i]:
-            continue
-        row = 0
-        for j in range(k):
-            if y[j]:
-                row = f.add(row, f.mul(int(b.entries[i, j]), y[j]))
-        acc = f.add(acc, f.mul(x[i], row))
-    return acc
+    f = b.field
+    xy = np.array([x, y], dtype=np.int64).reshape(2, k)
+    return int(f.matmul(f.matmul(xy[:1], b.entries), xy[1:].T)[0, 0])
 
 
 def pairing_matrix(points: PointList, b: MatrixFq) -> np.ndarray:
-    """All pairwise pairings as an n x n int64 array (vectorised)."""
+    """All pairwise pairings as an n x n int64 array."""
     f = b.field
-    pts = np.asarray(points.points, dtype=np.int64)
-    if pts.size == 0:
-        return np.zeros((0, 0), dtype=np.int64)
-    n, k = pts.shape
-    if f.e == 1:
-        w = (pts @ b.entries) % f.p
-        return (w @ pts.T) % f.p
-    w = np.zeros((n, k), dtype=np.int64)
-    for t in range(k):
-        w = f.vadd(w, f.vmul(pts[:, t:t + 1], b.entries[t:t + 1, :]))
-    acc = np.zeros((n, n), dtype=np.int64)
-    for t in range(k):
-        acc = f.vadd(acc, f.vmul(w[:, t:t + 1], pts.T[t:t + 1, :]))
-    return acc
+    pts = np.asarray(points.points, dtype=np.int64).reshape(len(points), points.k)
+    return f.matmul(f.matmul(pts, b.entries), pts.T)
 
 
 def count_absolute(b: MatrixFq) -> int:

@@ -1,7 +1,9 @@
 """Built-in regression checks replaying the published reference results.
 
-Each check raises AssertionError on mismatch; the runner reports one line
-per check.  The CLI exposes this as the `selftest` subcommand.
+Each check raises SelftestFailure (an AssertionError) on mismatch.  The
+checks use no ``assert`` statements, so they still run under ``python -O``.
+The runner reports one line per check.  The CLI exposes this as the
+`selftest` subcommand.
 """
 
 from __future__ import annotations
@@ -23,6 +25,15 @@ from .projgeo import count_absolute, enumerate_points
 CHECKS: list[tuple[str, Callable[[], None]]] = []
 
 
+class SelftestFailure(AssertionError):
+    """A reference check got a different result."""
+
+
+def _require(ok: bool, detail: str = "") -> None:
+    if not ok:
+        raise SelftestFailure(detail)
+
+
 def _check(name: str):
     def wrap(fn):
         CHECKS.append((name, fn))
@@ -37,7 +48,7 @@ def _fullhouse() -> SimpleGraph:
 @_check("char-2 squares: every GF(2) and GF(4) element is a square")
 def _sq() -> None:
     for f in (field_new(2, 1), field_new(2, 2)):
-        assert all(f.is_square(a) for a in f.elements())
+        _require(all(f.is_square(a) for a in f.elements()))
 
 
 @_check("fullhouse rank certificate over GF(2)")
@@ -45,60 +56,61 @@ def _fh_rank() -> None:
     f2 = field_new(2, 1)
     a = [[1, 1, 1, 0, 0], [1, 1, 1, 1, 1], [1, 1, 1, 1, 1],
          [0, 1, 1, 1, 1], [0, 1, 1, 1, 1]]
-    assert rank(MatrixFq(f2, a)) == 3
+    _require(rank(MatrixFq(f2, a)) == 3)
 
 
 @_check("hyperbolic block diagonalises to diag(2,1) over GF(3)")
 def _h_gf3() -> None:
     f3 = field_new(3, 1)
     _, d = congruence_diagonalize(hyperbolic_block(f3))
-    assert d.to_lists() == [[2, 0], [0, 1]]
+    _require(d.to_lists() == [[2, 0], [0, 1]])
 
 
 @_check("hyperbolic block keeps a zero diagonal over GF(2)")
 def _h_gf2() -> None:
     f2 = field_new(2, 1)
     _, d = congruence_diagonalize(hyperbolic_block(f2))
-    assert d.to_lists() == [[0, 1], [1, 0]]
+    _require(d.to_lists() == [[0, 1], [1, 0]])
 
 
 @_check("congruence class tags of the reference matrices")
 def _classify() -> None:
     f2, f3 = field_new(2, 1), field_new(3, 1)
-    assert classify_invertible_symmetric(hyperbolic_block(f2)).tag is ClassTag.SYMPLECTIC
-    assert classify_invertible_symmetric(MatrixFq(f2, [[1, 1], [1, 0]])).tag is ClassTag.IDENTITY
+    _require(classify_invertible_symmetric(hyperbolic_block(f2)).tag is ClassTag.SYMPLECTIC)
+    c = classify_invertible_symmetric(MatrixFq(f2, [[1, 1], [1, 0]]))
+    _require(c.tag is ClassTag.IDENTITY)
     c = classify_invertible_symmetric(MatrixFq(f3, [[1, 0], [0, 2]]))
-    assert c.tag is ClassTag.NONSQUARE_DET
+    _require(c.tag is ClassTag.NONSQUARE_DET)
     c3 = classify_invertible_symmetric(MatrixFq(f3, [[1, 0, 0], [0, 1, 0], [0, 0, 2]]))
-    assert c3.projective_tag is ClassTag.IDENTITY
+    _require(c3.projective_tag is ClassTag.IDENTITY)
 
 
 @_check("representative sets for (2,3), (2,4), (3,2)")
 def _reps() -> None:
     f2, f3 = field_new(2, 1), field_new(3, 1)
-    assert [b.to_lists() for b in canonical_representatives(f2, 3)] == \
-        [MatrixFq.identity(f2, 3).to_lists()]
+    _require([b.to_lists() for b in canonical_representatives(f2, 3)]
+             == [MatrixFq.identity(f2, 3).to_lists()])
     reps24 = canonical_representatives(f2, 4)
-    assert reps24[0] == MatrixFq.identity(f2, 4)
-    assert reps24[1].to_lists() == [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
+    _require(reps24[0] == MatrixFq.identity(f2, 4))
+    _require(reps24[1].to_lists() == [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
     reps32 = canonical_representatives(f3, 2)
-    assert reps32[1].to_lists() == [[1, 0], [0, 2]]
+    _require(reps32[1].to_lists() == [[1, 0], [0, 2]])
 
 
 @_check("canonical point order matches the stored column matrices")
 def _points() -> None:
-    assert list(enumerate_points(field_new(2, 1), 3)) == refdata.u_columns(refdata.F2R3_U)
-    assert list(enumerate_points(field_new(3, 1), 3)) == refdata.u_columns(refdata.F3R3_U)
-    assert list(enumerate_points(field_new(2, 1), 4)) == refdata.u_columns(refdata.F2R4_U)
+    _require(list(enumerate_points(field_new(2, 1), 3)) == refdata.u_columns(refdata.F2R3_U))
+    _require(list(enumerate_points(field_new(3, 1), 3)) == refdata.u_columns(refdata.F3R3_U))
+    _require(list(enumerate_points(field_new(2, 1), 4)) == refdata.u_columns(refdata.F2R4_U))
 
 
 @_check("absolute point counts: (2,3,I)=3, (3,3,I)=4, (2,4,HH)=15")
 def _absolute() -> None:
     f2, f3 = field_new(2, 1), field_new(3, 1)
-    assert count_absolute(MatrixFq.identity(f2, 3)) == 3
-    assert count_absolute(MatrixFq.identity(f3, 3)) == 4
+    _require(count_absolute(MatrixFq.identity(f2, 3)) == 3)
+    _require(count_absolute(MatrixFq.identity(f3, 3)) == 4)
     hh = canonical_representatives(f2, 4)[1]
-    assert count_absolute(hh) == 15
+    _require(count_absolute(hh) == 15)
 
 
 @_check("pattern matrices regenerate bit-exactly")
@@ -107,7 +119,7 @@ def _patterns() -> None:
                            (2, 4, 0, refdata.F2R4A_GRAM), (2, 4, 1, refdata.F2R4B_GRAM)]:
         ps = generate(q, k)
         gm = gram_matrix(ps.field, ps.points, ps.patterns[idx].form)
-        assert gm.to_lists() == ref, (q, k, idx)
+        _require(gm.to_lists() == ref, f"q={q} k={k} pattern {idx}")
     # rank-2 GF(2) patterns, stored in their original column order
     ps = generate(2, 2)
     cols = refdata.u_columns(refdata.G2F2_U)
@@ -117,7 +129,7 @@ def _patterns() -> None:
         gm = gram_matrix(ps.field, ps.points, ps.patterns[idx].form)
         expect = [[ref[live[perm[i]]][live[perm[j]]] for j in range(len(live))]
                   for i in range(len(live))]
-        assert gm.to_lists() == expect, idx
+        _require(gm.to_lists() == expect, f"q=2 k=2 pattern {idx}")
 
 
 @_check("pattern counting facts for (2,3), (3,3), (2,4)")
@@ -129,58 +141,58 @@ def _counts() -> None:
 @_check("fullhouse minimum rank: 3 over GF(2), 2 over GF(3)")
 def _fh_minrank() -> None:
     fh = _fullhouse()
-    assert not member(fh, 2, 2)[0]
-    assert min_rank(fh, 2) == 3
-    assert min_rank(fh, 3) == 2
+    _require(not member(fh, 2, 2)[0])
+    _require(min_rank(fh, 2) == 3)
+    _require(min_rank(fh, 3) == 2)
 
 
 @_check("blowup witnesses: K_{2,2,2} and the looped-path example")
 def _blowups() -> None:
     k222 = SimpleGraph.complete_multipartite([2, 2, 2])
     triangle = generate(2, 2).patterns[1].graph
-    assert is_blowup(k222, triangle) is not None
+    _require(is_blowup(k222, triangle) is not None)
     looped_path = LoopedGraph.from_parts(
         4, [(0, 1), (1, 2), (2, 3)], [1, 2, 3])
     from .graphs import blow_up
     h = blow_up(looped_path, [3, 1, 2, 0])
     w = is_blowup(h, looped_path)
-    assert w is not None
-    assert sorted(len(v) for v in w.class_image().values()) == [1, 2, 3]
+    _require(w is not None)
+    _require(sorted(len(v) for v in w.class_image().values()) == [1, 2, 3])
 
 
 @_check("complete graphs have minimum rank 1")
 def _kn() -> None:
     for n in (2, 4, 6):
-        assert min_rank(SimpleGraph.complete(n), 2) == 1
-        assert min_rank(SimpleGraph.complete(n), 3) == 1
+        _require(min_rank(SimpleGraph.complete(n), 2) == 1)
+        _require(min_rank(SimpleGraph.complete(n), 3) == 1)
 
 
 @_check("oracle confirms the fullhouse field dependence")
 def _oracle_fh() -> None:
     fh = _fullhouse()
-    assert oracle_min_rank(fh, 2) == 3
-    assert oracle_min_rank(fh, 3) == 2
+    _require(oracle_min_rank(fh, 2) == 3)
+    _require(oracle_min_rank(fh, 3) == 2)
 
 
 @_check("complete multipartite rank-3 bounds")
 def _multipartite() -> None:
-    assert multipartite_bound_check([2, 2, 2], 2)
-    assert not multipartite_bound_check([10, 10, 10, 10], 2)
-    assert multipartite_bound_check([10, 10, 10, 10], 3)
+    _require(multipartite_bound_check([2, 2, 2], 2))
+    _require(not multipartite_bound_check([10, 10, 10, 10], 2))
+    _require(multipartite_bound_check([10, 10, 10, 10], 3))
 
 
 @_check("closed-form rank-2 test over GF(2)")
 def _f2r2() -> None:
-    assert check_f2r2_form(SimpleGraph.complete_multipartite([2, 2, 2]))
-    assert not check_f2r2_form(_fullhouse())
-    assert check_f2r2_form(SimpleGraph.complete(6))
+    _require(check_f2r2_form(SimpleGraph.complete_multipartite([2, 2, 2])))
+    _require(not check_f2r2_form(_fullhouse()))
+    _require(check_f2r2_form(SimpleGraph.complete(6)))
 
 
 @_check("mining n<=5 over GF(2) at rank 2 finds the fullhouse")
 def _mine() -> None:
     run = mine(2, 2, n_max=5)
     fh = _fullhouse()
-    assert any(g.n == 5 and are_isomorphic(g, fh) for g in run.found)
+    _require(any(g.n == 5 and are_isomorphic(g, fh) for g in run.found))
 
 
 def run_selftest() -> Iterator[tuple[str, bool, str]]:

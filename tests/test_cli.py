@@ -2,6 +2,10 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -56,8 +60,25 @@ def test_patterns_json_and_dot(capsys):
 
 
 def test_patterns_rejects_graph6_format(capsys):
-    code, _, err = run_cli(capsys, ["patterns", "--q", "2", "--k", "2", "--format", "g6"])
-    assert code == 1 and "error" in err
+    # looped graphs do not fit graph6, so g6 is not a --format choice
+    with pytest.raises(SystemExit) as exc:
+        main(["patterns", "--q", "2", "--k", "2", "--format", "g6"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'g6'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["patterns", "--q", "2", "--k", "2"],
+    ["minrank", "--q", "2"],
+    ["member", "--q", "2", "--k", "2"],
+    ["classify"],
+    ["selftest"],
+])
+def test_jobs_only_on_commands_that_use_it(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--jobs", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
 def test_minrank_stream(capsys):
@@ -179,3 +200,29 @@ def test_selftest_command(capsys):
     lines = [json.loads(line) for line in out.strip().splitlines()]
     assert lines and all(obj["ok"] for obj in lines)
     assert "checks passed" in err
+
+
+# Run under python -O: the first assert is stripped there, which shows the
+# flag took effect; the checks that depend on the stubbed functions must fail.
+SELFTEST_UNDER_O = """
+import gfminrank.selftest as s
+assert False, "asserts are live"
+s.min_rank = s.oracle_min_rank = lambda *args, **kwargs: 99
+for name, ok, _ in s.run_selftest():
+    if not ok:
+        print(name)
+"""
+
+
+def test_selftest_checks_survive_python_O():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-O", "-c", SELFTEST_UNDER_O], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "fullhouse minimum rank: 3 over GF(2), 2 over GF(3)",
+        "complete graphs have minimum rank 1",
+        "oracle confirms the fullhouse field dependence",
+    ]

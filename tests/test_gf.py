@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -177,7 +178,6 @@ def test_nonsquare_selection(gf3, gf5, gf9):
     assert gf3.nonsquare() == 2
     assert gf5.nonsquare() == 2
     assert gf9.nonsquare() == 4
-    assert gf3.find_nonsquare() == 2
     with pytest.raises(ValueError):
         field_new(2, 2).nonsquare()
 
@@ -214,3 +214,56 @@ def test_factor_prime_power():
 
 def test_field_serialisation(gf9):
     assert gf9.to_json() == {"p": 3, "e": 2, "modulus": [1, 0, 1]}
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
+def test_array_ops_match_scalar_ops_and_kernel_tables(q):
+    f = field_from_order(q)
+    reps = np.arange(q, dtype=np.int64)
+    a, b = np.repeat(reps, q), np.tile(reps, q)  # the full q x q grid, flattened
+    add_t, sub_t, mul_t, inv_t = f.kernel_tables()
+    for op, table in [(f.add, add_t), (f.sub, sub_t), (f.mul, mul_t)]:
+        got = op(a, b)
+        assert got.dtype == np.int64
+        assert got.tolist() == [op(x, y) for x, y in zip(a.tolist(), b.tolist())]
+        assert np.array_equal(got.reshape(q, q), table)
+    # the table product agrees with plain polynomial multiplication mod the modulus
+    assert f.mul(a, b).tolist() == [f._raw_mul(x, y) for x, y in zip(a.tolist(), b.tolist())]
+    assert f.neg(reps).tolist() == [f.neg(x) for x in range(q)]
+    assert inv_t.tolist() == [0] + [f.inv(x) for x in range(1, q)]
+
+
+def _naive_matmul(f, a, b):
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    for i in range(a.shape[0]):
+        for j in range(b.shape[1]):
+            acc = 0
+            for t in range(a.shape[1]):
+                acc = f.add(acc, f.mul(int(a[i, t]), int(b[t, j])))
+            out[i, j] = acc
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 7, 9, 16, 25])
+@pytest.mark.parametrize("rows, inner, cols", [(1, 1, 1), (2, 3, 4), (4, 1, 3),
+                                               (5, 6, 2), (3, 0, 2)])
+def test_matmul_matches_naive_triple_loop(q, rows, inner, cols):
+    f = field_from_order(q)
+    gen = np.random.default_rng(q * 1000 + rows * 100 + inner * 10 + cols)
+    a = gen.integers(0, q, size=(rows, inner))
+    b = gen.integers(0, q, size=(inner, cols))
+    got = f.matmul(a, b)
+    assert got.shape == (rows, cols) and got.dtype == np.int64
+    assert np.array_equal(got, _naive_matmul(f, a, b))
+
+
+def test_zero_sentinel_at_the_order_cap():
+    f = field_new(2, 16)
+    a = np.array([0, 1, 12345, 0, f.q - 1, 0], dtype=np.int64)
+    b = np.array([54321, 0, 0, 0, 7, f.q - 1], dtype=np.int64)
+    got = f.mul(a, b)
+    assert got[[0, 1, 2, 3, 5]].tolist() == [0] * 5
+    assert got[4] == f._raw_mul(f.q - 1, 7) != 0
+    x = np.random.default_rng(16).integers(1, f.q, size=500)
+    inverses = np.array([f.inv(v) for v in x.tolist()], dtype=np.int64)
+    assert (f.mul(x, inverses) == 1).all()
