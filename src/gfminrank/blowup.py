@@ -3,8 +3,8 @@
 A simple graph has minimum rank at most k over GF(q) exactly when it is a
 blowup of one of the k-patterns together with an extra isolated vertex.
 Recognition strips isolated vertices (they realise the extra vertex and
-never change minimum rank), collapses twin vertices, and then runs a
-backtracking search assigning twin classes to pattern vertices.
+never change minimum rank), collapses twin vertices, and then searches for
+an injective assignment of twin classes to pattern vertices.
 
 A class normally occupies a single pattern vertex whose loop status matches
 (looped for merged cliques, nonlooped for merged independent sets, either
@@ -12,16 +12,32 @@ for singletons).  One genuine wrinkle: a merged clique can also be realised
 by spreading its members, one each, over a clique of nonlooped pattern
 vertices (dually for independent sets over looped ones), and such a spread
 cannot always be re-pointed at a single vertex.  The search therefore also
-tries exact-size spreads over loop-incompatible vertices.  Every witness is
-re-verified against the raw blowup definition before it is returned.
+tries exact-size spreads over loop-incompatible vertices.
+
+The search forward-checks on bitsets, in the manner of domain filtering in
+subgraph solvers (McCreesh, Prosser and Trimble, "The Glasgow Subgraph
+Solver", ICGT 2020).  Every open class keeps one mask of the pattern
+vertices still consistent with all placements and not yet used.  Placing a
+vertex intersects each open mask with the vertex's pattern row (classes
+adjacent) or its non-neighbour row (classes not adjacent); the search backs
+up as soon as a class has no single candidate and fewer spread candidates
+than members, and it branches on the class with the fewest single
+candidates (ties: larger class, then lower index).  Only the first class
+branched on is pruned by symmetry, to one vertex per orbit key of the
+pattern, and only where the pattern generator derived keys on which the
+isometries of the form act transitively (see ``patterns._orbit_keys``).
+Every witness is re-verified against the raw blowup definition before it
+is returned.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .graphs import ClassStatus, LoopedGraph, SimpleGraph, twin_reduce
-from .patterns import DEFAULT_VERTEX_BUDGET, VertexBudgetError, generate
+from .patterns import (DEFAULT_VERTEX_BUDGET, Pattern, PatternMasks, VertexBudgetError,
+                       generate)
 
 
 class MinRankBoundError(Exception):
@@ -74,141 +90,120 @@ def verify_blowup(g: SimpleGraph, h: LoopedGraph, assignment: dict[int, int]) ->
     return True
 
 
-def is_blowup(g: SimpleGraph, h: LoopedGraph,
+def is_blowup(g: SimpleGraph, h: LoopedGraph | Pattern,
               orbits: tuple[int, ...] | None = None) -> BlowupWitness | None:
     """A witness that g is a blowup of h (plus an isolated vertex), or None.
 
-    ``orbits`` optionally labels pattern vertices by automorphism orbit (as
-    produced by the pattern generator); the first branching level then tries
-    only one vertex per orbit, which is sound because any witness can be
-    carried to an orbit representative by an automorphism.
+    ``h`` is a looped graph, searched with the optional ``orbits`` keys, or a
+    Pattern, which brings its own keys and keeps its search masks.  The
+    first class branched on tries only one vertex per key, and a spread there
+    must meet that set of representatives: an automorphism carrying any
+    witness's image vertex to the representative of its key gives another
+    witness.
     """
+    if isinstance(h, Pattern):
+        masks, h = h.masks, h.graph
+    else:
+        masks = PatternMasks.of(h, orbits)
     core = [v for v in range(g.n) if g.rows[v]]
     if not core:
         return BlowupWitness({})
-    gc = g.induced(core)
-    red = twin_reduce(gc)
-    nclasses = red.quotient.n
+    red = twin_reduce(g.induced(core))
     sizes = red.class_sizes()
     q_adj = red.quotient.rows
-
-    def root_allowed(v: int) -> bool:
-        return orbits is None or orbits.index(orbits[v]) == v
-
-    # candidate pattern vertices per class, split by loop compatibility
-    def compatible(v: int, status: ClassStatus) -> bool:
-        if status is ClassStatus.FREE:
-            return True
-        return h.has_loop(v) == (status is ClassStatus.LOOPED)
-
-    offdeg = [bin(r).count("1") for r in h.rows]
-    q_deg = [bin(r).count("1") for r in q_adj]
-
-    order = sorted(range(nclasses), key=lambda c: (-sizes[c], c))
+    rows, non, loops, nonloops = h.rows, masks.non, h.loops, masks.nonloops
+    full = loops | nonloops
+    # per class: where a single image may go (loop status matching the
+    # class), and where the members of a spread go (the opposite status)
+    single, spread = [], []
+    for st in red.statuses:
+        if st is ClassStatus.FREE:
+            single.append(full)
+            spread.append(0)
+        else:
+            looped = st is ClassStatus.LOOPED
+            single.append(loops if looped else nonloops)
+            spread.append(nonloops if looped else loops)
+    nclasses = len(sizes)
     images: list[tuple[int, ...]] = [()] * nclasses
-    used = 0
+    # ties on the candidate count go to the larger class, then the lower index
+    rank = [0] * nclasses
+    for r, c in enumerate(sorted(range(nclasses), key=lambda c: (-sizes[c], c))):
+        rank[c] = r
+    no_class = (h.n + 1) * nclasses
 
-    def consistent_vertex(v: int, cls: int, depth: int) -> bool:
-        for d2 in range(depth):
-            other = order[d2]
-            want = bool((q_adj[cls] >> other) & 1)
-            for w in images[other]:
-                if h.has_edge(v, w) != want:
-                    return False
-        return True
+    def narrow(adj: int, group: tuple[int, ...], doms: dict[int, int]):
+        """The domains once a class with quotient row adj takes group, and
+        the class to branch on next (fewest single candidates); None as soon
+        as a class is left with no single and too few spread candidates."""
+        joined = apart = -1
+        for v in group:
+            joined &= rows[v]
+            apart &= non[v]
+        out = {}
+        best, best_key = -1, no_class
+        for d, dom in doms.items():
+            dom &= joined if (adj >> d) & 1 else apart
+            count = (dom & single[d]).bit_count()
+            if not count and (dom & spread[d]).bit_count() < sizes[d]:
+                return None
+            out[d] = dom
+            key = count * nclasses + rank[d]
+            if key < best_key:
+                best, best_key = d, key
+        return out, best
 
-    def spread_candidates(cls: int, depth: int) -> list[int]:
-        st = red.statuses[cls]
-        need_adjacent = st is ClassStatus.LOOPED
-        out = []
-        for v in range(h.n):
-            if (used >> v) & 1:
-                continue
-            if compatible(v, st):
-                continue  # spreads use only loop-incompatible vertices
-            if need_adjacent and offdeg[v] < sizes[cls] - 1 + q_deg[cls]:
-                continue
-            if consistent_vertex(v, cls, depth):
-                out.append(v)
-        return out
-
-    def spreads(cls: int, depth: int):
-        """Exact-size sets of loop-incompatible vertices, pairwise adjacent
-        for merged cliques and pairwise nonadjacent for merged independents."""
-        st = red.statuses[cls]
+    def spreads(cls: int, avail: int, roots: int):
+        """Groups of size(cls) vertices from avail, pairwise adjacent for a
+        merged clique and pairwise nonadjacent for a merged independent set,
+        meeting roots."""
         need = sizes[cls]
-        cands = spread_candidates(cls, depth)
-        if len(cands) < need:
-            return
-        chosen: list[int] = []
+        nbr = rows if red.statuses[cls] is ClassStatus.LOOPED else non
 
-        def grow(start: int):
+        def grow(chosen: tuple[int, ...], hit: bool, avail: int):
             if len(chosen) == need:
-                yield tuple(chosen)
+                if hit:
+                    yield chosen
                 return
-            for idx in range(start, len(cands)):
-                v = cands[idx]
-                if depth == 0 and not chosen and not root_allowed(v):
-                    continue
-                ok = True
-                for w in chosen:
-                    if h.has_edge(v, w) != (st is ClassStatus.LOOPED):
-                        ok = False
-                        break
-                if ok:
-                    chosen.append(v)
-                    yield from grow(idx + 1)
-                    chosen.pop()
+            while avail.bit_count() >= need - len(chosen):
+                if not hit and not avail & roots:
+                    return
+                low = avail & -avail
+                avail ^= low
+                v = low.bit_length() - 1
+                yield from grow(chosen + (v,), hit or bool(low & roots), avail & nbr[v])
 
-        yield from grow(0)
+        yield from grow((), False, avail)
 
-    def backtrack(depth: int) -> bool:
-        nonlocal used
-        if depth == nclasses:
-            return True
-        cls = order[depth]
-        st = red.statuses[cls]
-        for v in range(h.n):
-            if (used >> v) & 1 or not compatible(v, st):
-                continue
-            if depth == 0 and not root_allowed(v):
-                continue
-            if offdeg[v] < q_deg[cls]:
-                continue
-            if not consistent_vertex(v, cls, depth):
-                continue
-            images[cls] = (v,)
-            used |= 1 << v
-            if backtrack(depth + 1):
-                return True
-            used &= ~(1 << v)
-            images[cls] = ()
+    def search(doms: dict[int, int], cls: int, roots: int) -> bool:
+        """Place cls, then the rest of doms (which it owns), or report failure."""
+        dom = doms.pop(cls)
+        singles = []
+        cand = dom & single[cls] & roots
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            singles.append((low.bit_length() - 1,))
+        groups = singles
         if sizes[cls] >= 2:
-            for group in spreads(cls, depth):
+            groups = itertools.chain(singles, spreads(cls, dom & spread[cls], roots))
+        for group in groups:
+            step = narrow(q_adj[cls], group, doms)
+            if step is not None and (not doms or search(*step, full)):
                 images[cls] = group
-                mask = 0
-                for v in group:
-                    mask |= 1 << v
-                used |= mask
-                if backtrack(depth + 1):
-                    return True
-                used &= ~mask
-                images[cls] = ()
+                return True
         return False
 
-    if not backtrack(0):
+    first = narrow(0, (), {c: single[c] | spread[c] for c in range(nclasses)})
+    if first is None or not search(*first, masks.roots):
         return None
 
     assignment: dict[int, int] = {}
-    for cls in range(nclasses):
-        members = red.classes[cls]
-        group = images[cls]
+    for members, group in zip(red.classes, images):
         if len(group) == 1:
-            for m in members:
-                assignment[core[m]] = group[0]
-        else:
-            for m, v in zip(members, group):
-                assignment[core[m]] = v
+            group = group * len(members)
+        for m, v in zip(members, group):
+            assignment[core[m]] = v
     witness = BlowupWitness(assignment)
     if not verify_blowup(g, h, assignment):
         raise InvariantError("witness failed the raw blowup definition")
@@ -221,7 +216,7 @@ def member(g: SimpleGraph, q: int, k: int,
     """Is mr(GF(q), g) <= k?  Returns (answer, witness, pattern index)."""
     ps = generate(q, k, vertex_budget=vertex_budget)
     for idx, pat in enumerate(ps.patterns):
-        w = is_blowup(g, pat.graph, orbits=pat.orbits)
+        w = is_blowup(g, pat)
         if w is not None:
             return True, w, idx
     return False, None, None

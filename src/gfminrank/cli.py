@@ -9,6 +9,7 @@ line-delimited JSON on stdout; diagnostics go to stderr.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -171,6 +172,8 @@ INPUT_HELP = "read graphs from a file instead of stdin"
 JOBS_HELP = "worker processes (default 1)"
 
 
+# parsing leaves the parser unchanged, so one instance serves every call
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="gfminrank", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
@@ -224,8 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (DomainError, ValueError) as exc:

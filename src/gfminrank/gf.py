@@ -191,15 +191,22 @@ class FieldCtx:
                 break
         if gen is None:
             raise AssertionError("no generator found, but the multiplicative group is cyclic")
+        # multiplication by gen is GF(p)-linear on the packed digits, so one
+        # matrix product over every rep gives the step table x -> x * gen
+        pw = self.p ** np.arange(self.e, dtype=np.int64)
+        digits = (np.arange(self.q, dtype=np.int64)[:, None] // pw) % self.p
+        basis = np.array([self._digits(self._raw_mul(int(b), gen)) for b in pw],
+                         dtype=np.int64).reshape(self.e, self.e)
+        step = (((digits @ basis) % self.p) @ pw).tolist()
+        powers = [1] * n
+        for i in range(1, n):
+            powers[i] = step[powers[i - 1]]
         # exp: g^0..g^(n-1) twice over (log sums of nonzero elements stay
         # below 2n-1), then zeros up to 4n (any sum involving log[0] = 2n)
         exp = np.zeros(4 * n + 1, dtype=np.int64)
+        exp[:n] = exp[n:2 * n] = powers
         log = np.full(self.q, 2 * n, dtype=np.int64)
-        x = 1
-        for i in range(n):
-            exp[i] = exp[i + n] = x
-            log[x] = i
-            x = self._raw_mul(x, gen)
+        log[exp[:n]] = np.arange(n, dtype=np.int64)
         self._exp = exp
         self._log = log
 

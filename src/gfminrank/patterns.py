@@ -46,14 +46,46 @@ class PatternPropertyError(AssertionError):
 
 
 @dataclass(frozen=True)
+class PatternMasks:
+    """Bit masks of a looped pattern graph that the blowup search reads
+    beside its rows and loops.
+
+    ``non[v]`` holds the vertices other than v not adjacent to v;
+    ``nonloops`` the vertices without a loop; ``roots`` the first vertex of
+    each orbit key (every vertex when there are no keys).
+    """
+
+    non: tuple[int, ...]
+    nonloops: int
+    roots: int
+
+    @classmethod
+    def of(cls, h: LoopedGraph, orbits: tuple[int, ...] | None) -> "PatternMasks":
+        full = (1 << h.n) - 1
+        roots = full
+        if orbits is not None:
+            first: dict[int, int] = {}
+            for v, key in enumerate(orbits):
+                first.setdefault(key, v)
+            roots = sum(1 << v for v in first.values())
+        non = tuple(full & ~r & ~(1 << v) for v, r in enumerate(h.rows))
+        return cls(non, full & ~h.loops, roots)
+
+
+@dataclass(frozen=True)
 class Pattern:
     form: MatrixFq
     graph: LoopedGraph
-    # orbit key per vertex under the isometry group of the form: the square
-    # class of the point's self-pairing (0 absolute, 1 square, 2 nonsquare).
-    # Witt's theorem makes the automorphism group transitive on each key, so
-    # searches may restrict their first choice to one vertex per key.
+    # orbit key per vertex such that the automorphism group of the graph is
+    # transitive on each key, or None where no such keys are derived; a
+    # search may restrict its first choice to one vertex per key.  See
+    # _orbit_keys for the cases and why each holds.
     orbits: tuple[int, ...] | None = None
+
+    @functools.cached_property
+    def masks(self) -> PatternMasks:
+        """The search masks, built on first use and kept with the pattern."""
+        return PatternMasks.of(self.graph, self.orbits)
 
 
 @dataclass(frozen=True)
@@ -105,7 +137,31 @@ def generate(q: int | FieldCtx, k: int,
     return _generate_cached(field, k)
 
 
-def _orbit_keys(field: FieldCtx, norms) -> tuple[int, ...]:
+def _orbit_keys(field: FieldCtx, k: int, graph: LoopedGraph,
+                norms) -> tuple[int, ...] | None:
+    """Orbit keys of the points under the isometry group of the form.
+
+    Odd q, and alternating forms (no loops) over even q: the square class of
+    x^t B x (0 absolute, 1 square, 2 nonsquare); Witt's theorem makes the
+    isometries transitive on each class.  A non-alternating form over even q
+    is a pseudo-polarity: x^t B x is the square of a linear form, so the
+    absolute points fill a hyperplane, and every isometry fixes its pole w.
+    For odd k, w is not absolute, V = <w> + w^perp with an alternating form on
+    w^perp, and the symplectic group of w^perp is transitive on the absolute
+    points and on the other non-absolute points; w gets key 3.  For even k, w
+    is absolute and no keys are derived (None).
+    """
+    if field.p == 2 and graph.loops:
+        if k % 2 == 0:
+            return None
+        poles = [v for v in graph.looped_vertices()
+                 if graph.rows[v] | (1 << v) == graph.loops]
+        if len(poles) != 1:
+            raise PatternPropertyError(
+                "unique pole of the absolute hyperplane",
+                f"q={field.q}, k={k} has candidates {poles}")
+        return tuple(3 if v == poles[0] else 1 if graph.has_loop(v) else 0
+                     for v in range(graph.n))
     keys = []
     for a in norms:
         a = int(a)
@@ -124,8 +180,8 @@ def _generate_cached(field: FieldCtx, k: int) -> PatternSet:
     pats = []
     for b in canonical_representatives(field, k):
         g = pairing_matrix(points, b)
-        pats.append(Pattern(b, _graph_from_pairings(g),
-                            _orbit_keys(field, np.diag(g) if g.size else ())))
+        graph = _graph_from_pairings(g)
+        pats.append(Pattern(b, graph, _orbit_keys(field, k, graph, np.diag(g))))
     return PatternSet(field.q, k, field, points, tuple(pats))
 
 

@@ -84,10 +84,14 @@ def pairing(x: Point, y: Point, b: MatrixFq) -> int:
     return int(f.matmul(f.matmul(xy[:1], b.entries), xy[1:].T)[0, 0])
 
 
+def _point_array(points: PointList) -> np.ndarray:
+    return np.asarray(points.points, dtype=np.int64).reshape(len(points), points.k)
+
+
 def pairing_matrix(points: PointList, b: MatrixFq) -> np.ndarray:
     """All pairwise pairings as an n x n int64 array."""
     f = b.field
-    pts = np.asarray(points.points, dtype=np.int64).reshape(len(points), points.k)
+    pts = _point_array(points)
     return f.matmul(f.matmul(pts, b.entries), pts.T)
 
 
@@ -95,6 +99,10 @@ def count_absolute(b: MatrixFq) -> int:
     """Number of points x with x^t B x = 0 (the absolute points)."""
     if not b.is_symmetric():
         raise ValueError("absolute point count requires a symmetric matrix")
-    points = enumerate_points(b.field, b.rows)
-    g = pairing_matrix(points, b)
-    return int(np.count_nonzero(np.diag(g) == 0))
+    f = b.field
+    pts = _point_array(enumerate_points(f, b.rows))
+    xb = f.matmul(pts, b.entries)
+    norms = np.zeros(len(pts), dtype=np.int64)
+    for t in range(b.rows):
+        norms = f.add(norms, f.mul(xb[:, t], pts[:, t]))
+    return int(np.count_nonzero(norms == 0))

@@ -1,17 +1,19 @@
 from __future__ import annotations
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from gfminrank import (LoopedGraph, SimpleGraph, blow_up, generate, is_blowup,
-                       member, min_rank, multipartite_bound_check,
+from gfminrank import (LoopedGraph, SimpleGraph, blow_up, emit_graph6, generate,
+                       is_blowup, member, min_rank, multipartite_bound_check,
                        oracle_min_rank, parse_graph6, twin_reduce)
 from gfminrank.blowup import MinRankBoundError, verify_blowup
 from gfminrank.miner import enumerate_graphs, enumerate_trees
+from gfminrank.projgeo import point_count
 
 
 def test_fullhouse_field_dependence(fullhouse):
@@ -214,11 +216,29 @@ def test_small_sweep_matches_oracle_gf5():
             assert min_rank(g, 5) == oracle_min_rank(g, 5)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: orbit pruning is unsound for the "
-                   "non-alternating form in characteristic 2, so min_rank gives 4")
 def test_f_czg_has_minimum_rank_three_over_gf2():
     # a blowup of the rank-3 GF(2) pattern; the oracle gives 3
     assert min_rank(parse_graph6("F{czG"), 2) == 3
+
+
+def test_blowups_are_recognised_with_orbit_pruning():
+    # every blowup of a pattern must be found although the first class tries
+    # only one vertex per orbit key
+    rng = random.Random(4004)
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        for k in range(1, 6):
+            if point_count(q, k) > 40:
+                continue
+            for pat in generate(q, k).patterns:
+                for _ in range(40):
+                    sizes = [rng.choice((0, 0, 1, 1, 2, 3)) for _ in range(pat.graph.n)]
+                    g = blow_up(pat.graph, sizes)
+                    assert is_blowup(g, pat) is not None, (q, k, sizes)
+
+
+def test_sweep_matches_oracle_on_all_seven_vertex_graphs_gf2():
+    for g in enumerate_graphs(7):
+        assert min_rank(g, 2) == oracle_min_rank(g, 2), emit_graph6(g)
 
 
 # Run under python -O: the first assert is stripped there, which shows the

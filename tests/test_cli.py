@@ -96,6 +96,17 @@ def test_minrank_max_k_reports_bound(capsys):
     assert json.loads(out) == {"graph6": fullhouse_g6(), "minrank_gt": 2}
 
 
+def test_cached_parser_parses_each_call_afresh(capsys):
+    # main reuses one parser; an option given in one call must not leak into
+    # the next
+    assert cli.build_parser() is cli.build_parser()
+    code, out, _ = run_cli(capsys, ["minrank", "--q", "2", "--max-k", "2"],
+                           stdin=fullhouse_g6() + "\n")
+    assert code == 0 and json.loads(out)["minrank_gt"] == 2
+    code, out, _ = run_cli(capsys, ["minrank", "--q", "2"], stdin=fullhouse_g6() + "\n")
+    assert code == 0 and json.loads(out)["minrank"] == 3
+
+
 def test_member_with_witness(capsys):
     code, out, _ = run_cli(capsys, ["member", "--q", "2", "--k", "3"],
                            stdin=fullhouse_g6() + "\n")

@@ -141,3 +141,31 @@ def test_congruent_representative_gives_isomorphic_pattern(q, kmax, rng):
                 twisted = c.transpose() @ pat.form @ c
                 g2 = pattern_graph(f, points, twisted)
                 assert are_isomorphic(pat.graph, g2)
+
+
+@pytest.mark.parametrize("q,k", [(2, 1), (2, 3), (2, 4), (2, 5), (3, 3), (4, 3), (4, 4), (8, 3)])
+def test_orbit_keys_follow_the_form(q, k):
+    ps = generate(q, k)
+    for pat in ps.patterns:
+        absolute = [ps.points[v] for v in range(pat.graph.n) if not pat.graph.has_loop(v)]
+        if q % 2 or not pat.graph.loops:
+            # square class of x^t B x (Witt's theorem)
+            assert set(pat.orbits) <= {0, 1, 2}
+            assert all((key == 0) == (not pat.graph.has_loop(v))
+                       for v, key in enumerate(pat.orbits))
+        elif k % 2 == 0:
+            assert pat.orbits is None  # the pole is absolute: no keys derived
+        else:
+            # exactly one vertex keyed 3: the pole of the absolute hyperplane
+            poles = [v for v, key in enumerate(pat.orbits) if key == 3]
+            assert len(poles) == 1
+            w = ps.points[poles[0]]
+            assert all(pairing(x, w, pat.form) == 0 for x in absolute)
+
+
+def test_orbit_keys_reject_a_graph_without_a_unique_pole():
+    from gfminrank import LoopedGraph
+    from gfminrank.patterns import _orbit_keys
+    two_loops = LoopedGraph.from_parts(2, [], [0, 1])
+    with pytest.raises(PatternPropertyError, match="pole"):
+        _orbit_keys(field_from_order(2), 3, two_loops, [1, 1])
