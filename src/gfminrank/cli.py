@@ -1,9 +1,11 @@
 """Command-line interface.
 
 Subcommands: patterns, minrank, member, oracle, mine, classify, selftest.
-Graphs stream in as graph6 lines on stdin (or --input); results leave as
-line-delimited JSON on stdout; diagnostics go to stderr.  Exit codes:
-0 success, 1 domain error, 2 usage error.
+Graphs stream in as graph6 lines on stdin (or --input), read one at a
+time; results leave as line-delimited JSON on stdout; diagnostics go to
+stderr.  A line that does not parse gets an error record and the stream
+goes on.  Exit codes: 0 success, 1 domain error (including any such line),
+2 usage error.
 """
 
 from __future__ import annotations
@@ -46,17 +48,33 @@ def parse_order(text: str) -> int:
     return q
 
 
-def _graph_lines(args) -> list[str]:
+def _graph_lines(args):
+    """The non-blank input lines, stripped, read one at a time."""
     if args.input:
         with open(args.input) as fh:
-            data = fh.read()
+            yield from (line.strip() for line in fh if line.strip())
     else:
-        data = sys.stdin.read()
-    return [line.strip() for line in data.splitlines() if line.strip()]
+        yield from (line.strip() for line in sys.stdin if line.strip())
 
 
 def _emit(obj: dict) -> None:
     sys.stdout.write(json.dumps(obj) + "\n")
+
+
+def _serve(args, answer) -> int:
+    """Emit one record per input graph: its graph6 and the fields of
+    answer(g), or the line and the parse error.  A bad line does not stop
+    the stream; it makes the exit code 1."""
+    status = 0
+    for line in _graph_lines(args):
+        try:
+            g = parse_graph6(line)
+        except ValueError as exc:
+            _emit({"graph6": line, "error": str(exc)})
+            status = 1
+            continue
+        _emit({"graph6": emit_graph6(g), **answer(g)})
+    return status
 
 
 def cmd_patterns(args) -> int:
@@ -80,27 +98,27 @@ def cmd_patterns(args) -> int:
 
 def cmd_minrank(args) -> int:
     q = parse_order(args.q)
-    for line in _graph_lines(args):
-        g = parse_graph6(line)
+
+    def answer(g):
         try:
-            mr = min_rank(g, q, max_k=args.max_k, vertex_budget=args.vertex_budget)
-            _emit({"graph6": emit_graph6(g), "minrank": mr})
+            return {"minrank": min_rank(g, q, max_k=args.max_k,
+                                        vertex_budget=args.vertex_budget)}
         except MinRankBoundError as exc:
-            _emit({"graph6": emit_graph6(g), "minrank_gt": exc.lower_bound})
-    return 0
+            return {"minrank_gt": exc.lower_bound}
+    return _serve(args, answer)
 
 
 def cmd_member(args) -> int:
     q = parse_order(args.q)
-    for line in _graph_lines(args):
-        g = parse_graph6(line)
+
+    def answer(g):
         ok, witness, idx = member(g, q, args.k, vertex_budget=args.vertex_budget)
-        obj = {"graph6": emit_graph6(g), "member": ok}
+        obj = {"member": ok}
         if ok:
             obj["pattern"] = idx
             obj["witness"] = {str(v): p for v, p in sorted(witness.assignment.items())}
-        _emit(obj)
-    return 0
+        return obj
+    return _serve(args, answer)
 
 
 def _oracle_worker(payload):
@@ -110,8 +128,8 @@ def _oracle_worker(payload):
 
 def cmd_oracle(args) -> int:
     q = parse_order(args.q)
-    for line in _graph_lines(args):
-        g = parse_graph6(line)
+
+    def answer(g):
         try:
             if args.jobs > 1 and g.edge_count() > 0:
                 _, _, total = plan_scan(g, q, args.budget)
@@ -119,13 +137,11 @@ def cmd_oracle(args) -> int:
                 spans = [(emit_graph6(g), q, args.budget, lo, min(lo + step, total))
                          for lo in range(0, total, step)]
                 with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                    mr = min(pool.map(_oracle_worker, spans))
-            else:
-                mr = oracle_min_rank(g, q, budget=args.budget)
-            _emit({"graph6": emit_graph6(g), "minrank": mr})
+                    return {"minrank": min(pool.map(_oracle_worker, spans))}
+            return {"minrank": oracle_min_rank(g, q, budget=args.budget)}
         except OracleBudgetError:
-            _emit({"graph6": emit_graph6(g), "error": "budget"})
-    return 0
+            return {"error": "budget"}
+    return _serve(args, answer)
 
 
 def cmd_mine(args) -> int:

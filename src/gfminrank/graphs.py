@@ -1,6 +1,9 @@
 """Graph value types and utilities: loop-free and looped graphs with
-bit-packed adjacency rows, graph6 parsing/emission, complements, twin
-reduction, and backtracking isomorphism for desk-scale graphs.
+bit-packed adjacency rows (one edge iterator and one relabelling serve
+both), graph6 parsing/emission, complements, one-pass twin reduction by
+grouping equal neighbourhoods, blowups of looped patterns (a complete
+multipartite graph is the blowup of a loopless complete pattern), and
+backtracking isomorphism for desk-scale graphs.
 """
 
 from __future__ import annotations
@@ -26,6 +29,55 @@ def _check_rows(n: int, rows, allow_loops: bool) -> tuple[int, ...]:
     return rows
 
 
+def _edge_rows(n: int, edges) -> list[int]:
+    """Adjacency rows of an edge list; a loop (u, u) is a ValueError."""
+    rows = [0] * n
+    for u, v in edges:
+        if u == v:
+            raise ValueError("simple graphs have no loops")
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return rows
+
+
+def _row_edges(rows):
+    """Edges (u, v), u < v, of bit-packed adjacency rows."""
+    for u, r in enumerate(rows):
+        m = r >> (u + 1)
+        v = u + 1
+        while m:
+            if m & 1:
+                yield (u, v)
+            m >>= 1
+            v += 1
+
+
+def _relabel_mask(mask: int, perm) -> int:
+    """The mask of the images perm[v] of the vertices v set in mask (perm
+    is a sequence or a dict defined on those vertices)."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << perm[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def _induced_rows(rows, verts) -> list[int]:
+    """Rows of the subgraph induced on the distinct vertices verts, with
+    verts[i] becoming vertex i."""
+    pos = {v: i for i, v in enumerate(verts)}
+    keep = sum(1 << v for v in verts)
+    return [_relabel_mask(rows[v] & keep, pos) for v in verts]
+
+
+def _relabel_rows(rows, perm) -> list[int]:
+    out = [0] * len(rows)
+    for u, r in enumerate(rows):
+        out[perm[u]] = _relabel_mask(r, perm)
+    return out
+
+
 class SimpleGraph:
     """Loop-free undirected graph on vertices 0..n-1, rows as bitmasks."""
 
@@ -41,13 +93,7 @@ class SimpleGraph:
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "SimpleGraph":
-        rows = [0] * n
-        for u, v in edges:
-            if u == v:
-                raise ValueError("simple graphs have no loops")
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-        return cls(n, rows)
+        return cls(n, _edge_rows(n, edges))
 
     @classmethod
     def complete(cls, n: int) -> "SimpleGraph":
@@ -61,20 +107,7 @@ class SimpleGraph:
     @classmethod
     def complete_multipartite(cls, sizes) -> "SimpleGraph":
         sizes = list(sizes)
-        n = sum(sizes)
-        rows = [0] * n
-        starts = []
-        at = 0
-        for s in sizes:
-            starts.append(at)
-            at += s
-        full = (1 << n) - 1
-        for part, s in enumerate(sizes):
-            lo = starts[part]
-            part_mask = ((1 << s) - 1) << lo
-            for v in range(lo, lo + s):
-                rows[v] = full & ~part_mask
-        return cls(n, rows)
+        return blow_up(cls.complete(len(sizes)).with_loops(), sizes)
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.rows[u] >> v) & 1)
@@ -83,14 +116,7 @@ class SimpleGraph:
         return bin(self.rows[v]).count("1")
 
     def edges(self):
-        for u in range(self.n):
-            m = self.rows[u] >> (u + 1)
-            v = u + 1
-            while m:
-                if m & 1:
-                    yield (u, v)
-                m >>= 1
-                v += 1
+        return _row_edges(self.rows)
 
     def edge_count(self) -> int:
         return sum(self.degree(v) for v in range(self.n)) // 2
@@ -100,25 +126,11 @@ class SimpleGraph:
 
     def induced(self, verts) -> "SimpleGraph":
         verts = list(verts)
-        pos = {v: i for i, v in enumerate(verts)}
-        rows = [0] * len(verts)
-        for i, v in enumerate(verts):
-            for j, w in enumerate(verts):
-                if i != j and self.has_edge(v, w):
-                    rows[i] |= 1 << j
-        return SimpleGraph(len(verts), rows)
+        return SimpleGraph(len(verts), _induced_rows(self.rows, verts))
 
     def relabel(self, perm) -> "SimpleGraph":
         """perm[i] is the new label of vertex i."""
-        rows = [0] * self.n
-        for u in range(self.n):
-            m = self.rows[u]
-            nu = perm[u]
-            while m:
-                v = (m & -m).bit_length() - 1
-                rows[nu] |= 1 << perm[v]
-                m &= m - 1
-        return SimpleGraph(self.n, rows)
+        return SimpleGraph(self.n, _relabel_rows(self.rows, perm))
 
     def complement(self) -> "SimpleGraph":
         full = (1 << self.n) - 1
@@ -160,11 +172,7 @@ class LoopedGraph:
 
     @classmethod
     def from_parts(cls, n: int, edges, looped) -> "LoopedGraph":
-        g = SimpleGraph.from_edges(n, edges)
-        mask = 0
-        for v in looped:
-            mask |= 1 << v
-        return cls(n, g.rows, mask)
+        return cls(n, _edge_rows(n, edges), sum(1 << v for v in set(looped)))
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.rows[u] >> v) & 1)
@@ -183,7 +191,7 @@ class LoopedGraph:
         return [v for v in range(self.n) if not self.has_loop(v)]
 
     def edges(self):
-        yield from SimpleGraph(self.n, self.rows).edges()
+        return _row_edges(self.rows)
 
     def simple(self) -> SimpleGraph:
         return SimpleGraph(self.n, self.rows)
@@ -194,12 +202,9 @@ class LoopedGraph:
         return LoopedGraph(self.n, rows, ~self.loops & full)
 
     def relabel(self, perm) -> "LoopedGraph":
-        g = SimpleGraph(self.n, self.rows).relabel(perm)
-        loops = 0
-        for v in range(self.n):
-            if self.has_loop(v):
-                loops |= 1 << perm[v]
-        return LoopedGraph(self.n, g.rows, loops)
+        """perm[i] is the new label of vertex i."""
+        return LoopedGraph(self.n, _relabel_rows(self.rows, perm),
+                           _relabel_mask(self.loops, perm))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, LoopedGraph) and self.n == other.n
@@ -357,59 +362,40 @@ class TwinReduction:
 
 
 def twin_reduce(g: SimpleGraph) -> TwinReduction:
-    """Merge twin vertices until no pair remains.
+    """Merge twin vertices until no pair remains, in one pass.
 
-    Pairs are scanned in lexicographic order and the scan restarts after
-    every merge, so the outcome is deterministic.
+    True twins (equal closed neighbourhoods N[v]) form the LOOPED classes;
+    the other vertices are grouped by open neighbourhood N(v) into
+    NONLOOPED classes and FREE singletons.  Classes are ordered by least
+    vertex, and the quotient joins two classes whose representatives are
+    adjacent.  One pass reaches the fixpoint of pairwise merging because
+    no vertex has twins of both kinds (if u has an independent twin v and
+    a true twin w, then w ~ u gives w ~ v, so v is in N[w] = N[u],
+    contradicting v !~ u), and merging twins creates no new twins: classes
+    of the quotient are twins there exactly when their members are twins
+    in g.
     """
-    classes: list[list[int]] = [[v] for v in range(g.n)]
-    statuses: list[ClassStatus] = [ClassStatus.FREE] * g.n
-    rows = list(g.rows)
+    rows = g.rows
+    closed: dict[int, list[int]] = {}
+    for v, r in enumerate(rows):
+        closed.setdefault(r | 1 << v, []).append(v)
+    groups: list[tuple[list[int], ClassStatus]] = []
+    open_: dict[int, list[int]] = {}
+    for members in closed.values():
+        if len(members) > 1:
+            groups.append((members, ClassStatus.LOOPED))
+        else:
+            open_.setdefault(rows[members[0]], []).append(members[0])
+    for members in open_.values():
+        groups.append((members, ClassStatus.NONLOOPED if len(members) > 1
+                       else ClassStatus.FREE))
+    groups.sort(key=lambda group: group[0][0])
 
-    def merge_scan() -> bool:
-        m = len(classes)
-        for i in range(m):
-            for j in range(i + 1, m):
-                adjacent = bool((rows[i] >> j) & 1)
-                if adjacent:
-                    if ClassStatus.NONLOOPED in (statuses[i], statuses[j]):
-                        continue
-                    ni = rows[i] | (1 << i) | (1 << j)
-                    nj = rows[j] | (1 << i) | (1 << j)
-                    if ni != nj:
-                        continue
-                    new_status = ClassStatus.LOOPED
-                else:
-                    if ClassStatus.LOOPED in (statuses[i], statuses[j]):
-                        continue
-                    ni = rows[i] & ~(1 << j)
-                    nj = rows[j] & ~(1 << i)
-                    if ni != nj:
-                        continue
-                    new_status = ClassStatus.NONLOOPED
-                classes[i].extend(classes[j])
-                statuses[i] = new_status
-                del classes[j]
-                del statuses[j]
-                # drop row/column j from the quotient masks
-                del rows[j]
-                low = (1 << j) - 1
-                for t in range(len(rows)):
-                    r = rows[t]
-                    rows[t] = (r & low) | ((r >> (j + 1)) << j)
-                return True
-        return False
-
-    while merge_scan():
-        pass
-
-    loops = 0
-    for i, st in enumerate(statuses):
-        if st is ClassStatus.LOOPED:
-            loops |= 1 << i
-    quotient = LoopedGraph(len(classes), rows, loops)
-    return TwinReduction(tuple(tuple(sorted(c)) for c in classes),
-                         tuple(statuses), quotient)
+    quotient_rows = _induced_rows(rows, [members[0] for members, _ in groups])
+    loops = sum(1 << i for i, (_, st) in enumerate(groups) if st is ClassStatus.LOOPED)
+    return TwinReduction(tuple(tuple(members) for members, _ in groups),
+                         tuple(st for _, st in groups),
+                         LoopedGraph(len(groups), quotient_rows, loops))
 
 
 def blow_up(pattern: LoopedGraph, sizes) -> SimpleGraph:
@@ -418,22 +404,17 @@ def blow_up(pattern: LoopedGraph, sizes) -> SimpleGraph:
     sizes = list(sizes)
     if len(sizes) != pattern.n:
         raise ValueError("one size per pattern vertex required")
-    starts = []
-    at = 0
+    blocks, at = [], 0
     for s in sizes:
-        starts.append(at)
+        blocks.append(range(at, at + s))
         at += s
-    edges = []
-    for v in range(pattern.n):
-        if pattern.has_loop(v):
-            for a in range(starts[v], starts[v] + sizes[v]):
-                for b in range(a + 1, starts[v] + sizes[v]):
-                    edges.append((a, b))
-    for u, v in pattern.edges():
-        for a in range(starts[u], starts[u] + sizes[u]):
-            for b in range(starts[v], starts[v] + sizes[v]):
-                edges.append((a, b))
-    return SimpleGraph.from_edges(at, edges)
+    masks = [((1 << len(b)) - 1) << b.start for b in blocks]
+    rows = []
+    for u, block in enumerate(blocks):
+        joined = pattern.rows[u] | (pattern.loops & 1 << u)
+        nbrs = sum(m for w, m in enumerate(masks) if joined >> w & 1)
+        rows.extend(nbrs & ~(1 << v) for v in block)
+    return SimpleGraph(at, rows)
 
 
 # -- isomorphism ----------------------------------------------------------------

@@ -67,39 +67,13 @@ def enumerate_graphs(n: int) -> tuple[SimpleGraph, ...]:
 
 @functools.lru_cache(maxsize=None)
 def enumerate_trees(n: int) -> tuple[SimpleGraph, ...]:
-    """One representative per isomorphism class of trees on n >= 1 vertices."""
+    """One representative per isomorphism class of trees on n >= 1 vertices:
+    the connected graphs of enumerate_graphs(n) with n - 1 edges.  Like
+    enumerate_graphs, practical for n <= 7."""
     if n < 1:
         raise ValueError("trees need at least one vertex")
-    if n == 1:
-        return (SimpleGraph.empty(1),)
-    if n == 2:
-        return (SimpleGraph.from_edges(2, [(0, 1)]),)
-    labelled = []
-    for code in range(n ** (n - 2)):
-        seq = []
-        x = code
-        for _ in range(n - 2):
-            seq.append(x % n)
-            x //= n
-        labelled.append(_tree_from_pruefer(n, seq))
-    return tuple(_dedup(labelled))
-
-
-def _tree_from_pruefer(n: int, seq: list[int]) -> SimpleGraph:
-    degree = [1] * n
-    for v in seq:
-        degree[v] += 1
-    edges = []
-    for v in seq:
-        for leaf in range(n):
-            if degree[leaf] == 1:
-                edges.append((leaf, v))
-                degree[leaf] -= 1
-                degree[v] -= 1
-                break
-    last = [v for v in range(n) if degree[v] == 1]
-    edges.append((last[0], last[1]))
-    return SimpleGraph.from_edges(n, edges)
+    return tuple(g for g in enumerate_graphs(n)
+                 if g.edge_count() == n - 1 and len(_components(g)) == 1)
 
 
 # -- closed-form membership check for rank 2 over GF(2) -------------------------
@@ -227,21 +201,24 @@ def _internal_stream(n_max: int):
         yield from enumerate_graphs(n)
 
 
-def _load_checkpoint(path: str, q: int, k: int) -> tuple[int, list[SimpleGraph]]:
+def _load_checkpoint(path: str, q: int, k: int
+                     ) -> tuple[int, list[SimpleGraph], str | None]:
     if not path or not os.path.exists(path):
-        return 0, []
+        return 0, [], None
     with open(path) as fh:
         obj = json.load(fh)
     if obj.get("q") != q or obj.get("k") != k:
         raise ValueError("checkpoint was written for different (q, k)")
-    return int(obj["counter"]), [parse_graph6(s) for s in obj["found"]]
+    return (int(obj["counter"]), [parse_graph6(s) for s in obj["found"]],
+            obj.get("source_sha256"))
 
 
 def _write_checkpoint(path: str, q: int, k: int, n: int, counter: int,
-                      found: list[SimpleGraph]) -> None:
+                      found: list[SimpleGraph], source_sha256: str) -> None:
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
         json.dump({"q": q, "k": k, "n": n, "counter": counter,
+                   "source_sha256": source_sha256,
                    "found": [emit_graph6(g) for g in found]}, fh)
     os.replace(tmp, path)
 
@@ -255,6 +232,9 @@ def mine(q: int, k: int, n_max: int | None = None, source=None,
     ``source`` may be an iterable of SimpleGraph (e.g. parsed from a graph6
     stream); otherwise all graphs on up to n_max <= 7 vertices are
     enumerated internally.  Progress is checkpointed so a run can resume.
+    The checkpoint keeps a sha256 over the graph6 lines of the graphs it
+    covers; resuming against a source that does not start with those graphs
+    is a ValueError.
     Work is classified in enumeration order regardless of ``jobs``, so the
     output is independent of the worker count.
     """
@@ -270,9 +250,13 @@ def mine(q: int, k: int, n_max: int | None = None, source=None,
         stream = iter(source)
         source_desc = "external"
 
-    skip, found = (0, [])
+    skip, found, skip_sha256 = _load_checkpoint(checkpoint, q, k)
+    source_sha256 = None
     if checkpoint:
-        skip, found = _load_checkpoint(checkpoint, q, k)
+        # importing hashlib loads OpenSSL, about 3.6 MB of RSS that only a
+        # checkpointed run needs
+        import hashlib
+        source_sha256 = hashlib.sha256()
 
     run = MinerRun(q=q, k=k, n_max=n_max, source=source_desc, found=found)
     scanned = skip
@@ -301,19 +285,24 @@ def mine(q: int, k: int, n_max: int | None = None, source=None,
         pending.clear()
         if checkpoint:
             _write_checkpoint(checkpoint, q, k, max((g.n for g in run.found), default=0),
-                              scanned, run.found)
+                              scanned, run.found, source_sha256.hexdigest())
 
     emitted = 0
     for g in stream:
-        if emitted < skip:
-            emitted += 1
-            continue
+        if checkpoint:
+            source_sha256.update(emit_graph6(g).encode("ascii") + b"\n")
         emitted += 1
+        if emitted == skip and source_sha256.hexdigest() != skip_sha256:
+            raise ValueError("checkpoint was written for a different source")
+        if emitted <= skip:
+            continue
         pending.append(g)
         if max_graphs is not None and emitted - skip >= max_graphs:
             break
         if len(pending) >= checkpoint_every:
             flush_pending()
+    if emitted < skip:
+        raise ValueError(f"checkpoint covers {skip} graphs, the source has {emitted}")
     flush_pending()
 
     # report-time re-verification of the minimality invariant
@@ -330,5 +319,5 @@ def mine(q: int, k: int, n_max: int | None = None, source=None,
     }
     if checkpoint:
         _write_checkpoint(checkpoint, q, k, max((g.n for g in run.found), default=0),
-                          scanned, run.found)
+                          scanned, run.found, source_sha256.hexdigest())
     return run

@@ -17,8 +17,6 @@ validated against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import _kernels
@@ -37,11 +35,6 @@ class OracleBudgetError(Exception):
 
 class OracleScanError(AssertionError):
     """A scan returned a rank outside 1..n: the kernel broke its contract."""
-
-
-@dataclass(frozen=True)
-class OracleBudget:
-    max_matrices: int = DEFAULT_BUDGET
 
 
 def enumeration_size(n: int, m: int, q: int, components: int | None = None) -> int:
@@ -87,7 +80,7 @@ def plan_scan(g: SimpleGraph, q: int, budget: int = DEFAULT_BUDGET
 
 
 def oracle_min_rank(g: SimpleGraph, q: int,
-                    budget: int | OracleBudget = DEFAULT_BUDGET,
+                    budget: int = DEFAULT_BUDGET,
                     start: int | None = None, stop: int | None = None) -> int:
     """Minimum rank of g over GF(q) by exhaustive enumeration.
 
@@ -95,8 +88,6 @@ def oracle_min_rank(g: SimpleGraph, q: int,
     [0, plan_scan(g, q)[2]) so the work can be partitioned across processes;
     the full range is the default.  An empty range is a ValueError.
     """
-    if isinstance(budget, OracleBudget):
-        budget = budget.max_matrices
     field = field_from_order(q)
     if g.edge_count() == 0:
         return 0  # the zero matrix realises every edgeless graph

@@ -98,20 +98,12 @@ class PatternSet:
 
 
 def _graph_from_pairings(g: np.ndarray) -> LoopedGraph:
-    n = g.shape[0]
-    rows = []
-    nz = g != 0
-    for i in range(n):
-        mask = 0
-        for j in np.nonzero(nz[i])[0]:
-            if j != i:
-                mask |= 1 << int(j)
-        rows.append(mask)
-    loops = 0
-    for i in range(n):
-        if nz[i, i]:
-            loops |= 1 << i
-    return LoopedGraph(n, rows, loops)
+    """Looped graph of the nonzero entries of a symmetric pairing matrix:
+    the diagonal gives the loops, the rest the adjacency rows."""
+    packed = np.packbits(g != 0, axis=1, bitorder="little")
+    rows = [int.from_bytes(r.tobytes(), "little") for r in packed]
+    loops = sum(r & (1 << v) for v, r in enumerate(rows))
+    return LoopedGraph(len(rows), [r & ~(1 << v) for v, r in enumerate(rows)], loops)
 
 
 def pattern_graph(field: FieldCtx, points: PointList, b: MatrixFq) -> LoopedGraph:

@@ -198,6 +198,19 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv,key", [(["minrank", "--q", "2"], "minrank"),
+                                      (["member", "--q", "2", "--k", "2"], "member"),
+                                      (["oracle", "--q", "2"], "minrank")],
+                         ids=["minrank", "member", "oracle"])
+def test_bad_line_gets_an_error_record_and_the_stream_goes_on(capsys, argv, key):
+    code, out, _ = run_cli(capsys, argv, stdin="Dhc\nD@@x\n\nCF\n")
+    records = [json.loads(line) for line in out.strip().splitlines()]
+    assert code == 1
+    assert [r["graph6"] for r in records] == ["Dhc", "D@@x", "CF"]
+    assert key in records[0] and key in records[2]
+    assert set(records[1]) == {"graph6", "error"} and "expected 2" in records[1]["error"]
+
+
 def test_input_file_option(capsys, tmp_path):
     path = tmp_path / "graphs.g6"
     path.write_text(fullhouse_g6() + "\n")

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -148,6 +150,52 @@ def test_twin_reduce_reconstruction_exhaustive():
             red = twin_reduce(g)
             rebuilt = blow_up(red.quotient, red.class_sizes())
             assert are_isomorphic(rebuilt, g)
+
+
+def _twin_reduction_by_definition(g):
+    """Classes, statuses and quotient straight from the definition: the
+    groups of equal closed neighbourhoods of size >= 2, then the groups of
+    equal open neighbourhoods of size >= 2 among the other vertices, then
+    singletons, ordered by least vertex; the quotient joins classes whose
+    representatives are adjacent."""
+    n, rows = g.n, g.rows
+    true = {tuple(u for u in range(n) if rows[u] | 1 << u == rows[v] | 1 << v)
+            for v in range(n)}
+    looped = {c for c in true if len(c) > 1}
+    rest = [v for v in range(n) if not any(v in c for c in looped)]
+    classes = sorted(looped | {tuple(u for u in rest if rows[u] == rows[v]) for v in rest})
+    statuses = tuple(ClassStatus.LOOPED if c in looped else
+                     ClassStatus.NONLOOPED if len(c) > 1 else ClassStatus.FREE
+                     for c in classes)
+    edges = [(i, j) for i, c in enumerate(classes) for j, d in enumerate(classes)
+             if i < j and g.has_edge(c[0], d[0])]
+    quotient = LoopedGraph.from_parts(len(classes), edges,
+                                      [i for i, st in enumerate(statuses)
+                                       if st is ClassStatus.LOOPED])
+    return tuple(classes), statuses, quotient
+
+
+def _assert_twin_reduction_is_the_definition(g):
+    red = twin_reduce(g)
+    assert (red.classes, red.statuses, red.quotient) == _twin_reduction_by_definition(g), \
+        emit_graph6(g)
+
+
+def test_twin_classes_are_the_definition_on_all_small_graphs():
+    for n in range(8):
+        for g in enumerate_graphs(n):
+            _assert_twin_reduction_is_the_definition(g)
+
+
+def test_twin_classes_are_the_definition_on_relabelled_blowups():
+    rng = random.Random(5005)
+    for _ in range(300):
+        m = rng.randrange(1, 16)
+        pattern = random_graph(m, rng).with_loops(rng.getrandbits(m))
+        g = blow_up(pattern, [rng.choice((1, 1, 2, 3, 4)) for _ in range(m)])
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        _assert_twin_reduction_is_the_definition(g.relabel(perm))
 
 
 # -- isomorphism -------------------------------------------------------------------

@@ -76,6 +76,21 @@ def test_mine_checkpoint_resume(tmp_path):
         mine(3, 1, n_max=4, checkpoint=str(ck))
 
 
+def test_mine_checkpoint_is_tied_to_its_source(tmp_path):
+    graphs = [g for n in range(1, 6) for g in enumerate_graphs(n)]
+    ck = tmp_path / "mine.json"
+    mine(2, 1, source=graphs, checkpoint=str(ck), max_graphs=20, checkpoint_every=5)
+    assert json.loads(ck.read_text())["counter"] == 20
+    saved = ck.read_text()
+    resumed = mine(2, 1, source=graphs, checkpoint=str(ck))
+    assert resumed.found_graph6() == mine(2, 1, source=graphs).found_graph6()
+    ck.write_text(saved)
+    with pytest.raises(ValueError, match="different source"):
+        mine(2, 1, source=graphs[1:], checkpoint=str(ck))
+    with pytest.raises(ValueError, match="covers 20 graphs"):
+        mine(2, 1, source=graphs[:19], checkpoint=str(ck))
+
+
 def test_mine_external_source(fullhouse):
     source = [SimpleGraph.path(3), SimpleGraph.complete(4), fullhouse]
     run = mine(2, 2, source=source)

@@ -7,7 +7,7 @@ from gfminrank import (MatrixFq, are_isomorphic, field_from_order, generate,
 from gfminrank.matfq import rank as matrix_rank
 from gfminrank.patterns import (PatternPropertyError, VertexBudgetError,
                                 gram_matrix, pattern_graph, rank_certificate)
-from gfminrank.projgeo import enumerate_points, pairing
+from gfminrank.projgeo import enumerate_points, pairing, pairing_matrix
 from gfminrank.refdata import (F2R3_GRAM, F2R4A_GRAM, F2R4B_GRAM, F3R3_GRAM,
                                G2F2_IDENTITY_GRAM, G2F2_SYMPLECTIC_GRAM,
                                G2F2_U, u_columns)
@@ -141,6 +141,18 @@ def test_congruent_representative_gives_isomorphic_pattern(q, kmax, rng):
                 twisted = c.transpose() @ pat.form @ c
                 g2 = pattern_graph(f, points, twisted)
                 assert are_isomorphic(pat.graph, g2)
+
+
+@pytest.mark.parametrize("q,k", [(2, 5), (3, 4), (4, 3), (9, 3), (2, 9)])
+def test_pattern_rows_and_loops_are_the_nonzero_pairings(q, k):
+    ps = generate(q, k)
+    for pat in ps.patterns:
+        nz = pairing_matrix(ps.points, pat.form) != 0
+        n = len(nz)
+        assert pat.graph.n == n
+        assert pat.graph.loops == sum(1 << v for v in range(n) if nz[v, v])
+        assert pat.graph.rows == tuple(sum(1 << u for u in range(n) if u != v and nz[v, u])
+                                       for v in range(n))
 
 
 @pytest.mark.parametrize("q,k", [(2, 1), (2, 3), (2, 4), (2, 5), (3, 3), (4, 3), (4, 4), (8, 3)])
