@@ -10,7 +10,7 @@ subgraphs.
 
 from .gf import FieldCtx, field_from_order, field_new
 from .graphs import (LoopedGraph, SimpleGraph, are_isomorphic, blow_up,
-                     emit_graph6, parse_graph6, twin_reduce)
+                     canonical_form, emit_graph6, parse_graph6, twin_reduce)
 from .matfq import (ClassTag, CongruenceClass, MatrixFq,
                     canonical_representatives, classify_invertible_symmetric,
                     congruence_diagonalize, rank, rank_decomposition)
@@ -30,7 +30,7 @@ __all__ = [
     "canonical_representatives", "rank_decomposition",
     "enumerate_points", "pairing", "count_absolute",
     "SimpleGraph", "LoopedGraph", "parse_graph6", "emit_graph6",
-    "twin_reduce", "are_isomorphic", "blow_up",
+    "twin_reduce", "are_isomorphic", "canonical_form", "blow_up",
     "PatternSet", "generate", "verify_counts",
     "BlowupWitness", "is_blowup", "member", "min_rank",
     "multipartite_bound_check", "MinRankBoundError",

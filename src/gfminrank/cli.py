@@ -3,9 +3,9 @@
 Subcommands: patterns, minrank, member, oracle, mine, classify, selftest.
 Graphs stream in as graph6 lines on stdin (or --input), read one at a
 time; results leave as line-delimited JSON on stdout; diagnostics go to
-stderr.  A line that does not parse gets an error record and the stream
-goes on.  Exit codes: 0 success, 1 domain error (including any such line),
-2 usage error.
+stderr.  A line that does not parse, or whose patterns exceed the vertex
+budget, gets an error record and the stream goes on.  Exit codes: 0
+success, 1 domain error (including any such line), 2 usage error.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .graphs import emit_graph6, looped_to_json, parse_graph6, to_dot
 from .matfq import MatrixFq, classify_invertible_symmetric
 from .miner import mine
 from .oracle import DEFAULT_BUDGET, OracleBudgetError, oracle_min_rank, plan_scan
-from .patterns import DEFAULT_VERTEX_BUDGET, generate, gram_matrix
+from .patterns import DEFAULT_VERTEX_BUDGET, VertexBudgetError, generate, gram_matrix
 
 
 class DomainError(Exception):
@@ -63,8 +63,8 @@ def _emit(obj: dict) -> None:
 
 def _serve(args, answer) -> int:
     """Emit one record per input graph: its graph6 and the fields of
-    answer(g), or the line and the parse error.  A bad line does not stop
-    the stream; it makes the exit code 1."""
+    answer(g), or the line and the parse or pattern-budget error.  A bad
+    line does not stop the stream; it makes the exit code 1."""
     status = 0
     for line in _graph_lines(args):
         try:
@@ -73,7 +73,12 @@ def _serve(args, answer) -> int:
             _emit({"graph6": line, "error": str(exc)})
             status = 1
             continue
-        _emit({"graph6": emit_graph6(g), **answer(g)})
+        try:
+            fields = answer(g)
+        except VertexBudgetError as exc:
+            fields = {"error": str(exc)}
+            status = 1
+        _emit({"graph6": emit_graph6(g), **fields})
     return status
 
 
@@ -146,15 +151,25 @@ def cmd_oracle(args) -> int:
 
 def cmd_mine(args) -> int:
     q = parse_order(args.q)
-    source = None
-    if args.input:
-        with open(args.input) as fh:
-            source = [parse_graph6(line) for line in fh if line.strip()]
-    run = mine(q, args.k, n_max=args.max_n, source=source,
+    bad_lines = 0
+
+    def parsed():
+        """The --input graphs, parsed as the miner asks for them; a bad
+        line gets an error record and is left out of the run."""
+        nonlocal bad_lines
+        for line in _graph_lines(args):
+            try:
+                yield parse_graph6(line)
+            except ValueError as exc:
+                _emit({"graph6": line, "error": str(exc)})
+                bad_lines += 1
+
+    run = mine(q, args.k, n_max=args.max_n,
+               source=parsed() if args.input else None,
                checkpoint=args.resume, jobs=args.jobs,
                max_graphs=args.max_graphs)
     _emit({"forbidden": run.found_graph6(), "stats": run.stats})
-    return 0
+    return 1 if bad_lines else 0
 
 
 def cmd_classify(args) -> int:

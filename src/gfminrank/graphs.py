@@ -2,8 +2,19 @@
 bit-packed adjacency rows (one edge iterator and one relabelling serve
 both), graph6 parsing/emission, complements, one-pass twin reduction by
 grouping equal neighbourhoods, blowups of looped patterns (a complete
-multipartite graph is the blowup of a loopless complete pattern), and
-backtracking isomorphism for desk-scale graphs.
+multipartite graph is the blowup of a loopless complete pattern),
+backtracking isomorphism for desk-scale graphs, and a canonical form.
+
+canonical_form(g) is g relabelled by the least leaf of its
+individualisation-refinement tree (McKay and Piperno, "Practical graph
+isomorphism, II", 2014): each node refines an ordered partition to an
+equitable one by neighbour counts per cell, then branches on the first
+non-singleton cell.  Equal keys mean isomorphic graphs.  A node tries one
+vertex per twin class of that cell (N(u) = N(w) or N[u] = N[w]): swapping
+two twins is an automorphism fixing every vertex individualised so far, so
+the subtrees it skips give the same leaves.  There is no other pruning, so
+are_isomorphic stays the tool for large pattern graphs, whose automorphism
+groups make the unpruned tree too big.
 """
 
 from __future__ import annotations
@@ -519,3 +530,108 @@ def are_isomorphic(g: LoopedGraph | SimpleGraph, h: LoopedGraph | SimpleGraph,
         return False
 
     return backtrack(0)
+
+
+# -- canonical form ----------------------------------------------------------------
+
+def _refine(rows, cells: list[int], splitters: list[int]) -> list[int]:
+    """Equitable refinement of an ordered partition (cells as vertex masks).
+
+    Each splitter W splits every cell by the number of neighbours its
+    vertices have in W; the parts replace the cell in increasing count
+    order and become splitters themselves.  Every step depends only on the
+    counts and on the positions of cells, never on vertex labels.  The
+    result is equitable when the partition already was equitable against
+    every cell that is not a splitter: the caller passes the whole vertex
+    set at the root, and {v} after individualising v in an equitable
+    partition (counts into the rest of v's old cell are the old counts
+    minus those into {v})."""
+    n = len(rows)
+    queue = list(splitters)
+    for w in queue:  # grows while it is walked
+        if len(cells) == n:
+            break
+        out = []
+        for c in cells:
+            if not c & (c - 1):
+                out.append(c)
+                continue
+            groups: dict[int, int] = {}
+            m = c
+            while m:
+                low = m & -m
+                k = (rows[low.bit_length() - 1] & w).bit_count()
+                groups[k] = groups.get(k, 0) | low
+                m ^= low
+            if len(groups) == 1:
+                out.append(c)
+            else:
+                parts = [groups[k] for k in sorted(groups)]
+                out.extend(parts)
+                queue.extend(parts)
+        cells = out
+    return cells
+
+
+def canonical_form(g: SimpleGraph, node_budget: int = 2_000_000) -> SimpleGraph:
+    """g relabelled by the least leaf of its individualisation-refinement
+    tree, so canonical_form(g) == canonical_form(h) exactly when g and h
+    are isomorphic.
+
+    A tree node is an ordered partition made equitable by _refine; the root
+    starts from one cell.  A node branches on its first non-singleton cell,
+    individualising each choice of vertex v (the cell becomes {v} followed
+    by the rest).  A leaf is a discrete partition; it orders the vertices,
+    and its certificate is the graph relabelled in that order.  The key is
+    the least certificate over all leaves, which relabelling g cannot
+    change.
+
+    Only one vertex per twin class in the branching cell is tried.  Two
+    twins u and w (N(u) = N(w) or N[u] = N[w]) in that cell are not yet
+    individualised, so swapping them is an automorphism of g that fixes
+    every individualised vertex; it maps the subtree under u onto the
+    subtree under w, leaf for leaf with equal certificates, so skipping w
+    loses no certificate.  Past node_budget tree nodes the search raises
+    IsoBudgetError.
+    """
+    n, rows = g.n, g.rows
+    # least vertex of each twin class; no vertex has twins of both kinds
+    # (see twin_reduce), so the two lookups never disagree about a class
+    closed: dict[int, int] = {}
+    open_: dict[int, int] = {}
+    for v, r in enumerate(rows):
+        closed.setdefault(r | 1 << v, v)
+        open_.setdefault(r, v)
+    twin = [min(closed[r | 1 << v], open_[r]) for v, r in enumerate(rows)]
+    best: tuple[int, ...] | None = None
+    nodes = 0
+
+    def search(cells: list[int], splitters: list[int]) -> None:
+        nonlocal best, nodes
+        nodes += 1
+        if nodes > node_budget:
+            raise IsoBudgetError(f"canonical form search exceeded {node_budget} nodes")
+        cells = _refine(rows, cells, splitters)
+        for i, c in enumerate(cells):
+            if c & (c - 1):
+                break
+        else:
+            pos = [0] * n
+            for i, c in enumerate(cells):
+                pos[c.bit_length() - 1] = i
+            cert = tuple(_relabel_mask(rows[c.bit_length() - 1], pos) for c in cells)
+            if best is None or cert < best:
+                best = cert
+            return
+        tried = set()
+        m = c
+        while m:
+            low = m & -m
+            m ^= low
+            t = twin[low.bit_length() - 1]
+            if t not in tried:
+                tried.add(t)
+                search(cells[:i] + [low, c ^ low] + cells[i + 1:], [low])
+
+    search([(1 << n) - 1] if n else [], [(1 << n) - 1])
+    return SimpleGraph(n, best)

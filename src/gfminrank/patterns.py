@@ -25,7 +25,7 @@ from .projgeo import PointList, enumerate_points, pairing_matrix, point_count
 DEFAULT_VERTEX_BUDGET = 10_000
 
 
-class VertexBudgetError(Exception):
+class VertexBudgetError(ValueError):
     """Pattern would exceed the configured vertex budget."""
 
     def __init__(self, q: int, k: int, size: int, budget: int):

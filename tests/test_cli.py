@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
@@ -209,6 +210,38 @@ def test_bad_line_gets_an_error_record_and_the_stream_goes_on(capsys, argv, key)
     assert [r["graph6"] for r in records] == ["Dhc", "D@@x", "CF"]
     assert key in records[0] and key in records[2]
     assert set(records[1]) == {"graph6", "error"} and "expected 2" in records[1]["error"]
+
+
+def test_member_over_the_vertex_budget_answers_every_line(capsys):
+    code, out, _ = run_cli(capsys, ["member", "--q", "2", "--k", "9",
+                                    "--vertex-budget", "10"], stdin="Dhc\nCF\n")
+    records = [json.loads(line) for line in out.strip().splitlines()]
+    assert code == 1
+    assert [r["graph6"] for r in records] == ["Dhc", "CF"]
+    assert all(set(r) == {"graph6", "error"} and "over budget 10" in r["error"]
+               for r in records)
+
+
+def test_patterns_over_the_vertex_budget_is_a_domain_error(capsys):
+    code, out, err = run_cli(capsys, ["patterns", "--q", "2", "--k", "9",
+                                      "--vertex-budget", "10"])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "over budget 10" in err
+
+
+def test_mine_input_reports_a_bad_line_and_mines_the_rest(capsys, tmp_path):
+    path = tmp_path / "graphs.g6"
+    path.write_text("Dhc\nD@@x\nCF\n")
+    ck = tmp_path / "mine.json"
+    code, out, _ = run_cli(capsys, ["mine", "--q", "2", "--k", "1",
+                                    "--input", str(path), "--resume", str(ck)])
+    bad, result = [json.loads(line) for line in out.strip().splitlines()]
+    assert code == 1
+    assert set(bad) == {"graph6", "error"} and bad["graph6"] == "D@@x"
+    assert result["stats"]["scanned"] == 2
+    # the checkpoint's source hash covers the graphs that parsed, in order
+    state = json.loads(ck.read_text())
+    assert state["source_sha256"] == hashlib.sha256(b"Dhc\nCF\n").hexdigest()
 
 
 def test_input_file_option(capsys, tmp_path):

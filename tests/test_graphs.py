@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gfminrank import (LoopedGraph, SimpleGraph, are_isomorphic, blow_up,
-                       emit_graph6, parse_graph6, twin_reduce)
+                       canonical_form, emit_graph6, parse_graph6, twin_reduce)
 from gfminrank.graphs import (ClassStatus, IsoBudgetError, looped_from_json,
                               looped_to_json, to_dot)
-from gfminrank.miner import enumerate_graphs
+from gfminrank.miner import GRAPH_COUNTS, enumerate_graphs
 
 
 def random_graph(n, rng, p=0.5):
@@ -221,6 +221,77 @@ def test_isomorphism_budget():
     h = SimpleGraph.empty(12)
     with pytest.raises(IsoBudgetError):
         are_isomorphic(g, h, node_budget=5)
+
+
+# -- canonical form ----------------------------------------------------------------
+
+def cycle(n):
+    return SimpleGraph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return SimpleGraph.from_edges(10, outer + spokes + inner)
+
+
+def _keyed_graphs(rng):
+    """Random graphs on up to 10 vertices, twin-heavy graphs (empty,
+    complete, complete multipartite, blowups of random looped patterns)
+    and vertex-transitive ones (C7, the Petersen graph, their complements)."""
+    graphs = [random_graph(rng.randrange(0, 11), rng) for _ in range(60)]
+    graphs += [SimpleGraph.empty(n) for n in (0, 1, 6, 10)]
+    graphs += [SimpleGraph.complete(n) for n in (2, 7, 10)]
+    graphs += [SimpleGraph.complete_multipartite(s)
+               for s in ([1, 2, 3], [2, 2, 2], [3, 3, 4], [1, 1, 1, 1, 5])]
+    for _ in range(30):
+        m = rng.randrange(1, 6)
+        pattern = random_graph(m, rng).with_loops(rng.getrandbits(m))
+        g = blow_up(pattern, [rng.choice((1, 2, 3)) for _ in range(m)])
+        if g.n <= 10:
+            graphs.append(g)
+    for g in (cycle(7), petersen()):
+        graphs += [g, g.complement()]
+    return graphs
+
+
+def test_canonical_form_ignores_relabelling():
+    rng = random.Random(6006)
+    for g in _keyed_graphs(rng):
+        key = canonical_form(g)
+        assert key.n == g.n and are_isomorphic(key, g)
+        for _ in range(3):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            assert canonical_form(g.relabel(perm)) == key, emit_graph6(g)
+
+
+def test_canonical_forms_of_all_small_graphs_are_distinct():
+    keys = {canonical_form(g) for n in range(1, 8) for g in enumerate_graphs(n)}
+    assert len(keys) == sum(GRAPH_COUNTS[1:]) == 1252
+
+
+def test_equal_canonical_forms_agree_with_isomorphism():
+    rng = random.Random(7007)
+    pairs = 0
+    while pairs < 400:
+        n = rng.randrange(1, 9)
+        g, h = random_graph(n, rng), random_graph(n, rng)
+        if rng.random() < 0.3:
+            perm = list(range(n))
+            rng.shuffle(perm)
+            h = g.relabel(perm)
+        degrees = sorted(g.degree(v) for v in range(n))
+        if degrees != sorted(h.degree(v) for v in range(n)):
+            continue  # keep the pairs a degree count cannot tell apart
+        pairs += 1
+        assert (canonical_form(g) == canonical_form(h)) == are_isomorphic(g, h)
+
+
+def test_canonical_form_budget():
+    with pytest.raises(IsoBudgetError):
+        canonical_form(petersen(), node_budget=1)
 
 
 # -- serialisation -----------------------------------------------------------------

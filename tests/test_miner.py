@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -13,6 +14,17 @@ from gfminrank.miner import (GRAPH_COUNTS, TREE_COUNTS, enumerate_graphs,
 def test_enumeration_counts():
     assert tuple(len(enumerate_graphs(n)) for n in range(8)) == GRAPH_COUNTS
     assert tuple(len(enumerate_trees(n)) for n in range(1, 8)) == TREE_COUNTS
+
+
+def test_enumeration_output_is_pinned():
+    """The representatives, their labelling and their order are part of
+    the output (mined graphs are reported as graph6 strings)."""
+    digest = hashlib.sha256()
+    for n in range(8):
+        for g in enumerate_graphs(n):
+            digest.update((emit_graph6(g) + "\n").encode("ascii"))
+    assert digest.hexdigest() == \
+        "434bc757ac10473178bb7ca3f96f58aac2d25897662c3b47ad070505a6808c87"
 
 
 def test_enumeration_has_no_duplicates():
@@ -96,6 +108,18 @@ def test_mine_external_source(fullhouse):
     run = mine(2, 2, source=source)
     assert [g.n for g in run.found] == [5]
     assert run.stats["source"] == "external"
+
+
+def test_mine_reports_a_relabelled_forbidden_graph_once(tmp_path):
+    p3 = SimpleGraph.path(3)
+    p3_centre_first = SimpleGraph.from_edges(3, [(0, 1), (0, 2)])
+    source = [p3, SimpleGraph.complete(3), p3_centre_first]
+    assert mine(2, 1, source=source).found == [p3]
+    ck = tmp_path / "mine.json"
+    mine(2, 1, source=source, checkpoint=str(ck), max_graphs=1, checkpoint_every=1)
+    assert json.loads(ck.read_text())["found"] == [emit_graph6(p3)]
+    resumed = mine(2, 1, source=source, checkpoint=str(ck))
+    assert resumed.found == [p3] and resumed.stats["scanned"] == 3
 
 
 def test_mine_rejects_oversize_internal_enumeration():
