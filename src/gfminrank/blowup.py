@@ -23,9 +23,9 @@ adjacent) or its non-neighbour row (classes not adjacent); the search backs
 up as soon as a class has no single candidate and fewer spread candidates
 than members, and it branches on the class with the fewest single
 candidates (ties: larger class, then lower index).  Only the first class
-branched on is pruned by symmetry, to one vertex per orbit key of the
-pattern, and only where the pattern generator derived keys on which the
-isometries of the form act transitively (see ``patterns._orbit_keys``).
+branched on is pruned by symmetry, to one vertex per orbit of a group of
+isometries of the pattern's form, computed from explicit generators (see
+``patterns.isometry_roots``).
 Every witness is re-verified against the raw blowup definition before it
 is returned.
 """
@@ -90,21 +90,19 @@ def verify_blowup(g: SimpleGraph, h: LoopedGraph, assignment: dict[int, int]) ->
     return True
 
 
-def is_blowup(g: SimpleGraph, h: LoopedGraph | Pattern,
-              orbits: tuple[int, ...] | None = None) -> BlowupWitness | None:
+def is_blowup(g: SimpleGraph, h: LoopedGraph | Pattern) -> BlowupWitness | None:
     """A witness that g is a blowup of h (plus an isolated vertex), or None.
 
-    ``h`` is a looped graph, searched with the optional ``orbits`` keys, or a
-    Pattern, which brings its own keys and keeps its search masks.  The
-    first class branched on tries only one vertex per key, and a spread there
-    must meet that set of representatives: an automorphism carrying any
-    witness's image vertex to the representative of its key gives another
-    witness.
+    ``h`` is a looped graph, searched in full, or a Pattern, which keeps its
+    search masks.  For a Pattern the first class branched on tries only the
+    root of each isometry orbit, and a spread there must meet the roots: an
+    isometry carrying any witness's image vertex to the root of its orbit
+    gives another witness.
     """
     if isinstance(h, Pattern):
         masks, h = h.masks, h.graph
     else:
-        masks = PatternMasks.of(h, orbits)
+        masks = PatternMasks.of(h, (1 << h.n) - 1)
     core = [v for v in range(g.n) if g.rows[v]]
     if not core:
         return BlowupWitness({})
@@ -213,8 +211,14 @@ def is_blowup(g: SimpleGraph, h: LoopedGraph | Pattern,
 def member(g: SimpleGraph, q: int, k: int,
            vertex_budget: int = DEFAULT_VERTEX_BUDGET
            ) -> tuple[bool, BlowupWitness | None, int | None]:
-    """Is mr(GF(q), g) <= k?  Returns (answer, witness, pattern index)."""
-    ps = generate(q, k, vertex_budget=vertex_budget)
+    """Is mr(GF(q), g) <= k?  Returns (answer, witness, pattern index); a
+    graph on n <= k vertices (mr <= n) needs no witness when over budget."""
+    try:
+        ps = generate(q, k, vertex_budget=vertex_budget)
+    except VertexBudgetError:
+        if g.n <= k:
+            return True, None, None
+        raise
     for idx, pat in enumerate(ps.patterns):
         w = is_blowup(g, pat)
         if w is not None:
@@ -266,23 +270,15 @@ def min_rank(g: SimpleGraph, q: int, max_k: int | None = None,
     first; the exception carries the established lower bound.
     """
     ceiling = g.n if max_k is None else min(max_k, g.n)
-    start = _rank_lower_bound(g)
-    if start > ceiling:
-        if max_k is not None and max_k < g.n:
-            raise MinRankBoundError(max_k, f"k sweep capped at {max_k}")
-        raise AssertionError("lower bound above vertex count")
-    for k in range(start, ceiling + 1):
+    for k in range(_rank_lower_bound(g), ceiling + 1):
         try:
-            ok, _, _ = member(g, q, k, vertex_budget=vertex_budget)
+            if member(g, q, k, vertex_budget=vertex_budget)[0]:
+                return k
         except VertexBudgetError as exc:
             raise MinRankBoundError(k - 1, str(exc)) from exc
-        if ok:
-            if k > g.n:
-                raise InvariantError(f"sweep accepted k = {k} above n = {g.n}")
-            return k
-    if max_k is not None and max_k < g.n:
+    if ceiling < g.n:
         raise MinRankBoundError(max_k, f"k sweep capped at {max_k}")
-    raise AssertionError("every n-vertex graph has minimum rank at most n")
+    raise InvariantError("sweep refused k = n, but every n-vertex graph has mr <= n")
 
 
 def multipartite_bound_check(parts, q: int) -> bool:

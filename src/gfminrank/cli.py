@@ -119,7 +119,7 @@ def cmd_member(args) -> int:
     def answer(g):
         ok, witness, idx = member(g, q, args.k, vertex_budget=args.vertex_budget)
         obj = {"member": ok}
-        if ok:
+        if witness is not None:
             obj["pattern"] = idx
             obj["witness"] = {str(v): p for v, p in sorted(witness.assignment.items())}
         return obj

@@ -263,13 +263,16 @@ class FieldCtx:
             acc = self.add(acc, self.mul(a[:, t:t + 1], b[t:t + 1, :]))
         return acc
 
-    def inv(self, a: int) -> int:
-        """Multiplicative inverse; raises on zero."""
-        if a == 0:
+    def inv(self, a):
+        """Multiplicative inverse of an int or an int64 array; raises on zero."""
+        if not np.all(a):
             raise ZeroDivisionError("inversion of zero field element")
-        if self.e == 1:
-            return pow(int(a), self.p - 2, self.p)
-        return self._exp[self.q - 1 - self._log[a]]
+        if self.e > 1:
+            return self._exp[self.q - 1 - self._log[a]]
+        out, k = a ** 0, self.p - 2  # a^(p-2) by repeated squaring
+        while k:
+            out, a, k = out * a % self.p if k & 1 else out, a * a % self.p, k >> 1
+        return out
 
     def pow(self, a: int, k: int) -> int:
         if k == 0:

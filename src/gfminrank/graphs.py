@@ -20,6 +20,7 @@ groups make the unpruned tree too big.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass
 
 
@@ -149,10 +150,6 @@ class SimpleGraph:
 
     def add_isolated(self, t: int) -> "SimpleGraph":
         return SimpleGraph(self.n + t, list(self.rows) + [0] * t)
-
-    def disjoint_union(self, other: "SimpleGraph") -> "SimpleGraph":
-        rows = list(self.rows) + [r << self.n for r in other.rows]
-        return SimpleGraph(self.n + other.n, rows)
 
     def with_loops(self, loops: int = 0) -> "LoopedGraph":
         return LoopedGraph(self.n, self.rows, loops)
@@ -435,28 +432,11 @@ class IsoBudgetError(Exception):
 
 
 def _refined_colors(g: LoopedGraph) -> list[int]:
-    """Vertex colors from iterated neighborhood refinement, loops included."""
-    colors = [(g.has_loop(v), bin(g.rows[v]).count("1")) for v in range(g.n)]
-    palette = {c: i for i, c in enumerate(sorted(set(colors)))}
-    cur = [palette[c] for c in colors]
-    for _ in range(g.n):
-        sigs = []
-        for v in range(g.n):
-            nbr = sorted(cur[u] for u in range(g.n) if g.has_edge(v, u))
-            sigs.append((cur[v], tuple(nbr)))
-        palette = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        nxt = [palette[s] for s in sigs]
-        if nxt == cur:
-            break
-        cur = nxt
-    return cur
-
-
-def _color_histogram(colors: list[int]) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for c in colors:
-        out[c] = out.get(c, 0) + 1
-    return out
+    """Each vertex's cell in the equitable refinement of (nonlooped, looped)."""
+    full = (1 << g.n) - 1
+    cells = [c for c in (full & ~g.loops, g.loops) if c]
+    cells = _refine(g.rows, cells, cells)
+    return [next(i for i, c in enumerate(cells) if c >> v & 1) for v in range(g.n)]
 
 
 def are_isomorphic(g: LoopedGraph | SimpleGraph, h: LoopedGraph | SimpleGraph,
@@ -472,17 +452,17 @@ def are_isomorphic(g: LoopedGraph | SimpleGraph, h: LoopedGraph | SimpleGraph,
         g = g.with_loops(0)
     if isinstance(h, SimpleGraph):
         h = h.with_loops(0)
-    if g.n != h.n:
+    if g.n != h.n or g.loops.bit_count() != h.loops.bit_count():
         return False
     gc = _refined_colors(g)
     hc = _refined_colors(h)
-    if _color_histogram(gc) != _color_histogram(hc):
+    hist = Counter(gc)
+    if hist != Counter(hc):
         return False
 
     # order: rarest color first, then prefer vertices adjacent to the mapped set
     order: list[int] = []
     placed = 0
-    hist = _color_histogram(gc)
     while len(order) < g.n:
         best = None
         for v in range(g.n):

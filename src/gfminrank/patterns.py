@@ -12,6 +12,7 @@ blowup module accounts for it separately.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,8 @@ from .gf import FieldCtx, field_from_order
 from .graphs import LoopedGraph
 from .matfq import MatrixFq, canonical_representatives
 from . import matfq
-from .projgeo import PointList, enumerate_points, pairing_matrix, point_count
+from .projgeo import (PointList, canonicalize, enumerate_points, norms, pairing_matrix,
+                      point_array, point_count, point_index)
 
 DEFAULT_VERTEX_BUDGET = 10_000
 
@@ -51,8 +53,8 @@ class PatternMasks:
     beside its rows and loops.
 
     ``non[v]`` holds the vertices other than v not adjacent to v;
-    ``nonloops`` the vertices without a loop; ``roots`` the first vertex of
-    each orbit key (every vertex when there are no keys).
+    ``nonloops`` the vertices without a loop; ``roots`` those the first class
+    branched on may take (for a pattern, see isometry_roots).
     """
 
     non: tuple[int, ...]
@@ -60,14 +62,8 @@ class PatternMasks:
     roots: int
 
     @classmethod
-    def of(cls, h: LoopedGraph, orbits: tuple[int, ...] | None) -> "PatternMasks":
+    def of(cls, h: LoopedGraph, roots: int) -> "PatternMasks":
         full = (1 << h.n) - 1
-        roots = full
-        if orbits is not None:
-            first: dict[int, int] = {}
-            for v, key in enumerate(orbits):
-                first.setdefault(key, v)
-            roots = sum(1 << v for v in first.values())
         non = tuple(full & ~r & ~(1 << v) for v, r in enumerate(h.rows))
         return cls(non, full & ~h.loops, roots)
 
@@ -76,16 +72,11 @@ class PatternMasks:
 class Pattern:
     form: MatrixFq
     graph: LoopedGraph
-    # orbit key per vertex such that the automorphism group of the graph is
-    # transitive on each key, or None where no such keys are derived; a
-    # search may restrict its first choice to one vertex per key.  See
-    # _orbit_keys for the cases and why each holds.
-    orbits: tuple[int, ...] | None = None
 
     @functools.cached_property
     def masks(self) -> PatternMasks:
         """The search masks, built on first use and kept with the pattern."""
-        return PatternMasks.of(self.graph, self.orbits)
+        return PatternMasks.of(self.graph, isometry_roots(self.form))
 
 
 @dataclass(frozen=True)
@@ -129,52 +120,78 @@ def generate(q: int | FieldCtx, k: int,
     return _generate_cached(field, k)
 
 
-def _orbit_keys(field: FieldCtx, k: int, graph: LoopedGraph,
-                norms) -> tuple[int, ...] | None:
-    """Orbit keys of the points under the isometry group of the form.
+# generators whose point images are computed in one numpy pass
+_GENERATOR_BLOCK = 8
 
-    Odd q, and alternating forms (no loops) over even q: the square class of
-    x^t B x (0 absolute, 1 square, 2 nonsquare); Witt's theorem makes the
-    isometries transitive on each class.  A non-alternating form over even q
-    is a pseudo-polarity: x^t B x is the square of a linear form, so the
-    absolute points fill a hyperplane, and every isometry fixes its pole w.
-    For odd k, w is not absolute, V = <w> + w^perp with an alternating form on
-    w^perp, and the symplectic group of w^perp is transitive on the absolute
-    points and on the other non-absolute points; w gets key 3.  For even k, w
-    is absolute and no keys are derived (None).
+
+def _join(labels: np.ndarray, u: np.ndarray, v: np.ndarray) -> bool:
+    """Merge the classes of u[i] and v[i], each point labelled by the least
+    point of its class; whether any two classes merged."""
+    a, b = labels[u], labels[v]
+    merged = bool((a != b).any())
+    while (a != b).any():
+        np.minimum.at(labels, np.maximum(a, b), np.minimum(a, b))
+        while not np.array_equal(labels[labels], labels):  # labels only point down
+            labels[:] = labels[labels]
+        a, b = labels[u], labels[v]
+    return merged
+
+
+def isometry_generators(b: MatrixFq, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The maps x -> x + c B(x,a) a for the rows a of pts and c != 0 with
+    c (2 + c B(a,a)) = 0, as the arrays (row of a, c): m of them, listed by
+    a stride near m/phi so that neighbours in the list lie far apart.
+
+    Each keeps B, since B(x',y') = B(x,y) + c (2 + c B(a,a)) B(x,a) B(y,a):
+    they are the reflections for odd q and the transvections for even q.
     """
-    if field.p == 2 and graph.loops:
-        if k % 2 == 0:
-            return None
-        poles = [v for v in graph.looped_vertices()
-                 if graph.rows[v] | (1 << v) == graph.loops]
-        if len(poles) != 1:
-            raise PatternPropertyError(
-                "unique pole of the absolute hyperplane",
-                f"q={field.q}, k={k} has candidates {poles}")
-        return tuple(3 if v == poles[0] else 1 if graph.has_loop(v) else 0
-                     for v in range(graph.n))
-    keys = []
-    for a in norms:
-        a = int(a)
-        if a == 0:
-            keys.append(0)
-        elif field.is_square(a):
-            keys.append(1)
-        else:
-            keys.append(2)
-    return tuple(keys)
+    f = b.field
+    nrm, two = norms(pts, b), f.add(1, 1)
+    centres = [np.flatnonzero(f.mul(c, f.add(two, f.mul(c, nrm))) == 0) for c in range(1, f.q)]
+    scalars = np.repeat(np.arange(1, f.q, dtype=np.int64), [len(a) for a in centres])
+    m = len(scalars)
+    step = max(1, round(m * 0.618))
+    while math.gcd(step, m) != 1:
+        step += 1
+    order = np.arange(m, dtype=np.int64) * step % m
+    return np.concatenate(centres)[order], scalars[order]
+
+
+def isometry_roots(b: MatrixFq) -> int:
+    """The least point of each orbit of PG(k-1, q) under a group of isometries
+    of the symmetric form b, as a bit mask over the canonical point order.
+
+    An isometry permutes the points and keeps every pairing, so it is an
+    automorphism of the pattern graph, loops included.  The group is the one
+    generated by isometry_generators.  An orbit of any subgroup lies in an
+    orbit of the full isometry group, so one point per computed orbit may
+    stand for its orbit however many generators are used: they are added in
+    blocks until a block merges no two orbits.
+    """
+    f = b.field
+    pts = point_array(enumerate_points(f, b.rows))
+    points = np.arange(len(pts), dtype=np.int64)
+    labels = points.copy()
+    xb = f.matmul(pts, b.entries)
+    centres, scalars = isometry_generators(b, pts)
+    for lo in range(0, len(centres), _GENERATOR_BLOCK):
+        a = pts[centres[lo:lo + _GENERATOR_BLOCK]]
+        # images[g, x] = x + c_g B(x, a_g) a_g, one row per generator g
+        coef = f.mul(scalars[lo:lo + _GENERATOR_BLOCK, None], f.matmul(xb, a.T).T)
+        images = f.add(pts[None], f.mul(coef[:, :, None], a[:, None, :]))
+        targets = point_index(f, canonicalize(f, images)).ravel()
+        if not _join(labels, np.tile(points, len(a)), targets):
+            break
+    roots = np.packbits(labels == points, bitorder="little")
+    return int.from_bytes(roots.tobytes(), "little")
 
 
 @functools.lru_cache(maxsize=256)
 def _generate_cached(field: FieldCtx, k: int) -> PatternSet:
     points = enumerate_points(field, k)
-    pats = []
-    for b in canonical_representatives(field, k):
-        g = pairing_matrix(points, b)
-        graph = _graph_from_pairings(g)
-        pats.append(Pattern(b, graph, _orbit_keys(field, k, graph, np.diag(g))))
-    return PatternSet(field.q, k, field, points, tuple(pats))
+    pats = tuple(Pattern(b, _graph_from_pairings(pairing_matrix(points, b)))
+                 for b in canonical_representatives(field, k))
+    return PatternSet(field.q, k, field, points, pats)
 
 
 def _nonlooped_expectations(q: int, k: int, even_char: bool) -> list[set[int]]:
@@ -241,16 +258,11 @@ def verify_counts(ps: PatternSet) -> dict:
                     "q+1 nonlooped vertices for k=3",
                     f"pattern {idx} has {len(nonlooped)}")
             for a in nonlooped:
-                for bb in nonlooped:
-                    if a != bb and not g.has_edge(a, bb):
-                        raise PatternPropertyError(
-                            "nonlooped vertices form a clique (k=3)",
-                            f"pattern {idx} misses edge {a}-{bb}")
-                nl = sum(1 for u in nonlooped if u != a and g.has_edge(a, u))
-                lp = sum(1 for u in g.looped_vertices() if g.has_edge(a, u))
+                # q nonlooped neighbours of q + 1 nonlooped vertices: a clique
+                nl, lp = (g.rows[a] & ~g.loops).bit_count(), (g.rows[a] & g.loops).bit_count()
                 if nl != q or lp != q * q - q:
                     raise PatternPropertyError(
-                        "nonlooped vertex has q nonlooped and q^2-q looped neighbors (k=3)",
+                        "nonlooped clique, each with q^2-q looped neighbors (k=3)",
                         f"pattern {idx} vertex {a}: {nl} nonlooped, {lp} looped")
         report["patterns"].append(entry)
     if odd_even_pair and set(seen_counts) != expectations[0]:

@@ -11,6 +11,7 @@ column for column.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,28 +51,33 @@ def enumerate_points(field: FieldCtx, k: int) -> PointList:
     q = field.q
     pts: list[Point] = []
     for d in range(k, 0, -1):
-        for counter in range(q ** (d - 1)):
-            coords = [0] * k
-            x = counter
-            for i in range(d - 1):
-                coords[i] = x % q
-                x //= q
-            coords[d - 1] = 1
-            pts.append(tuple(coords))
+        # the base-q digits of every counter below q^(d-1), then the unit
+        coords = np.arange(q ** (d - 1))[:, None] // q ** np.arange(k) % q
+        coords[:, d - 1] = 1
+        pts.extend(map(tuple, coords.tolist()))
     return PointList(field, k, tuple(pts))
 
 
-def canonicalize(field: FieldCtx, vec) -> Point:
-    """Representative of the projective class of a nonzero vector."""
-    coords = [int(c) % field.q for c in vec]
-    last = -1
-    for i, c in enumerate(coords):
-        if c:
-            last = i
-    if last < 0:
+def canonicalize(field: FieldCtx, vecs) -> np.ndarray:
+    """Representatives of the projective classes of nonzero vectors, given
+    along the last axis: each is scaled so its last nonzero coordinate is 1."""
+    vecs = np.asarray(vecs, dtype=np.int64) % field.q
+    if not vecs.any(axis=-1).all():
         raise ValueError("the zero vector has no projective class")
-    scale = field.inv(coords[last])
-    return tuple(field.mul(scale, c) for c in coords)
+    last = vecs.shape[-1] - 1 - np.argmax(vecs[..., ::-1] != 0, axis=-1)
+    return field.mul(field.inv(np.take_along_axis(vecs, last[..., None], axis=-1)), vecs)
+
+
+def point_index(field: FieldCtx, points: np.ndarray) -> np.ndarray:
+    """Positions of canonical points (along the last axis) in the order of
+    enumerate_points, which this inverts."""
+    q, k = field.q, points.shape[-1]
+    powers = q ** np.arange(k + 1, dtype=np.int64)
+    # a point whose unit coordinate sits at position d reads q^(d-1) plus its
+    # counter, and q^(k-1) + ... + q^d points come before it
+    val = points @ powers[:k]
+    d = np.searchsorted(powers, val, side="right")
+    return (q ** k - powers[d]) // (q - 1) + val - powers[d - 1]
 
 
 def pairing(x: Point, y: Point, b: MatrixFq) -> int:
@@ -84,25 +90,28 @@ def pairing(x: Point, y: Point, b: MatrixFq) -> int:
     return int(f.matmul(f.matmul(xy[:1], b.entries), xy[1:].T)[0, 0])
 
 
-def _point_array(points: PointList) -> np.ndarray:
+def point_array(points: PointList) -> np.ndarray:
+    """The points as the rows of an n x k int64 array."""
     return np.asarray(points.points, dtype=np.int64).reshape(len(points), points.k)
 
 
 def pairing_matrix(points: PointList, b: MatrixFq) -> np.ndarray:
     """All pairwise pairings as an n x n int64 array."""
     f = b.field
-    pts = _point_array(points)
+    pts = point_array(points)
     return f.matmul(f.matmul(pts, b.entries), pts.T)
+
+
+def norms(pts: np.ndarray, b: MatrixFq) -> np.ndarray:
+    """x^t B x for each row x of pts."""
+    f = b.field
+    terms = f.mul(f.matmul(pts, b.entries), pts)
+    return functools.reduce(f.add, terms.T, np.zeros(len(pts), dtype=np.int64))
 
 
 def count_absolute(b: MatrixFq) -> int:
     """Number of points x with x^t B x = 0 (the absolute points)."""
     if not b.is_symmetric():
         raise ValueError("absolute point count requires a symmetric matrix")
-    f = b.field
-    pts = _point_array(enumerate_points(f, b.rows))
-    xb = f.matmul(pts, b.entries)
-    norms = np.zeros(len(pts), dtype=np.int64)
-    for t in range(b.rows):
-        norms = f.add(norms, f.mul(xb[:, t], pts[:, t]))
-    return int(np.count_nonzero(norms == 0))
+    pts = point_array(enumerate_points(b.field, b.rows))
+    return int(np.count_nonzero(norms(pts, b) == 0))

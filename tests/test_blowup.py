@@ -223,17 +223,30 @@ def test_f_czg_has_minimum_rank_three_over_gf2():
 
 def test_blowups_are_recognised_with_orbit_pruning():
     # every blowup of a pattern must be found although the first class tries
-    # only one vertex per orbit key
+    # only one vertex per isometry orbit
     rng = random.Random(4004)
     for q in (2, 3, 4, 5, 7, 8, 9):
-        for k in range(1, 6):
-            if point_count(q, k) > 40:
+        for k in range(1, 7):
+            if point_count(q, k) > 63:
                 continue
             for pat in generate(q, k).patterns:
                 for _ in range(40):
                     sizes = [rng.choice((0, 0, 1, 1, 2, 3)) for _ in range(pat.graph.n)]
                     g = blow_up(pat.graph, sizes)
                     assert is_blowup(g, pat) is not None, (q, k, sizes)
+
+
+def test_sweep_matches_oracle_on_nine_vertex_graphs_gf2():
+    # nine vertices need the k = 6 patterns over GF(2), where the pattern of
+    # the identity form has an absolute pole; H^Zwu[O has mr 7
+    rng = random.Random(9009)
+    graphs = [parse_graph6("H^Zwu[O")]
+    for _ in range(20):
+        graphs.append(SimpleGraph.from_edges(
+            9, [(u, v) for u in range(9) for v in range(u + 1, 9) if rng.random() < 0.5]))
+    assert min_rank(graphs[0], 2) == 7
+    for g in graphs:
+        assert min_rank(g, 2) == oracle_min_rank(g, 2), emit_graph6(g)
 
 
 def test_sweep_matches_oracle_on_all_seven_vertex_graphs_gf2():

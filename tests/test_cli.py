@@ -213,13 +213,26 @@ def test_bad_line_gets_an_error_record_and_the_stream_goes_on(capsys, argv, key)
 
 
 def test_member_over_the_vertex_budget_answers_every_line(capsys):
+    # a 10-vertex path needs the k = 9 patterns (1023 vertices); the
+    # 4-vertex CF does not, since mr <= n <= k
+    p10 = emit_graph6(SimpleGraph.path(10))
     code, out, _ = run_cli(capsys, ["member", "--q", "2", "--k", "9",
-                                    "--vertex-budget", "10"], stdin="Dhc\nCF\n")
+                                    "--vertex-budget", "10"], stdin=f"{p10}\nCF\n{p10}\n")
     records = [json.loads(line) for line in out.strip().splitlines()]
     assert code == 1
-    assert [r["graph6"] for r in records] == ["Dhc", "CF"]
+    assert [r["graph6"] for r in records] == [p10, "CF", p10]
     assert all(set(r) == {"graph6", "error"} and "over budget 10" in r["error"]
-               for r in records)
+               for r in (records[0], records[2]))
+    assert records[1] == {"graph6": "CF", "member": True}
+
+
+def test_member_answers_a_graph_on_at_most_k_vertices_without_patterns(capsys):
+    p9 = emit_graph6(SimpleGraph.path(9))
+    code, out, _ = run_cli(capsys, ["member", "--q", "2", "--k", "9",
+                                    "--vertex-budget", "10"], stdin=f"CF\n{p9}\n")
+    assert code == 0
+    assert [json.loads(line) for line in out.splitlines()] == [
+        {"graph6": "CF", "member": True}, {"graph6": p9, "member": True}]
 
 
 def test_patterns_over_the_vertex_budget_is_a_domain_error(capsys):

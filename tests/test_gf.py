@@ -122,6 +122,18 @@ def test_field_axioms_randomised(q, a, b, c):
 def test_inv_of_zero_raises(gf3):
     with pytest.raises(ZeroDivisionError):
         gf3.inv(0)
+    with pytest.raises(ZeroDivisionError):
+        gf3.inv(np.array([1, 0, 2]))
+
+
+def test_inv_of_an_array_matches_the_scalar_inverses():
+    for q in (2, 3, 4, 7, 9, 13, 16, 27):
+        f = field_from_order(q)
+        units = np.arange(1, q, dtype=np.int64)
+        inv = f.inv(units)
+        assert inv.shape == units.shape
+        assert inv.tolist() == [int(f.inv(int(a))) for a in units]
+        assert (f.mul(units, inv) == 1).all()
 
 
 def test_square_counts():

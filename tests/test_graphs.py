@@ -214,6 +214,8 @@ def test_non_isomorphic_pairs():
     looped = SimpleGraph.path(3).with_loops(0b001)
     unlooped = SimpleGraph.path(3).with_loops(0b010)
     assert not are_isomorphic(looped, unlooped)
+    # the refinement starts from (nonlooped, looped): one empty part each
+    assert not are_isomorphic(SimpleGraph.complete(3).with_loops(0b111), SimpleGraph.complete(3))
 
 
 def test_isomorphism_budget():

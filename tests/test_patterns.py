@@ -5,9 +5,9 @@ import pytest
 from gfminrank import (MatrixFq, are_isomorphic, field_from_order, generate,
                        rank, verify_counts)
 from gfminrank.matfq import rank as matrix_rank
-from gfminrank.patterns import (PatternPropertyError, VertexBudgetError,
-                                gram_matrix, pattern_graph, rank_certificate)
-from gfminrank.projgeo import enumerate_points, pairing, pairing_matrix
+from gfminrank.patterns import (PatternPropertyError, VertexBudgetError, gram_matrix,
+                                isometry_generators, pattern_graph, rank_certificate)
+from gfminrank.projgeo import enumerate_points, pairing, pairing_matrix, point_array
 from gfminrank.refdata import (F2R3_GRAM, F2R4A_GRAM, F2R4B_GRAM, F3R3_GRAM,
                                G2F2_IDENTITY_GRAM, G2F2_SYMPLECTIC_GRAM,
                                G2F2_U, u_columns)
@@ -155,29 +155,40 @@ def test_pattern_rows_and_loops_are_the_nonzero_pairings(q, k):
                                        for v in range(n))
 
 
-@pytest.mark.parametrize("q,k", [(2, 1), (2, 3), (2, 4), (2, 5), (3, 3), (4, 3), (4, 4), (8, 3)])
+def _projective_point(f, vec) -> tuple[int, ...]:
+    last = max(i for i, c in enumerate(vec) if c)
+    scale = f.inv(vec[last])
+    return tuple(int(f.mul(scale, c)) for c in vec)
+
+
+@pytest.mark.parametrize("q,k", [(2, 1), (2, 3), (2, 4), (2, 5), (2, 6), (3, 3), (4, 3),
+                                 (4, 4), (8, 3), (9, 3)])
 def test_orbit_keys_follow_the_form(q, k):
+    # the computed roots hold one vertex per orbit key of the isometry group:
+    # the square class of x^t B x, with the pole w of the absolute points
+    # (B(x, w)^2 = B(x, x) for every x; only over even q with loops) apart;
+    # and every generator the roots come from is an automorphism
     ps = generate(q, k)
+    f, pts = ps.field, list(ps.points)
+    index = {p: v for v, p in enumerate(pts)}
     for pat in ps.patterns:
-        absolute = [ps.points[v] for v in range(pat.graph.n) if not pat.graph.has_loop(v)]
-        if q % 2 or not pat.graph.loops:
-            # square class of x^t B x (Witt's theorem)
-            assert set(pat.orbits) <= {0, 1, 2}
-            assert all((key == 0) == (not pat.graph.has_loop(v))
-                       for v, key in enumerate(pat.orbits))
-        elif k % 2 == 0:
-            assert pat.orbits is None  # the pole is absolute: no keys derived
-        else:
-            # exactly one vertex keyed 3: the pole of the absolute hyperplane
-            poles = [v for v, key in enumerate(pat.orbits) if key == 3]
+        gram = pairing_matrix(ps.points, pat.form).tolist()
+        norm = [gram[v][v] for v in range(len(pts))]
+        keys = [0 if a == 0 else 1 if f.is_square(a) else 2 for a in norm]
+        if q % 2 == 0 and pat.graph.loops:
+            poles = [w for w in range(len(pts))
+                     if all(f.mul(gram[x][w], gram[x][w]) == norm[x] for x in range(len(pts)))]
             assert len(poles) == 1
-            w = ps.points[poles[0]]
-            assert all(pairing(x, w, pat.form) == 0 for x in absolute)
+            keys[poles[0]] = 3
+        roots = [v for v in range(len(pts)) if pat.masks.roots >> v & 1]
+        assert sorted(keys[v] for v in roots) == sorted(set(keys))
 
-
-def test_orbit_keys_reject_a_graph_without_a_unique_pole():
-    from gfminrank import LoopedGraph
-    from gfminrank.patterns import _orbit_keys
-    two_loops = LoopedGraph.from_parts(2, [], [0, 1])
-    with pytest.raises(PatternPropertyError, match="pole"):
-        _orbit_keys(field_from_order(2), 3, two_loops, [1, 1])
+        centres, scalars = isometry_generators(pat.form, point_array(ps.points))
+        assert len(centres) > 0 or k == 1
+        for a, c in zip(centres.tolist(), scalars.tolist()):
+            image = []
+            for x, p in enumerate(pts):
+                t = f.mul(c, gram[x][a])
+                image.append(index[_projective_point(
+                    f, [f.add(xi, f.mul(t, ai)) for xi, ai in zip(p, pts[a])])])
+            assert pat.graph.relabel(image) == pat.graph, (a, c)

@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
 
 from gfminrank import (MatrixFq, canonical_representatives, count_absolute,
                        enumerate_points, field_from_order, pairing)
-from gfminrank.projgeo import canonicalize, point_count
+from gfminrank.projgeo import canonicalize, point_count, point_index
 from gfminrank.refdata import F2R3_U, F2R4_U, F3R3_U, u_columns
 
 
@@ -41,15 +42,26 @@ def test_points_are_canonical_and_unique():
         pts = list(enumerate_points(f, 3))
         assert len(set(pts)) == len(pts)
         for p in pts:
-            assert canonicalize(f, p) == p
+            assert tuple(canonicalize(f, p)) == p
             last = max(i for i, c in enumerate(p) if c)
             assert p[last] == 1
 
 
 def test_canonicalize_scalar_multiples(gf3):
-    assert canonicalize(gf3, (2, 1, 0)) == canonicalize(gf3, (1, 2, 0))
+    assert canonicalize(gf3, [(2, 1, 0), (1, 2, 0)]).tolist() == [[2, 1, 0], [2, 1, 0]]
     with pytest.raises(ValueError):
         canonicalize(gf3, (0, 0, 0))
+
+
+def test_point_index_inverts_the_point_order():
+    for q in (2, 3, 4, 5, 9):
+        f = field_from_order(q)
+        for k in (1, 2, 3, 4):
+            pts = np.array(list(enumerate_points(f, k)), dtype=np.int64).reshape(-1, k)
+            assert point_index(f, pts).tolist() == list(range(len(pts)))
+            # every nonzero multiple of a point indexes back to that point
+            multiples = f.mul(np.arange(1, q)[:, None, None], pts[None])
+            assert (point_index(f, canonicalize(f, multiples)) == np.arange(len(pts))).all()
 
 
 def test_pairing_examples(gf2):
