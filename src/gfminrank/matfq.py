@@ -1,9 +1,11 @@
 """Dense matrices over GF(q): rank, congruence canonical forms, and the
 rank decomposition A = U^t B U with B an invertible principal submatrix.
 
-Entries are stored as an immutable numpy int64 array of element reps.
-All pivot choices are tie-broken by smallest index so canonical forms and
-decompositions are reproducible bit for bit.
+One Gauss-Jordan elimination (_rref) serves rank, det and
+rank_decomposition; one congruence walk (_diagonalize) serves
+congruence_diagonalize and normalize_invertible_symmetric.  Entries are an
+immutable numpy int64 array of element reps.  Pivots are tie-broken by
+smallest index, so every result is reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -94,15 +96,24 @@ class MatrixFq:
 
     @classmethod
     def from_json(cls, obj: dict, field: FieldCtx | None = None) -> "MatrixFq":
+        """Parse the to_json object; ValueError names what outside input lacks."""
         from .gf import field_new
-        if field is None:
-            fspec = obj["field"]
-            field = field_new(int(fspec["p"]), int(fspec["e"]))
-            if "modulus" in fspec and list(field.modulus) != list(fspec["modulus"]):
-                raise ValueError("unsupported modulus; fields use the canonical modulus")
-        rows, cols = int(obj["rows"]), int(obj["cols"])
-        ent = np.asarray(obj["entries"], dtype=np.int64).reshape(rows, cols)
-        return cls(field, ent)
+        if not isinstance(obj, dict):
+            raise ValueError("matrix JSON must be an object")
+        try:
+            if field is None:
+                fspec = obj["field"]
+                field = field_new(int(fspec["p"]), int(fspec["e"]))
+                if "modulus" in fspec and list(field.modulus) != list(fspec["modulus"]):
+                    raise ValueError("unsupported modulus; fields use the canonical modulus")
+            rows, cols, ent = obj["rows"], obj["cols"], np.asarray(obj["entries"])
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"matrix JSON needs field, rows, cols, entries: {exc!r}") from exc
+        if not all(type(x) is int and x >= 0 for x in (rows, cols)):
+            raise ValueError("matrix rows and cols must be nonnegative integers")
+        if ent.size and ent.dtype.kind not in "iu":
+            raise ValueError("matrix entries must be integers")
+        return cls(field, ent.reshape(rows, cols))
 
     def __repr__(self) -> str:
         return f"MatrixFq({self.field!r}, {self.entries.tolist()})"
@@ -130,55 +141,49 @@ class CongruenceClass:
 
 
 def rank(a: MatrixFq) -> int:
-    """Rank by Gaussian elimination with exact field arithmetic."""
-    r, _ = _echelon(a.field, np.array(a.entries))
-    return r
+    """Rank: the number of pivots of the reduced row echelon form."""
+    return len(_rref(a.field, np.array(a.entries))[0])
 
 
 def det(a: MatrixFq) -> int:
-    """Determinant as a by-product of elimination (product of pivots)."""
+    """Determinant: the signed pivot product at full rank, else 0."""
     if a.rows != a.cols:
         raise ValueError("determinant of a non-square matrix")
-    n = a.rows
-    if n == 0:
-        return 1 % a.field.q if a.field.q > 1 else 0
-    r, d = _echelon(a.field, np.array(a.entries))
-    return int(d) if r == n else 0
+    pivots, d = _rref(a.field, np.array(a.entries))
+    return int(d) if len(pivots) == a.rows else 0
 
 
-def _echelon(field: FieldCtx, m: np.ndarray) -> tuple[int, int]:
-    """Reduce m in place to row echelon form; return (rank, det-ish product).
+def _rref(field: FieldCtx, m: np.ndarray) -> tuple[list[int], int]:
+    """Reduce m in place to reduced row echelon form by Gauss-Jordan
+    elimination; return (pivot columns, signed pivot product).
 
-    The second value is the product of pivots times -1 per row swap, which
-    equals the determinant when the matrix is square and of full rank.
+    The product is over the pivots as found, times -1 per row swap, which
+    equals the determinant when m is square and of full rank.
     """
     rows, cols = m.shape
-    r = 0
+    pivots: list[int] = []
     d = 1
     for col in range(cols):
-        piv = -1
-        for i in range(r, rows):
-            if m[i, col]:
-                piv = i
-                break
-        if piv < 0:
+        r = len(pivots)
+        if r == rows:
+            break
+        piv = r
+        while piv < rows and not m[piv, col]:
+            piv += 1
+        if piv == rows:
             continue
         if piv != r:
             m[[r, piv], :] = m[[piv, r], :]
             d = field.neg(d)
         pval = int(m[r, col])
-        d = field.mul(d, pval)
-        pinv = field.inv(pval)
-        below = m[r + 1:, col]
-        nz = np.nonzero(below)[0]
-        if nz.size:
-            factors = field.mul(below[nz], pinv)
-            updates = field.mul(factors[:, None], m[r:r + 1, col:])
-            m[r + 1 + nz, col:] = field.sub(m[r + 1 + nz, col:], updates)
-        r += 1
-        if r == rows:
-            break
-    return r, d
+        if pval != 1:
+            d = field.mul(d, pval)
+            m[r, col:] = field.mul(field.inv(pval), m[r, col:])
+        factors = m[:, col:col + 1].copy()
+        factors[r] = 0
+        m[:, col:] = field.sub(m[:, col:], field.mul(factors, m[r:r + 1, col:]))
+        pivots.append(col)
+    return pivots, d
 
 
 class _CongruenceWorker:
@@ -224,28 +229,17 @@ class _CongruenceWorker:
         return MatrixFq(self.field, self.c), MatrixFq(self.field, self.d)
 
 
-def congruence_diagonalize(b: MatrixFq) -> tuple[MatrixFq, MatrixFq]:
-    """Return (C, D) with D = C^t B C in block form diag(a_1..a_s, b_1 H.., 0..).
-
-    Nonzero diagonal entries come first, then 2x2 zero-diagonal blocks
-    b*[[0,1],[1,0]] (even characteristic only; over odd characteristic such
-    blocks are split into two diagonal entries), then the zero part.
-    Pivots are chosen at the smallest row index, then smallest column index.
-    """
-    if not b.is_symmetric():
-        raise ValueError("congruence diagonalization requires a symmetric matrix")
-    f = b.field
-    n = b.rows
-    w = _CongruenceWorker(b)
+def _diagonalize(w: _CongruenceWorker) -> tuple[int, int]:
+    """Bring w.d by congruences to block form diag(a_1..a_s, b_1 H.., 0..);
+    return (s, r) with r the size of the nonzero part, so r = rank.  Pivots
+    are as congruence_diagonalize states."""
+    f = w.field
+    n = w.d.shape[0]
     diag_pos: list[int] = []
     hyp_pos: list[int] = []
     r = 0
     while r < n:
-        piv = -1
-        for i in range(r, n):
-            if w.d[i, i]:
-                piv = i
-                break
+        piv = next((i for i in range(r, n) if w.d[i, i]), -1)
         if piv >= 0:
             w.swap(r, piv)
             pinv = f.inv(int(w.d[r, r]))
@@ -255,14 +249,7 @@ def congruence_diagonalize(b: MatrixFq) -> tuple[MatrixFq, MatrixFq]:
             diag_pos.append(r)
             r += 1
             continue
-        pair = None
-        for i in range(r, n):
-            for j in range(i + 1, n):
-                if w.d[i, j]:
-                    pair = (i, j)
-                    break
-            if pair:
-                break
+        pair = next(((i, j) for i in range(r, n) for j in range(i + 1, n) if w.d[i, j]), None)
         if pair is None:
             break
         i, j = pair
@@ -280,18 +267,34 @@ def congruence_diagonalize(b: MatrixFq) -> tuple[MatrixFq, MatrixFq]:
                 w.addmul(r + 1, m, f.neg(f.mul(int(w.d[r, m]), binv)))
             if w.d[r + 1, m]:
                 w.addmul(r, m, f.neg(f.mul(int(w.d[r + 1, m]), binv)))
-        hyp_pos.append(r)
+        hyp_pos += [r, r + 1]
         r += 2
-    order = diag_pos + [p + d for p in hyp_pos for d in (0, 1)] + list(range(r, n))
-    w.permute(order)
+    w.permute(diag_pos + hyp_pos + list(range(r, n)))
+    return len(diag_pos), r
+
+
+def congruence_diagonalize(b: MatrixFq) -> tuple[MatrixFq, MatrixFq]:
+    """Return (C, D) with D = C^t B C in block form diag(a_1..a_s, b_1 H.., 0..).
+
+    Nonzero diagonal entries come first, then 2x2 zero-diagonal blocks
+    b*[[0,1],[1,0]] (even characteristic only; over odd characteristic such
+    blocks are split into two diagonal entries), then the zero part.
+    Pivots are chosen at the smallest row index, then smallest column index.
+    """
+    if not b.is_symmetric():
+        raise ValueError("congruence diagonalization requires a symmetric matrix")
+    w = _CongruenceWorker(b)
+    _diagonalize(w)
     return w.result()
 
 
 def classify_invertible_symmetric(b: MatrixFq) -> CongruenceClass:
     """Congruence class of an invertible symmetric matrix.
 
-    Odd q: the determinant's square class decides; even q: symplectic iff
-    canonicalization finds no diagonal pivot (the zero-diagonal case).
+    Odd q: the determinant's square class decides.  Even q: symplectic iff
+    the diagonal is zero; over characteristic 2 that is when the form is
+    alternate, which congruence keeps (A. A. Albert, "Symmetric and
+    alternate matrices in an arbitrary field", 1938).
     """
     if not b.is_symmetric():
         raise ValueError("classification requires a symmetric matrix")
@@ -306,9 +309,7 @@ def classify_invertible_symmetric(b: MatrixFq) -> CongruenceClass:
         tag = ClassTag.SQUARE_DET if f.is_square(d) else ClassTag.NONSQUARE_DET
         ptag = ClassTag.IDENTITY if k % 2 == 1 else tag
         return CongruenceClass(k, tag, ptag)
-    _, dd = congruence_diagonalize(b)
-    has_diag_pivot = any(dd.entries[i, i] for i in range(k))
-    tag = ClassTag.IDENTITY if has_diag_pivot else ClassTag.SYMPLECTIC
+    tag = ClassTag.IDENTITY if np.diag(b.entries).any() else ClassTag.SYMPLECTIC
     return CongruenceClass(k, tag, tag)
 
 
@@ -346,14 +347,12 @@ def normalize_invertible_symmetric(b: MatrixFq) -> tuple[MatrixFq, MatrixFq]:
         raise ValueError("normalization requires a symmetric matrix")
     f = b.field
     k = b.rows
-    c0, d0 = congruence_diagonalize(b)
-    if rank(b) != k:
-        raise ValueError("normalization requires an invertible matrix")
     w = _CongruenceWorker(b)
-    w.apply(np.array(c0.entries))
+    s, r = _diagonalize(w)
+    if r != k:
+        raise ValueError("normalization requires an invertible matrix")
 
     if f.q % 2 == 0:
-        s = sum(1 for i in range(k) if w.d[i, i])
         for i in range(s):
             w.scale(i, f.inv(f.sqrt(int(w.d[i, i]))))
         for pos in range(s, k, 2):
@@ -395,78 +394,17 @@ def normalize_invertible_symmetric(b: MatrixFq) -> tuple[MatrixFq, MatrixFq]:
 
 
 def rank_decomposition(a: MatrixFq) -> tuple[MatrixFq, MatrixFq]:
-    """Write symmetric A as U^t B U with B an invertible principal r x r
-    submatrix of A on the symmetric pivot index set, r = rank A.
+    """Write symmetric A as U^t B U with B = A[S, S] invertible: S holds the
+    pivot columns of A (its first independent columns) and U the r = rank A
+    nonzero rows of its reduced row echelon form.
+
+    Each column of A is the combination of the columns S that U records, so
+    A = A[:, S] U; rows S of this read A[S, :] = B U.  Symmetry gives
+    A[:, S] = A[S, :]^t = U^t B, hence A = U^t B U.  B is invertible since
+    the r rows S of A are independent and equal B U.
     """
     if not a.is_symmetric():
         raise ValueError("rank decomposition requires a symmetric matrix")
-    f = a.field
-    s = sorted(_symmetric_pivot_indices(a))
-    bmat = a.entries[np.ix_(s, s)]
-    rhs = a.entries[s, :]
-    u = _solve(f, np.array(bmat), np.array(rhs))
-    return MatrixFq(f, bmat), MatrixFq(f, u)
-
-
-def _symmetric_pivot_indices(a: MatrixFq) -> list[int]:
-    f = a.field
-    n = a.rows
-    w = _CongruenceWorker(a)
-    idx = list(range(n))
-    out: list[int] = []
-
-    def swap(i, j):
-        w.swap(i, j)
-        idx[i], idx[j] = idx[j], idx[i]
-
-    r = 0
-    while r < n:
-        cand = [i for i in range(r, n) if w.d[i, i]]
-        if cand:
-            i = min(cand, key=lambda t: idx[t])
-            swap(r, i)
-            out.append(idx[r])
-            pinv = f.inv(int(w.d[r, r]))
-            for j in range(r + 1, n):
-                if w.d[r, j]:
-                    w.addmul(r, j, f.neg(f.mul(int(w.d[r, j]), pinv)))
-            r += 1
-            continue
-        pairs = [(i, j) for i in range(r, n) for j in range(i + 1, n) if w.d[i, j]]
-        if not pairs:
-            break
-        i, j = min(pairs, key=lambda t: tuple(sorted((idx[t[0]], idx[t[1]]))))
-        swap(r, i)
-        if j == r:
-            j = i
-        swap(r + 1, j)
-        out.extend((idx[r], idx[r + 1]))
-        binv = f.inv(int(w.d[r, r + 1]))
-        for m in range(r + 2, n):
-            if w.d[r, m]:
-                w.addmul(r + 1, m, f.neg(f.mul(int(w.d[r, m]), binv)))
-            if w.d[r + 1, m]:
-                w.addmul(r, m, f.neg(f.mul(int(w.d[r + 1, m]), binv)))
-        r += 2
-    return out
-
-
-def _solve(f: FieldCtx, b: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve B X = RHS for invertible B by Gauss-Jordan elimination."""
-    r = b.shape[0]
-    aug = np.concatenate([b, rhs], axis=1)
-    for col in range(r):
-        piv = -1
-        for i in range(col, r):
-            if aug[i, col]:
-                piv = i
-                break
-        if piv < 0:
-            raise ValueError("singular pivot block")
-        if piv != col:
-            aug[[col, piv], :] = aug[[piv, col], :]
-        aug[col, :] = f.mul(f.inv(int(aug[col, col])), aug[col, :])
-        for i in range(r):
-            if i != col and aug[i, col]:
-                aug[i, :] = f.sub(aug[i, :], f.mul(aug[i, col], aug[col, :]))
-    return aug[:, r:]
+    m = np.array(a.entries)
+    s, _ = _rref(a.field, m)
+    return MatrixFq(a.field, a.entries[np.ix_(s, s)]), MatrixFq(a.field, m[:len(s)])

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,24 +138,35 @@ def _join(labels: np.ndarray, u: np.ndarray, v: np.ndarray) -> bool:
     return merged
 
 
-def isometry_generators(b: MatrixFq, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def isometry_generators(b: MatrixFq,
+                        pts: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The maps x -> x + c B(x,a) a for the rows a of pts and c != 0 with
-    c (2 + c B(a,a)) = 0, as the arrays (row of a, c): m of them, listed by
-    a stride near m/phi so that neighbours in the list lie far apart.
+    c (2 + c B(a,a)) = 0, yielded as arrays (rows a, scalars c) of at most
+    _GENERATOR_BLOCK generators each.  Listed by c, then a, the m of them
+    are visited by a stride near m/phi so that neighbours lie far apart.
 
     Each keeps B, since B(x',y') = B(x,y) + c (2 + c B(a,a)) B(x,a) B(y,a):
     they are the reflections for odd q and the transvections for even q.
+    As c != 0, the condition reads B(a,a) = -2/c, so the centres a for c
+    are the points of that norm and no list of all m pairs is built.
     """
     f = b.field
-    nrm, two = norms(pts, b), f.add(1, 1)
-    centres = [np.flatnonzero(f.mul(c, f.add(two, f.mul(c, nrm))) == 0) for c in range(1, f.q)]
-    scalars = np.repeat(np.arange(1, f.q, dtype=np.int64), [len(a) for a in centres])
-    m = len(scalars)
+    nrm = norms(pts, b)
+    by_norm = np.argsort(nrm, kind="stable")  # ascending points within a norm
+    first = np.searchsorted(nrm[by_norm], np.arange(f.q + 1))
+    scalars = np.arange(1, f.q, dtype=np.int64)
+    norm = f.mul(f.neg(f.add(1, 1)), f.inv(scalars))
+    counts = first[norm + 1] - first[norm]
+    ends = np.cumsum(counts)
+    m = int(ends[-1])
     step = max(1, round(m * 0.618))
     while math.gcd(step, m) != 1:
         step += 1
-    order = np.arange(m, dtype=np.int64) * step % m
-    return np.concatenate(centres)[order], scalars[order]
+    for lo in range(0, m, _GENERATOR_BLOCK):
+        j = np.arange(lo, min(lo + _GENERATOR_BLOCK, m), dtype=np.int64) * step % m
+        # pair j has scalar g and is centre j - ends[g] + counts[g] of that norm
+        g = np.searchsorted(ends, j, side="right")
+        yield by_norm[first[norm[g]] + j - ends[g] + counts[g]], scalars[g]
 
 
 def isometry_roots(b: MatrixFq) -> int:
@@ -173,11 +185,10 @@ def isometry_roots(b: MatrixFq) -> int:
     points = np.arange(len(pts), dtype=np.int64)
     labels = points.copy()
     xb = f.matmul(pts, b.entries)
-    centres, scalars = isometry_generators(b, pts)
-    for lo in range(0, len(centres), _GENERATOR_BLOCK):
-        a = pts[centres[lo:lo + _GENERATOR_BLOCK]]
+    for centres, scalars in isometry_generators(b, pts):
+        a = pts[centres]
         # images[g, x] = x + c_g B(x, a_g) a_g, one row per generator g
-        coef = f.mul(scalars[lo:lo + _GENERATOR_BLOCK, None], f.matmul(xb, a.T).T)
+        coef = f.mul(scalars[:, None], f.matmul(xb, a.T).T)
         images = f.add(pts[None], f.mul(coef[:, :, None], a[:, None, :]))
         targets = point_index(f, canonicalize(f, images)).ravel()
         if not _join(labels, np.tile(points, len(a)), targets):

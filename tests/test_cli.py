@@ -188,6 +188,20 @@ def test_classify_rejects_singular(capsys):
     assert code == 1 and "error" in err
 
 
+@pytest.mark.parametrize("payload", [
+    "{}",
+    "[1, 2]",
+    '{"field": {"p": 2, "e": 1}, "rows": 2, "cols": 2, "entries": [0, 1, 1, 0.5]}',
+    '{"field": {"p": 2, "e": 1}, "rows": 2.5, "cols": 2, "entries": [0, 1, 1, 0]}',
+    '{"field": {"p": 2, "e": 1}, "rows": -1, "cols": 2, "entries": [0, 1, 1, 0]}',
+], ids=["empty-object", "not-an-object", "fractional-entry", "fractional-rows",
+        "negative-rows"])
+def test_classify_rejects_malformed_json(capsys, payload):
+    code, out, err = run_cli(capsys, ["classify"], stdin=payload)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ")
+
+
 def test_invalid_order_is_domain_error(capsys):
     code, _, err = run_cli(capsys, ["minrank", "--q", "6"], stdin="@\n")
     assert code == 1 and "prime power" in err

@@ -202,6 +202,17 @@ def test_classification_completeness_exhaustive():
                 assert len(reps) == 2 and len(seen_ptags) == 2
 
 
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_normalize_rejects_singular(q):
+    f = field_from_order(q)
+    # zero, a diagonal pivot then zero, a hyperbolic pair then zero
+    for a in ([[0, 0], [0, 0]], [[1, 1], [1, 1]], [[0, 1, 0], [1, 0, 0], [0, 0, 0]]):
+        b = MatrixFq(f, a)
+        assert rank(b) < b.rows
+        with pytest.raises(ValueError, match="invertible"):
+            normalize_invertible_symmetric(b)
+
+
 def test_classify_matches_bruteforce_orbits_k2():
     """Exact congruence orbits by closure under every invertible C; the
     classifier's tags must be constant on orbits and separate them."""
@@ -287,12 +298,22 @@ def test_rank_decomposition_reference_cases(gf2, gf3):
     assert u.to_lists() == [[1, 1, 1, 1]]
 
 
+def _greedy_independent_columns(a: MatrixFq) -> list[int]:
+    s: list[int] = []
+    for j in range(a.cols):
+        if rank(MatrixFq(a.field, a.entries[:, s + [j]])) > len(s):
+            s.append(j)
+    return s
+
+
 def test_rank_decomposition_exhaustive_gf2_4x4(gf2):
     for a in all_symmetric(gf2, 4):
         b, u = rank_decomposition(a)
         assert b.rows == rank(a)
         assert rank(b) == b.rows
         assert (u.transpose() @ b @ u) == a
+        s = _greedy_independent_columns(a)
+        assert b.to_lists() == a.entries[np.ix_(s, s)].tolist()
 
 
 def test_rank_decomposition_randomised(rng):
@@ -304,6 +325,8 @@ def test_rank_decomposition_randomised(rng):
             b, u = rank_decomposition(a)
             assert b.rows == rank(a)
             assert (u.transpose() @ b @ u) == a
+            s = _greedy_independent_columns(a)
+            assert b.to_lists() == a.entries[np.ix_(s, s)].tolist()
 
 
 def test_matrix_validation(gf3):

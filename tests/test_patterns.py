@@ -5,8 +5,9 @@ import pytest
 from gfminrank import (MatrixFq, are_isomorphic, field_from_order, generate,
                        rank, verify_counts)
 from gfminrank.matfq import rank as matrix_rank
-from gfminrank.patterns import (PatternPropertyError, VertexBudgetError, gram_matrix,
-                                isometry_generators, pattern_graph, rank_certificate)
+from gfminrank.patterns import (_GENERATOR_BLOCK, PatternPropertyError, VertexBudgetError,
+                                gram_matrix, isometry_generators, pattern_graph,
+                                rank_certificate)
 from gfminrank.projgeo import enumerate_points, pairing, pairing_matrix, point_array
 from gfminrank.refdata import (F2R3_GRAM, F2R4A_GRAM, F2R4B_GRAM, F3R3_GRAM,
                                G2F2_IDENTITY_GRAM, G2F2_SYMPLECTIC_GRAM,
@@ -167,7 +168,8 @@ def test_orbit_keys_follow_the_form(q, k):
     # the computed roots hold one vertex per orbit key of the isometry group:
     # the square class of x^t B x, with the pole w of the absolute points
     # (B(x, w)^2 = B(x, x) for every x; only over even q with loops) apart;
-    # and every generator the roots come from is an automorphism
+    # the generators come in blocks, each (a, c) with c (2 + c B(a,a)) = 0
+    # exactly once; and every generator the roots come from is an automorphism
     ps = generate(q, k)
     f, pts = ps.field, list(ps.points)
     index = {p: v for v, p in enumerate(pts)}
@@ -183,9 +185,16 @@ def test_orbit_keys_follow_the_form(q, k):
         roots = [v for v in range(len(pts)) if pat.masks.roots >> v & 1]
         assert sorted(keys[v] for v in roots) == sorted(set(keys))
 
-        centres, scalars = isometry_generators(pat.form, point_array(ps.points))
-        assert len(centres) > 0 or k == 1
-        for a, c in zip(centres.tolist(), scalars.tolist()):
+        blocks = list(isometry_generators(pat.form, point_array(ps.points)))
+        assert blocks or k == 1
+        assert all(0 < len(centres) <= _GENERATOR_BLOCK for centres, _ in blocks)
+        pairs = [(a, c) for centres, scalars in blocks
+                 for a, c in zip(centres.tolist(), scalars.tolist())]
+        two = f.add(1, 1)
+        assert len(set(pairs)) == len(pairs)
+        assert set(pairs) == {(a, c) for a in range(len(pts)) for c in range(1, q)
+                              if f.mul(c, f.add(two, f.mul(c, norm[a]))) == 0}
+        for a, c in pairs:
             image = []
             for x, p in enumerate(pts):
                 t = f.mul(c, gram[x][a])
