@@ -5,12 +5,14 @@ whose diagonal takes every value of GF(q) and whose remaining edges take
 every nonzero value (the oracle module says why these suffice).  Scan
 ticket t = diag_index * free_count + free_index, with free_count =
 (q-1)^len(free); both counters are little-endian, so the diagonal changes
-slowest.  Matrices are built and ranked in numpy batches.
+slowest.  Matrices are built and ranked in numpy batches of _BATCH tickets.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+_BATCH = 4096
 
 
 def _rank_batch(mats: np.ndarray, add_t, sub_t, mul_t, inv_t) -> np.ndarray:
@@ -59,17 +61,17 @@ def _build_batch(n: int, forest: np.ndarray, free: np.ndarray, q: int,
 
 
 def scan_min_rank(n: int, forest: np.ndarray, free: np.ndarray, q: int, tables,
-                  start: int, stop: int, floor: int, batch: int = 4096) -> int:
+                  start: int, stop: int) -> int:
     """Smallest rank over scan tickets [start, stop), n + 1 for an empty range.
 
     ``forest`` and ``free`` are (k, 2) arrays of vertex pairs.  The scan stops
-    as soon as the smallest rank seen is at most ``floor``.
+    as soon as it sees rank 1, the least rank of a graph with an edge.
     """
     best = n + 1
-    for at in range(start, stop, batch):
-        tickets = np.arange(at, min(at + batch, stop), dtype=np.int64)
+    for at in range(start, stop, _BATCH):
+        tickets = np.arange(at, min(at + _BATCH, stop), dtype=np.int64)
         ranks = _rank_batch(_build_batch(n, forest, free, q, tickets), *tables)
         best = min(best, int(ranks.min()))
-        if best <= floor:
+        if best <= 1:
             break
     return best

@@ -2,9 +2,10 @@
 
 A simple graph has minimum rank at most k over GF(q) exactly when it is a
 blowup of one of the k-patterns together with an extra isolated vertex.
-Recognition strips isolated vertices (they realise the extra vertex and
-never change minimum rank), collapses twin vertices, and then searches for
-an injective assignment of twin classes to pattern vertices.
+Recognition collapses twin vertices and then searches for an injective
+assignment of twin classes to pattern vertices.  The isolated vertices
+share one class (their neighbourhoods are all empty); it realises the extra
+vertex, so the search and the witness leave it out.
 
 A class normally occupies a single pattern vertex whose loop status matches
 (looped for merged cliques, nonlooped for merged independent sets, either
@@ -103,10 +104,9 @@ def is_blowup(g: SimpleGraph, h: LoopedGraph | Pattern) -> BlowupWitness | None:
         masks, h = h.masks, h.graph
     else:
         masks = PatternMasks.of(h, (1 << h.n) - 1)
-    core = [v for v in range(g.n) if g.rows[v]]
-    if not core:
+    if not any(g.rows):
         return BlowupWitness({})
-    red = twin_reduce(g.induced(core))
+    red = twin_reduce(g)
     sizes = red.class_sizes()
     q_adj = red.quotient.rows
     rows, non, loops, nonloops = h.rows, masks.non, h.loops, masks.nonloops
@@ -192,16 +192,17 @@ def is_blowup(g: SimpleGraph, h: LoopedGraph | Pattern) -> BlowupWitness | None:
                 return True
         return False
 
-    first = narrow(0, (), {c: single[c] | spread[c] for c in range(nclasses)})
+    # all but the isolated class, whose rows in g are empty (not just in the quotient)
+    first = narrow(0, (), {c: single[c] | spread[c] for c in range(nclasses)
+                           if g.rows[red.classes[c][0]]})
     if first is None or not search(*first, masks.roots):
         return None
 
     assignment: dict[int, int] = {}
-    for members, group in zip(red.classes, images):
+    for members, group in zip(red.classes, images):  # the isolated class has ()
         if len(group) == 1:
             group = group * len(members)
-        for m, v in zip(members, group):
-            assignment[core[m]] = v
+        assignment.update(zip(members, group))
     witness = BlowupWitness(assignment)
     if not verify_blowup(g, h, assignment):
         raise InvariantError("witness failed the raw blowup definition")
@@ -282,12 +283,10 @@ def min_rank(g: SimpleGraph, q: int, max_k: int | None = None,
 
 
 def multipartite_bound_check(parts, q: int) -> bool:
-    """Whether the complete multipartite graph on these parts has mr <= 3."""
+    """Whether the complete multipartite graph on these parts has mr <= 3;
+    VertexBudgetError, not no, when the k = 3 patterns are over budget."""
     parts = list(parts)
     if not parts:
         raise ValueError("at least one part required")
     g = SimpleGraph.complete_multipartite(parts)
-    try:
-        return min_rank(g, q, max_k=3) <= 3
-    except MinRankBoundError:
-        return False
+    return member(g, q, 3)[0]

@@ -93,7 +93,7 @@ def cmd_patterns(args) -> int:
         elif args.format == "dot":
             sys.stdout.write(to_dot(pat.graph, name=f"pattern_{idx}") + "\n")
         else:  # matrix
-            gm = gram_matrix(ps.field, ps.points, pat.form)
+            gm = gram_matrix(ps.points, pat.form)
             for row in gm.to_lists():
                 sys.stdout.write(" ".join(str(x) for x in row) + "\n")
             if idx + 1 < len(ps.patterns):

@@ -24,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 
-def _check_rows(n: int, rows, allow_loops: bool) -> tuple[int, ...]:
+def _check_rows(n: int, rows) -> tuple[int, ...]:
     rows = tuple(int(r) for r in rows)
     if len(rows) != n:
         raise ValueError("adjacency row count does not match n")
@@ -32,7 +32,7 @@ def _check_rows(n: int, rows, allow_loops: bool) -> tuple[int, ...]:
     for i, r in enumerate(rows):
         if r & ~full:
             raise ValueError("adjacency bits outside vertex range")
-        if not allow_loops and (r >> i) & 1:
+        if (r >> i) & 1:
             raise ValueError(f"loop stored in adjacency at vertex {i}")
     for i in range(n):
         for j in range(i + 1, n):
@@ -97,7 +97,7 @@ class SimpleGraph:
 
     def __init__(self, n: int, rows):
         self.n = n
-        self.rows = _check_rows(n, rows, allow_loops=False)
+        self.rows = _check_rows(n, rows)
 
     @classmethod
     def empty(cls, n: int) -> "SimpleGraph":
@@ -172,7 +172,7 @@ class LoopedGraph:
 
     def __init__(self, n: int, rows, loops: int):
         self.n = n
-        self.rows = _check_rows(n, rows, allow_loops=False)
+        self.rows = _check_rows(n, rows)
         loops = int(loops)
         if loops & ~((1 << n) - 1):
             raise ValueError("loop bits outside vertex range")

@@ -95,17 +95,18 @@ class MatrixFq:
         }
 
     @classmethod
-    def from_json(cls, obj: dict, field: FieldCtx | None = None) -> "MatrixFq":
+    def from_json(cls, obj: dict) -> "MatrixFq":
         """Parse the to_json object; ValueError names what outside input lacks."""
         from .gf import field_new
         if not isinstance(obj, dict):
             raise ValueError("matrix JSON must be an object")
         try:
-            if field is None:
-                fspec = obj["field"]
-                field = field_new(int(fspec["p"]), int(fspec["e"]))
-                if "modulus" in fspec and list(field.modulus) != list(fspec["modulus"]):
-                    raise ValueError("unsupported modulus; fields use the canonical modulus")
+            fspec = obj["field"]
+            if not all(type(fspec[x]) is int for x in ("p", "e")):
+                raise ValueError("field p and e must be integers")
+            field = field_new(fspec["p"], fspec["e"])
+            if "modulus" in fspec and list(field.modulus) != list(fspec["modulus"]):
+                raise ValueError("unsupported modulus; fields use the canonical modulus")
             rows, cols, ent = obj["rows"], obj["cols"], np.asarray(obj["entries"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"matrix JSON needs field, rows, cols, entries: {exc!r}") from exc
@@ -313,8 +314,8 @@ def classify_invertible_symmetric(b: MatrixFq) -> CongruenceClass:
     return CongruenceClass(k, tag, tag)
 
 
-def hyperbolic_block(field: FieldCtx, scale: int = 1) -> MatrixFq:
-    return MatrixFq(field, [[0, scale], [scale, 0]])
+def hyperbolic_block(field: FieldCtx) -> MatrixFq:
+    return MatrixFq(field, [[0, 1], [1, 0]])
 
 
 def canonical_representatives(field: FieldCtx, k: int) -> list[MatrixFq]:

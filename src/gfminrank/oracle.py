@@ -100,8 +100,7 @@ def oracle_min_rank(g: SimpleGraph, q: int,
     hi = total if stop is None else min(stop, total)
     if lo >= hi:
         raise ValueError(f"empty scan range [{lo}, {hi}) of {total} tickets")
-    best = _kernels.scan_min_rank(g.n, _pairs(forest), _pairs(rest), q, tables,
-                                  lo, hi, floor=1)
+    best = _kernels.scan_min_rank(g.n, _pairs(forest), _pairs(rest), q, tables, lo, hi)
     if not 1 <= best <= g.n:
         raise OracleScanError(f"scan of [{lo}, {hi}) returned rank {best} for n = {g.n}")
     return best

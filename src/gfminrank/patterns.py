@@ -4,9 +4,10 @@ minimum rank at most k over GF(q).
 Each pattern is the looped graph of the matrix U^t B U, where the columns of
 U are the canonically ordered points of PG(k-1, q) and B runs over the
 congruence-class representatives of invertible symmetric k x k matrices.
-Equivalently: the complement of the looped polarity graph of B.  The
-isolated extra vertex that every such family carries is not stored; the
-blowup module accounts for it separately.
+Equivalently: the complement of the looped polarity graph of B.  U^t is
+the point array of projgeo.enumerate_points, kept as it is.  The isolated
+extra vertex that every such family carries is not stored; the blowup
+module accounts for it separately.
 """
 
 from __future__ import annotations
@@ -20,10 +21,9 @@ import numpy as np
 
 from .gf import FieldCtx, field_from_order
 from .graphs import LoopedGraph
-from .matfq import MatrixFq, canonical_representatives
-from . import matfq
-from .projgeo import (PointList, canonicalize, enumerate_points, norms, pairing_matrix,
-                      point_array, point_count, point_index)
+from .matfq import MatrixFq, canonical_representatives, rank
+from .projgeo import (canonicalize, enumerate_points, norms, pairing_matrix, point_count,
+                      point_index)
 
 DEFAULT_VERTEX_BUDGET = 10_000
 
@@ -85,28 +85,22 @@ class PatternSet:
     q: int
     k: int
     field: FieldCtx
-    points: PointList
+    points: np.ndarray
     patterns: tuple[Pattern, ...]
 
 
-def _graph_from_pairings(g: np.ndarray) -> LoopedGraph:
-    """Looped graph of the nonzero entries of a symmetric pairing matrix:
-    the diagonal gives the loops, the rest the adjacency rows."""
-    packed = np.packbits(g != 0, axis=1, bitorder="little")
+def pattern_graph(points: np.ndarray, b: MatrixFq) -> LoopedGraph:
+    """Looped graph of U^t B U: edge where the pairing is nonzero, loop where
+    a point is non-absolute."""
+    packed = np.packbits(pairing_matrix(points, b) != 0, axis=1, bitorder="little")
     rows = [int.from_bytes(r.tobytes(), "little") for r in packed]
     loops = sum(r & (1 << v) for v, r in enumerate(rows))
     return LoopedGraph(len(rows), [r & ~(1 << v) for v, r in enumerate(rows)], loops)
 
 
-def pattern_graph(field: FieldCtx, points: PointList, b: MatrixFq) -> LoopedGraph:
-    """Looped graph of U^t B U: edge where the pairing is nonzero, loop where
-    a point is non-absolute."""
-    return _graph_from_pairings(pairing_matrix(points, b))
-
-
-def gram_matrix(field: FieldCtx, points: PointList, b: MatrixFq) -> MatrixFq:
+def gram_matrix(points: np.ndarray, b: MatrixFq) -> MatrixFq:
     """The full matrix U^t B U over GF(q) under the canonical point order."""
-    return MatrixFq(field, pairing_matrix(points, b))
+    return MatrixFq(b.field, pairing_matrix(points, b))
 
 
 def generate(q: int | FieldCtx, k: int,
@@ -181,7 +175,7 @@ def isometry_roots(b: MatrixFq) -> int:
     blocks until a block merges no two orbits.
     """
     f = b.field
-    pts = point_array(enumerate_points(f, b.rows))
+    pts = enumerate_points(f, b.rows)
     points = np.arange(len(pts), dtype=np.int64)
     labels = points.copy()
     xb = f.matmul(pts, b.entries)
@@ -200,7 +194,7 @@ def isometry_roots(b: MatrixFq) -> int:
 @functools.lru_cache(maxsize=256)
 def _generate_cached(field: FieldCtx, k: int) -> PatternSet:
     points = enumerate_points(field, k)
-    pats = tuple(Pattern(b, _graph_from_pairings(pairing_matrix(points, b)))
+    pats = tuple(Pattern(b, pattern_graph(points, b))
                  for b in canonical_representatives(field, k))
     return PatternSet(field.q, k, field, points, pats)
 
@@ -286,8 +280,8 @@ def verify_counts(ps: PatternSet) -> dict:
 def rank_certificate(ps: PatternSet) -> None:
     """Assert every pattern's full matrix U^t B U has rank exactly k."""
     for idx, pat in enumerate(ps.patterns):
-        gm = gram_matrix(ps.field, ps.points, pat.form)
-        r = matfq.rank(gm)
+        gm = gram_matrix(ps.points, pat.form)
+        r = rank(gm)
         if r != ps.k:
             raise PatternPropertyError(
                 "pattern matrix has rank k",

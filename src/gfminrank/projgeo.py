@@ -2,60 +2,43 @@
 x^t B y that drives polarity graphs.
 
 A point is the unique representative of its projective class whose last
-nonzero coordinate is 1.  The enumeration emits, for d = k down to 1, all
-points whose last nonzero coordinate sits at position d, counting the d-1
-free coordinates as a little-endian base-q counter over element reps.  This
-particular order is what makes the generated pattern matrices reproducible
-column for column.
+nonzero coordinate is 1; the points are the rows of one read-only n x k
+int64 array, which every function here takes as it is.  The enumeration
+emits, for d = k down to 1, all points whose last nonzero coordinate sits
+at position d, counting the d-1 free coordinates as a little-endian base-q
+counter over element reps.  This particular order is what makes the
+generated pattern matrices reproducible column for column.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
 from .gf import FieldCtx
 from .matfq import MatrixFq
 
-Point = tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class PointList:
-    """All (q^k - 1)/(q - 1) points of PG(k-1, q), canonically ordered."""
-
-    field: FieldCtx
-    k: int
-    points: tuple[Point, ...]
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def __iter__(self):
-        return iter(self.points)
-
-    def __getitem__(self, i: int) -> Point:
-        return self.points[i]
-
 
 def point_count(q: int, k: int) -> int:
     return (q ** k - 1) // (q - 1)
 
 
-def enumerate_points(field: FieldCtx, k: int) -> PointList:
-    """Canonical ordered list of the points of PG(k-1, q)."""
+def enumerate_points(field: FieldCtx, k: int) -> np.ndarray:
+    """The points of PG(k-1, q) in canonical order, as the rows of a
+    read-only n x k int64 array."""
     if k < 0:
         raise ValueError("dimension must be nonnegative")
     q = field.q
-    pts: list[Point] = []
+    blocks = [np.zeros((0, k), dtype=np.int64)]  # concatenate needs one, even at k = 0
     for d in range(k, 0, -1):
         # the base-q digits of every counter below q^(d-1), then the unit
-        coords = np.arange(q ** (d - 1))[:, None] // q ** np.arange(k) % q
+        coords = np.arange(q ** (d - 1), dtype=np.int64)[:, None] // q ** np.arange(k) % q
         coords[:, d - 1] = 1
-        pts.extend(map(tuple, coords.tolist()))
-    return PointList(field, k, tuple(pts))
+        blocks.append(coords)
+    pts = np.concatenate(blocks)
+    pts.flags.writeable = False
+    return pts
 
 
 def canonicalize(field: FieldCtx, vecs) -> np.ndarray:
@@ -80,25 +63,18 @@ def point_index(field: FieldCtx, points: np.ndarray) -> np.ndarray:
     return (q ** k - powers[d]) // (q - 1) + val - powers[d - 1]
 
 
-def pairing(x: Point, y: Point, b: MatrixFq) -> int:
+def pairing(x, y, b: MatrixFq) -> int:
     """The scalar x^t B y."""
     k = b.rows
     if b.cols != k or len(x) != k or len(y) != k:
         raise ValueError("dimension mismatch in pairing")
-    f = b.field
     xy = np.array([x, y], dtype=np.int64).reshape(2, k)
-    return int(f.matmul(f.matmul(xy[:1], b.entries), xy[1:].T)[0, 0])
+    return int(pairing_matrix(xy, b)[0, 1])
 
 
-def point_array(points: PointList) -> np.ndarray:
-    """The points as the rows of an n x k int64 array."""
-    return np.asarray(points.points, dtype=np.int64).reshape(len(points), points.k)
-
-
-def pairing_matrix(points: PointList, b: MatrixFq) -> np.ndarray:
-    """All pairwise pairings as an n x n int64 array."""
+def pairing_matrix(pts: np.ndarray, b: MatrixFq) -> np.ndarray:
+    """All pairings x^t B y of the rows of pts as an n x n int64 array."""
     f = b.field
-    pts = point_array(points)
     return f.matmul(f.matmul(pts, b.entries), pts.T)
 
 
@@ -113,5 +89,4 @@ def count_absolute(b: MatrixFq) -> int:
     """Number of points x with x^t B x = 0 (the absolute points)."""
     if not b.is_symmetric():
         raise ValueError("absolute point count requires a symmetric matrix")
-    pts = point_array(enumerate_points(b.field, b.rows))
-    return int(np.count_nonzero(norms(pts, b) == 0))
+    return int(np.count_nonzero(norms(enumerate_points(b.field, b.rows), b) == 0))

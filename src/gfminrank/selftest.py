@@ -99,9 +99,8 @@ def _reps() -> None:
 
 @_check("canonical point order matches the stored column matrices")
 def _points() -> None:
-    _require(list(enumerate_points(field_new(2, 1), 3)) == refdata.u_columns(refdata.F2R3_U))
-    _require(list(enumerate_points(field_new(3, 1), 3)) == refdata.u_columns(refdata.F3R3_U))
-    _require(list(enumerate_points(field_new(2, 1), 4)) == refdata.u_columns(refdata.F2R4_U))
+    for p, k, u in [(2, 3, refdata.F2R3_U), (3, 3, refdata.F3R3_U), (2, 4, refdata.F2R4_U)]:
+        _require(enumerate_points(field_new(p, 1), k).T.tolist() == u, f"q={p} k={k}")
 
 
 @_check("absolute point counts: (2,3,I)=3, (3,3,I)=4, (2,4,HH)=15")
@@ -118,15 +117,15 @@ def _patterns() -> None:
     for q, k, idx, ref in [(2, 3, 0, refdata.F2R3_GRAM), (3, 3, 0, refdata.F3R3_GRAM),
                            (2, 4, 0, refdata.F2R4A_GRAM), (2, 4, 1, refdata.F2R4B_GRAM)]:
         ps = generate(q, k)
-        gm = gram_matrix(ps.field, ps.points, ps.patterns[idx].form)
+        gm = gram_matrix(ps.points, ps.patterns[idx].form)
         _require(gm.to_lists() == ref, f"q={q} k={k} pattern {idx}")
     # rank-2 GF(2) patterns, stored in their original column order
     ps = generate(2, 2)
     cols = refdata.u_columns(refdata.G2F2_U)
     live = [j for j, c in enumerate(cols) if any(c)]
-    perm = [live.index(cols.index(p)) for p in ps.points]
+    perm = [live.index(cols.index(tuple(p))) for p in ps.points.tolist()]
     for idx, ref in [(0, refdata.G2F2_IDENTITY_GRAM), (1, refdata.G2F2_SYMPLECTIC_GRAM)]:
-        gm = gram_matrix(ps.field, ps.points, ps.patterns[idx].form)
+        gm = gram_matrix(ps.points, ps.patterns[idx].form)
         expect = [[ref[live[perm[i]]][live[perm[j]]] for j in range(len(live))]
                   for i in range(len(live))]
         _require(gm.to_lists() == expect, f"q=2 k=2 pattern {idx}")

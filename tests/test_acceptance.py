@@ -61,12 +61,12 @@ def test_criterion_01_bit_exact_pattern_regression():
         for q, k, idx, ref in [(2, 3, 0, F2R3_GRAM), (3, 3, 0, F3R3_GRAM),
                                (2, 4, 0, F2R4A_GRAM), (2, 4, 1, F2R4B_GRAM)]:
             ps = generate(q, k)
-            assert gram_matrix(ps.field, ps.points, ps.patterns[idx].form).to_lists() == ref
+            assert gram_matrix(ps.points, ps.patterns[idx].form).to_lists() == ref
         ps = generate(2, 2)
         cols = u_columns(G2F2_U)
-        pos = [cols.index(p) for p in ps.points]
+        pos = [cols.index(tuple(p)) for p in ps.points.tolist()]
         for idx, ref in [(0, G2F2_IDENTITY_GRAM), (1, G2F2_SYMPLECTIC_GRAM)]:
-            gm = gram_matrix(ps.field, ps.points, ps.patterns[idx].form)
+            gm = gram_matrix(ps.points, ps.patterns[idx].form)
             assert gm.to_lists() == [[ref[pos[i]][pos[j]] for j in range(3)]
                                      for i in range(3)]
 

@@ -13,6 +13,7 @@ from gfminrank import (LoopedGraph, SimpleGraph, blow_up, emit_graph6, generate,
                        oracle_min_rank, parse_graph6, twin_reduce)
 from gfminrank.blowup import MinRankBoundError, verify_blowup
 from gfminrank.miner import enumerate_graphs, enumerate_trees
+from gfminrank.patterns import VertexBudgetError
 from gfminrank.projgeo import point_count
 
 
@@ -78,6 +79,12 @@ def test_multipartite_bounds():
     assert not multipartite_bound_check([10, 10, 10, 10], 2)
     assert multipartite_bound_check([10, 10, 10, 10], 3)
     assert min_rank(SimpleGraph.complete_multipartite([10, 10, 10, 10]), 3) == 3
+
+
+def test_multipartite_bound_check_over_budget_is_not_a_no():
+    # the k = 3 patterns over GF(101) have 10303 > 10000 vertices
+    with pytest.raises(VertexBudgetError):
+        multipartite_bound_check([3, 3, 3, 3], 101)
 
 
 def test_min_rank_bound_error_reports_cap(fullhouse):
@@ -185,6 +192,35 @@ def test_isolated_vertices_do_not_change_minimum_rank(rng):
         base = min_rank(g, 2)
         for t in (1, 2, 3):
             assert min_rank(g.add_isolated(t), 2) == base
+
+
+def test_isolated_class_is_the_one_with_empty_rows():
+    # K3 + K2 + 2K1: all three twin classes have quotient row 0, but only the
+    # last is isolated in g; the two cliques must still be placed
+    g = parse_graph6("FwC??")
+    assert g == SimpleGraph.from_edges(7, [(0, 1), (0, 2), (1, 2), (3, 4)])
+    ok, w, idx = member(g, 2, 2)
+    assert ok and idx == 0
+    assert w.assignment == {0: 0, 1: 0, 2: 0, 3: 2, 4: 2}
+
+
+def test_inserted_isolated_vertices_leave_the_witness_alone():
+    rng = random.Random(909)
+    patterns = [pat for q, k in [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)]
+                for pat in generate(q, k).patterns]
+    for _ in range(300):
+        n = rng.randrange(1, 7)
+        g = SimpleGraph.from_edges(
+            n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5])
+        t = rng.randrange(3)
+        # new positions of g's vertices, in their old order
+        pos = sorted(rng.sample(range(n + t), n))
+        h = SimpleGraph.from_edges(n + t, [(pos[u], pos[v]) for u, v in g.edges()])
+        pat = rng.choice(patterns)
+        w, wh = is_blowup(g, pat), is_blowup(h, pat)
+        assert (w is None) == (wh is None)
+        if w is not None:
+            assert wh.assignment == {pos[v]: p for v, p in w.assignment.items()}
 
 
 def test_member_returns_witness_and_pattern_index(fullhouse):

@@ -194,8 +194,11 @@ def test_classify_rejects_singular(capsys):
     '{"field": {"p": 2, "e": 1}, "rows": 2, "cols": 2, "entries": [0, 1, 1, 0.5]}',
     '{"field": {"p": 2, "e": 1}, "rows": 2.5, "cols": 2, "entries": [0, 1, 1, 0]}',
     '{"field": {"p": 2, "e": 1}, "rows": -1, "cols": 2, "entries": [0, 1, 1, 0]}',
+    '{"field": {"p": 2.9, "e": 1}, "rows": 2, "cols": 2, "entries": [0, 1, 1, 0]}',
+    '{"field": {"p": 2, "e": 1.5}, "rows": 2, "cols": 2, "entries": [0, 1, 1, 0]}',
+    '{"field": {"p": "3", "e": 1}, "rows": 2, "cols": 2, "entries": [0, 1, 1, 0]}',
 ], ids=["empty-object", "not-an-object", "fractional-entry", "fractional-rows",
-        "negative-rows"])
+        "negative-rows", "fractional-p", "fractional-e", "string-p"])
 def test_classify_rejects_malformed_json(capsys, payload):
     code, out, err = run_cli(capsys, ["classify"], stdin=payload)
     assert code == 1 and out == ""

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from gfminrank import (MatrixFq, are_isomorphic, field_from_order, generate,
@@ -8,7 +9,7 @@ from gfminrank.matfq import rank as matrix_rank
 from gfminrank.patterns import (_GENERATOR_BLOCK, PatternPropertyError, VertexBudgetError,
                                 gram_matrix, isometry_generators, pattern_graph,
                                 rank_certificate)
-from gfminrank.projgeo import enumerate_points, pairing, pairing_matrix, point_array
+from gfminrank.projgeo import enumerate_points, pairing, pairing_matrix
 from gfminrank.refdata import (F2R3_GRAM, F2R4A_GRAM, F2R4B_GRAM, F3R3_GRAM,
                                G2F2_IDENTITY_GRAM, G2F2_SYMPLECTIC_GRAM,
                                G2F2_U, u_columns)
@@ -30,7 +31,7 @@ def graph_of_gram(gram: MatrixFq):
 ])
 def test_generated_matrices_match_reference(q, k, idx, ref):
     ps = generate(q, k)
-    gm = gram_matrix(ps.field, ps.points, ps.patterns[idx].form)
+    gm = gram_matrix(ps.points, ps.patterns[idx].form)
     assert gm.to_lists() == ref
     assert ps.patterns[idx].graph == graph_of_gram(gm)
 
@@ -39,9 +40,9 @@ def test_rank2_gf2_patterns_match_reference_up_to_column_order():
     ps = generate(2, 2)
     cols = u_columns(G2F2_U)
     live = [j for j, c in enumerate(cols) if any(c)]
-    pos = [cols.index(p) for p in ps.points]  # printed column of each point
+    pos = [cols.index(tuple(p)) for p in ps.points.tolist()]  # printed column of each point
     for idx, ref in [(0, G2F2_IDENTITY_GRAM), (1, G2F2_SYMPLECTIC_GRAM)]:
-        gm = gram_matrix(ps.field, ps.points, ps.patterns[idx].form)
+        gm = gram_matrix(ps.points, ps.patterns[idx].form)
         expected = [[ref[pos[i]][pos[j]] for j in range(len(live))]
                     for i in range(len(live))]
         assert gm.to_lists() == expected
@@ -62,6 +63,13 @@ def test_generate_k0_and_k1():
     ps1 = generate(3, 1)
     g = ps1.patterns[0].graph
     assert g.n == 1 and g.has_loop(0)
+
+
+def test_points_are_read_only():
+    ps = generate(2, 3)
+    assert ps.points.shape == (7, 3) and ps.points.dtype == np.int64
+    with pytest.raises(ValueError):
+        ps.points[0, 0] = 1
 
 
 def test_vertex_budget_guard():
@@ -106,7 +114,7 @@ def test_gram_rank_equals_k():
     for q, k in [(2, 4), (3, 3), (5, 2)]:
         ps = generate(q, k)
         for pat in ps.patterns:
-            gm = gram_matrix(ps.field, ps.points, pat.form)
+            gm = gram_matrix(ps.points, pat.form)
             assert matrix_rank(gm) == k
 
 
@@ -140,7 +148,7 @@ def test_congruent_representative_gives_isomorphic_pattern(q, kmax, rng):
             for _ in range(3):
                 c = _random_invertible(f, k, rng)
                 twisted = c.transpose() @ pat.form @ c
-                g2 = pattern_graph(f, points, twisted)
+                g2 = pattern_graph(points, twisted)
                 assert are_isomorphic(pat.graph, g2)
 
 
@@ -171,7 +179,7 @@ def test_orbit_keys_follow_the_form(q, k):
     # the generators come in blocks, each (a, c) with c (2 + c B(a,a)) = 0
     # exactly once; and every generator the roots come from is an automorphism
     ps = generate(q, k)
-    f, pts = ps.field, list(ps.points)
+    f, pts = ps.field, [tuple(p) for p in ps.points.tolist()]
     index = {p: v for v, p in enumerate(pts)}
     for pat in ps.patterns:
         gram = pairing_matrix(ps.points, pat.form).tolist()
@@ -185,7 +193,7 @@ def test_orbit_keys_follow_the_form(q, k):
         roots = [v for v in range(len(pts)) if pat.masks.roots >> v & 1]
         assert sorted(keys[v] for v in roots) == sorted(set(keys))
 
-        blocks = list(isometry_generators(pat.form, point_array(ps.points)))
+        blocks = list(isometry_generators(pat.form, ps.points))
         assert blocks or k == 1
         assert all(0 < len(centres) <= _GENERATOR_BLOCK for centres, _ in blocks)
         pairs = [(a, c) for centres, scalars in blocks
