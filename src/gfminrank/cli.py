@@ -87,9 +87,7 @@ def cmd_patterns(args) -> int:
     ps = generate(q, args.k, vertex_budget=args.vertex_budget)
     for idx, pat in enumerate(ps.patterns):
         if args.format == "json":
-            obj = looped_to_json(pat.graph)
-            obj["q"], obj["k"], obj["pattern"] = q, args.k, idx
-            _emit(obj)
+            sys.stdout.write(looped_to_json(pat.graph, q=q, k=args.k, pattern=idx) + "\n")
         elif args.format == "dot":
             sys.stdout.write(to_dot(pat.graph, name=f"pattern_{idx}") + "\n")
         else:  # matrix

@@ -5,6 +5,17 @@ grouping equal neighbourhoods, blowups of looped patterns (a complete
 multipartite graph is the blowup of a loopless complete pattern),
 backtracking isomorphism for desk-scale graphs, and a canonical form.
 
+Every graph's rows are checked on construction with no Python loop over
+vertex pairs: they are packed into one integer, row i at bit i*s for the
+stride s, the power of two >= max(n, 8), so that each row is whole bytes.
+One mask finds bits outside the vertex range and loops, and log2(s) delta
+swaps transpose the packed bit matrix; the rows are symmetric exactly when
+the transpose equals the packed integer.  The masks are cached per n (the
+swaps per s).  looped_to_json and to_dot write their text one adjacency
+row at a time: the row's binary digits select the neighbours' names from
+a list made once per graph, and a str.join writes the row's edges, so no
+Python object is made per edge.
+
 canonical_form(g) is g relabelled by the least leaf of its
 individualisation-refinement tree (McKay and Piperno, "Practical graph
 isomorphism, II", 2014): each node refines an ordered partition to an
@@ -20,31 +31,82 @@ groups make the unpruned tree too big.
 from __future__ import annotations
 
 import enum
+import functools
+import json
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
+
+
+@functools.lru_cache(maxsize=8)
+def _swap_masks(s: int) -> tuple[tuple[int, int], ...]:
+    """(d, mask) for the delta swaps that transpose an s x s bit matrix
+    stored row i at bit i*s (Warren, Hacker's Delight, 7-3): for block
+    size j = s/2, ..., 1 the mask holds the entries (i, c) with bit j of i
+    clear and of c set, which trade places with (i + j, c - j), d = j(s-1)
+    bits higher.  Built by repeating bytes, which takes time linear in the
+    mask's size, where summing shifted rows does not."""
+    nb = s // 8
+    swaps = []
+    j = s // 2
+    while j:
+        cols = ((1 << s) - 1) // ((1 << 2 * j) - 1) * (((1 << j) - 1) << j)
+        block = cols.to_bytes(nb, "little") * j + bytes(nb * j)
+        swaps.append((j * (s - 1), int.from_bytes(block * (s // (2 * j)), "little")))
+        j >>= 1
+    return tuple(swaps)
+
+
+@functools.lru_cache(maxsize=32)
+def _row_masks(n: int) -> tuple[int, int, tuple[tuple[int, int], ...]]:
+    """(bytes per row, mask of the bits a valid row set never has, the
+    transpose's swaps) for n rows packed at the stride s, the power of
+    two >= max(n, 8).  The mask holds bits n..s-1 and the diagonal bit of
+    each of the n rows."""
+    s = 8
+    while s < n:
+        s <<= 1
+    nb = s // 8
+    bad = bytearray((((1 << s) - 1) >> n << n).to_bytes(nb, "little") * n)
+    for i in range(n):
+        bad[i * nb + (i >> 3)] |= 1 << (i & 7)
+    return nb, int.from_bytes(bad, "little"), _swap_masks(s)
 
 
 def _check_rows(n: int, rows) -> tuple[int, ...]:
-    rows = tuple(int(r) for r in rows)
+    """rows as a tuple of ints, once they are checked to be the adjacency
+    rows of a loop-free undirected graph on n vertices."""
+    rows = tuple(map(int, rows))
     if len(rows) != n:
         raise ValueError("adjacency row count does not match n")
-    full = (1 << n) - 1
-    for i, r in enumerate(rows):
-        if r & ~full:
-            raise ValueError("adjacency bits outside vertex range")
-        if (r >> i) & 1:
-            raise ValueError(f"loop stored in adjacency at vertex {i}")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if ((rows[i] >> j) & 1) != ((rows[j] >> i) & 1):
-                raise ValueError("adjacency is not symmetric")
+    nb, bad, swaps = _row_masks(n)
+    try:
+        t = int.from_bytes(b"".join([r.to_bytes(nb, "little") for r in rows]), "little")
+    except OverflowError:  # a negative row, or a bit at or past the stride
+        t = bad  # sends it to the row-by-row diagnosis
+    if t & bad:
+        full = (1 << n) - 1
+        for i, r in enumerate(rows):
+            if r & ~full:
+                raise ValueError("adjacency bits outside vertex range")
+            if (r >> i) & 1:
+                raise ValueError(f"loop stored in adjacency at vertex {i}")
+    u = t
+    for d, m in swaps:
+        x = (u ^ (u >> d)) & m
+        u ^= x ^ (x << d)
+    if u != t:
+        raise ValueError("adjacency is not symmetric")
     return rows
 
 
 def _edge_rows(n: int, edges) -> list[int]:
-    """Adjacency rows of an edge list; a loop (u, u) is a ValueError."""
+    """Adjacency rows of an edge list; a loop (u, u) or an endpoint
+    outside 0..n-1 is a ValueError."""
     rows = [0] * n
     for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
         if u == v:
             raise ValueError("simple graphs have no loops")
         rows[u] |= 1 << v
@@ -320,12 +382,37 @@ def emit_graph6(g: SimpleGraph) -> str:
 
 # -- looped-graph serialisation ------------------------------------------------
 
-def looped_to_json(g: LoopedGraph) -> dict:
-    return {
-        "n": g.n,
-        "loops": g.looped_vertices(),
-        "edges": [list(e) for e in g.edges()],
-    }
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _named(mask: int, names):
+    """names[v] for the bits v set in mask, in increasing order; the
+    reversed binary digits of mask select them, so no Python object is
+    made per bit."""
+    return compress(names, bin(mask)[:1:-1].encode().translate(_BIT_BYTES))
+
+
+def _edge_text(rows, names, left: str, right: str, sep: str) -> str:
+    """sep.join(left.format(u) + names[v] + right) over the edges (u, v),
+    u < v, in _row_edges order, built one row at a time."""
+    parts = []
+    for u, r in enumerate(rows):
+        m = r >> (u + 1)
+        if m:
+            head = left.format(u)
+            parts.append(head + (right + sep + head).join(_named(m, names[u + 1:])) + right)
+    return sep.join(parts)
+
+
+def looped_to_json(g: LoopedGraph, **extra) -> str:
+    """The JSON text of {"n": .., "loops": .., "edges": .., **extra}, byte
+    for byte what json.dumps gives, for extra keys other than those
+    three."""
+    names = list(map(str, range(g.n)))
+    tail = json.dumps(extra)[1:-1]
+    return (f'{{"n": {g.n}, "loops": [{", ".join(_named(g.loops, names))}], '
+            f'"edges": [{_edge_text(g.rows, names, "[{}, ", "]", ", ")}]'
+            f'{", " + tail if tail else ""}}}')
 
 
 def looped_from_json(obj: dict) -> LoopedGraph:
@@ -343,8 +430,9 @@ def to_dot(g: LoopedGraph | SimpleGraph, name: str = "G") -> str:
             lines.append(f"  {v} [style=filled, fillcolor=black, fontcolor=white];")
         else:
             lines.append(f"  {v} [style=filled, fillcolor=white];")
-    for u, v in g.edges():
-        lines.append(f"  {u} -- {v};")
+    edges = _edge_text(g.rows, list(map(str, range(g.n))), "  {} -- ", ";", "\n")
+    if edges:
+        lines.append(edges)
     lines.append("}")
     return "\n".join(lines)
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -16,6 +17,76 @@ from gfminrank.miner import GRAPH_COUNTS, enumerate_graphs
 def random_graph(n, rng, p=0.5):
     return SimpleGraph.from_edges(
         n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+
+
+# -- adjacency rows ------------------------------------------------------------
+
+def pair_loop_accepts(n, rows):
+    """The reference check: rows inside 0..n-1, no loop, and bit j of row i
+    equal to bit i of row j for every pair i < j."""
+    full = (1 << n) - 1
+    if any(r & ~full or r >> i & 1 for i, r in enumerate(rows)):
+        return False
+    return all((rows[i] >> j & 1) == (rows[j] >> i & 1)
+               for i in range(n) for j in range(i + 1, n))
+
+
+def accepts(n, rows):
+    try:
+        SimpleGraph(n, rows)
+    except ValueError:
+        return False
+    return True
+
+
+# both sides of each change of the packing stride (8, 64, 128, 256)
+CHECK_SIZES = list(range(21)) + [63, 64, 65, 127, 128, 129]
+
+
+def test_row_check_agrees_with_a_pair_loop(rng):
+    for n in CHECK_SIZES:
+        stride = max(8, 1 << (n - 1).bit_length())
+        for trial in range(30):
+            rows = list(random_graph(n, rng).rows)
+            kind = trial % 7 if n else 0
+            i, j = rng.randrange(n or 1), rng.randrange(n or 1)
+            if kind == 1:  # one flipped bit, a loop when i == j
+                rows[i] ^= 1 << j
+            elif kind == 2 and i != j:  # a symmetric pair flipped
+                rows[i] ^= 1 << j
+                rows[j] ^= 1 << i
+            elif kind == 3 and n < stride:  # a bit in n..stride-1
+                rows[i] |= 1 << rng.randrange(n, stride)
+            elif kind == 4:  # a bit past the stride
+                rows[i] |= 1 << rng.randrange(stride, 3 * stride)
+            elif kind == 5:  # a negative row
+                rows[i] = ~rows[i] if rng.random() < 0.5 else -(1 << j)
+            elif kind == 6:
+                rows[i] |= 1 << i
+            assert accepts(n, rows) == pair_loop_accepts(n, rows), (n, kind, rows)
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([2, 0, 0], "not symmetric"),
+    ([2, 1, 8], "outside vertex range"),
+    ([2, -2, 0], "outside vertex range"),
+    ([2, 1 << 300, 0], "outside vertex range"),
+    ([2, 3, 0], "loop stored in adjacency at vertex 1"),
+    ([3, 1, 8], "loop stored in adjacency at vertex 0"),
+])
+def test_row_check_names_the_first_fault(rows, message):
+    with pytest.raises(ValueError, match=message):
+        SimpleGraph(3, rows)
+    with pytest.raises(ValueError, match=message):
+        LoopedGraph(3, rows, 0)
+
+
+@pytest.mark.parametrize("edge", [(0, 5), (5, 0), (0, 2), (-1, 1), (1, -3)])
+def test_edge_endpoint_outside_the_vertices_is_a_value_error(edge):
+    with pytest.raises(ValueError, match="outside 0..1"):
+        SimpleGraph.from_edges(2, [edge])
+    with pytest.raises(ValueError, match="outside 0..1"):
+        looped_from_json({"n": 2, "edges": [list(edge)], "loops": []})
 
 
 # -- graph6 --------------------------------------------------------------------
@@ -302,7 +373,7 @@ def test_looped_json_roundtrip(rng):
     for _ in range(25):
         n = rng.randrange(0, 8)
         g = random_graph(n, rng).with_loops(rng.getrandbits(n) if n else 0)
-        assert looped_from_json(looped_to_json(g)) == g
+        assert looped_from_json(json.loads(looped_to_json(g))) == g
 
 
 def test_dot_output_styles_loops():
@@ -311,3 +382,31 @@ def test_dot_output_styles_loops():
     assert "0 [style=filled, fillcolor=black" in dot
     assert "1 [style=filled, fillcolor=white" in dot
     assert "0 -- 1;" in dot
+
+
+def serialisation_cases(rng):
+    yield SimpleGraph.empty(0).with_loops()
+    yield SimpleGraph.empty(1).with_loops()
+    yield SimpleGraph.empty(1).with_loops(1)
+    yield SimpleGraph.empty(6).with_loops(0b100101)
+    yield SimpleGraph.complete(7).with_loops()
+    yield SimpleGraph.complete(9).with_loops(511)
+    for n in rng.choices(range(70), k=30):
+        yield random_graph(n, rng, rng.random()).with_loops(rng.getrandbits(n) if n else 0)
+
+
+def test_looped_to_json_is_json_dumps_of_the_record(rng):
+    for g in serialisation_cases(rng):
+        record = {"n": g.n, "loops": g.looped_vertices(), "edges": [list(e) for e in g.edges()]}
+        assert looped_to_json(g) == json.dumps(record)
+        extra = {"q": 4, "k": 3, "pattern": 1, "note": 'a "b" é'}
+        assert looped_to_json(g, **extra) == json.dumps({**record, **extra})
+
+
+def test_dot_output_matches_an_edge_at_a_time_writer(rng):
+    for g in serialisation_cases(rng):
+        lines = ["graph P {", "  node [shape=circle];"]
+        lines += [f"  {v} [style=filled, fillcolor=black, fontcolor=white];" if g.has_loop(v)
+                  else f"  {v} [style=filled, fillcolor=white];" for v in range(g.n)]
+        lines += [f"  {u} -- {v};" for u, v in g.edges()] + ["}"]
+        assert to_dot(g, name="P") == "\n".join(lines)
