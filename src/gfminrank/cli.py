@@ -164,8 +164,7 @@ def cmd_mine(args) -> int:
 
     run = mine(q, args.k, n_max=args.max_n,
                source=parsed() if args.input else None,
-               checkpoint=args.resume, jobs=args.jobs,
-               max_graphs=args.max_graphs)
+               checkpoint=args.resume, max_graphs=args.max_graphs)
     _emit({"forbidden": run.found_graph6(), "stats": run.stats})
     return 1 if bad_lines else 0
 
@@ -238,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mine", help="collect minimal forbidden subgraphs")
     p.add_argument("--q", required=True, help=Q_HELP)
     p.add_argument("--input", help=INPUT_HELP)
-    p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--max-n", type=int, default=None)
     p.add_argument("--max-graphs", type=int, default=None)

@@ -415,9 +415,39 @@ def looped_to_json(g: LoopedGraph, **extra) -> str:
             f'{", " + tail if tail else ""}}}')
 
 
+def _json_vertex(x, what: str, n: int) -> int:
+    """x, once it is checked to be an int (not a bool) in 0..n-1."""
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise ValueError(f"{what} {x!r} is not an integer")
+    if not 0 <= x < n:
+        raise ValueError(f"{what} {x} is outside 0..{n - 1}")
+    return x
+
+
+def _json_list(obj: dict, key: str) -> list:
+    value = obj[key]
+    if not isinstance(value, list):
+        raise ValueError(f"{key} {value!r} is not a list")
+    return value
+
+
 def looped_from_json(obj: dict) -> LoopedGraph:
-    return LoopedGraph.from_parts(int(obj["n"]), [tuple(e) for e in obj["edges"]],
-                                  [int(v) for v in obj["loops"]])
+    """The graph of a looped_to_json object.  n must be a nonnegative int,
+    each edge a pair of ints and each loop an int, the vertices in 0..n-1
+    (a bool is not an int here); anything else is a ValueError naming the
+    field."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{obj!r} is not a JSON object")
+    n = obj["n"]
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise ValueError(f"n {n!r} is not a nonnegative integer")
+    edges = []
+    for e in _json_list(obj, "edges"):
+        if not isinstance(e, list) or len(e) != 2:
+            raise ValueError(f"edge {e!r} is not a pair of vertices")
+        edges.append(tuple(_json_vertex(v, f"edge {e!r} endpoint", n) for v in e))
+    loops = [_json_vertex(v, "loop vertex", n) for v in _json_list(obj, "loops")]
+    return LoopedGraph.from_parts(n, edges, loops)
 
 
 def to_dot(g: LoopedGraph | SimpleGraph, name: str = "G") -> str:

@@ -2,8 +2,11 @@
 
 A graph is a minimal forbidden subgraph for "minimum rank at most k over
 GF(q)" when it is not a member but every single-vertex-deleted induced
-subgraph is (membership is closed under induced subgraphs, so checking the
-n deletions suffices).
+subgraph is.  The members are the blowups of the finitely many k-patterns,
+and deleting a vertex from a blowup leaves a blowup of the same pattern, so
+membership is closed under induced subgraphs: checking the n deletions
+suffices, and a graph with a non-member induced subgraph is a non-member
+and not minimal.
 
 Every "have I seen this graph?" check (deduplicating the enumeration's
 candidates, and the mined graphs of one run, resumed checkpoints included)
@@ -19,7 +22,6 @@ from __future__ import annotations
 import functools
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .blowup import InvariantError, member
@@ -30,6 +32,10 @@ from .graphs import (SimpleGraph, are_isomorphic, canonical_form, emit_graph6,
                      parse_graph6)
 
 CHECKPOINT_EVERY = 10_000
+# verdicts a run keeps before it starts its table afresh: a run over all
+# graphs on up to 7 vertices records at most 1,583, and a long --input
+# stream must not grow the table without end
+VERDICT_TABLE_LIMIT = 1 << 14
 
 # iso-class counts for n = 0..7, used as enumeration self-checks
 GRAPH_COUNTS = (1, 1, 2, 4, 11, 34, 156, 1044)
@@ -56,8 +62,9 @@ def enumerate_graphs(n: int) -> tuple[SimpleGraph, ...]:
     over all attachment sets, then keeping the first candidate of each
     canonical_form key, so the representatives and their order do not
     depend on how the keys are computed.  n <= 7 (1253 classes from 11,291
-    candidates) takes about 0.45 s on a 2-CPU x86 host; n = 8 (12,346
-    classes from 133,632 candidates, streamed) about 5.4 s and 36 MB peak RSS.
+    candidates) takes about 0.8 s on a 2-CPU Intel Xeon host; n = 8 (12,346
+    classes from 133,632 candidates, streamed) about 10.5 s and 35 MB peak
+    RSS.
     """
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
@@ -190,19 +197,44 @@ def _is_member(g: SimpleGraph, q: int, k: int) -> bool:
     return member(g, q, k)[0]
 
 
-def _is_minimal_forbidden(g: SimpleGraph, q: int, k: int) -> bool:
-    if _is_member(g, q, k):
-        return False
+def _deletions(g: SimpleGraph):
+    """The one-vertex-deleted subgraphs g - v, v = 0..n-1, relabelled in order."""
     for v in range(g.n):
-        sub = g.induced([u for u in range(g.n) if u != v])
-        if not _is_member(sub, q, k):
-            return False
-    return True
+        yield g.induced([u for u in range(g.n) if u != v])
 
 
-def _classify_chunk(args: tuple[int, int, list[str]]) -> list[bool]:
-    q, k, chunk = args
-    return [_is_minimal_forbidden(parse_graph6(s), q, k) for s in chunk]
+def _check_minimal_forbidden(g: SimpleGraph, q: int, k: int) -> bool:
+    """Whether g is a non-member each of whose one-vertex deletions is a
+    member, with every verdict from member."""
+    return not _is_member(g, q, k) and all(_is_member(h, q, k) for h in _deletions(g))
+
+
+def _is_minimal_forbidden(g: SimpleGraph, q: int, k: int,
+                          known: dict[SimpleGraph, bool]) -> bool:
+    """_check_minimal_forbidden, reading and extending ``known``, a table of
+    member verdicts keyed by labelled graph, around every member call.
+
+    Membership is hereditary (see the module docstring): if the parent
+    g - (n-1) is recorded as a non-member, g is recorded as one too and is
+    not minimal, at no member call; and a non-member g with a recorded
+    non-member deletion is not minimal either.  mine calls this exactly
+    once per scanned graph and for nothing else, so a clock on this name
+    times the scanned graphs.
+    """
+    def is_member(h: SimpleGraph) -> bool:
+        verdict = known.get(h)
+        if verdict is None:
+            verdict = known[h] = _is_member(h, q, k)
+        return verdict
+
+    if known.get(g.induced(range(g.n - 1))) is False:
+        known[g] = False
+        return False
+    if is_member(g):
+        return False
+    deletions = list(_deletions(g))
+    return (all(known.get(h) is not False for h in deletions)
+            and all(is_member(h) for h in deletions))
 
 
 def _internal_stream(n_max: int):
@@ -233,8 +265,7 @@ def _write_checkpoint(path: str, q: int, k: int, n: int, counter: int,
 
 
 def mine(q: int, k: int, n_max: int | None = None, source=None,
-         checkpoint: str | None = None, jobs: int = 1,
-         max_graphs: int | None = None,
+         checkpoint: str | None = None, max_graphs: int | None = None,
          checkpoint_every: int = CHECKPOINT_EVERY) -> MinerRun:
     """Collect minimal forbidden subgraphs for membership in G_k over GF(q).
 
@@ -244,8 +275,17 @@ def mine(q: int, k: int, n_max: int | None = None, source=None,
     The checkpoint keeps a sha256 over the graph6 lines of the graphs it
     covers; resuming against a source that does not start with those graphs
     is a ValueError.
-    Work is classified in enumeration order regardless of ``jobs``, so the
-    output is independent of the worker count.
+
+    Verdicts follow heredity (see the module docstring).  The internal
+    enumeration builds each graph on n vertices as an (n-1)-vertex
+    representative plus vertex n-1, so its first n-1 vertices induce, label
+    for label, a graph this run has already classified.  The run keeps one
+    table of member verdicts keyed by labelled graph (see
+    _is_minimal_forbidden), so a graph whose parent is a non-member costs
+    no member call.  Graphs from ``source``, or met after resuming a
+    checkpoint, are classified the same way and only hit the table less
+    often.  The mined graphs are re-verified at the end without the table,
+    so that check does not rest on it.
     """
     if source is None:
         if n_max is None:
@@ -269,58 +309,38 @@ def mine(q: int, k: int, n_max: int | None = None, source=None,
 
     run = MinerRun(q=q, k=k, n_max=n_max, source=source_desc, found=found)
     found_keys = {canonical_form(g) for g in found}
-    scanned = skip
-    pending: list[SimpleGraph] = []
+    known: dict[SimpleGraph, bool] = {}
+    scanned = 0
 
-    def flush_pending():
-        nonlocal scanned
-        if not pending:
-            return
-        if jobs > 1:
-            chunks = [pending[i::jobs] for i in range(jobs)]
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(
-                    _classify_chunk,
-                    [(q, k, [emit_graph6(g) for g in ch]) for ch in chunks]))
-            verdicts = [None] * len(pending)
-            for lane, res in enumerate(results):
-                for pos, v in enumerate(res):
-                    verdicts[lane + pos * jobs] = v
-        else:
-            verdicts = [_is_minimal_forbidden(g, q, k) for g in pending]
-        for g, bad in zip(pending, verdicts):
-            if bad:
-                key = canonical_form(g)
-                if key not in found_keys:
-                    found_keys.add(key)
-                    run.found.append(g)
-        scanned += len(pending)
-        pending.clear()
-        if checkpoint:
-            _write_checkpoint(checkpoint, q, k, max((g.n for g in run.found), default=0),
-                              scanned, run.found, source_sha256.hexdigest())
+    def save():
+        _write_checkpoint(checkpoint, q, k, max((g.n for g in run.found), default=0),
+                          scanned, run.found, source_sha256.hexdigest())
 
-    emitted = 0
     for g in stream:
         if checkpoint:
             source_sha256.update(emit_graph6(g).encode("ascii") + b"\n")
-        emitted += 1
-        if emitted == skip and source_sha256.hexdigest() != skip_sha256:
-            raise ValueError("checkpoint was written for a different source")
-        if emitted <= skip:
+        scanned += 1
+        if scanned <= skip:
+            if scanned == skip and source_sha256.hexdigest() != skip_sha256:
+                raise ValueError("checkpoint was written for a different source")
             continue
-        pending.append(g)
-        if max_graphs is not None and emitted - skip >= max_graphs:
+        if len(known) > VERDICT_TABLE_LIMIT:
+            known.clear()
+        if _is_minimal_forbidden(g, q, k, known):
+            key = canonical_form(g)
+            if key not in found_keys:
+                found_keys.add(key)
+                run.found.append(g)
+        if checkpoint and (scanned - skip) % checkpoint_every == 0:
+            save()
+        if max_graphs is not None and scanned - skip >= max_graphs:
             break
-        if len(pending) >= checkpoint_every:
-            flush_pending()
-    if emitted < skip:
-        raise ValueError(f"checkpoint covers {skip} graphs, the source has {emitted}")
-    flush_pending()
+    if scanned < skip:
+        raise ValueError(f"checkpoint covers {skip} graphs, the source has {scanned}")
 
-    # report-time re-verification of the minimality invariant
+    # report-time re-verification of the minimality invariant, table-free
     for g in run.found:
-        if not _is_minimal_forbidden(g, q, k):
+        if not _check_minimal_forbidden(g, q, k):
             raise InvariantError(f"mined graph {emit_graph6(g)} failed re-verification")
 
     run.stats = {
@@ -331,6 +351,5 @@ def mine(q: int, k: int, n_max: int | None = None, source=None,
         "source": source_desc,
     }
     if checkpoint:
-        _write_checkpoint(checkpoint, q, k, max((g.n for g in run.found), default=0),
-                          scanned, run.found, source_sha256.hexdigest())
+        save()
     return run

@@ -74,6 +74,7 @@ def test_patterns_rejects_graph6_format(capsys):
     ["member", "--q", "2", "--k", "2"],
     ["classify"],
     ["selftest"],
+    ["mine", "--q", "2", "--k", "1"],
 ])
 def test_jobs_only_on_commands_that_use_it(capsys, argv):
     with pytest.raises(SystemExit) as exc:

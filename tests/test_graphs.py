@@ -376,6 +376,29 @@ def test_looped_json_roundtrip(rng):
         assert looped_from_json(json.loads(looped_to_json(g))) == g
 
 
+@pytest.mark.parametrize("obj,message", [
+    ({"n": 2, "edges": [["0", "1"]], "loops": []}, "endpoint '0' is not an integer"),
+    ({"n": 2, "edges": [[0, 1.5]], "loops": []}, "endpoint 1.5 is not an integer"),
+    ({"n": 2, "edges": [[True, 0]], "loops": []}, "endpoint True is not an integer"),
+    ({"n": 2, "edges": [[0, 1, 1]], "loops": []}, "edge .* is not a pair"),
+    ({"n": 2, "edges": [5], "loops": []}, "edge 5 is not a pair"),
+    ({"n": 2, "edges": {}, "loops": []}, "edges {} is not a list"),
+    ({"n": 2, "edges": [], "loops": [1.5]}, "loop vertex 1.5 is not an integer"),
+    ({"n": 2, "edges": [], "loops": [-1]}, r"loop vertex -1 is outside 0\.\.1"),
+    ({"n": 2, "edges": [], "loops": [2]}, r"loop vertex 2 is outside 0\.\.1"),
+    ({"n": 2, "edges": [], "loops": [False]}, "loop vertex False is not an integer"),
+    ({"n": 2.7, "edges": [], "loops": []}, "n 2.7 is not a nonnegative integer"),
+    ({"n": -1, "edges": [], "loops": []}, "n -1 is not a nonnegative integer"),
+    ({"n": True, "edges": [], "loops": []}, "n True is not a nonnegative integer"),
+    ([2, [], []], "is not a JSON object"),
+], ids=["string-endpoint", "fractional-endpoint", "bool-endpoint", "triple-edge",
+        "int-edge", "dict-edges", "fractional-loop", "negative-loop", "loop-past-n",
+        "bool-loop", "fractional-n", "negative-n", "bool-n", "list-record"])
+def test_looped_from_json_rejects_malformed_fields(obj, message):
+    with pytest.raises(ValueError, match=message):
+        looped_from_json(obj)
+
+
 def test_dot_output_styles_loops():
     g = LoopedGraph.from_parts(2, [(0, 1)], [0])
     dot = to_dot(g)

@@ -7,6 +7,7 @@ import pytest
 
 from gfminrank import (SimpleGraph, are_isomorphic, check_f2r2_form,
                        emit_graph6, member, mine, oracle_min_rank)
+from gfminrank import miner
 from gfminrank.miner import (GRAPH_COUNTS, TREE_COUNTS, enumerate_graphs,
                              enumerate_trees)
 
@@ -70,10 +71,32 @@ def test_mined_rank2_sets_verify_against_oracle(q, k, n_max):
             assert oracle_min_rank(sub, q) <= k
 
 
-def test_mine_determinism_across_jobs():
-    base = mine(2, 1, n_max=4).found_graph6()
-    par = mine(2, 1, n_max=4, jobs=2).found_graph6()
-    assert base == par
+@pytest.mark.parametrize("q,k,n_max", [(2, 1, 6), (2, 2, 6), (2, 3, 7),
+                                       (3, 2, 6), (3, 3, 6), (4, 2, 6)])
+def test_mine_by_heredity_matches_the_table_free_check(q, k, n_max):
+    graphs = [g for n in range(1, n_max + 1) for g in enumerate_graphs(n)]
+    direct = sorted(emit_graph6(g) for g in graphs if miner._check_minimal_forbidden(g, q, k))
+    assert mine(q, k, n_max=n_max).found_graph6() == direct
+
+
+def test_mine_is_unchanged_when_the_verdict_table_is_cleared(monkeypatch):
+    whole = mine(3, 2, n_max=6).found_graph6()
+    monkeypatch.setattr(miner, "VERDICT_TABLE_LIMIT", 10)
+    assert mine(3, 2, n_max=6).found_graph6() == whole
+
+
+def test_mine_makes_at_most_one_member_call_per_scanned_graph(monkeypatch):
+    calls = []
+    is_member = miner._is_member
+
+    def counted(g, q, k):
+        calls.append(g)
+        return is_member(g, q, k)
+
+    monkeypatch.setattr(miner, "_is_member", counted)
+    run = mine(2, 2, n_max=7)
+    assert run.stats["scanned"] == 1252
+    assert len(calls) <= run.stats["scanned"]
 
 
 def test_mine_checkpoint_resume(tmp_path):
