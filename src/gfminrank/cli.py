@@ -14,7 +14,6 @@ import argparse
 import functools
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import selftest
 from .blowup import MinRankBoundError, member, min_rank
@@ -22,7 +21,7 @@ from .gf import factor_prime_power
 from .graphs import emit_graph6, looped_to_json, parse_graph6, to_dot
 from .matfq import MatrixFq, classify_invertible_symmetric
 from .miner import mine
-from .oracle import DEFAULT_BUDGET, OracleBudgetError, oracle_min_rank, plan_scan
+from .oracle import DEFAULT_BUDGET, OracleBudgetError, oracle_min_rank
 from .patterns import DEFAULT_VERTEX_BUDGET, VertexBudgetError, generate, gram_matrix
 
 
@@ -124,23 +123,11 @@ def cmd_member(args) -> int:
     return _serve(args, answer)
 
 
-def _oracle_worker(payload):
-    g6, q, budget, lo, hi = payload
-    return oracle_min_rank(parse_graph6(g6), q, budget=budget, start=lo, stop=hi)
-
-
 def cmd_oracle(args) -> int:
     q = parse_order(args.q)
 
     def answer(g):
         try:
-            if args.jobs > 1 and g.edge_count() > 0:
-                _, _, total = plan_scan(g, q, args.budget)
-                step = (total + args.jobs - 1) // args.jobs
-                spans = [(emit_graph6(g), q, args.budget, lo, min(lo + step, total))
-                         for lo in range(0, total, step)]
-                with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                    return {"minrank": min(pool.map(_oracle_worker, spans))}
             return {"minrank": oracle_min_rank(g, q, budget=args.budget)}
         except OracleBudgetError:
             return {"error": "budget"}
@@ -197,7 +184,6 @@ def cmd_selftest(args) -> int:
 
 Q_HELP = "field order, e.g. 4 or 2^2"
 INPUT_HELP = "read graphs from a file instead of stdin"
-JOBS_HELP = "worker processes (default 1)"
 
 
 # parsing leaves the parser unchanged, so one instance serves every call
@@ -230,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="brute-force minimum rank of each input graph")
     p.add_argument("--q", required=True, help=Q_HELP)
     p.add_argument("--input", help=INPUT_HELP)
-    p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(func=cmd_oracle)
 
@@ -251,6 +236,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_selftest)
 
     return top
+
+
+# built at import, so that the processes forked from one that has imported
+# this module do not each build it (argparse's gettext lookups included)
+build_parser()
 
 
 def main(argv=None) -> int:

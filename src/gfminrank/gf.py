@@ -27,9 +27,9 @@ import numpy as np
 
 Q_MAX = 1 << 16
 
-# Cap for the dense q x q operation tables handed to the batch kernels.
-# Within the oracle's enumeration budget the field order never gets near
-# this, so the guard only trips on hand-raised budgets.
+# Cap for the dense q x q operation tables the oracle search reads.  Larger
+# fields would make the tables the bulk of the oracle's memory, so the
+# oracle refuses them as over budget.
 KERNEL_TABLE_MAX_Q = 1024
 
 
@@ -318,7 +318,7 @@ class FieldCtx:
         return range(self.q)
 
     def kernel_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Dense (add, sub, mul, inv) tables for the batch rank kernels."""
+        """Dense (add, sub, mul, inv) tables for the oracle's row reduction."""
         if self.q > KERNEL_TABLE_MAX_Q:
             raise ValueError(f"field order {self.q} too large for dense kernel tables")
         if self._kernel_tables is None:

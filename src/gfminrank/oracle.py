@@ -8,7 +8,9 @@ while its diagonal d_v^2 a_vv still ranges over all of GF(q).  So the
 minimum rank over all matrices realising the graph is the minimum over
 the q^n (q-1)^(m-n+c) matrices with forest edges 1, every diagonal and
 every nonzero value on the other edges (n vertices, m edges, c connected
-components counting isolated vertices), which is what the scan visits.
+components counting isolated vertices).  ``_kernels.scan_min_rank``
+searches them row by row, cutting every branch whose leading rows already
+have rank at least the least rank found, so it visits far fewer nodes.
 
 Deliberately simple: it shares no code with the blowup route below the
 graph layer, and it is the ground truth the classification pipeline is
@@ -17,30 +19,32 @@ validated against.
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import _kernels
 from .gf import field_from_order
 from .graphs import SimpleGraph
 
-DEFAULT_BUDGET = 10 ** 8
+# Search nodes (row choices) before refusing.  On a 2-CPU Intel Xeon host
+# the search visits 19k-160k nodes per second on 10-28 vertices, so a
+# refusal comes within about 210 s.
+DEFAULT_BUDGET = 4 * 10 ** 6
 
 
 class OracleBudgetError(Exception):
-    """The enumeration would exceed the configured budget."""
+    """The search would visit more nodes than the configured budget."""
 
     def __init__(self, detail: str):
         super().__init__(detail)
 
 
 class OracleScanError(AssertionError):
-    """A scan returned a rank outside 1..n: the kernel broke its contract."""
+    """The search returned a rank outside 1..n: the kernel broke its contract."""
 
 
 def enumeration_size(n: int, m: int, q: int, components: int | None = None) -> int:
-    """Matrices scanned for a graph with n vertices, m edges and this many
-    connected components.  Without ``components`` the count is q^n (q-1)^m,
-    an upper bound for every such graph."""
+    """Matrices with forest edges 1 for a graph with n vertices, m edges
+    and this many connected components: the set the search covers, not the
+    nodes it visits.  Without ``components`` the count is q^n (q-1)^m, an
+    upper bound for every such graph."""
     c = n if components is None else components
     return q ** n * (q - 1) ** (m - n + c)
 
@@ -66,45 +70,23 @@ def _spanning_forest(g: SimpleGraph) -> tuple[list[tuple[int, int]], list[tuple[
     return forest, rest
 
 
-def plan_scan(g: SimpleGraph, q: int, budget: int = DEFAULT_BUDGET
-              ) -> tuple[list[tuple[int, int]], list[tuple[int, int]], int]:
-    """(forest edges, other edges, matrices scanned) for g over GF(q).
+def oracle_min_rank(g: SimpleGraph, q: int, budget: int = DEFAULT_BUDGET) -> int:
+    """Minimum rank of g over GF(q) by exhaustive search.
 
-    Raises OracleBudgetError when the scan exceeds ``budget`` matrices.
-    """
-    forest, rest = _spanning_forest(g)
-    total = enumeration_size(g.n, len(forest) + len(rest), q, g.n - len(forest))
-    if total > budget:
-        raise OracleBudgetError(f"enumeration of {total} matrices exceeds budget {budget}")
-    return forest, rest, total
-
-
-def oracle_min_rank(g: SimpleGraph, q: int,
-                    budget: int = DEFAULT_BUDGET,
-                    start: int | None = None, stop: int | None = None) -> int:
-    """Minimum rank of g over GF(q) by exhaustive enumeration.
-
-    ``start``/``stop`` restrict the scan to a ticket range of
-    [0, plan_scan(g, q)[2]) so the work can be partitioned across processes;
-    the full range is the default.  An empty range is a ValueError.
+    Raises OracleBudgetError when the search would visit more than
+    ``budget`` nodes.
     """
     field = field_from_order(q)
     if g.edge_count() == 0:
         return 0  # the zero matrix realises every edgeless graph
-    forest, rest, total = plan_scan(g, q, budget)
+    forest, rest = _spanning_forest(g)
     try:
-        tables = field.kernel_tables()
+        tables = [t.tolist() for t in field.kernel_tables()]
     except ValueError as exc:
         raise OracleBudgetError(str(exc)) from exc
-    lo = 0 if start is None else max(0, start)
-    hi = total if stop is None else min(stop, total)
-    if lo >= hi:
-        raise ValueError(f"empty scan range [{lo}, {hi}) of {total} tickets")
-    best = _kernels.scan_min_rank(g.n, _pairs(forest), _pairs(rest), q, tables, lo, hi)
+    best = _kernels.scan_min_rank(g.n, forest, rest, q, tables, budget)
+    if best is None:
+        raise OracleBudgetError(f"search exceeds the budget of {budget} nodes")
     if not 1 <= best <= g.n:
-        raise OracleScanError(f"scan of [{lo}, {hi}) returned rank {best} for n = {g.n}")
+        raise OracleScanError(f"search returned rank {best} for n = {g.n}")
     return best
-
-
-def _pairs(edges: list[tuple[int, int]]) -> np.ndarray:
-    return np.asarray(edges, dtype=np.int64).reshape(len(edges), 2)

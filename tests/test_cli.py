@@ -13,7 +13,6 @@ import pytest
 from gfminrank import MatrixFq, SimpleGraph, emit_graph6, field_new
 from gfminrank import cli
 from gfminrank.cli import main, parse_order
-from gfminrank.oracle import plan_scan
 from gfminrank.refdata import F2R3_GRAM, FULLHOUSE_EDGES
 
 
@@ -75,6 +74,7 @@ def test_patterns_rejects_graph6_format(capsys):
     ["classify"],
     ["selftest"],
     ["mine", "--q", "2", "--k", "1"],
+    ["oracle", "--q", "2"],
 ])
 def test_jobs_only_on_commands_that_use_it(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -125,45 +125,6 @@ def test_oracle_stream_and_budget(capsys):
     code, out, _ = run_cli(capsys, ["oracle", "--q", "3", "--budget", "10"],
                            stdin=fullhouse_g6() + "\n")
     assert code == 0 and json.loads(out) == {"graph6": fullhouse_g6(), "error": "budget"}
-
-
-def test_oracle_jobs_partition(capsys):
-    code, out, _ = run_cli(capsys, ["oracle", "--q", "2", "--jobs", "2"],
-                           stdin=fullhouse_g6() + "\n")
-    assert code == 0 and json.loads(out)["minrank"] == 3
-
-
-def test_oracle_jobs_slices_tile_the_reduced_scan(capsys, monkeypatch):
-    line = fullhouse_g6() + "\n"
-    code, one, _ = run_cli(capsys, ["oracle", "--q", "3"], stdin=line)
-    assert code == 0
-    code, three, _ = run_cli(capsys, ["oracle", "--q", "3", "--jobs", "3"], stdin=line)
-    assert code == 0 and three == one
-
-    slices = []
-
-    class InlinePool:
-        def __init__(self, max_workers):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, payloads):
-            payloads = list(payloads)
-            slices.extend(p[3:] for p in payloads)
-            return map(fn, payloads)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
-    code, inline, _ = run_cli(capsys, ["oracle", "--q", "3", "--jobs", "3"], stdin=line)
-    assert code == 0 and inline == one
-    total = plan_scan(SimpleGraph.from_edges(5, FULLHOUSE_EDGES), 3)[2]
-    assert len(slices) == 3 and all(lo < hi for lo, hi in slices)
-    assert [lo for lo, _ in slices] == [0] + [hi for _, hi in slices[:-1]]
-    assert slices[-1][1] == total
 
 
 def test_mine_command(capsys):
