@@ -19,12 +19,12 @@ def scan_min_rank(n: int, forest: list[tuple[int, int]], free: list[tuple[int, i
                   q: int, tables, budget: int) -> int | None:
     """Least rank over the matrices above, or None past ``budget`` nodes.
 
-    ``forest`` and ``free`` are vertex pairs u < v; ``tables`` are
-    ``FieldCtx.kernel_tables()`` as Python lists.  A node is one choice of
-    a row.  The search stops as soon as it finds rank 1, the least rank of
-    a graph with an edge.
+    ``forest`` and ``free`` are vertex pairs u < v; ``tables`` are the
+    (sub, mul, inv) tables of ``FieldCtx.kernel_tables()`` as Python
+    lists.  A node is one choice of a row.  The search stops as soon as it
+    finds rank 1, the least rank of a graph with an edge.
     """
-    _, sub, mul, inv = tables
+    sub, mul, inv = tables
     a = [[0] * n for _ in range(n)]
     for u, v in forest:
         a[u][v] = a[v][u] = 1

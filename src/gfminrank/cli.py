@@ -2,15 +2,17 @@
 
 Subcommands: patterns, minrank, member, oracle, mine, classify, selftest.
 Graphs stream in as graph6 lines on stdin (or --input), read one at a
-time; results leave as line-delimited JSON on stdout; diagnostics go to
-stderr.  A line that does not parse, or whose patterns exceed the vertex
-budget, gets an error record and the stream goes on.  Exit codes: 0
-success, 1 domain error (including any such line), 2 usage error.
+time by one reader, which every graph command and mine --input share;
+results leave as line-delimited JSON on stdout; diagnostics go to stderr.
+A line that does not parse, or whose patterns exceed the vertex budget,
+gets an error record and the stream goes on.  Exit codes: 0 success, 1
+domain error (including any such line), 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -47,38 +49,39 @@ def parse_order(text: str) -> int:
     return q
 
 
-def _graph_lines(args):
-    """The non-blank input lines, stripped, read one at a time."""
-    if args.input:
-        with open(args.input) as fh:
-            yield from (line.strip() for line in fh if line.strip())
-    else:
-        yield from (line.strip() for line in sys.stdin if line.strip())
-
-
 def _emit(obj: dict) -> None:
     sys.stdout.write(json.dumps(obj) + "\n")
 
 
+def _read_graphs(args, bad: list[str]):
+    """The graphs of the non-blank input lines, each parsed as it is asked
+    for.  A line that does not parse gets an error record, is appended to
+    ``bad`` and is left out."""
+    with open(args.input) if args.input else contextlib.nullcontext(sys.stdin) as fh:
+        for line in map(str.strip, fh):
+            if not line:
+                continue
+            try:
+                yield parse_graph6(line)
+            except ValueError as exc:
+                _emit({"graph6": line, "error": str(exc)})
+                bad.append(line)
+
+
 def _serve(args, answer) -> int:
     """Emit one record per input graph: its graph6 and the fields of
-    answer(g), or the line and the parse or pattern-budget error.  A bad
-    line does not stop the stream; it makes the exit code 1."""
+    answer(g), or the pattern-budget error.  A bad line does not stop the
+    stream; it makes the exit code 1."""
+    bad: list[str] = []
     status = 0
-    for line in _graph_lines(args):
-        try:
-            g = parse_graph6(line)
-        except ValueError as exc:
-            _emit({"graph6": line, "error": str(exc)})
-            status = 1
-            continue
+    for g in _read_graphs(args, bad):
         try:
             fields = answer(g)
         except VertexBudgetError as exc:
             fields = {"error": str(exc)}
             status = 1
         _emit({"graph6": emit_graph6(g), **fields})
-    return status
+    return 1 if status or bad else 0
 
 
 def cmd_patterns(args) -> int:
@@ -136,24 +139,12 @@ def cmd_oracle(args) -> int:
 
 def cmd_mine(args) -> int:
     q = parse_order(args.q)
-    bad_lines = 0
-
-    def parsed():
-        """The --input graphs, parsed as the miner asks for them; a bad
-        line gets an error record and is left out of the run."""
-        nonlocal bad_lines
-        for line in _graph_lines(args):
-            try:
-                yield parse_graph6(line)
-            except ValueError as exc:
-                _emit({"graph6": line, "error": str(exc)})
-                bad_lines += 1
-
+    bad: list[str] = []
     run = mine(q, args.k, n_max=args.max_n,
-               source=parsed() if args.input else None,
+               source=_read_graphs(args, bad) if args.input else None,
                checkpoint=args.resume, max_graphs=args.max_graphs)
     _emit({"forbidden": run.found_graph6(), "stats": run.stats})
-    return 1 if bad_lines else 0
+    return 1 if bad else 0
 
 
 def cmd_classify(args) -> int:
@@ -162,11 +153,7 @@ def cmd_classify(args) -> int:
             obj = json.load(fh)
     else:
         obj = json.load(sys.stdin)
-    m = MatrixFq.from_json(obj)
-    try:
-        c = classify_invertible_symmetric(m)
-    except ValueError as exc:
-        raise DomainError(str(exc)) from exc
+    c = classify_invertible_symmetric(MatrixFq.from_json(obj))
     _emit({"order": c.k, "tag": c.tag.value, "projective_tag": c.projective_tag.value})
     return 0
 
@@ -221,9 +208,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mine", help="collect minimal forbidden subgraphs")
     p.add_argument("--q", required=True, help=Q_HELP)
-    p.add_argument("--input", help=INPUT_HELP)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--max-n", type=int, default=None)
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--input", help=INPUT_HELP)
+    source.add_argument("--max-n", type=int, default=None,
+                        help="mine all graphs on up to this many vertices")
     p.add_argument("--max-graphs", type=int, default=None)
     p.add_argument("--resume", help="checkpoint file to write and resume from")
     p.set_defaults(func=cmd_mine)

@@ -317,15 +317,15 @@ class FieldCtx:
     def elements(self) -> range:
         return range(self.q)
 
-    def kernel_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Dense (add, sub, mul, inv) tables for the oracle's row reduction."""
+    def kernel_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Dense (sub, mul, inv) tables for the oracle's row reduction."""
         if self.q > KERNEL_TABLE_MAX_Q:
             raise ValueError(f"field order {self.q} too large for dense kernel tables")
         if self._kernel_tables is None:
             reps = np.arange(self.q, dtype=np.int64)
             a, b = reps[:, None], reps[None, :]
             inv_t = np.array([0] + [self.inv(x) for x in range(1, self.q)], dtype=np.int64)
-            self._kernel_tables = (self.add(a, b), self.sub(a, b), self.mul(a, b), inv_t)
+            self._kernel_tables = (self.sub(a, b), self.mul(a, b), inv_t)
         return self._kernel_tables
 
     # -- misc ----------------------------------------------------------------

@@ -11,10 +11,11 @@ stride s, the power of two >= max(n, 8), so that each row is whole bytes.
 One mask finds bits outside the vertex range and loops, and log2(s) delta
 swaps transpose the packed bit matrix; the rows are symmetric exactly when
 the transpose equals the packed integer.  The masks are cached per n (the
-swaps per s).  looped_to_json and to_dot write their text one adjacency
-row at a time: the row's binary digits select the neighbours' names from
-a list made once per graph, and a str.join writes the row's edges, so no
-Python object is made per edge.
+swaps per s) up to stride MASK_CACHE_MAX_STRIDE and built per check above
+it.  looped_to_json and to_dot write their text one adjacency row at a
+time: the row's binary digits select the neighbours' names from a list
+made once per graph, and a str.join writes the row's edges, so no Python
+object is made per edge.
 
 canonical_form(g) is g relabelled by the least leaf of its
 individualisation-refinement tree (McKay and Piperno, "Practical graph
@@ -58,19 +59,24 @@ def _swap_masks(s: int) -> tuple[tuple[int, int], ...]:
 
 
 @functools.lru_cache(maxsize=32)
-def _row_masks(n: int) -> tuple[int, int, tuple[tuple[int, int], ...]]:
-    """(bytes per row, mask of the bits a valid row set never has, the
-    transpose's swaps) for n rows packed at the stride s, the power of
-    two >= max(n, 8).  The mask holds bits n..s-1 and the diagonal bit of
-    each of the n rows."""
-    s = 8
-    while s < n:
-        s <<= 1
+def _row_masks(n: int) -> tuple[int, int]:
+    """(stride, mask) for n rows packed at the stride s, the power of two
+    >= max(n, 8).  The mask holds the bits a valid row set never has: bits
+    n..s-1 and the diagonal bit of each of the n rows."""
+    s = max(8, 1 << (n - 1).bit_length())
     nb = s // 8
     bad = bytearray((((1 << s) - 1) >> n << n).to_bytes(nb, "little") * n)
     for i in range(n):
         bad[i * nb + (i >> 3)] |= 1 << (i & 7)
-    return nb, int.from_bytes(bad, "little"), _swap_masks(s)
+    return s, int.from_bytes(bad, "little")
+
+
+# the largest stride whose masks are cached (n <= it has a stride <= it):
+# 2048, for the 2047-vertex patterns over GF(2) at k = 11.  A larger
+# stride's masks are built per check and dropped after it, since cached,
+# those of one 8191-vertex check would keep 104 MB alive, and at stride
+# 16384 about 450 MB
+MASK_CACHE_MAX_STRIDE = 2048
 
 
 def _check_rows(n: int, rows) -> tuple[int, ...]:
@@ -79,7 +85,9 @@ def _check_rows(n: int, rows) -> tuple[int, ...]:
     rows = tuple(map(int, rows))
     if len(rows) != n:
         raise ValueError("adjacency row count does not match n")
-    nb, bad, swaps = _row_masks(n)
+    cached = n <= MASK_CACHE_MAX_STRIDE
+    s, bad = _row_masks(n) if cached else _row_masks.__wrapped__(n)
+    nb = s // 8
     try:
         t = int.from_bytes(b"".join([r.to_bytes(nb, "little") for r in rows]), "little")
     except OverflowError:  # a negative row, or a bit at or past the stride
@@ -92,7 +100,7 @@ def _check_rows(n: int, rows) -> tuple[int, ...]:
             if (r >> i) & 1:
                 raise ValueError(f"loop stored in adjacency at vertex {i}")
     u = t
-    for d, m in swaps:
+    for d, m in _swap_masks(s) if cached else _swap_masks.__wrapped__(s):
         x = (u ^ (u >> d)) & m
         u ^= x ^ (x << d)
     if u != t:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .blowup import InvariantError, member
 # are_isomorphic is no longer called here but stays imported: the span
@@ -182,12 +182,8 @@ def check_f2r2_form(g: SimpleGraph) -> bool:
 
 @dataclass
 class MinerRun:
-    q: int
-    k: int
-    n_max: int | None
-    source: str
-    found: list[SimpleGraph] = field(default_factory=list)
-    stats: dict = field(default_factory=dict)
+    found: list[SimpleGraph]
+    stats: dict
 
     def found_graph6(self) -> list[str]:
         return sorted(emit_graph6(g) for g in self.found)
@@ -244,6 +240,9 @@ def _internal_stream(n_max: int):
 
 def _load_checkpoint(path: str, q: int, k: int
                      ) -> tuple[int, list[SimpleGraph], str | None]:
+    """(graphs covered, graphs found, source sha256) of the checkpoint at
+    path, or nothing covered when there is none.  Other keys are ignored,
+    so a checkpoint that also stores "n" still loads."""
     if not path or not os.path.exists(path):
         return 0, [], None
     with open(path) as fh:
@@ -254,24 +253,25 @@ def _load_checkpoint(path: str, q: int, k: int
             obj.get("source_sha256"))
 
 
-def _write_checkpoint(path: str, q: int, k: int, n: int, counter: int,
+def _write_checkpoint(path: str, q: int, k: int, counter: int,
                       found: list[SimpleGraph], source_sha256: str) -> None:
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
-        json.dump({"q": q, "k": k, "n": n, "counter": counter,
+        json.dump({"q": q, "k": k, "counter": counter,
                    "source_sha256": source_sha256,
                    "found": [emit_graph6(g) for g in found]}, fh)
     os.replace(tmp, path)
 
 
 def mine(q: int, k: int, n_max: int | None = None, source=None,
-         checkpoint: str | None = None, max_graphs: int | None = None,
-         checkpoint_every: int = CHECKPOINT_EVERY) -> MinerRun:
+         checkpoint: str | None = None, max_graphs: int | None = None) -> MinerRun:
     """Collect minimal forbidden subgraphs for membership in G_k over GF(q).
 
     ``source`` may be an iterable of SimpleGraph (e.g. parsed from a graph6
     stream); otherwise all graphs on up to n_max <= 7 vertices are
-    enumerated internally.  Progress is checkpointed so a run can resume.
+    enumerated internally.  Progress is checkpointed every CHECKPOINT_EVERY
+    graphs so a run can resume, and ``max_graphs`` (at least 1) caps the
+    graphs scanned after the ones a checkpoint covers.
     The checkpoint keeps a sha256 over the graph6 lines of the graphs it
     covers; resuming against a source that does not start with those graphs
     is a ValueError.
@@ -287,6 +287,8 @@ def mine(q: int, k: int, n_max: int | None = None, source=None,
     often.  The mined graphs are re-verified at the end without the table,
     so that check does not rest on it.
     """
+    if max_graphs is not None and max_graphs < 1:
+        raise ValueError(f"max_graphs must be at least 1, not {max_graphs}")
     if source is None:
         if n_max is None:
             raise ValueError("n_max is required for internal enumeration")
@@ -307,14 +309,12 @@ def mine(q: int, k: int, n_max: int | None = None, source=None,
         import hashlib
         source_sha256 = hashlib.sha256()
 
-    run = MinerRun(q=q, k=k, n_max=n_max, source=source_desc, found=found)
     found_keys = {canonical_form(g) for g in found}
     known: dict[SimpleGraph, bool] = {}
     scanned = 0
 
     def save():
-        _write_checkpoint(checkpoint, q, k, max((g.n for g in run.found), default=0),
-                          scanned, run.found, source_sha256.hexdigest())
+        _write_checkpoint(checkpoint, q, k, scanned, found, source_sha256.hexdigest())
 
     for g in stream:
         if checkpoint:
@@ -330,8 +330,8 @@ def mine(q: int, k: int, n_max: int | None = None, source=None,
             key = canonical_form(g)
             if key not in found_keys:
                 found_keys.add(key)
-                run.found.append(g)
-        if checkpoint and (scanned - skip) % checkpoint_every == 0:
+                found.append(g)
+        if checkpoint and (scanned - skip) % CHECKPOINT_EVERY == 0:
             save()
         if max_graphs is not None and scanned - skip >= max_graphs:
             break
@@ -339,17 +339,11 @@ def mine(q: int, k: int, n_max: int | None = None, source=None,
         raise ValueError(f"checkpoint covers {skip} graphs, the source has {scanned}")
 
     # report-time re-verification of the minimality invariant, table-free
-    for g in run.found:
+    for g in found:
         if not _check_minimal_forbidden(g, q, k):
             raise InvariantError(f"mined graph {emit_graph6(g)} failed re-verification")
 
-    run.stats = {
-        "scanned": scanned,
-        "found": len(run.found),
-        "q": q,
-        "k": k,
-        "source": source_desc,
-    }
     if checkpoint:
         save()
-    return run
+    return MinerRun(found, {"scanned": scanned, "found": len(found), "q": q, "k": k,
+                            "source": source_desc})

@@ -32,9 +32,6 @@ DEFAULT_BUDGET = 4 * 10 ** 6
 class OracleBudgetError(Exception):
     """The search would visit more nodes than the configured budget."""
 
-    def __init__(self, detail: str):
-        super().__init__(detail)
-
 
 class OracleScanError(AssertionError):
     """The search returned a rank outside 1..n: the kernel broke its contract."""

@@ -31,14 +31,6 @@ DEFAULT_VERTEX_BUDGET = 10_000
 class VertexBudgetError(ValueError):
     """Pattern would exceed the configured vertex budget."""
 
-    def __init__(self, q: int, k: int, size: int, budget: int):
-        super().__init__(
-            f"pattern for q={q}, k={k} has {size} vertices, over budget {budget}")
-        self.q = q
-        self.k = k
-        self.size = size
-        self.budget = budget
-
 
 class PatternPropertyError(AssertionError):
     """A structural count of a generated pattern is off; names the fact."""
@@ -103,15 +95,17 @@ def gram_matrix(points: np.ndarray, b: MatrixFq) -> MatrixFq:
     return MatrixFq(b.field, pairing_matrix(points, b))
 
 
-def generate(q: int | FieldCtx, k: int,
-             vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> PatternSet:
-    """All pattern graphs for minimum rank at most k over GF(q)."""
-    field = q if isinstance(q, FieldCtx) else field_from_order(q)
+def generate(q: int, k: int, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> PatternSet:
+    """All pattern graphs for minimum rank at most k over GF(q).
+
+    A pattern has (q^k-1)/(q-1) >= k vertices, so k past the budget is
+    refused before q^k is built, and the refusal never writes q^k out."""
+    field = field_from_order(q)
     if k < 0:
         raise ValueError("k must be nonnegative")
-    size = point_count(field.q, k)
-    if size > vertex_budget:
-        raise VertexBudgetError(field.q, k, size, vertex_budget)
+    if k > vertex_budget or point_count(q, k) > vertex_budget:
+        raise VertexBudgetError(f"pattern for q={q}, k={k} has (q^k-1)/(q-1) vertices, "
+                                f"over budget {vertex_budget}")
     return _generate_cached(field, k)
 
 

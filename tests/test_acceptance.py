@@ -1,15 +1,12 @@
 """Acceptance suite: one test per criterion, each printed with its runtime.
 
-All expectations are exact; the stated per-criterion time limits are
-asserted after a one-off kernel warmup (JIT compilation is not part of any
-criterion's work).
+All expectations are exact, and each criterion's stated time limit is
+asserted.
 """
 
 from __future__ import annotations
 
 import time
-
-import pytest
 
 from gfminrank import (SimpleGraph, are_isomorphic, check_f2r2_form,
                        classify_invertible_symmetric, field_from_order,
@@ -23,12 +20,6 @@ from gfminrank.refdata import (F2R3_GRAM, F2R4A_GRAM, F2R4B_GRAM, F3R3_GRAM,
                                FULLHOUSE_EDGES, G2F2_IDENTITY_GRAM,
                                G2F2_SYMPLECTIC_GRAM, G2F2_U, u_columns)
 from test_matfq import all_symmetric, random_invertible, random_symmetric
-
-
-@pytest.fixture(scope="module", autouse=True)
-def warm_kernels():
-    oracle_min_rank(SimpleGraph.complete(2), 2)
-    oracle_min_rank(SimpleGraph.complete(2), 3)
 
 
 class Criterion:

@@ -77,6 +77,7 @@ def test_patterns_rejects_graph6_format(capsys):
     ["oracle", "--q", "2"],
 ])
 def test_jobs_only_on_commands_that_use_it(capsys, argv):
+    """No command takes --jobs any more, so every command refuses it."""
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--jobs", "2"])
     assert exc.value.code == 2
@@ -219,6 +220,39 @@ def test_patterns_over_the_vertex_budget_is_a_domain_error(capsys):
                                       "--vertex-budget", "10"])
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "over budget 10" in err
+
+
+def test_member_answers_small_graphs_when_q_to_the_k_is_too_long_to_print(capsys):
+    # 2^20000 has 6021 decimal digits, past Python's default limit for
+    # int-to-str conversion; the budget check must neither build nor print it
+    code, out, _ = run_cli(capsys, ["member", "--q", "2", "--k", "20000"], stdin="Dhc\nCF\n")
+    assert code == 0
+    assert [json.loads(line) for line in out.splitlines()] == [
+        {"graph6": "Dhc", "member": True}, {"graph6": "CF", "member": True}]
+
+
+def test_patterns_refuses_a_k_past_the_budget_without_printing_q_to_the_k(capsys):
+    code, out, err = run_cli(capsys, ["patterns", "--q", "2", "--k", "20000"])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "over budget 10000" in err
+    assert "digits" not in err
+
+
+@pytest.mark.parametrize("max_graphs", ["0", "-3"])
+def test_mine_max_graphs_below_one_is_a_domain_error(capsys, max_graphs):
+    code, out, err = run_cli(capsys, ["mine", "--q", "2", "--k", "1", "--max-n", "3",
+                                      "--max-graphs", max_graphs])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "max_graphs must be at least 1" in err
+
+
+def test_mine_input_and_max_n_exclude_each_other(capsys, tmp_path):
+    path = tmp_path / "graphs.g6"
+    path.write_text("Dhc\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["mine", "--q", "2", "--k", "1", "--max-n", "3", "--input", str(path)])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
 
 
 def test_mine_input_reports_a_bad_line_and_mines_the_rest(capsys, tmp_path):

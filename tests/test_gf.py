@@ -233,12 +233,13 @@ def test_array_ops_match_scalar_ops_and_kernel_tables(q):
     f = field_from_order(q)
     reps = np.arange(q, dtype=np.int64)
     a, b = np.repeat(reps, q), np.tile(reps, q)  # the full q x q grid, flattened
-    add_t, sub_t, mul_t, inv_t = f.kernel_tables()
-    for op, table in [(f.add, add_t), (f.sub, sub_t), (f.mul, mul_t)]:
+    sub_t, mul_t, inv_t = f.kernel_tables()
+    for op, table in [(f.add, None), (f.sub, sub_t), (f.mul, mul_t)]:
         got = op(a, b)
         assert got.dtype == np.int64
         assert got.tolist() == [op(x, y) for x, y in zip(a.tolist(), b.tolist())]
-        assert np.array_equal(got.reshape(q, q), table)
+        if table is not None:
+            assert np.array_equal(got.reshape(q, q), table)
     # the table product agrees with plain polynomial multiplication mod the modulus
     assert f.mul(a, b).tolist() == [f._raw_mul(x, y) for x, y in zip(a.tolist(), b.tolist())]
     assert f.neg(reps).tolist() == [f.neg(x) for x in range(q)]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gfminrank import graphs
 from gfminrank import (LoopedGraph, SimpleGraph, are_isomorphic, blow_up,
                        canonical_form, emit_graph6, parse_graph6, twin_reduce)
 from gfminrank.graphs import (ClassStatus, IsoBudgetError, looped_from_json,
@@ -79,6 +80,21 @@ def test_row_check_names_the_first_fault(rows, message):
         SimpleGraph(3, rows)
     with pytest.raises(ValueError, match=message):
         LoopedGraph(3, rows, 0)
+
+
+def test_row_masks_above_the_cached_stride_are_built_per_check():
+    graphs._row_masks.cache_clear()
+    graphs._swap_masks.cache_clear()
+    big = SimpleGraph.complete(4095)  # stride 4096
+    assert graphs._row_masks.cache_info().currsize == 0
+    assert graphs._swap_masks.cache_info().currsize == 0
+    rows = list(big.rows)
+    rows[7] ^= 1 << 4000
+    with pytest.raises(ValueError, match="not symmetric"):
+        SimpleGraph(4095, rows)
+    SimpleGraph.complete(graphs.MASK_CACHE_MAX_STRIDE)
+    assert graphs._row_masks.cache_info().currsize == 1
+    assert graphs._swap_masks.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("edge", [(0, 5), (5, 0), (0, 2), (-1, 1), (1, -3)])

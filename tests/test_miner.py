@@ -99,10 +99,10 @@ def test_mine_makes_at_most_one_member_call_per_scanned_graph(monkeypatch):
     assert len(calls) <= run.stats["scanned"]
 
 
-def test_mine_checkpoint_resume(tmp_path):
+def test_mine_checkpoint_resume(tmp_path, monkeypatch):
+    monkeypatch.setattr(miner, "CHECKPOINT_EVERY", 5)
     ck = tmp_path / "mine.json"
-    partial = mine(2, 1, n_max=5, checkpoint=str(ck), max_graphs=10,
-                   checkpoint_every=5)
+    partial = mine(2, 1, n_max=5, checkpoint=str(ck), max_graphs=10)
     state = json.loads(ck.read_text())
     assert state["counter"] == partial.stats["scanned"] > 0
     resumed = mine(2, 1, n_max=5, checkpoint=str(ck))
@@ -111,10 +111,11 @@ def test_mine_checkpoint_resume(tmp_path):
         mine(3, 1, n_max=4, checkpoint=str(ck))
 
 
-def test_mine_checkpoint_is_tied_to_its_source(tmp_path):
+def test_mine_checkpoint_is_tied_to_its_source(tmp_path, monkeypatch):
+    monkeypatch.setattr(miner, "CHECKPOINT_EVERY", 5)
     graphs = [g for n in range(1, 6) for g in enumerate_graphs(n)]
     ck = tmp_path / "mine.json"
-    mine(2, 1, source=graphs, checkpoint=str(ck), max_graphs=20, checkpoint_every=5)
+    mine(2, 1, source=graphs, checkpoint=str(ck), max_graphs=20)
     assert json.loads(ck.read_text())["counter"] == 20
     saved = ck.read_text()
     resumed = mine(2, 1, source=graphs, checkpoint=str(ck))
@@ -133,16 +134,35 @@ def test_mine_external_source(fullhouse):
     assert run.stats["source"] == "external"
 
 
-def test_mine_reports_a_relabelled_forbidden_graph_once(tmp_path):
+def test_mine_reports_a_relabelled_forbidden_graph_once(tmp_path, monkeypatch):
+    monkeypatch.setattr(miner, "CHECKPOINT_EVERY", 1)
     p3 = SimpleGraph.path(3)
     p3_centre_first = SimpleGraph.from_edges(3, [(0, 1), (0, 2)])
     source = [p3, SimpleGraph.complete(3), p3_centre_first]
     assert mine(2, 1, source=source).found == [p3]
     ck = tmp_path / "mine.json"
-    mine(2, 1, source=source, checkpoint=str(ck), max_graphs=1, checkpoint_every=1)
+    mine(2, 1, source=source, checkpoint=str(ck), max_graphs=1)
     assert json.loads(ck.read_text())["found"] == [emit_graph6(p3)]
     resumed = mine(2, 1, source=source, checkpoint=str(ck))
     assert resumed.found == [p3] and resumed.stats["scanned"] == 3
+
+
+def test_mine_resumes_a_checkpoint_that_stores_n(tmp_path):
+    # checkpoints once also stored the order of the largest graph found
+    ck = tmp_path / "mine.json"
+    mine(2, 1, n_max=5, checkpoint=str(ck), max_graphs=10)
+    state = json.loads(ck.read_text())
+    assert "n" not in state
+    ck.write_text(json.dumps({**state, "n": 3}))
+    resumed = mine(2, 1, n_max=5, checkpoint=str(ck))
+    assert resumed.found_graph6() == mine(2, 1, n_max=5).found_graph6()
+    assert resumed.stats["scanned"] == sum(len(enumerate_graphs(n)) for n in range(1, 6))
+
+
+def test_mine_over_the_vertex_budget_finds_nothing():
+    # every graph on n <= 4 < k vertices is a member without its patterns
+    run = mine(2, 20000, n_max=4)
+    assert run.found == [] and run.stats["scanned"] == 18
 
 
 def test_mine_rejects_oversize_internal_enumeration():

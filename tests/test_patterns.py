@@ -5,6 +5,7 @@ import pytest
 
 from gfminrank import (MatrixFq, are_isomorphic, field_from_order, generate,
                        rank, verify_counts)
+from gfminrank import patterns
 from gfminrank.matfq import rank as matrix_rank
 from gfminrank.patterns import (_GENERATOR_BLOCK, PatternPropertyError, VertexBudgetError,
                                 gram_matrix, isometry_generators, pattern_graph,
@@ -72,9 +73,13 @@ def test_points_are_read_only():
         ps.points[0, 0] = 1
 
 
-def test_vertex_budget_guard():
+def test_vertex_budget_guard(monkeypatch):
     with pytest.raises(VertexBudgetError):
         generate(5, 7, vertex_budget=100)
+    # a k past the budget is refused without computing q^k
+    monkeypatch.setattr(patterns, "point_count", None)
+    with pytest.raises(VertexBudgetError, match="q=3, k=101 .* over budget 100"):
+        generate(3, 101, vertex_budget=100)
 
 
 def test_verify_counts_all_small():
