@@ -20,8 +20,7 @@ def scan_min_rank(n: int, forest: list[tuple[int, int]], free: list[tuple[int, i
     """Least rank over the matrices above, or None past ``budget`` nodes.
 
     ``forest`` and ``free`` are vertex pairs u < v; ``tables`` are the
-    (sub, mul, inv) tables of ``FieldCtx.kernel_tables()`` as Python
-    lists.  A node is one choice of a row.  The search stops as soon as it
+    (sub, mul, inv) lists of ``FieldCtx.kernel_tables()``, read only.  A node is one choice of a row.  The search stops as soon as it
     finds rank 1, the least rank of a graph with an edge.
     """
     sub, mul, inv = tables

@@ -19,7 +19,7 @@ import sys
 
 from . import selftest
 from .blowup import MinRankBoundError, member, min_rank
-from .gf import factor_prime_power
+from .gf import Q_MAX, factor_prime_power
 from .graphs import emit_graph6, looped_to_json, parse_graph6, to_dot
 from .matfq import MatrixFq, classify_invertible_symmetric
 from .miner import mine
@@ -34,14 +34,14 @@ class DomainError(Exception):
 def parse_order(text: str) -> int:
     """Accept a prime power as '9' or in base-exponent form '3^2'."""
     text = text.strip()
+    base, caret, exp = text.partition("^")
     try:
-        if "^" in text:
-            base, exp = text.split("^", 1)
-            q = int(base) ** int(exp)
-        else:
-            q = int(text)
+        b, e = int(base), int(exp) if caret else 1
     except ValueError as exc:
         raise DomainError(f"cannot parse field order {text!r}") from exc
+    # an exponent past Q_MAX.bit_length() leaves 2..Q_MAX for every base,
+    # so it is sent to the gate as 0 without computing the power
+    q = b ** e if 1 <= e <= Q_MAX.bit_length() else 0
     try:
         factor_prime_power(q)
     except ValueError as exc:

@@ -16,6 +16,10 @@ antilog table repeats its period once and then holds zeros up to index
 4(q-1), so ``exp[log[a] + log[b]]`` is the product for every pair with no
 reduction mod q-1 and no zero test.  Scalar results of the table path are
 numpy integers.
+
+The supported orders are the prime powers in 2..Q_MAX.  :func:`factor_prime_power`
+is the one test of an order: ``field_from_order`` and ``FieldCtx`` both
+reach it, and it compares q with that range before it divides anything.
 """
 
 from __future__ import annotations
@@ -31,21 +35,6 @@ Q_MAX = 1 << 16
 # fields would make the tables the bulk of the oracle's memory, so the
 # oracle refuses them as over budget.
 KERNEL_TABLE_MAX_Q = 1024
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
 
 
 def _poly_trim(c: list[int]) -> list[int]:
@@ -128,16 +117,13 @@ class FieldCtx:
     )
 
     def __init__(self, p: int, e: int):
-        if not _is_prime(p):
-            raise ValueError(f"characteristic {p} is not prime")
-        if e < 1:
-            raise ValueError("extension degree must be >= 1")
-        q = p ** e
-        if q > Q_MAX:
-            raise ValueError(f"field order {q} exceeds the supported cap {Q_MAX}")
+        # the comparisons bound p ** e below 2^272 before it is computed
+        if not (2 <= p <= Q_MAX and 1 <= e <= Q_MAX.bit_length()) \
+                or factor_prime_power(p ** e) != (p, e):
+            raise ValueError(f"p^e must be a prime power in 2..{Q_MAX} with p prime")
         self.p = p
         self.e = e
-        self.q = q
+        self.q = q = p ** e
         self.modulus = _find_modulus(p, e)
 
         self._exp: np.ndarray | None = None
@@ -150,7 +136,7 @@ class FieldCtx:
         if q % 2 == 1:
             self._build_sqrt_table()
 
-        self._kernel_tables: tuple[np.ndarray, ...] | None = None
+        self._kernel_tables: tuple[list, ...] | None = None
 
     # -- construction helpers ------------------------------------------------
 
@@ -284,10 +270,8 @@ class FieldCtx:
         return self._exp[(self._log[a] * k) % (self.q - 1)]
 
     def is_square(self, a: int) -> bool:
-        """Euler criterion for odd q; every element is a square when q is even."""
-        if self.q % 2 == 0 or a == 0:
-            return True
-        return self.pow(a, (self.q - 1) // 2) == 1
+        """The square-root table's answer for odd q; True when q is even."""
+        return self._sqrt is None or self._sqrt[a] >= 0
 
     def sqrt(self, a: int) -> int:
         """A square root of a; the smaller root is returned for odd q."""
@@ -317,15 +301,17 @@ class FieldCtx:
     def elements(self) -> range:
         return range(self.q)
 
-    def kernel_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Dense (sub, mul, inv) tables for the oracle's row reduction."""
+    def kernel_tables(self) -> tuple[list[list[int]], list[list[int]], list[int]]:
+        """Dense (sub, mul, inv) tables for the oracle's row reduction, built
+        once as the Python lists its search reads: sub[a][b], mul[a][b] and
+        inv[a], with inv[0] = 0."""
         if self.q > KERNEL_TABLE_MAX_Q:
             raise ValueError(f"field order {self.q} too large for dense kernel tables")
         if self._kernel_tables is None:
             reps = np.arange(self.q, dtype=np.int64)
             a, b = reps[:, None], reps[None, :]
-            inv_t = np.array([0] + [self.inv(x) for x in range(1, self.q)], dtype=np.int64)
-            self._kernel_tables = (self.sub(a, b), self.mul(a, b), inv_t)
+            self._kernel_tables = (self.sub(a, b).tolist(), self.mul(a, b).tolist(),
+                                   [0] + self.inv(reps[1:]).tolist())
         return self._kernel_tables
 
     # -- misc ----------------------------------------------------------------
@@ -336,9 +322,6 @@ class FieldCtx:
     def __repr__(self) -> str:
         return f"GF({self.q})"
 
-    def __reduce__(self):
-        return (field_new, (self.p, self.e))
-
 
 @functools.lru_cache(maxsize=None)
 def field_new(p: int, e: int) -> FieldCtx:
@@ -347,9 +330,11 @@ def field_new(p: int, e: int) -> FieldCtx:
 
 
 def factor_prime_power(q: int) -> tuple[int, int]:
-    """Split q into (p, e) with p prime, or raise ValueError."""
-    if q < 2:
-        raise ValueError(f"{q} is not a prime power")
+    """Split q into (p, e) with p prime, or raise ValueError.  q is compared
+    with 2..Q_MAX before anything is divided, so at most 255 trial divisions
+    follow and an order past the cap is never turned into text."""
+    if not 2 <= q <= Q_MAX:
+        raise ValueError(f"field order must be a prime power in 2..{Q_MAX}")
     p = 2
     while p * p <= q:
         if q % p == 0:

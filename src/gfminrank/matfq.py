@@ -168,12 +168,13 @@ def _rref(field: FieldCtx, m: np.ndarray) -> tuple[list[int], int]:
         r = len(pivots)
         if r == rows:
             break
-        piv = r
-        while piv < rows and not m[piv, col]:
-            piv += 1
-        if piv == rows:
-            continue
-        if piv != r:
+        if not m[r, col]:
+            # m[r, col] is tested alone first: on small matrices one scalar
+            # test is cheaper than a numpy call
+            below = np.flatnonzero(m[r + 1:, col])
+            if not below.size:
+                continue
+            piv = r + 1 + int(below[0])
             m[[r, piv], :] = m[[piv, r], :]
             d = field.neg(d)
         pval = int(m[r, col])

@@ -241,16 +241,26 @@ def _internal_stream(n_max: int):
 def _load_checkpoint(path: str, q: int, k: int
                      ) -> tuple[int, list[SimpleGraph], str | None]:
     """(graphs covered, graphs found, source sha256) of the checkpoint at
-    path, or nothing covered when there is none.  Other keys are ignored,
-    so a checkpoint that also stores "n" still loads."""
+    path, or nothing covered when there is none.  Anything but an object
+    with an int counter >= 0 (not a bool), a list of strings found and a
+    string source_sha256, if any, is a ValueError naming the field.  Other
+    keys are ignored, so a checkpoint that also stores "n" still loads."""
     if not path or not os.path.exists(path):
         return 0, [], None
     with open(path) as fh:
         obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise ValueError("checkpoint is not a JSON object")
     if obj.get("q") != q or obj.get("k") != k:
         raise ValueError("checkpoint was written for different (q, k)")
-    return (int(obj["counter"]), [parse_graph6(s) for s in obj["found"]],
-            obj.get("source_sha256"))
+    counter, found, sha256 = obj.get("counter"), obj.get("found"), obj.get("source_sha256", "")
+    if not isinstance(counter, int) or isinstance(counter, bool) or counter < 0:
+        raise ValueError(f"checkpoint counter {counter!r} is not a nonnegative integer")
+    if not isinstance(found, list) or not all(isinstance(s, str) for s in found):
+        raise ValueError("checkpoint found is not a list of graph6 strings")
+    if not isinstance(sha256, str):
+        raise ValueError(f"checkpoint source_sha256 {sha256!r} is not a string")
+    return counter, [parse_graph6(s) for s in found], sha256
 
 
 def _write_checkpoint(path: str, q: int, k: int, counter: int,

@@ -78,7 +78,7 @@ def oracle_min_rank(g: SimpleGraph, q: int, budget: int = DEFAULT_BUDGET) -> int
         return 0  # the zero matrix realises every edgeless graph
     forest, rest = _spanning_forest(g)
     try:
-        tables = [t.tolist() for t in field.kernel_tables()]
+        tables = field.kernel_tables()
     except ValueError as exc:
         raise OracleBudgetError(str(exc)) from exc
     best = _kernels.scan_min_rank(g.n, forest, rest, q, tables, budget)

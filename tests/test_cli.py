@@ -41,6 +41,8 @@ def test_parse_order_forms():
         parse_order("6")
     with pytest.raises(DomainError):
         parse_order("x")
+    with pytest.raises(DomainError, match=r"2\.\.65536"):
+        parse_order("2^20000")  # refused by its exponent, before the power
 
 
 def test_patterns_matrix_output(capsys):
@@ -253,6 +255,25 @@ def test_mine_input_and_max_n_exclude_each_other(capsys, tmp_path):
         main(["mine", "--q", "2", "--k", "1", "--max-n", "3", "--input", str(path)])
     assert exc.value.code == 2
     assert "not allowed with argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("state,field", [
+    ([], "object"),
+    ({"q": 2, "k": 1, "found": 3, "counter": 1}, "found"),
+    ({"q": 2, "k": 1}, "counter"),
+    ({"q": 2, "k": 1, "found": [], "counter": True}, "counter"),
+    ({"q": 2, "k": 1, "found": [], "counter": -1}, "counter"),
+    ({"q": 2, "k": 1, "found": [1], "counter": 1}, "found"),
+    ({"q": 2, "k": 1, "found": [], "counter": 1, "source_sha256": 5}, "source_sha256"),
+], ids=["not-an-object", "found-not-a-list", "no-counter", "bool-counter",
+        "negative-counter", "found-not-strings", "sha256-not-a-string"])
+def test_mine_malformed_checkpoint_is_a_domain_error(capsys, tmp_path, state, field):
+    ck = tmp_path / "mine.json"
+    ck.write_text(json.dumps(state))
+    code, out, err = run_cli(capsys, ["mine", "--q", "2", "--k", "1", "--max-n", "3",
+                                      "--resume", str(ck)])
+    assert code == 1 and out == ""
+    assert err.startswith("error: checkpoint") and field in err
 
 
 def test_mine_input_reports_a_bad_line_and_mines_the_rest(capsys, tmp_path):

@@ -66,6 +66,11 @@ def test_field_new_rejects_bad_parameters():
         field_new(2, 0)
     with pytest.raises(ValueError):
         field_new(2, 17)  # 2^17 > Q_MAX
+    with pytest.raises(ValueError, match=r"2\.\.65536"):
+        field_new(65537, 1)
+    with pytest.raises(ValueError) as exc:
+        field_new(2, 100000)  # 2^100000 has over 30,000 decimal digits
+    assert "2..65536" in str(exc.value) and "digits" not in str(exc.value)
 
 
 def test_order_cap_boundary():
@@ -223,6 +228,12 @@ def test_factor_prime_power():
     with pytest.raises(ValueError):
         factor_prime_power(1)
 
+    # refused by range, not by factoring: 65537 * 65539 is a product of two
+    # primes past the cap and 2^200 a prime power past it
+    for q in (Q_MAX + 1, 65537 * 65539, 2 ** 200):
+        with pytest.raises(ValueError, match=r"2\.\.65536"):
+            factor_prime_power(q)
+
 
 def test_field_serialisation(gf9):
     assert gf9.to_json() == {"p": 3, "e": 2, "modulus": [1, 0, 1]}
@@ -234,16 +245,18 @@ def test_array_ops_match_scalar_ops_and_kernel_tables(q):
     reps = np.arange(q, dtype=np.int64)
     a, b = np.repeat(reps, q), np.tile(reps, q)  # the full q x q grid, flattened
     sub_t, mul_t, inv_t = f.kernel_tables()
+    # the oracle search indexes the tables as Python lists of ints
+    assert {type(x) for row in sub_t + mul_t for x in row} | set(map(type, inv_t)) == {int}
     for op, table in [(f.add, None), (f.sub, sub_t), (f.mul, mul_t)]:
         got = op(a, b)
         assert got.dtype == np.int64
         assert got.tolist() == [op(x, y) for x, y in zip(a.tolist(), b.tolist())]
         if table is not None:
-            assert np.array_equal(got.reshape(q, q), table)
+            assert got.reshape(q, q).tolist() == table
     # the table product agrees with plain polynomial multiplication mod the modulus
     assert f.mul(a, b).tolist() == [f._raw_mul(x, y) for x, y in zip(a.tolist(), b.tolist())]
     assert f.neg(reps).tolist() == [f.neg(x) for x in range(q)]
-    assert inv_t.tolist() == [0] + [f.inv(x) for x in range(1, q)]
+    assert inv_t == [0] + [f.inv(x) for x in range(1, q)]
 
 
 def _naive_matmul(f, a, b):

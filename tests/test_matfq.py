@@ -343,3 +343,9 @@ def test_matrix_json_roundtrip(gf9):
     bad["field"]["modulus"] = [2, 0, 1]
     with pytest.raises(ValueError):
         MatrixFq.from_json(bad)
+
+
+def test_matrix_json_field_past_the_cap_names_the_range():
+    obj = {"field": {"p": 65537 * 65539, "e": 1}, "rows": 1, "cols": 1, "entries": [0]}
+    with pytest.raises(ValueError, match=r"2\.\.65536"):
+        MatrixFq.from_json(obj)
