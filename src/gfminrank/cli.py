@@ -4,17 +4,20 @@ Subcommands: patterns, minrank, member, oracle, mine, classify, selftest.
 Graphs stream in as graph6 lines on stdin (or --input), read one at a
 time by one reader, which every graph command and mine --input share;
 results leave as line-delimited JSON on stdout; diagnostics go to stderr.
-A line that does not parse, or whose patterns exceed the vertex budget,
-gets an error record and the stream goes on.  Exit codes: 0 success, 1
-domain error (including any such line), 2 usage error.
+A line that does not parse (an undecodable byte spoils only its own line),
+or whose patterns exceed the vertex budget, gets an error record and the
+stream goes on.  A field order is written q or p^e in ASCII digits.  A
+refused order, matrix or checkpoint and a file that cannot be read or
+written end the run with one "error:" line on stderr.  Exit codes: 0
+success, 1 domain error (including any bad line), 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import json
+import re
 import sys
 
 from . import selftest
@@ -26,26 +29,18 @@ from .miner import mine
 from .oracle import DEFAULT_BUDGET, OracleBudgetError, oracle_min_rank
 from .patterns import DEFAULT_VERTEX_BUDGET, VertexBudgetError, generate, gram_matrix
 
-
-class DomainError(Exception):
-    pass
+# Q_MAX = 65536 has five digits and its largest exponent, 16, has two, so a
+# longer number is refused before int() sees it
+_ORDER = re.compile(r"([0-9]{1,5})(?:\^([0-9]{1,2}))?")
 
 
 def parse_order(text: str) -> int:
     """Accept a prime power as '9' or in base-exponent form '3^2'."""
-    text = text.strip()
-    base, caret, exp = text.partition("^")
-    try:
-        b, e = int(base), int(exp) if caret else 1
-    except ValueError as exc:
-        raise DomainError(f"cannot parse field order {text!r}") from exc
-    # an exponent past Q_MAX.bit_length() leaves 2..Q_MAX for every base,
-    # so it is sent to the gate as 0 without computing the power
-    q = b ** e if 1 <= e <= Q_MAX.bit_length() else 0
-    try:
-        factor_prime_power(q)
-    except ValueError as exc:
-        raise DomainError(str(exc)) from exc
+    m = _ORDER.fullmatch(text)
+    if m is None:
+        raise ValueError(f"field order must be a prime power in 2..{Q_MAX}, written q or p^e")
+    q = int(m[1]) ** int(m[2] or 1)
+    factor_prime_power(q)
     return q
 
 
@@ -53,18 +48,31 @@ def _emit(obj: dict) -> None:
     sys.stdout.write(json.dumps(obj) + "\n")
 
 
+def _open_input(args):
+    """--input, or stdin (which is left open), as text in which an
+    undecodable byte becomes a lone surrogate of its own line."""
+    if args.input:
+        return open(args.input, errors="surrogateescape")
+    # a stream that has been read refuses reconfigure, so a second call in
+    # one process leaves stdin as the first call set it
+    if hasattr(sys.stdin, "reconfigure") and sys.stdin.errors != "surrogateescape":
+        sys.stdin.reconfigure(errors="surrogateescape")
+    return contextlib.nullcontext(sys.stdin)
+
+
 def _read_graphs(args, bad: list[str]):
     """The graphs of the non-blank input lines, each parsed as it is asked
-    for.  A line that does not parse gets an error record, is appended to
-    ``bad`` and is left out."""
-    with open(args.input) if args.input else contextlib.nullcontext(sys.stdin) as fh:
+    for.  A line that does not parse gets an error record, with any
+    undecodable byte shown as \\xNN, is appended to ``bad`` and is left out."""
+    with _open_input(args) as fh:
         for line in map(str.strip, fh):
             if not line:
                 continue
             try:
                 yield parse_graph6(line)
             except ValueError as exc:
-                _emit({"graph6": line, "error": str(exc)})
+                shown = line.encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace")
+                _emit({"graph6": shown, "error": str(exc)})
                 bad.append(line)
 
 
@@ -148,11 +156,8 @@ def cmd_mine(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    if args.input:
-        with open(args.input) as fh:
-            obj = json.load(fh)
-    else:
-        obj = json.load(sys.stdin)
+    with _open_input(args) as fh:
+        obj = json.load(fh)
     c = classify_invertible_symmetric(MatrixFq.from_json(obj))
     _emit({"order": c.k, "tag": c.tag.value, "projective_tag": c.projective_tag.value})
     return 0
@@ -173,9 +178,7 @@ Q_HELP = "field order, e.g. 4 or 2^2"
 INPUT_HELP = "read graphs from a file instead of stdin"
 
 
-# parsing leaves the parser unchanged, so one instance serves every call
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="gfminrank", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -227,19 +230,20 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-# built at import, so that the processes forked from one that has imported
-# this module do not each build it (argparse's gettext lookups included)
-build_parser()
+# parsing leaves the parser unchanged, so this one serves every call; built
+# at import, the processes forked from one that has imported this module do
+# not each build it (argparse's gettext lookups included)
+PARSER = _build_parser()
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except BrokenPipeError:  # an OSError: a closed reader ends the run quietly
         return 1
-    except BrokenPipeError:
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

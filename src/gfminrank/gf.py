@@ -131,10 +131,8 @@ class FieldCtx:
         if e >= 2:
             self._build_log_tables()
 
-        self._sqrt: list[int] | None = None
         self._nonsquare: int | None = None
-        if q % 2 == 1:
-            self._build_sqrt_table()
+        self._build_sqrt_table()
 
         self._kernel_tables: tuple[list, ...] | None = None
 
@@ -260,23 +258,13 @@ class FieldCtx:
             out, a, k = out * a % self.p if k & 1 else out, a * a % self.p, k >> 1
         return out
 
-    def pow(self, a: int, k: int) -> int:
-        if k == 0:
-            return 1
-        if a == 0:
-            return 0
-        if self.e == 1:
-            return pow(int(a), k, self.p)
-        return self._exp[(self._log[a] * k) % (self.q - 1)]
-
     def is_square(self, a: int) -> bool:
-        """The square-root table's answer for odd q; True when q is even."""
-        return self._sqrt is None or self._sqrt[a] >= 0
+        """Whether a has a square root; always so when q is even."""
+        return self._sqrt[a] >= 0
 
     def sqrt(self, a: int) -> int:
-        """A square root of a; the smaller root is returned for odd q."""
-        if self.q % 2 == 0:
-            return self.pow(a, self.q // 2)
+        """The one square root of a when q is even, the smaller of its two
+        (as reps) when q is odd; ValueError for a nonsquare."""
         b = self._sqrt[a]
         if b < 0:
             raise ValueError(f"{a} is not a square in GF({self.q})")

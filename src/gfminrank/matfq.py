@@ -260,8 +260,6 @@ def _diagonalize(w: _CongruenceWorker) -> tuple[int, int]:
             w.addmul(j, i, 1)
             continue
         w.swap(r, i)
-        if j == r:
-            j = i
         w.swap(r + 1, j)
         binv = f.inv(int(w.d[r, r + 1]))
         for m in range(r + 2, n):

@@ -318,6 +318,11 @@ def mine(q: int, k: int, n_max: int | None = None, source=None,
         # checkpointed run needs
         import hashlib
         source_sha256 = hashlib.sha256()
+        # rewrite what was loaded (or an empty start), so that a path that
+        # cannot be written fails now and not after the scan, and no
+        # progress is lost
+        _write_checkpoint(checkpoint, q, k, skip, found,
+                          source_sha256.hexdigest() if skip_sha256 is None else skip_sha256)
 
     found_keys = {canonical_form(g) for g in found}
     known: dict[SimpleGraph, bool] = {}

@@ -36,13 +36,13 @@ def test_parse_order_forms():
     assert parse_order("4") == 4
     assert parse_order("2^2") == 4
     assert parse_order("3^2") == 9
-    from gfminrank.cli import DomainError
-    with pytest.raises(DomainError):
+    with pytest.raises(ValueError, match="6 is not a prime power"):
         parse_order("6")
-    with pytest.raises(DomainError):
-        parse_order("x")
-    with pytest.raises(DomainError, match=r"2\.\.65536"):
-        parse_order("2^20000")  # refused by its exponent, before the power
+    # int() would take a sign, other scripts' digits and underscores
+    for text in ["x", "2^20000", "+4", "\u0664", "4_0", "9" * 5000]:
+        with pytest.raises(ValueError, match=r"2\.\.65536") as exc:
+            parse_order(text)
+        assert len(str(exc.value)) < 100
 
 
 def test_patterns_matrix_output(capsys):
@@ -50,6 +50,12 @@ def test_patterns_matrix_output(capsys):
     assert code == 0
     rows = [[int(x) for x in line.split()] for line in out.strip().splitlines()]
     assert rows == F2R3_GRAM
+
+
+def test_patterns_matrix_blocks_are_separated_by_one_empty_line(capsys):
+    code, out, _ = run_cli(capsys, ["patterns", "--q", "2", "--k", "2", "--format", "matrix"])
+    assert code == 0
+    assert out == "1 1 0\n1 0 1\n0 1 1\n\n0 1 1\n1 0 1\n1 1 0\n"
 
 
 def test_patterns_json_and_dot(capsys):
@@ -101,15 +107,27 @@ def test_minrank_max_k_reports_bound(capsys):
     assert json.loads(out) == {"graph6": fullhouse_g6(), "minrank_gt": 2}
 
 
-def test_cached_parser_parses_each_call_afresh(capsys):
-    # main reuses one parser; an option given in one call must not leak into
-    # the next
-    assert cli.build_parser() is cli.build_parser()
+def test_cached_parser_parses_each_call_afresh(capsys, monkeypatch):
+    # main reuses one module-level parser; an option given in one call must
+    # not leak into the next
+    calls = []
+    parse_args = cli.PARSER.parse_args
+    monkeypatch.setattr(cli.PARSER, "parse_args",
+                        lambda argv: calls.append(argv) or parse_args(argv))
     code, out, _ = run_cli(capsys, ["minrank", "--q", "2", "--max-k", "2"],
                            stdin=fullhouse_g6() + "\n")
     assert code == 0 and json.loads(out)["minrank_gt"] == 2
     code, out, _ = run_cli(capsys, ["minrank", "--q", "2"], stdin=fullhouse_g6() + "\n")
     assert code == 0 and json.loads(out)["minrank"] == 3
+    assert len(calls) == 2
+
+
+def test_minrank_vertex_budget_reports_bound(capsys):
+    # K_{2,2,2,2} has mr 4 over GF(2); the k = 4 patterns exceed 7 vertices
+    code, out, _ = run_cli(capsys, ["minrank", "--q", "2", "--vertex-budget", "7"],
+                           stdin="G]~v~w\n")
+    assert code == 0
+    assert json.loads(out) == {"graph6": "G]~v~w", "minrank_gt": 3}
 
 
 def test_member_with_witness(capsys):
@@ -125,6 +143,9 @@ def test_member_with_witness(capsys):
 def test_oracle_stream_and_budget(capsys):
     code, out, _ = run_cli(capsys, ["oracle", "--q", "3"], stdin=fullhouse_g6() + "\n")
     assert code == 0 and json.loads(out)["minrank"] == 2
+    # the kernel tables stop at q = 1024
+    code, out, _ = run_cli(capsys, ["oracle", "--q", "1031"], stdin="Dz[\n")
+    assert code == 0 and json.loads(out) == {"graph6": "Dz[", "error": "budget"}
     code, out, _ = run_cli(capsys, ["oracle", "--q", "3", "--budget", "10"],
                            stdin=fullhouse_g6() + "\n")
     assert code == 0 and json.loads(out) == {"graph6": fullhouse_g6(), "error": "budget"}
@@ -141,6 +162,15 @@ def test_classify_command(capsys):
     f3 = field_new(3, 1)
     payload = json.dumps(MatrixFq(f3, [[1, 0], [0, 2]]).to_json())
     code, out, _ = run_cli(capsys, ["classify"], stdin=payload)
+    assert code == 0
+    assert json.loads(out) == {"order": 2, "tag": "nonsquare_det",
+                               "projective_tag": "nonsquare_det"}
+
+
+def test_classify_reads_input_file(capsys, tmp_path):
+    path = tmp_path / "matrix.json"
+    path.write_text('{"field":{"p":3,"e":1},"rows":2,"cols":2,"entries":[1,0,0,2]}')
+    code, out, _ = run_cli(capsys, ["classify", "--input", str(path)])
     assert code == 0
     assert json.loads(out) == {"order": 2, "tag": "nonsquare_det",
                                "projective_tag": "nonsquare_det"}
@@ -192,6 +222,57 @@ def test_bad_line_gets_an_error_record_and_the_stream_goes_on(capsys, argv, key)
     assert [r["graph6"] for r in records] == ["Dhc", "D@@x", "CF"]
     assert key in records[0] and key in records[2]
     assert set(records[1]) == {"graph6", "error"} and "expected 2" in records[1]["error"]
+
+
+UNDECODABLE = b"Dz[\n\xff\xfe\nDz[\n"
+
+
+def check_undecodable_records(code, out):
+    assert code == 1 and out.isascii()
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [r["graph6"] for r in records] == ["Dz[", "\\xff\\xfe", "Dz["]
+    assert records[0] == records[2] == {"graph6": "Dz[", "member": False}
+    assert set(records[1]) == {"graph6", "error"}
+
+
+def test_undecodable_byte_in_input_file_spoils_only_its_line(capsys, tmp_path):
+    path = tmp_path / "graphs.g6"
+    path.write_bytes(UNDECODABLE)
+    check_undecodable_records(*run_cli(capsys, ["member", "--q", "2", "--k", "2",
+                                                "--input", str(path)])[:2])
+
+
+def test_undecodable_byte_on_strictly_decoded_stdin_spoils_only_its_line(capsys):
+    old = sys.stdin
+    sys.stdin = io.TextIOWrapper(io.BytesIO(UNDECODABLE), encoding="utf-8", errors="strict")
+    try:
+        code = main(["member", "--q", "2", "--k", "2"])
+    finally:
+        sys.stdin = old
+    check_undecodable_records(code, capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("argv", [
+    ["minrank", "--q", "2", "--input", "{missing}"],
+    ["classify", "--input", "{missing}"],
+    ["minrank", "--q", "2", "--input", "{dir}"],
+    ["mine", "--q", "2", "--k", "1", "--input", "{missing}"],
+], ids=["minrank-missing", "classify-missing", "minrank-directory", "mine-missing"])
+def test_unreadable_input_is_one_error_line(capsys, tmp_path, argv):
+    argv = [a.format(missing=tmp_path / "missing", dir=tmp_path) for a in argv]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_mine_unwritable_checkpoint_fails_before_scanning(capsys, tmp_path, monkeypatch):
+    from gfminrank import miner
+    classified = []
+    monkeypatch.setattr(miner, "_is_minimal_forbidden", lambda *args: classified.append(args))
+    code, out, err = run_cli(capsys, ["mine", "--q", "2", "--k", "1", "--max-n", "3", "--resume",
+                                      str(tmp_path / "missing" / "mine.json")])
+    assert code == 1 and out == "" and classified == []
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_member_over_the_vertex_budget_answers_every_line(capsys):
@@ -278,13 +359,14 @@ def test_mine_malformed_checkpoint_is_a_domain_error(capsys, tmp_path, state, fi
 
 def test_mine_input_reports_a_bad_line_and_mines_the_rest(capsys, tmp_path):
     path = tmp_path / "graphs.g6"
-    path.write_text("Dhc\nD@@x\nCF\n")
+    path.write_bytes(b"Dhc\nD@@x\n\xff\nCF\n")
     ck = tmp_path / "mine.json"
     code, out, _ = run_cli(capsys, ["mine", "--q", "2", "--k", "1",
                                     "--input", str(path), "--resume", str(ck)])
-    bad, result = [json.loads(line) for line in out.strip().splitlines()]
+    *bad, result = [json.loads(line) for line in out.strip().splitlines()]
     assert code == 1
-    assert set(bad) == {"graph6", "error"} and bad["graph6"] == "D@@x"
+    assert [set(r) for r in bad] == [{"graph6", "error"}] * 2
+    assert [r["graph6"] for r in bad] == ["D@@x", "\\xff"]
     assert result["stats"]["scanned"] == 2
     # the checkpoint's source hash covers the graphs that parsed, in order
     state = json.loads(ck.read_text())

@@ -127,6 +127,22 @@ def test_mine_checkpoint_is_tied_to_its_source(tmp_path, monkeypatch):
         mine(2, 1, source=graphs[:19], checkpoint=str(ck))
 
 
+def test_mine_checks_its_checkpoint_path_before_scanning(tmp_path, monkeypatch):
+    ck = tmp_path / "mine.json"
+    mine(2, 1, n_max=5, checkpoint=str(ck), max_graphs=10)
+    saved = ck.read_text()
+
+    def interrupt(*args):
+        raise RuntimeError("interrupted")
+
+    monkeypatch.setattr(miner, "_is_minimal_forbidden", interrupt)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        mine(2, 1, n_max=5, checkpoint=str(ck))
+    assert ck.read_text() == saved  # rewritten before the scan, no progress lost
+    with pytest.raises(FileNotFoundError):
+        mine(2, 1, n_max=5, checkpoint=str(tmp_path / "missing" / "mine.json"))
+
+
 def test_mine_external_source(fullhouse):
     source = [SimpleGraph.path(3), SimpleGraph.complete(4), fullhouse]
     run = mine(2, 2, source=source)
