@@ -29,6 +29,12 @@ isometries of the pattern's form, computed from explicit generators (see
 ``patterns.isometry_roots``).
 Every witness is re-verified against the raw blowup definition before it
 is returned.
+
+``min_rank`` sweeps k upward from the zero forcing bound mr >= n - Z(G),
+which holds over every field (AIM Minimum Rank-Special Graphs Work Group,
+LAA 428, 2008), so no k below it is ever searched.  Z is computed exactly
+per connected component of up to 12 vertices (or on the twin quotient of a
+larger one), by trying vertex sets of each size with bitmask rows.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .graphs import ClassStatus, LoopedGraph, SimpleGraph, twin_reduce
+from .graphs import ClassStatus, LoopedGraph, SimpleGraph, _components, twin_reduce
 from .patterns import (DEFAULT_VERTEX_BUDGET, Pattern, PatternMasks, VertexBudgetError,
                        generate)
 
@@ -227,58 +233,95 @@ def member(g: SimpleGraph, q: int, k: int,
     return False, None, None
 
 
-def _longest_induced_path_vertices(g: SimpleGraph) -> int:
-    """Vertex count of a longest induced path (depth-first extension)."""
-    best = min(g.n, 1)
+# components (or their twin quotients) searched for Z; a larger one adds 0
+_ZERO_FORCING_MAX_N = 12
 
-    def extend(path_mask: int, last: int, length: int):
-        nonlocal best
-        best = max(best, length)
-        cand = g.rows[last] & ~path_mask
-        while cand:
-            v = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
-            # induced: v may touch only the path tip
-            if g.rows[v] & path_mask & ~(1 << last):
-                continue
-            extend(path_mask | (1 << v), v, length + 1)
 
-    for s in range(g.n):
-        extend(1 << s, s, 1)
-    return best
+def _forces_all(rows, black: int, full: int) -> bool:
+    """Whether black spreads to every vertex by zero forcing: a black vertex
+    with exactly one white neighbour turns that neighbour black."""
+    while black != full:
+        grown = b = black
+        while b:
+            low = b & -b
+            b ^= low
+            white = rows[low.bit_length() - 1] & ~grown
+            if not white & (white - 1):
+                grown |= white
+        if grown == black:
+            return False
+        black = grown
+    return True
+
+
+def _zero_forcing_number(h: SimpleGraph) -> int:
+    """Z(h), the size of a smallest zero forcing set of h, by trying vertex
+    sets of each size upward.
+
+    The search starts at max(min degree, n - c) for c twin classes: the
+    first force needs a black vertex with all but one neighbour black, and
+    mr(h) <= c (1 on every edge, on the diagonal of true-twin classes and
+    nowhere else gives twins equal rows), so Z >= n - mr >= n - c.
+    """
+    n, rows = h.n, h.rows
+    full = (1 << n) - 1
+    bits = [1 << v for v in range(n)]
+    # a graph whose open and closed neighbourhoods are all distinct has n classes
+    twins = len(set(rows)) < n or len({r | 1 << v for v, r in enumerate(rows)}) < n
+    classes = twin_reduce(h).quotient.n if twins else n
+    start = max(min(r.bit_count() for r in rows), n - classes)
+    for size in range(start, n):
+        for black in itertools.combinations(bits, size):
+            if _forces_all(rows, sum(black), full):
+                return size
+    return n  # the whole vertex set
 
 
 def _rank_lower_bound(g: SimpleGraph) -> int:
-    """A field-independent minimum-rank lower bound.
+    """The zero forcing bound, a field-independent minimum-rank lower bound.
 
-    An induced path on m vertices forces rank at least m - 1: the submatrix
-    on the path's rows 1..m-1 and columns 2..m is triangular with nonzero
-    diagonal for any matrix realising the graph.
+    mr_F(h) >= |h| - Z(h) over every field F (AIM Minimum Rank-Special
+    Graphs Work Group, LAA 428, 2008), and both mr and Z add over connected
+    components, so the bound sums |h| - Z(h) over the components h with two
+    or more vertices.  A component on more than 12 vertices is replaced by
+    its twin quotient, an induced subgraph (one vertex per class) whose mr
+    is at most the component's, and adds 0 when that is still too large.
+    The bound dominates the induced-path bound: for an induced path P,
+    the other vertices and one end of P force P one vertex at a time.
     """
-    if g.n > 12:
-        g = twin_reduce(g).quotient.simple()
-        if g.n > 12:
-            return 0
-    return max(_longest_induced_path_vertices(g) - 1, 0)
+    bound = 0
+    for comp in _components(g):
+        if len(comp) < 2:
+            continue
+        h = g if len(comp) == g.n else g.induced(comp)
+        if h.n > _ZERO_FORCING_MAX_N:
+            h = twin_reduce(h).quotient.simple()
+            if h.n > _ZERO_FORCING_MAX_N:
+                continue
+        bound += h.n - _zero_forcing_number(h)
+    return bound
 
 
 def min_rank(g: SimpleGraph, q: int, max_k: int | None = None,
              vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> int:
     """Smallest k with mr(GF(q), g) <= k, by sweeping k upward.
 
-    The sweep starts at a cheap field-independent lower bound.  Raises
+    The sweep starts at the zero forcing bound (``_rank_lower_bound``), so
+    it never has to refuse a k that the bound already rules out.  Raises
     MinRankBoundError when max_k (or the pattern vertex budget) is exhausted
-    first; the exception carries the established lower bound.
+    first; the exception carries the established lower bound, which is at
+    least the zero forcing bound minus one even when max_k is below it.
     """
+    start = _rank_lower_bound(g)
     ceiling = g.n if max_k is None else min(max_k, g.n)
-    for k in range(_rank_lower_bound(g), ceiling + 1):
+    for k in range(start, ceiling + 1):
         try:
             if member(g, q, k, vertex_budget=vertex_budget)[0]:
                 return k
         except VertexBudgetError as exc:
             raise MinRankBoundError(k - 1, str(exc)) from exc
     if ceiling < g.n:
-        raise MinRankBoundError(max_k, f"k sweep capped at {max_k}")
+        raise MinRankBoundError(max(max_k, start - 1), f"k sweep capped at {max_k}")
     raise InvariantError("sweep refused k = n, but every n-vertex graph has mr <= n")
 
 

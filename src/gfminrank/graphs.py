@@ -153,6 +153,29 @@ def _induced_rows(rows, verts) -> list[int]:
     return [_relabel_mask(rows[v] & keep, pos) for v in verts]
 
 
+def _components(g: SimpleGraph) -> list[list[int]]:
+    """The sorted vertex lists of g's connected components, by least vertex."""
+    seen = 0
+    comps = []
+    for v in range(g.n):
+        if (seen >> v) & 1:
+            continue
+        stack = [v]
+        comp = []
+        seen |= 1 << v
+        while stack:
+            u = stack.pop()
+            comp.append(u)
+            m = g.rows[u] & ~seen
+            while m:
+                w = (m & -m).bit_length() - 1
+                seen |= 1 << w
+                stack.append(w)
+                m = g.rows[u] & ~seen
+        comps.append(sorted(comp))
+    return comps
+
+
 def _relabel_rows(rows, perm) -> list[int]:
     out = [0] * len(rows)
     for u, r in enumerate(rows):
@@ -337,15 +360,21 @@ def _g6_encode_size(n: int) -> bytes:
 
 
 def parse_graph6(text: str | bytes) -> SimpleGraph:
-    """Parse one graph6 line (optional >>graph6<< header allowed)."""
+    """Parse one graph6 line (optional >>graph6<< header allowed).
+
+    Non-ASCII input fails the 63..126 range check: text is checked as its
+    UTF-8 bytes, a surrogate escape standing for the byte it escapes."""
     if isinstance(text, bytes):
-        text = text.decode("ascii")
+        text = text.decode("ascii", "surrogateescape")
     s = text.strip()
     if s.startswith(_G6_HEADER):
         s = s[len(_G6_HEADER):].strip()
     if not s:
         raise ValueError("empty graph6 input")
-    data = s.encode("ascii")
+    try:
+        data = s.encode("utf-8", "surrogateescape")
+    except UnicodeEncodeError as exc:  # a lone surrogate that escapes no byte
+        raise ValueError(f"graph6 character U+{ord(s[exc.start]):04X} out of range") from None
     for b in data:
         if b < 63 or b > 126:
             raise ValueError(f"graph6 byte {b} out of range")

@@ -28,8 +28,8 @@ from .blowup import InvariantError, member
 # are_isomorphic is no longer called here but stays imported: the span
 # tracer in perfbench/spans.py rebinds gfminrank.miner.are_isomorphic
 # through this module's namespace, and every traced run needs the name
-from .graphs import (SimpleGraph, are_isomorphic, canonical_form, emit_graph6,
-                     parse_graph6)
+from .graphs import (SimpleGraph, _components, are_isomorphic, canonical_form,
+                     emit_graph6, parse_graph6)
 
 CHECKPOINT_EVERY = 10_000
 # verdicts a run keeps before it starts its table afresh: a run over all
@@ -93,28 +93,6 @@ def enumerate_trees(n: int) -> tuple[SimpleGraph, ...]:
 
 
 # -- closed-form membership check for rank 2 over GF(2) -------------------------
-
-def _components(g: SimpleGraph) -> list[list[int]]:
-    seen = 0
-    comps = []
-    for v in range(g.n):
-        if (seen >> v) & 1:
-            continue
-        stack = [v]
-        comp = []
-        seen |= 1 << v
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            m = g.rows[u] & ~seen
-            while m:
-                w = (m & -m).bit_length() - 1
-                seen |= 1 << w
-                stack.append(w)
-                m = g.rows[u] & ~seen
-        comps.append(sorted(comp))
-    return comps
-
 
 def _is_clique(g: SimpleGraph, verts: list[int]) -> bool:
     return all(g.has_edge(u, v) for i, u in enumerate(verts) for v in verts[i + 1:])

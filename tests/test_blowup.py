@@ -11,7 +11,9 @@ import pytest
 from gfminrank import (LoopedGraph, SimpleGraph, blow_up, emit_graph6, generate,
                        is_blowup, member, min_rank, multipartite_bound_check,
                        oracle_min_rank, parse_graph6, twin_reduce)
-from gfminrank.blowup import MinRankBoundError, verify_blowup
+from gfminrank import blowup
+from gfminrank.blowup import (MinRankBoundError, _rank_lower_bound, _zero_forcing_number,
+                              verify_blowup)
 from gfminrank.miner import enumerate_graphs, enumerate_trees
 from gfminrank.patterns import VertexBudgetError
 from gfminrank.projgeo import point_count
@@ -91,6 +93,79 @@ def test_min_rank_bound_error_reports_cap(fullhouse):
     with pytest.raises(MinRankBoundError) as err:
         min_rank(fullhouse, 2, max_k=2)
     assert err.value.lower_bound == 2
+
+
+def _cycle(n: int) -> SimpleGraph:
+    return SimpleGraph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def _union(*parts: SimpleGraph) -> SimpleGraph:
+    rows, shift = [], 0
+    for h in parts:
+        rows += [r << shift for r in h.rows]
+        shift += h.n
+    return SimpleGraph(shift, rows)
+
+
+def _longest_induced_path(g: SimpleGraph) -> int:
+    """Vertex count of a longest induced path, by depth-first extension."""
+    best = min(g.n, 1)
+
+    def extend(path: int, last: int, length: int) -> None:
+        nonlocal best
+        best = max(best, length)
+        for v in range(g.n):
+            # v extends the path at its tip and touches no other path vertex
+            if g.has_edge(last, v) and not (path >> v) & 1 \
+                    and not g.rows[v] & path & ~(1 << last):
+                extend(path | 1 << v, v, length + 1)
+
+    for s in range(g.n):
+        extend(1 << s, s, 1)
+    return best
+
+
+def test_zero_forcing_number_of_families():
+    for n in range(2, 10):
+        assert _zero_forcing_number(SimpleGraph.path(n)) == 1
+        assert _zero_forcing_number(SimpleGraph.complete(n)) == n - 1
+    for n in range(3, 10):
+        assert _zero_forcing_number(_cycle(n)) == 2
+    for m in range(2, 7):
+        for n in range(2, 7):
+            kmn = SimpleGraph.complete_multipartite([m, n])
+            assert _zero_forcing_number(kmn) == m + n - 2
+    union = _union(SimpleGraph.path(4), _cycle(5), SimpleGraph.complete(4))
+    assert _zero_forcing_number(union) == 1 + 2 + 3
+
+
+def test_zero_forcing_bound_dominates_the_induced_path_bound():
+    for n in range(1, 8):
+        for g in enumerate_graphs(n):
+            assert _rank_lower_bound(g) >= _longest_induced_path(g) - 1, emit_graph6(g)
+
+
+def test_zero_forcing_bound_sums_over_components_past_twelve_vertices():
+    # 13 vertices, no twins: the whole graph is over the cap, its parts are not
+    assert _rank_lower_bound(_union(SimpleGraph.path(6), SimpleGraph.path(7))) == 5 + 6
+    # K_{7,7} is over the cap; its twin quotient K2 gives 1, and P3 gives 2
+    k77 = SimpleGraph.complete_multipartite([7, 7])
+    assert _rank_lower_bound(_union(k77, SimpleGraph.path(3))) == 1 + 2
+    # over the cap with no twins to merge: the component adds nothing
+    assert _rank_lower_bound(SimpleGraph.path(13)) == 0
+
+
+def test_the_sweep_starts_at_the_zero_forcing_bound(monkeypatch):
+    # both took seconds to minutes refusing k = mr - 1; the bound equals mr
+    real = blowup.member
+    for g6, q, mr in [("KN{pGA?VRDkd", 3, 7), ("HCdRjyh", 4, 6)]:
+        def guarded(g, q, k, mr=mr, **kwargs):
+            if k < mr:
+                raise AssertionError(f"sweep tried k = {k} below the bound {mr}")
+            return real(g, q, k, **kwargs)
+
+        monkeypatch.setattr(blowup, "member", guarded)
+        assert min_rank(parse_graph6(g6), q) == mr
 
 
 def _brute_is_blowup(g: SimpleGraph, h: LoopedGraph) -> bool:
@@ -287,7 +362,9 @@ def test_sweep_matches_oracle_on_nine_vertex_graphs_gf2():
 
 def test_sweep_matches_oracle_on_all_seven_vertex_graphs_gf2():
     for g in enumerate_graphs(7):
-        assert min_rank(g, 2) == oracle_min_rank(g, 2), emit_graph6(g)
+        mr = oracle_min_rank(g, 2)
+        assert min_rank(g, 2) == mr, emit_graph6(g)
+        assert _rank_lower_bound(g) <= mr, emit_graph6(g)
 
 
 # Run under python -O: the first assert is stripped there, which shows the

@@ -107,6 +107,14 @@ def test_minrank_max_k_reports_bound(capsys):
     assert json.loads(out) == {"graph6": fullhouse_g6(), "minrank_gt": 2}
 
 
+def test_minrank_max_k_below_the_sweep_start_reports_the_bound(capsys):
+    # EhCG is P6: its zero forcing bound already proves mr >= 5, so a cap
+    # of 2 still reports mr > 4
+    code, out, _ = run_cli(capsys, ["minrank", "--q", "3", "--max-k", "2"], stdin="EhCG\n")
+    assert code == 0
+    assert json.loads(out) == {"graph6": "EhCG", "minrank_gt": 4}
+
+
 def test_cached_parser_parses_each_call_afresh(capsys, monkeypatch):
     # main reuses one module-level parser; an option given in one call must
     # not leak into the next
@@ -233,6 +241,19 @@ def check_undecodable_records(code, out):
     assert [r["graph6"] for r in records] == ["Dz[", "\\xff\\xfe", "Dz["]
     assert records[0] == records[2] == {"graph6": "Dz[", "member": False}
     assert set(records[1]) == {"graph6", "error"}
+
+
+def test_non_ascii_line_names_the_graph6_range_not_the_codec(capsys):
+    old = sys.stdin
+    sys.stdin = io.TextIOWrapper(io.BytesIO(b"\xff\nDz[\n"), encoding="utf-8")
+    try:
+        code = main(["member", "--q", "2", "--k", "2"])
+    finally:
+        sys.stdin = old
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert code == 1
+    assert records == [{"graph6": "\\xff", "error": "graph6 byte 255 out of range"},
+                       {"graph6": "Dz[", "member": False}]
 
 
 def test_undecodable_byte_in_input_file_spoils_only_its_line(capsys, tmp_path):

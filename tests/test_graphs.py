@@ -130,6 +130,16 @@ def test_graph6_malformed_inputs():
         parse_graph6("A@")
 
 
+@pytest.mark.parametrize("text,what", [
+    (b"\xff", "byte 255"), ("\udcff", "byte 255"), ("B\u00e9", "byte 195"),
+    (b"B\x80", "byte 128"), ("B\ud800", "character U+D800"),
+], ids=["byte", "surrogate-escape", "non-ascii-str", "non-ascii-bytes", "lone-surrogate"])
+def test_graph6_non_ascii_is_out_of_range_not_a_codec_error(text, what):
+    with pytest.raises(ValueError) as err:
+        parse_graph6(text)
+    assert str(err.value) == f"graph6 {what} out of range"
+
+
 def test_graph6_roundtrip_small():
     for n in range(6):
         for g in enumerate_graphs(n):
