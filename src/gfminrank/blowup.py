@@ -42,7 +42,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .graphs import ClassStatus, LoopedGraph, SimpleGraph, _components, twin_reduce
+from .graphs import ClassStatus, LoopedGraph, SimpleGraph, _components, _least_twins, twin_reduce
 from .patterns import (DEFAULT_VERTEX_BUDGET, Pattern, PatternMasks, VertexBudgetError,
                        generate)
 
@@ -258,7 +258,8 @@ def _zero_forcing_number(h: SimpleGraph) -> int:
     """Z(h), the size of a smallest zero forcing set of h, by trying vertex
     sets of each size upward.
 
-    The search starts at max(min degree, n - c) for c twin classes: the
+    The search starts at max(min degree, n - c) for the c twin classes of
+    _least_twins (no vertex has twins of both kinds, see twin_reduce): the
     first force needs a black vertex with all but one neighbour black, and
     mr(h) <= c (1 on every edge, on the diagonal of true-twin classes and
     nowhere else gives twins equal rows), so Z >= n - mr >= n - c.
@@ -266,10 +267,7 @@ def _zero_forcing_number(h: SimpleGraph) -> int:
     n, rows = h.n, h.rows
     full = (1 << n) - 1
     bits = [1 << v for v in range(n)]
-    # a graph whose open and closed neighbourhoods are all distinct has n classes
-    twins = len(set(rows)) < n or len({r | 1 << v for v, r in enumerate(rows)}) < n
-    classes = twin_reduce(h).quotient.n if twins else n
-    start = max(min(r.bit_count() for r in rows), n - classes)
+    start = max(min(r.bit_count() for r in rows), n - len(set(_least_twins(rows))))
     for size in range(start, n):
         for black in itertools.combinations(bits, size):
             if _forces_all(rows, sum(black), full):

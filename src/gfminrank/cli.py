@@ -174,6 +174,18 @@ def cmd_selftest(args) -> int:
     return 0 if failures == 0 else 1
 
 
+def _nonnegative(text: str) -> int:
+    """The argparse type of --k, --max-k, --budget, --vertex-budget and
+    --max-n, so a negative count is a usage error before any input is read."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"invalid nonnegative integer: {text!r}")
+    return value
+
+
 Q_HELP = "field order, e.g. 4 or 2^2"
 INPUT_HELP = "read graphs from a file instead of stdin"
 
@@ -184,37 +196,37 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("patterns", help="emit the pattern graphs for (q, k)")
     p.add_argument("--q", required=True, help=Q_HELP)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_nonnegative, required=True)
     p.add_argument("--format", choices=["json", "dot", "matrix"], default="json")
-    p.add_argument("--vertex-budget", type=int, default=DEFAULT_VERTEX_BUDGET)
+    p.add_argument("--vertex-budget", type=_nonnegative, default=DEFAULT_VERTEX_BUDGET)
     p.set_defaults(func=cmd_patterns)
 
     p = sub.add_parser("minrank", help="minimum rank of each input graph")
     p.add_argument("--q", required=True, help=Q_HELP)
     p.add_argument("--input", help=INPUT_HELP)
-    p.add_argument("--max-k", type=int, default=None)
-    p.add_argument("--vertex-budget", type=int, default=DEFAULT_VERTEX_BUDGET)
+    p.add_argument("--max-k", type=_nonnegative, default=None)
+    p.add_argument("--vertex-budget", type=_nonnegative, default=DEFAULT_VERTEX_BUDGET)
     p.set_defaults(func=cmd_minrank)
 
     p = sub.add_parser("member", help="is minimum rank at most k?")
     p.add_argument("--q", required=True, help=Q_HELP)
     p.add_argument("--input", help=INPUT_HELP)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--vertex-budget", type=int, default=DEFAULT_VERTEX_BUDGET)
+    p.add_argument("--k", type=_nonnegative, required=True)
+    p.add_argument("--vertex-budget", type=_nonnegative, default=DEFAULT_VERTEX_BUDGET)
     p.set_defaults(func=cmd_member)
 
     p = sub.add_parser("oracle", help="brute-force minimum rank of each input graph")
     p.add_argument("--q", required=True, help=Q_HELP)
     p.add_argument("--input", help=INPUT_HELP)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_nonnegative, default=DEFAULT_BUDGET)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("mine", help="collect minimal forbidden subgraphs")
     p.add_argument("--q", required=True, help=Q_HELP)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_nonnegative, required=True)
     source = p.add_mutually_exclusive_group()
     source.add_argument("--input", help=INPUT_HELP)
-    source.add_argument("--max-n", type=int, default=None,
+    source.add_argument("--max-n", type=_nonnegative, default=None,
                         help="mine all graphs on up to this many vertices")
     p.add_argument("--max-graphs", type=int, default=None)
     p.add_argument("--resume", help="checkpoint file to write and resume from")

@@ -95,6 +95,8 @@ def _find_modulus(p: int, e: int) -> tuple[int, ...]:
 
 
 def _prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n >= 1 in increasing order, by trial
+    division: the one factoring of q (factor_prime_power) and of q - 1."""
     out = []
     f = 2
     while f * f <= n:
@@ -323,20 +325,12 @@ def factor_prime_power(q: int) -> tuple[int, int]:
     follow and an order past the cap is never turned into text."""
     if not 2 <= q <= Q_MAX:
         raise ValueError(f"field order must be a prime power in 2..{Q_MAX}")
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            break
-        p += 1
-    else:
-        p = q
-    e = 0
-    m = q
-    while m % p == 0:
-        m //= p
-        e += 1
-    if m != 1:
+    factors = _prime_factors(q)
+    if len(factors) != 1:
         raise ValueError(f"{q} is not a prime power")
+    p, e = factors[0], 1
+    while p ** e < q:
+        e += 1
     return p, e
 
 

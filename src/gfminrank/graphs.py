@@ -218,7 +218,7 @@ class SimpleGraph:
         return bool((self.rows[u] >> v) & 1)
 
     def degree(self, v: int) -> int:
-        return bin(self.rows[v]).count("1")
+        return self.rows[v].bit_count()
 
     def edges(self):
         return _row_edges(self.rows)
@@ -283,7 +283,7 @@ class LoopedGraph:
 
     def degree(self, v: int) -> int:
         """Neighbor count plus one if looped (the filled-vertex convention)."""
-        return bin(self.rows[v]).count("1") + ((self.loops >> v) & 1)
+        return self.rows[v].bit_count() + ((self.loops >> v) & 1)
 
     def looped_vertices(self) -> list[int]:
         return [v for v in range(self.n) if self.has_loop(v)]
@@ -524,13 +524,28 @@ class TwinReduction:
         return tuple(len(c) for c in self.classes)
 
 
+def _least_twins(rows) -> list[int]:
+    """Each vertex's least twin (N(u) = N(w) or N[u] = N[w]), the vertex
+    itself when it has none smaller: the one grouping of vertices by
+    neighbourhood.  A vertex never has twins of both kinds (see
+    twin_reduce), so the smaller of its least open and least closed twin
+    is its least twin."""
+    closed: dict[int, int] = {}
+    open_: dict[int, int] = {}
+    for v, r in enumerate(rows):
+        closed.setdefault(r | 1 << v, v)
+        open_.setdefault(r, v)
+    return [min(closed[r | 1 << v], open_[r]) for v, r in enumerate(rows)]
+
+
 def twin_reduce(g: SimpleGraph) -> TwinReduction:
     """Merge twin vertices until no pair remains, in one pass.
 
-    True twins (equal closed neighbourhoods N[v]) form the LOOPED classes;
-    the other vertices are grouped by open neighbourhood N(v) into
-    NONLOOPED classes and FREE singletons.  Classes are ordered by least
-    vertex, and the quotient joins two classes whose representatives are
+    The classes are those of _least_twins, ordered by least vertex.  True
+    twins (equal closed neighbourhoods N[v]) form the LOOPED classes, those
+    whose first two members are adjacent; independent twins (equal open
+    neighbourhoods N(v)) form the NONLOOPED classes, and the rest are FREE
+    singletons.  The quotient joins two classes whose representatives are
     adjacent.  One pass reaches the fixpoint of pairwise merging because
     no vertex has twins of both kinds (if u has an independent twin v and
     a true twin w, then w ~ u gives w ~ v, so v is in N[w] = N[u],
@@ -539,26 +554,15 @@ def twin_reduce(g: SimpleGraph) -> TwinReduction:
     in g.
     """
     rows = g.rows
-    closed: dict[int, list[int]] = {}
-    for v, r in enumerate(rows):
-        closed.setdefault(r | 1 << v, []).append(v)
-    groups: list[tuple[list[int], ClassStatus]] = []
-    open_: dict[int, list[int]] = {}
-    for members in closed.values():
-        if len(members) > 1:
-            groups.append((members, ClassStatus.LOOPED))
-        else:
-            open_.setdefault(rows[members[0]], []).append(members[0])
-    for members in open_.values():
-        groups.append((members, ClassStatus.NONLOOPED if len(members) > 1
-                       else ClassStatus.FREE))
-    groups.sort(key=lambda group: group[0][0])
-
-    quotient_rows = _induced_rows(rows, [members[0] for members, _ in groups])
-    loops = sum(1 << i for i, (_, st) in enumerate(groups) if st is ClassStatus.LOOPED)
-    return TwinReduction(tuple(tuple(members) for members, _ in groups),
-                         tuple(st for _, st in groups),
-                         LoopedGraph(len(groups), quotient_rows, loops))
+    groups: dict[int, list[int]] = {}  # a class enters at its least vertex
+    for v, t in enumerate(_least_twins(rows)):
+        groups.setdefault(t, []).append(v)
+    classes = tuple(map(tuple, groups.values()))
+    statuses = tuple(ClassStatus.FREE if len(c) == 1 else ClassStatus.LOOPED
+                     if rows[c[0]] >> c[1] & 1 else ClassStatus.NONLOOPED for c in classes)
+    loops = sum(1 << i for i, st in enumerate(statuses) if st is ClassStatus.LOOPED)
+    return TwinReduction(classes, statuses,
+                         LoopedGraph(len(classes), _induced_rows(rows, list(groups)), loops))
 
 
 def blow_up(pattern: LoopedGraph, sizes) -> SimpleGraph:
@@ -721,7 +725,8 @@ def canonical_form(g: SimpleGraph, node_budget: int = 2_000_000) -> SimpleGraph:
     the least certificate over all leaves, which relabelling g cannot
     change.
 
-    Only one vertex per twin class in the branching cell is tried.  Two
+    Only one vertex per twin class (of _least_twins; no vertex has twins of
+    both kinds, see twin_reduce) in the branching cell is tried.  Two
     twins u and w (N(u) = N(w) or N[u] = N[w]) in that cell are not yet
     individualised, so swapping them is an automorphism of g that fixes
     every individualised vertex; it maps the subtree under u onto the
@@ -730,14 +735,7 @@ def canonical_form(g: SimpleGraph, node_budget: int = 2_000_000) -> SimpleGraph:
     IsoBudgetError.
     """
     n, rows = g.n, g.rows
-    # least vertex of each twin class; no vertex has twins of both kinds
-    # (see twin_reduce), so the two lookups never disagree about a class
-    closed: dict[int, int] = {}
-    open_: dict[int, int] = {}
-    for v, r in enumerate(rows):
-        closed.setdefault(r | 1 << v, v)
-        open_.setdefault(r, v)
-    twin = [min(closed[r | 1 << v], open_[r]) for v, r in enumerate(rows)]
+    twin = _least_twins(rows)
     best: tuple[int, ...] | None = None
     nodes = 0
 

@@ -95,29 +95,16 @@ def enumerate_trees(n: int) -> tuple[SimpleGraph, ...]:
 # -- closed-form membership check for rank 2 over GF(2) -------------------------
 
 def _is_clique(g: SimpleGraph, verts: list[int]) -> bool:
-    return all(g.has_edge(u, v) for i, u in enumerate(verts) for v in verts[i + 1:])
+    mask = sum(1 << v for v in verts)
+    return all((g.rows[v] | 1 << v) & mask == mask for v in verts)
 
 
 def _is_complete_bipartite(g: SimpleGraph, verts: list[int]) -> bool:
-    if len(verts) < 2:
-        return False
-    sub = g.induced(verts)
-    side = {0: 0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in range(sub.n):
-            if sub.has_edge(u, v):
-                if v not in side:
-                    side[v] = 1 - side[u]
-                    stack.append(v)
-                elif side[v] == side[u]:
-                    return False
-    if len(side) != sub.n:
-        return False  # disconnected
-    a = [v for v in side if side[v] == 0]
-    b = [v for v in side if side[v] == 1]
-    return all(sub.has_edge(u, v) for u in a for v in b)
+    """Whether g on verts is K_{a,b} with a, b >= 1: exactly when the
+    complement of g on verts is two cliques with no edge between them."""
+    co = g.induced(verts).complement()
+    comps = _components(co)
+    return len(comps) == 2 and all(_is_clique(co, c) for c in comps)
 
 
 def check_f2r2_form(g: SimpleGraph) -> bool:

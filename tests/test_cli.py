@@ -219,6 +219,28 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["patterns", "--q", "2", "--k", "-1"],
+    ["patterns", "--q", "2", "--k", "1", "--vertex-budget", "-1"],
+    ["minrank", "--q", "2", "--max-k", "-1"],
+    ["minrank", "--q", "2", "--vertex-budget", "-5"],
+    ["member", "--q", "2", "--k", "-1"],
+    ["member", "--q", "2", "--k", "1", "--vertex-budget", "-1"],
+    ["oracle", "--q", "2", "--budget", "-1"],
+    ["mine", "--q", "2", "--k", "-1", "--max-n", "3"],
+    ["mine", "--q", "2", "--k", "1", "--max-n", "-1"],
+])
+def test_negative_counts_are_usage_errors_before_input_is_read(capsys, monkeypatch, argv):
+    stdin = io.StringIO("@\n")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "invalid nonnegative integer: '-" in err
+    assert stdin.tell() == 0
+
+
 @pytest.mark.parametrize("argv,key", [(["minrank", "--q", "2"], "minrank"),
                                       (["member", "--q", "2", "--k", "2"], "member"),
                                       (["oracle", "--q", "2"], "minrank")],

@@ -235,6 +235,32 @@ def test_factor_prime_power():
             factor_prime_power(q)
 
 
+def _factors_or_message(q):
+    try:
+        return factor_prime_power(q)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_factor_prime_power_agrees_with_a_sieve_up_to_the_cap():
+    # least prime factor of every n <= Q_MAX, by the sieve of Eratosthenes
+    least = list(range(Q_MAX + 1))
+    for p in range(2, int(Q_MAX ** 0.5) + 1):
+        if least[p] == p:
+            for m in range(p * p, Q_MAX + 1, p):
+                if least[m] == m:
+                    least[m] = p
+    for q in range(2, Q_MAX + 1):
+        p, m, e = least[q], q, 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        want = (p, e) if m == 1 else f"{q} is not a prime power"
+        assert _factors_or_message(q) == want
+    for q in (-1, 0, 1, Q_MAX + 1):
+        assert _factors_or_message(q) == f"field order must be a prime power in 2..{Q_MAX}"
+
+
 def test_field_serialisation(gf9):
     assert gf9.to_json() == {"p": 3, "e": 2, "modulus": [1, 0, 1]}
 

@@ -194,6 +194,7 @@ def test_f2r2_form_reference_cases(fullhouse):
 
 
 def test_f2r2_form_agrees_with_membership_everywhere():
-    for n in range(1, 7):
+    # n = 7 sends larger components through the complete bipartite check
+    for n in range(1, 8):
         for g in enumerate_graphs(n):
             assert check_f2r2_form(g) == member(g, 2, 2)[0], emit_graph6(g)
