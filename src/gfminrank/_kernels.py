@@ -20,8 +20,9 @@ def scan_min_rank(n: int, forest: list[tuple[int, int]], free: list[tuple[int, i
     """Least rank over the matrices above, or None past ``budget`` nodes.
 
     ``forest`` and ``free`` are vertex pairs u < v; ``tables`` are the
-    (sub, mul, inv) lists of ``FieldCtx.kernel_tables()``, read only.  A node is one choice of a row.  The search stops as soon as it
-    finds rank 1, the least rank of a graph with an edge.
+    (sub, mul, inv) lists of ``FieldCtx.kernel_tables()``, read only.
+    A node is one choice of a row.  The search stops as soon as it finds
+    rank 1, the least rank of a graph with an edge.
     """
     sub, mul, inv = tables
     a = [[0] * n for _ in range(n)]

@@ -30,11 +30,21 @@ isometries of the pattern's form, computed from explicit generators (see
 Every witness is re-verified against the raw blowup definition before it
 is returned.
 
-``min_rank`` sweeps k upward from the zero forcing bound mr >= n - Z(G),
-which holds over every field (AIM Minimum Rank-Special Graphs Work Group,
-LAA 428, 2008), so no k below it is ever searched.  Z is computed exactly
-per connected component of up to 12 vertices (or on the twin quotient of a
-larger one), by trying vertex sets of each size with bitmask rows.
+Over q > 2, ``min_rank`` sweeps k upward from the zero forcing bound
+mr >= n - Z(G), which holds over every field (AIM Minimum Rank-Special
+Graphs Work Group, LAA 428, 2008), so no k below it is ever searched.  Z is
+computed exactly per connected component of up to 12 vertices (or on the
+twin quotient of a larger one), by trying vertex sets of each size with
+bitmask rows.
+
+Over GF(2), ``min_rank`` uses no patterns.  Every nonzero off-diagonal
+entry is 1 there, so the matrices with graph G are exactly A(G) + D for the
+2^n diagonals D with 0/1 entries, and mr is the least rank among them.
+``_gf2_min_rank`` finds it by a row-by-row branch and bound over D on
+bitset rows, which stops once it meets the zero forcing bound and refuses
+past a fixed node budget.  It shares no code with the oracle, which stays
+an independent check, and the pattern vertex budget does not limit it.
+``member`` still decides GF(2) by patterns, since it returns a witness.
 """
 
 from __future__ import annotations
@@ -48,7 +58,7 @@ from .patterns import (DEFAULT_VERTEX_BUDGET, Pattern, PatternMasks, VertexBudge
 
 
 class MinRankBoundError(Exception):
-    """The k sweep stopped before finding the minimum rank.
+    """min_rank stopped before finding the minimum rank.
 
     ``lower_bound`` is the largest k that was ruled out, so mr > lower_bound.
     """
@@ -300,16 +310,79 @@ def _rank_lower_bound(g: SimpleGraph) -> int:
     return bound
 
 
+# search nodes (row choices) before _gf2_min_rank refuses, as for the oracle
+GF2_NODE_BUDGET = 4 * 10 ** 6
+
+
+def _gf2_min_rank(g: SimpleGraph, max_k: int | None = None) -> int:
+    """mr(GF(2), g) as the least rank of A(g) + D over 0/1 diagonals D.
+
+    Every nonzero off-diagonal entry over GF(2) is 1, so these are all the
+    matrices with graph g.  Depth i chooses row i's diagonal bit; the row is
+    reduced against an echelon basis of rows 0..i-1 (pivot = lowest set
+    bit), whose size bounds the rank of every matrix below the node, so a
+    branch is cut once it reaches the least rank found.  The search stops
+    at the zero forcing bound (at least 1 on a graph with an edge), and
+    refuses past GF2_NODE_BUDGET nodes.
+    """
+    n, rows = g.n, g.rows
+    if not any(rows):
+        return 0  # the zero matrix
+    floor = max(_rank_lower_bound(g), 1)
+    ceiling = n if max_k is None else min(max_k, n)
+    best = ceiling + 1
+    basis: list[tuple[int, int]] = []  # (pivot bit, row) in insertion order
+    kept = [0] * n  # basis size before row i
+    # reduced rows left to try at each depth, popped last to first
+    todo: list[list[int]] = [[] for _ in range(n)]
+    todo[0] = [rows[0] | 1, rows[0]]
+    i = 0 if floor <= ceiling else -1
+    nodes = 0
+    while i >= 0 and best > floor:
+        if not todo[i]:
+            i -= 1
+            continue
+        nodes += 1
+        if nodes > GF2_NODE_BUDGET:
+            raise MinRankBoundError(floor - 1, f"GF(2) search past {GF2_NODE_BUDGET} nodes")
+        del basis[kept[i]:]
+        r = todo[i].pop()
+        if r:
+            basis.append((r & -r, r))
+        if len(basis) >= best:
+            continue
+        if i == n - 1:
+            best = len(basis)
+            continue
+        i += 1
+        kept[i] = len(basis)
+        r, e = rows[i], 1 << i
+        for p, b in basis:
+            if r & p:
+                r ^= b
+            if e & p:
+                e ^= b
+        todo[i] = [r ^ e, r]  # d = 0, then d = 1
+    if best > ceiling:
+        raise MinRankBoundError(max(max_k, floor - 1), f"GF(2) search capped at {max_k}")
+    return best
+
+
 def min_rank(g: SimpleGraph, q: int, max_k: int | None = None,
              vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> int:
-    """Smallest k with mr(GF(q), g) <= k, by sweeping k upward.
+    """Smallest k with mr(GF(q), g) <= k.
 
-    The sweep starts at the zero forcing bound (``_rank_lower_bound``), so
-    it never has to refuse a k that the bound already rules out.  Raises
-    MinRankBoundError when max_k (or the pattern vertex budget) is exhausted
-    first; the exception carries the established lower bound, which is at
-    least the zero forcing bound minus one even when max_k is below it.
+    Over GF(2) this is ``_gf2_min_rank``, a search over the diagonal that
+    ``vertex_budget`` does not limit.  Over larger fields k sweeps upward
+    from the zero forcing bound (``_rank_lower_bound``), so it never has to
+    refuse a k that the bound already rules out.  Raises MinRankBoundError
+    when max_k, the pattern vertex budget or the GF(2) node budget is
+    exhausted first; the exception carries the established lower bound,
+    which is at least the zero forcing bound minus one even when max_k is
+    below it.
     """
+    if q == 2:
+        return _gf2_min_rank(g, max_k)
     start = _rank_lower_bound(g)
     ceiling = g.n if max_k is None else min(max_k, g.n)
     for k in range(start, ceiling + 1):

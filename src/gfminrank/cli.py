@@ -5,11 +5,12 @@ Graphs stream in as graph6 lines on stdin (or --input), read one at a
 time by one reader, which every graph command and mine --input share;
 results leave as line-delimited JSON on stdout; diagnostics go to stderr.
 A line that does not parse (an undecodable byte spoils only its own line),
-or whose patterns exceed the vertex budget, gets an error record and the
-stream goes on.  A field order is written q or p^e in ASCII digits.  A
-refused order, matrix or checkpoint and a file that cannot be read or
-written end the run with one "error:" line on stderr.  Exit codes: 0
-success, 1 domain error (including any bad line), 2 usage error.
+or whose member patterns exceed the vertex budget, gets an error record and
+the stream goes on; minrank reports a budget it runs out of as minrank_gt.
+A field order is written q or p^e in ASCII digits.  A refused order,
+matrix or checkpoint and a file that cannot be read or written end the run
+with one "error:" line on stderr.  Exit codes: 0 success, 1 domain error
+(including any bad line), 2 usage error.
 """
 
 from __future__ import annotations
@@ -205,7 +206,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", required=True, help=Q_HELP)
     p.add_argument("--input", help=INPUT_HELP)
     p.add_argument("--max-k", type=_nonnegative, default=None)
-    p.add_argument("--vertex-budget", type=_nonnegative, default=DEFAULT_VERTEX_BUDGET)
+    p.add_argument("--vertex-budget", type=_nonnegative, default=DEFAULT_VERTEX_BUDGET,
+                   help="pattern vertex limit for q > 2 (GF(2) searches no patterns)")
     p.set_defaults(func=cmd_minrank)
 
     p = sub.add_parser("member", help="is minimum rank at most k?")

@@ -15,7 +15,7 @@ from gfminrank import blowup
 from gfminrank.blowup import (MinRankBoundError, _rank_lower_bound, _zero_forcing_number,
                               verify_blowup)
 from gfminrank.miner import enumerate_graphs, enumerate_trees
-from gfminrank.patterns import VertexBudgetError
+from gfminrank.patterns import DEFAULT_VERTEX_BUDGET, VertexBudgetError
 from gfminrank.projgeo import point_count
 
 
@@ -60,6 +60,7 @@ def test_k2222_needs_rank_four_over_gf2():
 def test_edgeless_graphs_have_rank_zero():
     for n in (0, 1, 4):
         assert min_rank(SimpleGraph.empty(n), 2) == 0
+        assert min_rank(SimpleGraph.empty(n), 2, max_k=0) == 0
         assert min_rank(SimpleGraph.empty(n), 3) == 0
 
 
@@ -357,7 +358,17 @@ def test_sweep_matches_oracle_on_nine_vertex_graphs_gf2():
             9, [(u, v) for u in range(9) for v in range(u + 1, 9) if rng.random() < 0.5]))
     assert min_rank(graphs[0], 2) == 7
     for g in graphs:
-        assert min_rank(g, 2) == oracle_min_rank(g, 2), emit_graph6(g)
+        mr = oracle_min_rank(g, 2)
+        assert min_rank(g, 2) == mr, emit_graph6(g)
+        _assert_patterns_give(g, mr)
+
+
+def _assert_patterns_give(g: SimpleGraph, mr: int) -> None:
+    # min_rank over GF(2) is the diagonal search, so check the pattern
+    # route against the oracle here: g is a member at mr and not below it
+    assert member(g, 2, mr)[0], emit_graph6(g)
+    if mr > 0:
+        assert not member(g, 2, mr - 1)[0], emit_graph6(g)
 
 
 def test_sweep_matches_oracle_on_all_seven_vertex_graphs_gf2():
@@ -365,6 +376,25 @@ def test_sweep_matches_oracle_on_all_seven_vertex_graphs_gf2():
         mr = oracle_min_rank(g, 2)
         assert min_rank(g, 2) == mr, emit_graph6(g)
         assert _rank_lower_bound(g) <= mr, emit_graph6(g)
+        _assert_patterns_give(g, mr)
+
+
+def test_gf2_search_refuses_past_its_node_budget(monkeypatch):
+    g = parse_graph6("H^Zwu[O")  # mr 7, above the zero forcing bound
+    assert 1 <= _rank_lower_bound(g) < 7
+    monkeypatch.setattr(blowup, "GF2_NODE_BUDGET", 5)
+    with pytest.raises(MinRankBoundError) as err:
+        min_rank(g, 2)
+    assert err.value.lower_bound == _rank_lower_bound(g) - 1
+
+
+def test_gf2_search_answers_past_the_pattern_vertex_budget():
+    # G(18, 1/2), seed 1: mr 14, where the GF(2) patterns have 16383 points
+    rng = random.Random(1)
+    g = SimpleGraph.from_edges(
+        18, [(u, v) for u in range(18) for v in range(u + 1, 18) if rng.random() < 0.5])
+    assert point_count(2, 14) > DEFAULT_VERTEX_BUDGET
+    assert min_rank(g, 2) == oracle_min_rank(g, 2) == 14
 
 
 # Run under python -O: the first assert is stripped there, which shows the

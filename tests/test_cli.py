@@ -131,11 +131,16 @@ def test_cached_parser_parses_each_call_afresh(capsys, monkeypatch):
 
 
 def test_minrank_vertex_budget_reports_bound(capsys):
-    # K_{2,2,2,2} has mr 4 over GF(2); the k = 4 patterns exceed 7 vertices
+    # K_{2,2,2,2}: the k = 3 patterns over GF(3) have 13 > 12 vertices
+    code, out, _ = run_cli(capsys, ["minrank", "--q", "3", "--vertex-budget", "12"],
+                           stdin="G]~v~w\n")
+    assert code == 0
+    assert json.loads(out) == {"graph6": "G]~v~w", "minrank_gt": 2}
+    # over GF(2) minrank searches the diagonal, which no vertex budget limits
     code, out, _ = run_cli(capsys, ["minrank", "--q", "2", "--vertex-budget", "7"],
                            stdin="G]~v~w\n")
     assert code == 0
-    assert json.loads(out) == {"graph6": "G]~v~w", "minrank_gt": 3}
+    assert json.loads(out) == {"graph6": "G]~v~w", "minrank": 4}
 
 
 def test_member_with_witness(capsys):
