@@ -226,7 +226,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mine", help="collect minimal forbidden subgraphs")
     p.add_argument("--q", required=True, help=Q_HELP)
     p.add_argument("--k", type=_nonnegative, required=True)
-    source = p.add_mutually_exclusive_group()
+    source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--input", help=INPUT_HELP)
     source.add_argument("--max-n", type=_nonnegative, default=None,
                         help="mine all graphs on up to this many vertices")

@@ -461,8 +461,14 @@ def _json_vertex(x, what: str, n: int) -> int:
     return x
 
 
+def _json_field(obj: dict, key: str):
+    if key not in obj:
+        raise ValueError(f"{key} is missing")
+    return obj[key]
+
+
 def _json_list(obj: dict, key: str) -> list:
-    value = obj[key]
+    value = _json_field(obj, key)
     if not isinstance(value, list):
         raise ValueError(f"{key} {value!r} is not a list")
     return value
@@ -475,7 +481,7 @@ def looped_from_json(obj: dict) -> LoopedGraph:
     field."""
     if not isinstance(obj, dict):
         raise ValueError(f"{obj!r} is not a JSON object")
-    n = obj["n"]
+    n = _json_field(obj, "n")
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValueError(f"n {n!r} is not a nonnegative integer")
     edges = []

@@ -6,7 +6,9 @@ subgraph is.  The members are the blowups of the finitely many k-patterns,
 and deleting a vertex from a blowup leaves a blowup of the same pattern, so
 membership is closed under induced subgraphs: checking the n deletions
 suffices, and a graph with a non-member induced subgraph is a non-member
-and not minimal.
+and not minimal.  The enumeration records the classes of each graph's
+deletions (deletion_classes), so mine reads them from the verdicts of the
+level below and decides each graph by at most one member call.
 
 Every "have I seen this graph?" check (deduplicating the enumeration's
 candidates, and the mined graphs of one run, resumed checkpoints included)
@@ -32,29 +34,32 @@ from .graphs import (SimpleGraph, _components, are_isomorphic, canonical_form,
                      emit_graph6, parse_graph6)
 
 CHECKPOINT_EVERY = 10_000
-# verdicts a run keeps before it starts its table afresh: a run over all
-# graphs on up to 7 vertices records at most 1,583, and a long --input
-# stream must not grow the table without end
-VERDICT_TABLE_LIMIT = 1 << 14
 
 # iso-class counts for n = 0..7, used as enumeration self-checks
 GRAPH_COUNTS = (1, 1, 2, 4, 11, 34, 156, 1044)
 TREE_COUNTS = (1, 1, 1, 2, 3, 6, 11)  # n = 1..7
 
 
-def _dedup(graphs) -> list[SimpleGraph]:
-    """The first graph of each isomorphism class, in input order."""
-    seen: set[SimpleGraph] = set()
-    out: list[SimpleGraph] = []
-    for g in graphs:
-        key = canonical_form(g)
-        if key not in seen:
-            seen.add(key)
-            out.append(g)
-    return out
-
-
 @functools.lru_cache(maxsize=None)
+def _enumerate(n: int) -> tuple[tuple[SimpleGraph, ...], tuple[tuple[int, ...], ...]]:
+    """(enumerate_graphs(n), deletion_classes(n)), built in one pass."""
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
+    if n == 0:
+        return (SimpleGraph.empty(0),), ((),)
+    # per canonical_form key: the first candidate and the parents of all
+    classes: dict[SimpleGraph, tuple[SimpleGraph, set[int]]] = {}
+    # candidates are streamed, not held: n = 8 has 133,632 of them
+    for j, parent in enumerate(enumerate_graphs(n - 1)):
+        for mask in range(1 << (n - 1)):
+            rows = [r | (((mask >> i) & 1) << (n - 1)) for i, r in enumerate(parent.rows)]
+            rows.append(mask)
+            g = SimpleGraph(n, rows)
+            classes.setdefault(canonical_form(g), (g, set()))[1].add(j)
+    return (tuple(g for g, _ in classes.values()),
+            tuple(tuple(sorted(parents)) for _, parents in classes.values()))
+
+
 def enumerate_graphs(n: int) -> tuple[SimpleGraph, ...]:
     """One representative per isomorphism class of simple graphs on n vertices.
 
@@ -66,19 +71,18 @@ def enumerate_graphs(n: int) -> tuple[SimpleGraph, ...]:
     classes from 133,632 candidates, streamed) about 10.5 s and 35 MB peak
     RSS.
     """
-    if n < 0:
-        raise ValueError("vertex count must be nonnegative")
-    if n == 0:
-        return (SimpleGraph.empty(0),)
+    return _enumerate(n)[0]
 
-    def candidates():  # streamed, not held: n = 8 has 133,632 of them
-        for parent in enumerate_graphs(n - 1):
-            for mask in range(1 << (n - 1)):
-                rows = [r | (((mask >> i) & 1) << (n - 1)) for i, r in enumerate(parent.rows)]
-                rows.append(mask)
-                yield SimpleGraph(n, rows)
 
-    return tuple(_dedup(candidates()))
+def deletion_classes(n: int) -> tuple[tuple[int, ...], ...]:
+    """For each representative g of enumerate_graphs(n), the sorted indices
+    into enumerate_graphs(n - 1) of the classes of its one-vertex deletions.
+
+    Recorded while enumerating, as the parents of the candidates that fall
+    in g's class: a candidate minus its new vertex is its parent, and if
+    g - v is isomorphic to parent P by some map s, then P extended by a
+    vertex joined to s(N(v)) is a candidate isomorphic to g."""
+    return _enumerate(n)[1]
 
 
 @functools.lru_cache(maxsize=None)
@@ -171,36 +175,25 @@ def _check_minimal_forbidden(g: SimpleGraph, q: int, k: int) -> bool:
 
 
 def _is_minimal_forbidden(g: SimpleGraph, q: int, k: int,
-                          known: dict[SimpleGraph, bool]) -> bool:
-    """_check_minimal_forbidden, reading and extending ``known``, a table of
-    member verdicts keyed by labelled graph, around every member call.
+                          deletions_are_members: bool | None) -> bool:
+    """Whether g is minimal forbidden, given whether its one-vertex
+    deletions are all members, or None when that is not known.
 
-    Membership is hereditary (see the module docstring): if the parent
-    g - (n-1) is recorded as a non-member, g is recorded as one too and is
-    not minimal, at no member call; and a non-member g with a recorded
-    non-member deletion is not minimal either.  mine calls this exactly
-    once per scanned graph and for nothing else, so a clock on this name
-    times the scanned graphs.
+    A non-member deletion decides at no member call, members decide by one
+    member call on g, and None leaves _check_minimal_forbidden.  mine calls
+    this exactly once per scanned graph and for nothing else, so a clock on
+    this name times the scanned graphs.
     """
-    def is_member(h: SimpleGraph) -> bool:
-        verdict = known.get(h)
-        if verdict is None:
-            verdict = known[h] = _is_member(h, q, k)
-        return verdict
-
-    if known.get(g.induced(range(g.n - 1))) is False:
-        known[g] = False
-        return False
-    if is_member(g):
-        return False
-    deletions = list(_deletions(g))
-    return (all(known.get(h) is not False for h in deletions)
-            and all(is_member(h) for h in deletions))
+    if deletions_are_members is None:
+        return _check_minimal_forbidden(g, q, k)
+    return deletions_are_members and not _is_member(g, q, k)
 
 
 def _internal_stream(n_max: int):
+    """(graph, its deletion classes) for every representative on 1..n_max
+    vertices, level by level."""
     for n in range(1, n_max + 1):
-        yield from enumerate_graphs(n)
+        yield from zip(enumerate_graphs(n), deletion_classes(n))
 
 
 def _load_checkpoint(path: str, q: int, k: int
@@ -252,15 +245,16 @@ def mine(q: int, k: int, n_max: int | None = None, source=None,
     is a ValueError.
 
     Verdicts follow heredity (see the module docstring).  The internal
-    enumeration builds each graph on n vertices as an (n-1)-vertex
-    representative plus vertex n-1, so its first n-1 vertices induce, label
-    for label, a graph this run has already classified.  The run keeps one
-    table of member verdicts keyed by labelled graph (see
-    _is_minimal_forbidden), so a graph whose parent is a non-member costs
-    no member call.  Graphs from ``source``, or met after resuming a
-    checkpoint, are classified the same way and only hit the table less
-    often.  The mined graphs are re-verified at the end without the table,
-    so that check does not rest on it.
+    enumeration gives each graph its deletion classes (deletion_classes),
+    and the run keeps the member verdict of every representative, level by
+    level: a graph with a non-member deletion class is a non-member and not
+    minimal, at no member call, and any other graph costs one member call.
+    The graphs a checkpoint covers get their verdicts by that member call
+    too, so a run resumed partway through a level still knows the level
+    below.  Graphs from ``source`` have no deletion classes and are checked
+    by the definition (_check_minimal_forbidden).  The mined graphs are
+    re-verified at the end by the definition, so that check does not rest
+    on the enumeration.
     """
     if max_graphs is not None and max_graphs < 1:
         raise ValueError(f"max_graphs must be at least 1, not {max_graphs}")
@@ -273,7 +267,7 @@ def mine(q: int, k: int, n_max: int | None = None, source=None,
         stream = _internal_stream(n_max)
         source_desc = f"internal:n<={n_max}"
     else:
-        stream = iter(source)
+        stream = ((g, None) for g in source)
         source_desc = "external"
 
     skip, found, skip_sha256 = _load_checkpoint(checkpoint, q, k)
@@ -290,23 +284,33 @@ def mine(q: int, k: int, n_max: int | None = None, source=None,
                           source_sha256.hexdigest() if skip_sha256 is None else skip_sha256)
 
     found_keys = {canonical_form(g) for g in found}
-    known: dict[SimpleGraph, bool] = {}
+    # member verdicts of the enumerated graphs, by order and representative;
+    # the graph on no vertices has rank 0
+    verdicts: list[list[bool]] = [[True]]
     scanned = 0
 
     def save():
         _write_checkpoint(checkpoint, q, k, scanned, found, source_sha256.hexdigest())
 
-    for g in stream:
+    for g, classes in stream:
         if checkpoint:
             source_sha256.update(emit_graph6(g).encode("ascii") + b"\n")
         scanned += 1
+        deletions_are_members = None
+        if classes is not None:
+            if g.n == len(verdicts):
+                verdicts.append([])
+            deletions_are_members = all(verdicts[g.n - 1][j] for j in classes)
         if scanned <= skip:
             if scanned == skip and source_sha256.hexdigest() != skip_sha256:
                 raise ValueError("checkpoint was written for a different source")
+            if deletions_are_members is not None:
+                verdicts[g.n].append(deletions_are_members and _is_member(g, q, k))
             continue
-        if len(known) > VERDICT_TABLE_LIMIT:
-            known.clear()
-        if _is_minimal_forbidden(g, q, k, known):
+        minimal = _is_minimal_forbidden(g, q, k, deletions_are_members)
+        if deletions_are_members is not None:
+            verdicts[g.n].append(deletions_are_members and not minimal)
+        if minimal:
             key = canonical_form(g)
             if key not in found_keys:
                 found_keys.add(key)
@@ -318,7 +322,7 @@ def mine(q: int, k: int, n_max: int | None = None, source=None,
     if scanned < skip:
         raise ValueError(f"checkpoint covers {skip} graphs, the source has {scanned}")
 
-    # report-time re-verification of the minimality invariant, table-free
+    # report-time re-verification of the minimality invariant, by the definition
     for g in found:
         if not _check_minimal_forbidden(g, q, k):
             raise InvariantError(f"mined graph {emit_graph6(g)} failed re-verification")

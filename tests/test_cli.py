@@ -81,7 +81,7 @@ def test_patterns_rejects_graph6_format(capsys):
     ["member", "--q", "2", "--k", "2"],
     ["classify"],
     ["selftest"],
-    ["mine", "--q", "2", "--k", "1"],
+    ["mine", "--q", "2", "--k", "1", "--max-n", "3"],
     ["oracle", "--q", "2"],
 ])
 def test_jobs_only_on_commands_that_use_it(capsys, argv):
@@ -384,6 +384,17 @@ def test_mine_input_and_max_n_exclude_each_other(capsys, tmp_path):
         main(["mine", "--q", "2", "--k", "1", "--max-n", "3", "--input", str(path)])
     assert exc.value.code == 2
     assert "not allowed with argument" in capsys.readouterr().err
+
+
+def test_mine_needs_input_or_max_n(capsys, monkeypatch):
+    stdin = io.StringIO("@\n")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    with pytest.raises(SystemExit) as exc:
+        main(["mine", "--q", "2", "--k", "1"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "one of the arguments --input --max-n is required" in err
+    assert stdin.tell() == 0
 
 
 @pytest.mark.parametrize("state,field", [

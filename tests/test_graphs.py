@@ -417,9 +417,13 @@ def test_looped_json_roundtrip(rng):
     ({"n": -1, "edges": [], "loops": []}, "n -1 is not a nonnegative integer"),
     ({"n": True, "edges": [], "loops": []}, "n True is not a nonnegative integer"),
     ([2, [], []], "is not a JSON object"),
+    ({"edges": [], "loops": []}, "n is missing"),
+    ({"n": 2, "loops": []}, "edges is missing"),
+    ({"n": 2, "edges": []}, "loops is missing"),
 ], ids=["string-endpoint", "fractional-endpoint", "bool-endpoint", "triple-edge",
         "int-edge", "dict-edges", "fractional-loop", "negative-loop", "loop-past-n",
-        "bool-loop", "fractional-n", "negative-n", "bool-n", "list-record"])
+        "bool-loop", "fractional-n", "negative-n", "bool-n", "list-record",
+        "missing-n", "missing-edges", "missing-loops"])
 def test_looped_from_json_rejects_malformed_fields(obj, message):
     with pytest.raises(ValueError, match=message):
         looped_from_json(obj)

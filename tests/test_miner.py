@@ -5,11 +5,12 @@ import json
 
 import pytest
 
-from gfminrank import (SimpleGraph, are_isomorphic, check_f2r2_form,
-                       emit_graph6, member, mine, oracle_min_rank)
+from gfminrank import (SimpleGraph, are_isomorphic, canonical_form,
+                       check_f2r2_form, emit_graph6, member, mine,
+                       oracle_min_rank)
 from gfminrank import miner
-from gfminrank.miner import (GRAPH_COUNTS, TREE_COUNTS, enumerate_graphs,
-                             enumerate_trees)
+from gfminrank.miner import (GRAPH_COUNTS, TREE_COUNTS, deletion_classes,
+                             enumerate_graphs, enumerate_trees)
 
 
 def test_enumeration_counts():
@@ -26,6 +27,14 @@ def test_enumeration_output_is_pinned():
             digest.update((emit_graph6(g) + "\n").encode("ascii"))
     assert digest.hexdigest() == \
         "434bc757ac10473178bb7ca3f96f58aac2d25897662c3b47ad070505a6808c87"
+
+
+def test_deletion_classes_are_the_classes_of_the_deletions():
+    for n in range(1, 8):
+        below = {canonical_form(h): j for j, h in enumerate(enumerate_graphs(n - 1))}
+        for g, classes in zip(enumerate_graphs(n), deletion_classes(n), strict=True):
+            assert classes == tuple(sorted({below[canonical_form(h)]
+                                            for h in miner._deletions(g)})), emit_graph6(g)
 
 
 def test_enumeration_has_no_duplicates():
@@ -79,10 +88,22 @@ def test_mine_by_heredity_matches_the_table_free_check(q, k, n_max):
     assert mine(q, k, n_max=n_max).found_graph6() == direct
 
 
-def test_mine_is_unchanged_when_the_verdict_table_is_cleared(monkeypatch):
-    whole = mine(3, 2, n_max=6).found_graph6()
-    monkeypatch.setattr(miner, "VERDICT_TABLE_LIMIT", 10)
-    assert mine(3, 2, n_max=6).found_graph6() == whole
+def test_mine_asks_only_about_graphs_whose_deletions_are_members(monkeypatch):
+    is_member = miner._is_member
+    verdicts = {}
+
+    def verdict(g):
+        key = canonical_form(g)
+        if key not in verdicts:
+            verdicts[key] = is_member(g, 2, 3)
+        return verdicts[key]
+
+    def checked(g, q, k):
+        assert all(verdict(h) for h in miner._deletions(g)), emit_graph6(g)
+        return verdict(g)
+
+    monkeypatch.setattr(miner, "_is_member", checked)
+    assert mine(2, 3, n_max=7).stats["scanned"] == 1252
 
 
 def test_mine_makes_at_most_one_member_call_per_scanned_graph(monkeypatch):
@@ -109,6 +130,29 @@ def test_mine_checkpoint_resume(tmp_path, monkeypatch):
     assert resumed.found_graph6() == mine(2, 1, n_max=5).found_graph6()
     with pytest.raises(ValueError):
         mine(3, 1, n_max=4, checkpoint=str(ck))
+
+
+def test_mine_resumed_inside_a_level_reads_the_skipped_verdicts(tmp_path, monkeypatch):
+    # 72 graphs cover the 52 on up to 5 vertices and 20 of the 156 on 6;
+    # the only 6-vertex obstruction is representative 36, whose deletion
+    # classes are all skipped 5-vertex graphs
+    ck = tmp_path / "mine.json"
+    partial = mine(3, 2, n_max=6, checkpoint=str(ck), max_graphs=72)
+    assert partial.stats["scanned"] == 72
+    assert all(g.n < 6 for g in partial.found)
+    classified = []
+    is_minimal_forbidden = miner._is_minimal_forbidden
+
+    def counted(g, *args):
+        classified.append(g)
+        return is_minimal_forbidden(g, *args)
+
+    monkeypatch.setattr(miner, "_is_minimal_forbidden", counted)
+    resumed = mine(3, 2, n_max=6, checkpoint=str(ck))
+    assert len(classified) == resumed.stats["scanned"] - 72 == 156 - 20
+    assert emit_graph6(enumerate_graphs(6)[36]) in resumed.found_graph6()
+    monkeypatch.undo()
+    assert resumed.found_graph6() == mine(3, 2, n_max=6).found_graph6()
 
 
 def test_mine_checkpoint_is_tied_to_its_source(tmp_path, monkeypatch):
