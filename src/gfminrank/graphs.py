@@ -11,10 +11,12 @@ stride s, the power of two >= max(n, 8), so that each row is whole bytes.
 One mask finds bits outside the vertex range and loops, and log2(s) delta
 swaps transpose the packed bit matrix; the rows are symmetric exactly when
 the transpose equals the packed integer.  The masks are cached per n (the
-swaps per s) up to stride MASK_CACHE_MAX_STRIDE and built per check above
-it.  looped_to_json and to_dot write their text one adjacency row at a
-time: the row's binary digits select the neighbours' names from a list
-made once per graph, and a str.join writes the row's edges, so no Python
+swaps per s) up to stride MASK_CACHE_MAX_STRIDE.  Above it they are built
+per check, and the swap masks lazily: each is made just before its swap
+and dropped after it, so a check holds one of the log2(s), not all.
+looped_to_json and to_dot write their text one adjacency row at a time:
+the row's binary digits select the neighbours' names from a list made
+once per graph, and a str.join writes the row's edges, so no Python
 object is made per edge.
 
 canonical_form(g) is g relabelled by the least leaf of its
@@ -35,27 +37,32 @@ import enum
 import functools
 import json
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import compress
 
 
-@functools.lru_cache(maxsize=8)
-def _swap_masks(s: int) -> tuple[tuple[int, int], ...]:
+def _iter_swap_masks(s: int) -> Iterator[tuple[int, int]]:
     """(d, mask) for the delta swaps that transpose an s x s bit matrix
     stored row i at bit i*s (Warren, Hacker's Delight, 7-3): for block
     size j = s/2, ..., 1 the mask holds the entries (i, c) with bit j of i
     clear and of c set, which trade places with (i + j, c - j), d = j(s-1)
     bits higher.  Built by repeating bytes, which takes time linear in the
-    mask's size, where summing shifted rows does not."""
+    mask's size, where summing shifted rows does not.  Yielded one at a
+    time, so a caller that does not keep them holds one mask at once."""
     nb = s // 8
-    swaps = []
     j = s // 2
     while j:
         cols = ((1 << s) - 1) // ((1 << 2 * j) - 1) * (((1 << j) - 1) << j)
         block = cols.to_bytes(nb, "little") * j + bytes(nb * j)
-        swaps.append((j * (s - 1), int.from_bytes(block * (s // (2 * j)), "little")))
+        yield j * (s - 1), int.from_bytes(block * (s // (2 * j)), "little")
         j >>= 1
-    return tuple(swaps)
+
+
+@functools.lru_cache(maxsize=8)
+def _swap_masks(s: int) -> tuple[tuple[int, int], ...]:
+    """The delta swaps of _iter_swap_masks(s), kept per stride."""
+    return tuple(_iter_swap_masks(s))
 
 
 @functools.lru_cache(maxsize=32)
@@ -73,9 +80,9 @@ def _row_masks(n: int) -> tuple[int, int]:
 
 # the largest stride whose masks are cached (n <= it has a stride <= it):
 # 2048, for the 2047-vertex patterns over GF(2) at k = 11.  A larger
-# stride's masks are built per check and dropped after it, since cached,
-# those of one 8191-vertex check would keep 104 MB alive, and at stride
-# 16384 about 450 MB
+# stride's masks are built one at a time during a check and each dropped
+# after its swap, since cached, those of one 8191-vertex check would keep
+# 104 MB alive, and at stride 16384 about 450 MB
 MASK_CACHE_MAX_STRIDE = 2048
 
 
@@ -100,7 +107,7 @@ def _check_rows(n: int, rows) -> tuple[int, ...]:
             if (r >> i) & 1:
                 raise ValueError(f"loop stored in adjacency at vertex {i}")
     u = t
-    for d, m in _swap_masks(s) if cached else _swap_masks.__wrapped__(s):
+    for d, m in _swap_masks(s) if cached else _iter_swap_masks(s):
         x = (u ^ (u >> d)) & m
         u ^= x ^ (x << d)
     if u != t:

@@ -22,8 +22,8 @@ import numpy as np
 from .gf import FieldCtx, field_from_order
 from .graphs import LoopedGraph
 from .matfq import MatrixFq, canonical_representatives, rank
-from .projgeo import (canonicalize, enumerate_points, norms, pairing_matrix, point_count,
-                      point_index)
+from .projgeo import (canonicalize, enumerate_points, norms, pairing_matrix, pairing_support,
+                      point_count, point_index)
 
 DEFAULT_VERTEX_BUDGET = 10_000
 
@@ -83,11 +83,25 @@ class PatternSet:
 
 def pattern_graph(points: np.ndarray, b: MatrixFq) -> LoopedGraph:
     """Looped graph of U^t B U: edge where the pairing is nonzero, loop where
-    a point is non-absolute."""
-    packed = np.packbits(pairing_matrix(points, b) != 0, axis=1, bitorder="little")
-    rows = [int.from_bytes(r.tobytes(), "little") for r in packed]
-    loops = sum(r & (1 << v) for v, r in enumerate(rows))
-    return LoopedGraph(len(rows), [r & ~(1 << v) for v, r in enumerate(rows)], loops)
+    a point is non-absolute.
+
+    The nonzero pairings come from projgeo.pairing_support, one block of a
+    few hundred rows at a time: one float64 BLAS product for every q, with
+    each element of GF(p^e) written as its e base-p digits, whose sums of
+    at most k e (p-1)^2 are exact below 2^53 (checked, not assumed).  Each
+    block's diagonal becomes loops and the rest is packed straight into the
+    int rows, so no n x n array is ever held."""
+    rows: list[int] = []
+    loops = 0
+    for nz in pairing_support(points, b):
+        lo, own = len(rows), np.arange(len(nz))
+        diagonal = np.packbits(nz[own, lo + own], bitorder="little")
+        loops |= int.from_bytes(diagonal.tobytes(), "little") << lo
+        nz[own, lo + own] = False
+        packed = np.packbits(nz, axis=1, bitorder="little")
+        data, width = packed.tobytes(), packed.shape[1]
+        rows += [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
+    return LoopedGraph(len(points), rows, loops)
 
 
 def gram_matrix(points: np.ndarray, b: MatrixFq) -> MatrixFq:

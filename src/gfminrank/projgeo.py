@@ -8,11 +8,21 @@ emits, for d = k down to 1, all points whose last nonzero coordinate sits
 at position d, counting the d-1 free coordinates as a little-endian base-q
 counter over element reps.  This particular order is what makes the
 generated pattern matrices reproducible column for column.
+
+pairing_matrix computes the full n x n int64 matrix of pairings, for the
+matrix U^t B U itself.  The pattern graphs only need to know which
+pairings are nonzero, and pairing_support gives that in row blocks of a
+few hundred points: one float64 BLAS product of base-p digits per block
+(an element of GF(p^e) as its e digits, a product by it as an e x e
+digit matrix), exact because no sum reaches 2^53 (exact_sum_bound), then
+a test for a nonzero residue mod p with no division.  No n x n array is
+made, so a 10,000-point set needs some 20 MB per block, not 800 MB.
 """
 
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -73,9 +83,73 @@ def pairing(x, y, b: MatrixFq) -> int:
 
 
 def pairing_matrix(pts: np.ndarray, b: MatrixFq) -> np.ndarray:
-    """All pairings x^t B y of the rows of pts as an n x n int64 array."""
+    """All pairings x^t B y of the rows of pts as an n x n int64 array (for
+    the full matrix U^t B U; the pattern graphs read pairing_support)."""
     f = b.field
     return f.matmul(f.matmul(pts, b.entries), pts.T)
+
+
+# rows of the float64 product per block of pairing_support: the points of a
+# block times e, so a block holds at most this many times n entries
+_BLOCK_ROWS = 256
+
+
+def exact_sum_bound(terms: int, p: int) -> int:
+    """The largest integer sum of terms products of two digits mod p,
+    terms (p-1)^2; OverflowError unless it is below 2^53, so that every
+    such sum, and each partial sum, is exact in float64."""
+    bound = terms * (p - 1) ** 2
+    if bound >= 1 << 53:
+        raise OverflowError(f"{terms} products of digits mod {p} reach {bound}, "
+                            f"past the 2^53 of exact float64 sums")
+    return bound
+
+
+def pairing_support(pts: np.ndarray, b: MatrixFq) -> Iterator[np.ndarray]:
+    """The n x n bool array x^t B y != 0 over the rows x, y of pts, yielded
+    as consecutive row blocks of at most _BLOCK_ROWS // e points each.
+
+    Over GF(p^e), a product by a is a GF(p)-linear map on the e base-p
+    digits of the reps, whose column j is the digits of a X^j (X^j is the
+    rep p^j).  So with left = pts B, digit i of x^t B y is the sum over t
+    and j of digit i of left[x, t] X^j times digit j of y[t]: one
+    (n e) x (k e) by (k e) x n product of digits, in which the e rows of
+    point x hold the digit sums of its pairings, and a pairing is nonzero
+    iff one of its e sums is nonzero mod p.  Over GF(p), e = 1 and this is
+    left times pts^t.
+
+    Each block is one float64 BLAS product, exact since a sum is at most
+    exact_sum_bound(k e, p) < 2^53.  The sums are cast to the narrowest
+    unsigned type of w bits that holds that bound.  For p = 2 the parity
+    is the low bit.  For odd p, x < 2^w is a multiple of p iff
+    x p^-1 mod 2^w <= (2^w - 1) / p (Granlund and Montgomery, "Division by
+    invariant integers using multiplication", 1994): multiplying by p^-1
+    maps the multiples m p onto 0..(2^w - 1) / p and, being a bijection,
+    the rest elsewhere.  So no remainder is taken over the n x n entries.
+    """
+    f = b.field
+    p, e = f.p, f.e
+    n, k = pts.shape
+    bound = exact_sum_bound(k * e, p)
+    pw = p ** np.arange(e, dtype=np.int64)
+    # digit i of left[x, t] X^j at [(x, i), (t, j)], digit j of y[t] at [(t, j), y]
+    left = f.mul(f.matmul(pts, b.entries)[:, :, None], pw)
+    lhs = (left[..., None] // pw % p).transpose(0, 3, 1, 2).reshape(n * e, k * e)
+    lhs = lhs.astype(np.float64)
+    rhs = (pts[..., None] // pw % p).reshape(n, k * e).astype(np.float64).T
+    word = np.min_scalar_type(bound)  # unsigned, of w = 8, 16, 32 or 64 bits
+    if p > 2:
+        w = 8 * word.itemsize
+        inverse, limit = word.type(pow(p, -1, 1 << w)), word.type(((1 << w) - 1) // p)
+    step = max(1, _BLOCK_ROWS // e)
+    for lo in range(0, n, step):
+        sums = (lhs[lo * e:(lo + step) * e] @ rhs).astype(word)
+        if p == 2:
+            nz = (sums & 1).astype(bool)
+        else:
+            sums *= inverse  # mod 2^w
+            nz = sums > limit
+        yield nz.reshape(-1, e, n).any(axis=1) if e > 1 else nz
 
 
 def norms(pts: np.ndarray, b: MatrixFq) -> np.ndarray:

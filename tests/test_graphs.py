@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -95,6 +96,19 @@ def test_row_masks_above_the_cached_stride_are_built_per_check():
     SimpleGraph.complete(graphs.MASK_CACHE_MAX_STRIDE)
     assert graphs._row_masks.cache_info().currsize == 1
     assert graphs._swap_masks.cache_info().currsize == 1
+
+
+def test_swap_masks_above_the_cached_stride_are_built_one_at_a_time():
+    assert tuple(graphs._iter_swap_masks(64)) == graphs._swap_masks(64)
+    rows = list(SimpleGraph.complete(4095).rows)  # stride 4096: twelve 2 MB masks
+    tracemalloc.start()
+    try:
+        SimpleGraph(4095, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # all twelve at once would be 24 MB on their own; a lazy check is near 15 MB
+    assert peak < 12 * 4096 ** 2 // 8
 
 
 @pytest.mark.parametrize("edge", [(0, 5), (5, 0), (0, 2), (-1, 1), (1, -3)])

@@ -157,7 +157,8 @@ def test_congruent_representative_gives_isomorphic_pattern(q, kmax, rng):
                 assert are_isomorphic(pat.graph, g2)
 
 
-@pytest.mark.parametrize("q,k", [(2, 5), (3, 4), (4, 3), (9, 3), (2, 9)])
+@pytest.mark.parametrize("q,k", [(2, 5), (3, 4), (4, 3), (9, 3), (2, 9), (3, 6), (7, 4), (4, 5),
+                                 (2, 11)])
 def test_pattern_rows_and_loops_are_the_nonzero_pairings(q, k):
     ps = generate(q, k)
     for pat in ps.patterns:
