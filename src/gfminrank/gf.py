@@ -17,6 +17,13 @@ antilog table repeats its period once and then holds zeros up to index
 reduction mod q-1 and no zero test.  Scalar results of the table path are
 numpy integers.
 
+The digit form has this one home: ``digits(a)``, the e base-p digits, and
+``mul_matrix(a)``, the e x e GF(p) matrix of x -> a x, which is
+sum_i a_i C^i for C the companion matrix of the modulus.  They build the
+log tables: g is the least rep >= 2 whose matrix to the power (q-1)/r is
+not the identity for any prime r | q-1, and the step table x -> g x is
+one product of the digits of every rep by that matrix.
+
 The supported orders are the prime powers in 2..Q_MAX.  :func:`factor_prime_power`
 is the one test of an order: ``field_from_order`` and ``FieldCtx`` both
 reach it, and it compares q with that range before it divides anything.
@@ -57,15 +64,6 @@ def _poly_mod(a: list[int], m: list[int], p: int) -> list[int]:
         if not a:
             break
     return a
-
-
-def _poly_mulmod(a: list[int], b: list[int], m: list[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % p
-    return _poly_mod(_poly_trim(out), m, p)
 
 
 def _monic_candidates(p: int, d: int):
@@ -114,7 +112,7 @@ class FieldCtx:
     """The field GF(p^e): modulus, element tables, and all arithmetic."""
 
     __slots__ = (
-        "p", "e", "q", "modulus",
+        "p", "e", "q", "modulus", "_pw", "_companion_powers",
         "_exp", "_log", "_sqrt", "_nonsquare", "_kernel_tables",
     )
 
@@ -128,6 +126,16 @@ class FieldCtx:
         self.q = q = p ** e
         self.modulus = _find_modulus(p, e)
 
+        self._pw = p ** np.arange(e, dtype=np.int64)
+        # row i is C^i flattened, C the companion matrix of the modulus
+        # (the matrix of a -> X a on digits)
+        c = np.eye(e, k=-1, dtype=np.int64)
+        c[:, -1] = np.negative(self.modulus[:-1]) % p
+        powers = [np.eye(e, dtype=np.int64)]
+        for _ in range(e - 1):
+            powers.append(c @ powers[-1] % p)
+        self._companion_powers = np.stack(powers).reshape(e, e * e)
+
         self._exp: np.ndarray | None = None
         self._log: np.ndarray | None = None
         if e >= 2:
@@ -140,50 +148,25 @@ class FieldCtx:
 
     # -- construction helpers ------------------------------------------------
 
-    def _digits(self, a: int) -> list[int]:
-        out = []
-        for _ in range(self.e):
-            out.append(a % self.p)
-            a //= self.p
-        return out
-
-    def _pack(self, digits: list[int]) -> int:
-        out = 0
-        for c in reversed(digits):
-            out = out * self.p + c
-        return out
-
-    def _raw_mul(self, a: int, b: int) -> int:
-        prod = _poly_mulmod(self._digits(a), self._digits(b), list(self.modulus), self.p)
-        prod += [0] * (self.e - len(prod))
-        return self._pack(prod)
-
-    def _raw_pow(self, a: int, k: int) -> int:
-        out, base = 1, a
-        while k:
-            if k & 1:
-                out = self._raw_mul(out, base)
-            base = self._raw_mul(base, base)
-            k >>= 1
-        return out
-
     def _build_log_tables(self) -> None:
-        n = self.q - 1
+        n, p, one = self.q - 1, self.p, self.mul_matrix(1)
         factors = _prime_factors(n)
+
+        def power(m, k):  # m^k mod p by square and multiply
+            out = one
+            while k:
+                out, m, k = out @ m % p if k & 1 else out, m @ m % p, k >> 1
+            return out
+
         gen = None
         for g in range(2, self.q):
-            if all(self._raw_pow(g, n // f) != 1 for f in factors):
+            m = self.mul_matrix(g)
+            if not any((power(m, n // r) == one).all() for r in factors):
                 gen = g
                 break
         if gen is None:
             raise AssertionError("no generator found, but the multiplicative group is cyclic")
-        # multiplication by gen is GF(p)-linear on the packed digits, so one
-        # matrix product over every rep gives the step table x -> x * gen
-        pw = self.p ** np.arange(self.e, dtype=np.int64)
-        digits = (np.arange(self.q, dtype=np.int64)[:, None] // pw) % self.p
-        basis = np.array([self._digits(self._raw_mul(int(b), gen)) for b in pw],
-                         dtype=np.int64).reshape(self.e, self.e)
-        step = (((digits @ basis) % self.p) @ pw).tolist()
+        step = (self.digits(np.arange(self.q)) @ self.mul_matrix(gen).T % p @ self._pw).tolist()
         powers = [1] * n
         for i in range(1, n):
             powers[i] = step[powers[i - 1]]
@@ -215,10 +198,9 @@ class FieldCtx:
             return (a + b) % self.p
         if self.p == 2:
             return a ^ b
-        out, pw = 0, 1
-        for _ in range(self.e):
+        out = 0
+        for pw in self._pw.tolist():
             out += ((a // pw + b // pw) % self.p) * pw
-            pw *= self.p
         return out
 
     def neg(self, a):
@@ -226,10 +208,9 @@ class FieldCtx:
             return (-a) % self.p
         if self.p == 2:
             return a
-        out, pw = 0, 1
-        for _ in range(self.e):
+        out = 0
+        for pw in self._pw.tolist():
             out += ((-(a // pw)) % self.p) * pw
-            pw *= self.p
         return out
 
     def sub(self, a, b):
@@ -242,12 +223,24 @@ class FieldCtx:
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Product of two 2-D int64 arrays of reps."""
+        if a.shape[1] != b.shape[0]:
+            raise ValueError(f"matmul inner dimensions differ: {a.shape[1]} and {b.shape[0]}")
         if self.e == 1:
             return (a @ b) % self.p
         acc = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
         for t in range(a.shape[1]):
             acc = self.add(acc, self.mul(a[:, t:t + 1], b[t:t + 1, :]))
         return acc
+
+    def digits(self, a) -> np.ndarray:
+        """The e base-p digits of reps, low first, along a new last axis."""
+        return np.asarray(a)[..., None] // self._pw % self.p
+
+    def mul_matrix(self, a) -> np.ndarray:
+        """The e x e matrices over GF(p) of x -> a x on digits, along two
+        new last axes: mul_matrix(a) @ digits(x) % p is digits(a x)."""
+        return (self.digits(a) @ self._companion_powers % self.p).reshape(
+            np.shape(a) + (self.e, self.e))
 
     def inv(self, a):
         """Multiplicative inverse of an int or an int64 array; raises on zero."""

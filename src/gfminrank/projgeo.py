@@ -13,10 +13,10 @@ pairing_matrix computes the full n x n int64 matrix of pairings, for the
 matrix U^t B U itself.  The pattern graphs only need to know which
 pairings are nonzero, and pairing_support gives that in row blocks of a
 few hundred points: one float64 BLAS product of base-p digits per block
-(an element of GF(p^e) as its e digits, a product by it as an e x e
-digit matrix), exact because no sum reaches 2^53 (exact_sum_bound), then
-a test for a nonzero residue mod p with no division.  No n x n array is
-made, so a 10,000-point set needs some 20 MB per block, not 800 MB.
+(FieldCtx.digits and FieldCtx.mul_matrix), exact because no sum reaches
+2^53 (exact_sum_bound), then a test for a nonzero residue mod p with no
+division.  No n x n array is made, so a 10,000-point set needs some 20 MB
+per block, not 800 MB.
 """
 
 from __future__ import annotations
@@ -110,12 +110,12 @@ def pairing_support(pts: np.ndarray, b: MatrixFq) -> Iterator[np.ndarray]:
     as consecutive row blocks of at most _BLOCK_ROWS // e points each.
 
     Over GF(p^e), a product by a is a GF(p)-linear map on the e base-p
-    digits of the reps, whose column j is the digits of a X^j (X^j is the
-    rep p^j).  So with left = pts B, digit i of x^t B y is the sum over t
-    and j of digit i of left[x, t] X^j times digit j of y[t]: one
-    (n e) x (k e) by (k e) x n product of digits, in which the e rows of
-    point x hold the digit sums of its pairings, and a pairing is nonzero
-    iff one of its e sums is nonzero mod p.  Over GF(p), e = 1 and this is
+    digits of the reps, the e x e matrix f.mul_matrix(a).  So with
+    left = pts B, digit i of x^t B y is the sum over t and j of entry
+    (i, j) of mul_matrix(left[x, t]) times digit j of y[t] (f.digits): one
+    (n e) x (k e) by (k e) x n product, in which the e rows of point x
+    hold the digit sums of its pairings, and a pairing is nonzero iff one
+    of its e sums is nonzero mod p.  Over GF(p), e = 1 and this is
     left times pts^t.
 
     Each block is one float64 BLAS product, exact since a sum is at most
@@ -131,12 +131,11 @@ def pairing_support(pts: np.ndarray, b: MatrixFq) -> Iterator[np.ndarray]:
     p, e = f.p, f.e
     n, k = pts.shape
     bound = exact_sum_bound(k * e, p)
-    pw = p ** np.arange(e, dtype=np.int64)
-    # digit i of left[x, t] X^j at [(x, i), (t, j)], digit j of y[t] at [(t, j), y]
-    left = f.mul(f.matmul(pts, b.entries)[:, :, None], pw)
-    lhs = (left[..., None] // pw % p).transpose(0, 3, 1, 2).reshape(n * e, k * e)
-    lhs = lhs.astype(np.float64)
-    rhs = (pts[..., None] // pw % p).reshape(n, k * e).astype(np.float64).T
+    # entry (i, j) of the product matrix of left[x, t] at [(x, i), (t, j)],
+    # digit j of y[t] at [(t, j), y]
+    lhs = f.mul_matrix(f.matmul(pts, b.entries)).transpose(0, 2, 1, 3)
+    lhs = lhs.reshape(n * e, k * e).astype(np.float64)
+    rhs = f.digits(pts).reshape(n, k * e).astype(np.float64).T
     word = np.min_scalar_type(bound)  # unsigned, of w = 8, 16, 32 or 64 bits
     if p > 2:
         w = 8 * word.itemsize

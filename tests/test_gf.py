@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -22,6 +23,19 @@ def _poly_reduce(a, m, p):
         while a and a[-1] == 0:
             a.pop()
     return a
+
+
+def _poly_mul(f, a, b):
+    """a b in f by multiplying the polynomials of their base-p digits mod
+    the modulus: a reference for mul that reads neither the log tables nor
+    the digit matrices."""
+    p, e = f.p, f.e
+    prod = [0] * (2 * e - 1)
+    for i in range(e):
+        for j in range(e):
+            prod[i + j] += (a // p ** i % p) * (b // p ** j % p)
+    rem = _poly_reduce([c % p for c in prod], f.modulus, p)
+    return sum(c * p ** i for i, c in enumerate(rem))
 
 
 def _irreducible(f, p):
@@ -280,9 +294,40 @@ def test_array_ops_match_scalar_ops_and_kernel_tables(q):
         if table is not None:
             assert got.reshape(q, q).tolist() == table
     # the table product agrees with plain polynomial multiplication mod the modulus
-    assert f.mul(a, b).tolist() == [f._raw_mul(x, y) for x, y in zip(a.tolist(), b.tolist())]
+    assert f.mul(a, b).tolist() == [_poly_mul(f, x, y) for x, y in zip(a.tolist(), b.tolist())]
     assert f.neg(reps).tolist() == [f.neg(x) for x in range(q)]
     assert inv_t == [0] + [f.inv(x) for x in range(1, q)]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 16, 25, 27, 256])
+def test_digits_and_mul_matrix_match_the_reps_and_mul(q):
+    f = field_from_order(q)
+    reps = np.arange(q, dtype=np.int64)
+    pw = f.p ** np.arange(f.e, dtype=np.int64)
+    digits = f.digits(reps)
+    assert digits.shape == (q, f.e) and digits.max() < f.p
+    assert (digits @ pw == reps).all()
+    assert f.digits(q - 1).tolist() == [f.p - 1] * f.e
+    a, x = np.repeat(reps, q), np.tile(reps, q)  # the full q x q grid, flattened
+    m = f.mul_matrix(a)
+    assert m.shape == (q * q, f.e, f.e)
+    got = (m @ f.digits(x)[:, :, None])[:, :, 0] % f.p
+    assert (got == f.digits(f.mul(a, x))).all()
+
+
+def test_every_extension_field_keeps_its_generator():
+    lines = []
+    for q in range(4, Q_MAX + 1):
+        try:
+            p, e = factor_prime_power(q)
+        except ValueError:
+            continue
+        if e >= 2:
+            lines.append(f"{q} {int(field_new(p, e)._exp[1])}\n")
+    assert len(lines) == 93
+    assert lines[:6] == ["4 2\n", "8 2\n", "9 4\n", "16 2\n", "25 7\n", "27 3\n"]
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == \
+        "7d35f581578744d3e916cf084fcc645dfbe88b7a42a2fd296fe5a58e12a5c500"
 
 
 def _naive_matmul(f, a, b):
@@ -309,13 +354,20 @@ def test_matmul_matches_naive_triple_loop(q, rows, inner, cols):
     assert np.array_equal(got, _naive_matmul(f, a, b))
 
 
+@pytest.mark.parametrize("q", [3, 4, 9])
+def test_matmul_refuses_mismatched_inner_dimensions(q):
+    f = field_from_order(q)
+    with pytest.raises(ValueError, match=r"\b3\b.* and 2\b"):
+        f.matmul(np.ones((1, 3), dtype=np.int64), np.ones((2, 4), dtype=np.int64))
+
+
 def test_zero_sentinel_at_the_order_cap():
     f = field_new(2, 16)
     a = np.array([0, 1, 12345, 0, f.q - 1, 0], dtype=np.int64)
     b = np.array([54321, 0, 0, 0, 7, f.q - 1], dtype=np.int64)
     got = f.mul(a, b)
     assert got[[0, 1, 2, 3, 5]].tolist() == [0] * 5
-    assert got[4] == f._raw_mul(f.q - 1, 7) != 0
+    assert got[4] == _poly_mul(f, f.q - 1, 7) != 0
     x = np.random.default_rng(16).integers(1, f.q, size=500)
     inverses = np.array([f.inv(v) for v in x.tolist()], dtype=np.int64)
     assert (f.mul(x, inverses) == 1).all()
