@@ -1,7 +1,9 @@
 """Graph value types and utilities: loop-free and looped graphs with
 bit-packed adjacency rows (one edge iterator and one relabelling serve
-both), graph6 parsing/emission, complements, one-pass twin reduction by
-grouping equal neighbourhoods, blowups of looped patterns (a complete
+both), graph6 read and written in one pass over the upper triangle
+(column by column, six bits to a byte: time linear in the line, no
+n(n-1)/2-bit integer), complements, one-pass twin reduction by grouping
+equal neighbourhoods, blowups of looped patterns (a complete
 multipartite graph is the blowup of a loopless complete pattern),
 backtracking isomorphism for desk-scale graphs, and a canonical form.
 
@@ -386,42 +388,36 @@ def parse_graph6(text: str | bytes) -> SimpleGraph:
         if b < 63 or b > 126:
             raise ValueError(f"graph6 byte {b} out of range")
     n, at = _g6_decode_size(data)
-    nbits = n * (n - 1) // 2
-    need = (nbits + 5) // 6
+    need = (n * (n - 1) // 2 + 5) // 6
     body = data[at:]
     if len(body) != need:
         raise ValueError(f"graph6 body has {len(body)} bytes, expected {need}")
-    bits = 0
-    for b in body:
-        bits = (bits << 6) | (b - 63)
-    pad = 6 * need - nbits
-    if pad and (bits & ((1 << pad) - 1)):
-        raise ValueError("graph6 padding bits are not zero")
-    bits >>= pad
     rows = [0] * n
-    pos = nbits - 1
-    for j in range(1, n):
-        for i in range(j):
-            if (bits >> pos) & 1:
+    i, j = 0, 1  # the pair of the next bit, column j of the upper triangle
+    for b in body:
+        b -= 63
+        for bit in (32, 16, 8, 4, 2, 1):
+            if j == n:
+                if b & (2 * bit - 1):
+                    raise ValueError("graph6 padding bits are not zero")
+                break
+            if b & bit:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-            pos -= 1
+            i += 1
+            if i == j:
+                i, j = 0, j + 1
     return SimpleGraph(n, rows)
 
 
 def emit_graph6(g: SimpleGraph) -> str:
-    n = g.n
-    out = bytearray(_g6_encode_size(n))
-    bits = 0
-    nbits = n * (n - 1) // 2
-    for j in range(1, n):
-        for i in range(j):
-            bits = (bits << 1) | (1 if g.has_edge(i, j) else 0)
-    pad = (6 - nbits % 6) % 6
-    bits <<= pad
-    for shift in range(nbits + pad - 6, -1, -6):
-        out.append(((bits >> shift) & 63) + 63)
-    return out.decode("ascii")
+    """The graph6 line of g: column j of the upper triangle is the j low
+    bits of rows[j] in increasing i, read as reversed binary digits (the
+    top bit 1 << j keeps the leading zeros), six bits to a byte."""
+    bits = "".join([bin(r & ((1 << j) - 1) | 1 << j)[:2:-1] for j, r in enumerate(g.rows)])
+    bits += "0" * (-len(bits) % 6)
+    body = bytes(int(bits[a:a + 6], 2) + 63 for a in range(0, len(bits), 6))
+    return (_g6_encode_size(g.n) + body).decode("ascii")
 
 
 # -- looped-graph serialisation ------------------------------------------------
@@ -640,8 +636,7 @@ def are_isomorphic(g: LoopedGraph | SimpleGraph, h: LoopedGraph | SimpleGraph,
         for v in range(g.n):
             if (placed >> v) & 1:
                 continue
-            touches = any(g.has_edge(v, w) for w in order)
-            key = (not touches, hist[gc[v]], v)
+            key = (not g.rows[v] & placed, hist[gc[v]], v)
             if best is None or key < best[0]:
                 best = (key, v)
         order.append(best[1])

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -174,6 +175,57 @@ def test_graph6_long_form_header():
     assert parse_graph6(enc) == g
     g2 = random_graph(70, __import__("random").Random(7))
     assert parse_graph6(emit_graph6(g2)) == g2
+
+
+def reference_graph6(g):
+    """graph6 from its definition: the size field (one byte for n <= 62,
+    else 126 and three 6-bit digits), then the bits x(0,1), x(0,2),
+    x(1,2), x(0,3), ... of the upper triangle column by column, padded
+    with zeros to a multiple of six, six bits to a byte, high bit first,
+    every 6-bit value offset by 63."""
+    n = g.n
+    size = [n] if n <= 62 else [63] + [(n >> s) & 63 for s in (12, 6, 0)]
+    bits = [int(g.has_edge(i, j)) for j in range(1, n) for i in range(j)]
+    bits += [0] * (-len(bits) % 6)
+    body = [int("".join(map(str, bits[a:a + 6])), 2) for a in range(0, len(bits), 6)]
+    return bytes(x + 63 for x in size + body).decode("ascii")
+
+
+# both sides of the 62/63 size-field switch, and lines whose body is
+# several thousand bytes
+REFERENCE_SIZES = list(range(81)) + [200, 257]
+
+
+def test_graph6_matches_the_reference_encoder():
+    rng = random.Random(11)
+    for n in REFERENCE_SIZES:
+        for p in (0.0, 0.5, 1.0):
+            g = random_graph(n, rng, p)
+            text = reference_graph6(g)
+            assert emit_graph6(g) == text, n
+            assert parse_graph6(text) == g, n
+
+
+def test_graph6_rejects_each_nonzero_padding_bit():
+    widths = set()
+    for n in REFERENCE_SIZES:
+        g = random_graph(n, random.Random(n))
+        text = emit_graph6(g)
+        pad = -(n * (n - 1) // 2) % 6
+        widths.add(pad)
+        for b in range(pad):
+            bad = text[:-1] + chr(63 + (ord(text[-1]) - 63 | 1 << b))
+            with pytest.raises(ValueError, match="padding bits are not zero"):
+                parse_graph6(bad)
+    # n(n-1)/2 is 0, 1, 3 or 4 mod 6, so these are all the widths there are
+    assert widths == {0, 2, 3, 5}
+
+
+def test_graph6_is_linear_in_the_line_at_both_ends():
+    g = SimpleGraph.complete_multipartite([300, 300, 300])
+    start = time.perf_counter()
+    assert parse_graph6(emit_graph6(g)) == g
+    assert time.perf_counter() - start < 1.0
 
 
 @settings(max_examples=150, deadline=None)
