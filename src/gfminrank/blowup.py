@@ -53,8 +53,7 @@ import itertools
 from dataclasses import dataclass
 
 from .graphs import ClassStatus, LoopedGraph, SimpleGraph, _components, _least_twins, twin_reduce
-from .patterns import (DEFAULT_VERTEX_BUDGET, Pattern, PatternMasks, VertexBudgetError,
-                       generate)
+from .patterns import DEFAULT_VERTEX_BUDGET, Pattern, VertexBudgetError, generate
 
 
 class MinRankBoundError(Exception):
@@ -111,22 +110,23 @@ def is_blowup(g: SimpleGraph, h: LoopedGraph | Pattern) -> BlowupWitness | None:
     """A witness that g is a blowup of h (plus an isolated vertex), or None.
 
     ``h`` is a looped graph, searched in full, or a Pattern, which keeps its
-    search masks.  For a Pattern the first class branched on tries only the
+    isometry roots.  For a Pattern the first class branched on tries only the
     root of each isometry orbit, and a spread there must meet the roots: an
     isometry carrying any witness's image vertex to the root of its orbit
     gives another witness.
     """
     if isinstance(h, Pattern):
-        masks, h = h.masks, h.graph
+        roots, h = h.roots, h.graph
     else:
-        masks = PatternMasks.of(h, (1 << h.n) - 1)
+        roots = (1 << h.n) - 1
     if not any(g.rows):
         return BlowupWitness({})
     red = twin_reduce(g)
     sizes = red.class_sizes()
     q_adj = red.quotient.rows
-    rows, non, loops, nonloops = h.rows, masks.non, h.loops, masks.nonloops
-    full = loops | nonloops
+    rows, loops = h.rows, h.loops
+    full = (1 << h.n) - 1
+    nonloops = full & ~loops
     # per class: where a single image may go (loop status matching the
     # class), and where the members of a spread go (the opposite status)
     single, spread = [], []
@@ -153,7 +153,7 @@ def is_blowup(g: SimpleGraph, h: LoopedGraph | Pattern) -> BlowupWitness | None:
         joined = apart = -1
         for v in group:
             joined &= rows[v]
-            apart &= non[v]
+            apart &= ~(rows[v] | 1 << v)
         out = {}
         best, best_key = -1, no_class
         for d, dom in doms.items():
@@ -172,7 +172,7 @@ def is_blowup(g: SimpleGraph, h: LoopedGraph | Pattern) -> BlowupWitness | None:
         merged clique and pairwise nonadjacent for a merged independent set,
         meeting roots."""
         need = sizes[cls]
-        nbr = rows if red.statuses[cls] is ClassStatus.LOOPED else non
+        looped = red.statuses[cls] is ClassStatus.LOOPED
 
         def grow(chosen: tuple[int, ...], hit: bool, avail: int):
             if len(chosen) == need:
@@ -185,7 +185,9 @@ def is_blowup(g: SimpleGraph, h: LoopedGraph | Pattern) -> BlowupWitness | None:
                 low = avail & -avail
                 avail ^= low
                 v = low.bit_length() - 1
-                yield from grow(chosen + (v,), hit or bool(low & roots), avail & nbr[v])
+                # v has left avail, so ~rows[v] needs no 1 << v taken out
+                yield from grow(chosen + (v,), hit or bool(low & roots),
+                                avail & (rows[v] if looped else ~rows[v]))
 
         yield from grow((), False, avail)
 
@@ -211,7 +213,7 @@ def is_blowup(g: SimpleGraph, h: LoopedGraph | Pattern) -> BlowupWitness | None:
     # all but the isolated class, whose rows in g are empty (not just in the quotient)
     first = narrow(0, (), {c: single[c] | spread[c] for c in range(nclasses)
                            if g.rows[red.classes[c][0]]})
-    if first is None or not search(*first, masks.roots):
+    if first is None or not search(*first, roots):
         return None
 
     assignment: dict[int, int] = {}

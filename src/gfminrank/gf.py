@@ -24,6 +24,12 @@ log tables: g is the least rep >= 2 whose matrix to the power (q-1)/r is
 not the identity for any prime r | q-1, and the step table x -> g x is
 one product of the digits of every rep by that matrix.
 
+C also decides the modulus: for e >= 2 it is the first monic f with
+f(0) != 0, coefficients compared low first, that passes Rabin's test on
+its companion matrix (``_is_irreducible``); for e = 1 it is X.  There is
+no polynomial arithmetic: ``_mat_pow`` is the one square-and-multiply, for
+the modulus test and the generator search alike.
+
 The supported orders are the prime powers in 2..Q_MAX.  :func:`factor_prime_power`
 is the one test of an order: ``field_from_order`` and ``FieldCtx`` both
 reach it, and it compares q with that range before it divides anything.
@@ -44,51 +50,43 @@ Q_MAX = 1 << 16
 KERNEL_TABLE_MAX_Q = 1024
 
 
-def _poly_trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
+def _companion(f, p: int) -> np.ndarray:
+    """The companion matrix of the monic f (coefficients low first) mod p:
+    the matrix of a -> X a on the digits of GF(p)[X]/(f)."""
+    c = np.eye(len(f) - 1, k=-1, dtype=np.int64)
+    c[:, -1] = np.negative(f[:-1]) % p
     return c
 
 
-def _poly_mod(a: list[int], m: list[int], p: int) -> list[int]:
-    """Remainder of a modulo the monic polynomial m, coefficients low-first."""
-    a = a[:]
-    dm = len(m) - 1
-    while len(a) - 1 >= dm and a:
-        lead = a[-1]
-        shift = len(a) - 1 - dm
-        if lead:
-            for i, c in enumerate(m):
-                a[shift + i] = (a[shift + i] - lead * c) % p
-        _poly_trim(a)
-        if not a:
-            break
-    return a
+def _mat_pow(m: np.ndarray, k: int, p: int) -> np.ndarray:
+    """m^k mod p by square and multiply."""
+    out = np.eye(len(m), dtype=np.int64)
+    while k:
+        out, m, k = out @ m % p if k & 1 else out, m @ m % p, k >> 1
+    return out
 
 
-def _monic_candidates(p: int, d: int):
-    # ascending lexicographic on (c_0, ..., c_{d-1}), low-degree coefficient first
-    for low in itertools.product(range(p), repeat=d):
-        yield list(low) + [1]
-
-
-def _is_irreducible(f: list[int], p: int) -> bool:
-    deg = len(f) - 1
-    if f[0] == 0:
-        return False
-    for d in range(1, deg // 2 + 1):
-        for g in _monic_candidates(p, d):
-            if not _poly_mod(f, g, p):
-                return False
-    return True
+def _is_irreducible(f, p: int) -> bool:
+    """Rabin's test of the monic f of degree e >= 1 over GF(p) on its
+    companion matrix C: C^(p^e) = C, so GF(p)[C] is a product of fields
+    GF(p^d) with d | e, and for each prime r | e, C^(p^(e/r)) - C is a unit
+    there, that is, its (p^e - 1)-th power is I."""
+    e = len(f) - 1
+    q, c, one = p ** e, _companion(f, p), np.eye(e, dtype=np.int64)
+    return np.array_equal(_mat_pow(c, q, p), c) and all(
+        np.array_equal(_mat_pow((_mat_pow(c, p ** (e // r), p) - c) % p, q - 1, p), one)
+        for r in _prime_factors(e))
 
 
 def _find_modulus(p: int, e: int) -> tuple[int, ...]:
+    """X for e = 1; else the first irreducible monic f of degree e in
+    ascending lexicographic order on (f_0, ..., f_{e-1}).  Candidates with
+    f_0 = 0, divisible by X, are skipped before any matrix power."""
     if e == 1:
         return (0, 1)
-    for f in _monic_candidates(p, e):
-        if _is_irreducible(f, p):
-            return tuple(f)
+    for low in itertools.product(range(1, p), *[range(p)] * (e - 1)):
+        if _is_irreducible(low + (1,), p):
+            return low + (1,)
     raise AssertionError("no irreducible polynomial found")
 
 
@@ -128,9 +126,7 @@ class FieldCtx:
 
         self._pw = p ** np.arange(e, dtype=np.int64)
         # row i is C^i flattened, C the companion matrix of the modulus
-        # (the matrix of a -> X a on digits)
-        c = np.eye(e, k=-1, dtype=np.int64)
-        c[:, -1] = np.negative(self.modulus[:-1]) % p
+        c = _companion(self.modulus, p)
         powers = [np.eye(e, dtype=np.int64)]
         for _ in range(e - 1):
             powers.append(c @ powers[-1] % p)
@@ -151,17 +147,10 @@ class FieldCtx:
     def _build_log_tables(self) -> None:
         n, p, one = self.q - 1, self.p, self.mul_matrix(1)
         factors = _prime_factors(n)
-
-        def power(m, k):  # m^k mod p by square and multiply
-            out = one
-            while k:
-                out, m, k = out @ m % p if k & 1 else out, m @ m % p, k >> 1
-            return out
-
         gen = None
         for g in range(2, self.q):
             m = self.mul_matrix(g)
-            if not any((power(m, n // r) == one).all() for r in factors):
+            if not any((_mat_pow(m, n // r, p) == one).all() for r in factors):
                 gen = g
                 break
         if gen is None:

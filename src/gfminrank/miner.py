@@ -201,8 +201,9 @@ def _load_checkpoint(path: str, q: int, k: int
     """(graphs covered, graphs found, source sha256) of the checkpoint at
     path, or nothing covered when there is none.  Anything but an object
     with an int counter >= 0 (not a bool), a list of strings found and a
-    string source_sha256, if any, is a ValueError naming the field.  Other
-    keys are ignored, so a checkpoint that also stores "n" still loads."""
+    string source_sha256, which only a counter of 0 may leave out, is a
+    ValueError naming the field.  Other keys are ignored, so a checkpoint
+    that also stores "n" still loads."""
     if not path or not os.path.exists(path):
         return 0, [], None
     with open(path) as fh:
@@ -218,6 +219,8 @@ def _load_checkpoint(path: str, q: int, k: int
         raise ValueError("checkpoint found is not a list of graph6 strings")
     if not isinstance(sha256, str):
         raise ValueError(f"checkpoint source_sha256 {sha256!r} is not a string")
+    if counter and "source_sha256" not in obj:
+        raise ValueError(f"checkpoint covers {counter} graphs but has no source_sha256")
     return counter, [parse_graph6(s) for s in found], sha256
 
 

@@ -41,35 +41,15 @@ class PatternPropertyError(AssertionError):
 
 
 @dataclass(frozen=True)
-class PatternMasks:
-    """Bit masks of a looped pattern graph that the blowup search reads
-    beside its rows and loops.
-
-    ``non[v]`` holds the vertices other than v not adjacent to v;
-    ``nonloops`` the vertices without a loop; ``roots`` those the first class
-    branched on may take (for a pattern, see isometry_roots).
-    """
-
-    non: tuple[int, ...]
-    nonloops: int
-    roots: int
-
-    @classmethod
-    def of(cls, h: LoopedGraph, roots: int) -> "PatternMasks":
-        full = (1 << h.n) - 1
-        non = tuple(full & ~r & ~(1 << v) for v, r in enumerate(h.rows))
-        return cls(non, full & ~h.loops, roots)
-
-
-@dataclass(frozen=True)
 class Pattern:
     form: MatrixFq
     graph: LoopedGraph
 
     @functools.cached_property
-    def masks(self) -> PatternMasks:
-        """The search masks, built on first use and kept with the pattern."""
-        return PatternMasks.of(self.graph, isometry_roots(self.form))
+    def roots(self) -> int:
+        """The vertices the first class the blowup search branches on may
+        take (see isometry_roots), found on first use and kept."""
+        return isometry_roots(self.form)
 
 
 @dataclass(frozen=True)

@@ -405,8 +405,10 @@ def test_mine_needs_input_or_max_n(capsys, monkeypatch):
     ({"q": 2, "k": 1, "found": [], "counter": -1}, "counter"),
     ({"q": 2, "k": 1, "found": [1], "counter": 1}, "found"),
     ({"q": 2, "k": 1, "found": [], "counter": 1, "source_sha256": 5}, "source_sha256"),
+    ({"q": 2, "k": 1, "found": [], "counter": 3}, "source_sha256"),
 ], ids=["not-an-object", "found-not-a-list", "no-counter", "bool-counter",
-        "negative-counter", "found-not-strings", "sha256-not-a-string"])
+        "negative-counter", "found-not-strings", "sha256-not-a-string",
+        "no-sha256-past-zero"])
 def test_mine_malformed_checkpoint_is_a_domain_error(capsys, tmp_path, state, field):
     ck = tmp_path / "mine.json"
     ck.write_text(json.dumps(state))

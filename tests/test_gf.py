@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gfminrank import field_from_order, field_new
+from gfminrank import field_from_order, field_new, gf
 from gfminrank.gf import Q_MAX, factor_prime_power
 
 
@@ -328,6 +328,37 @@ def test_every_extension_field_keeps_its_generator():
     assert lines[:6] == ["4 2\n", "8 2\n", "9 4\n", "16 2\n", "25 7\n", "27 3\n"]
     assert hashlib.sha256("".join(lines).encode()).hexdigest() == \
         "7d35f581578744d3e916cf084fcc645dfbe88b7a42a2fd296fe5a58e12a5c500"
+
+
+def test_every_extension_field_keeps_its_modulus():
+    lines = []
+    for q in range(4, Q_MAX + 1):
+        try:
+            p, e = factor_prime_power(q)
+        except ValueError:
+            continue
+        if e >= 2:
+            lines.append(f"{q} {' '.join(map(str, field_new(p, e).modulus))}\n")
+    assert len(lines) == 93
+    assert lines[:3] == ["4 1 1 1\n", "8 1 0 1 1\n", "9 1 0 1\n"]
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == \
+        "cb28c24150365d2933abf5b7b51ab3b5ef1321a3097a89a667da629bd2047277"
+
+
+def test_prime_fields_keep_the_modulus_x():
+    for q in (2, 3, 5, 251, 65521):
+        assert field_from_order(q).modulus == (0, 1)
+
+
+def test_rabin_test_agrees_with_trial_division():
+    checked = 0
+    for p, degrees in [(2, range(2, 9)), (3, range(2, 5)), (5, range(2, 4)), (7, [2])]:
+        for d in degrees:
+            for low in itertools.product(range(p), repeat=d):
+                f = low + (1,)
+                assert gf._is_irreducible(f, p) == _irreducible(f, p), (p, f)
+                checked += 1
+    assert checked == 824
 
 
 def _naive_matmul(f, a, b):

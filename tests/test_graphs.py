@@ -196,6 +196,21 @@ def reference_graph6(g):
 REFERENCE_SIZES = list(range(81)) + [200, 257]
 
 
+def test_graph6_eight_byte_size_field():
+    assert parse_graph6("~~?????@") == SimpleGraph.complete(1)
+    assert parse_graph6("~~?????Bw") == SimpleGraph.complete(3)
+    with pytest.raises(ValueError, match="truncated graph6 size field"):
+        parse_graph6("~~??")
+    # the size field alone: the row check of a 258,048-vertex graph packs
+    # n s bits, about 8 GB
+    for n in (62, 63, 258047, 258048, 2 ** 36 - 1):
+        field = graphs._g6_encode_size(n)
+        assert len(field) == (1 if n <= 62 else 4 if n <= 258047 else 8)
+        assert graphs._g6_decode_size(field + b"?") == (n, len(field))
+    with pytest.raises(ValueError, match="vertex count too large for graph6"):
+        graphs._g6_encode_size(2 ** 36)
+
+
 def test_graph6_matches_the_reference_encoder():
     rng = random.Random(11)
     for n in REFERENCE_SIZES:

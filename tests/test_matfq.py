@@ -202,6 +202,22 @@ def test_classification_completeness_exhaustive():
                 assert len(reps) == 2 and len(seen_ptags) == 2
 
 
+@pytest.mark.parametrize("q, entries", [
+    (4, [[0, 2], [2, 0]]),
+    (4, [[0, 2, 0, 0], [2, 0, 0, 0], [0, 0, 0, 3], [0, 0, 3, 0]]),
+    (8, [[0, 5], [5, 0]]),
+], ids=["gf4-k2", "gf4-k4", "gf8-k2"])
+def test_normalize_alternating_forms_whose_hyperbolic_entry_is_not_one(q, entries):
+    # after the square-root scaling the hyperbolic entry is sqrt(h) != 1, so
+    # the partner coordinate is scaled by its inverse as well
+    f = field_from_order(q)
+    b = MatrixFq(f, entries)
+    c, n = normalize_invertible_symmetric(b)
+    assert n == canonical_representatives(f, b.rows)[1]
+    assert congruence_form(c, b) == n
+    assert rank(c) == b.rows
+
+
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_normalize_rejects_singular(q):
     f = field_from_order(q)

@@ -187,6 +187,26 @@ def test_mine_checks_its_checkpoint_path_before_scanning(tmp_path, monkeypatch):
         mine(2, 1, n_max=5, checkpoint=str(tmp_path / "missing" / "mine.json"))
 
 
+def test_mine_refuses_a_checkpoint_without_its_source_hash(tmp_path, monkeypatch):
+    ck = tmp_path / "mine.json"
+    mine(2, 1, n_max=4, checkpoint=str(ck), max_graphs=3)
+    state = json.loads(ck.read_text())
+    assert state["counter"] == 3
+    del state["source_sha256"]
+    ck.write_text(json.dumps(state))
+    saved = ck.read_text()
+    calls = []
+    monkeypatch.setattr(miner, "member", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="source_sha256"):
+        mine(2, 1, n_max=4, checkpoint=str(ck))
+    assert ck.read_text() == saved and calls == []
+    # a checkpoint that covers nothing may leave the hash out
+    ck.write_text(json.dumps({**state, "counter": 0, "found": []}))
+    monkeypatch.undo()
+    assert mine(2, 1, n_max=4, checkpoint=str(ck)).found_graph6() == \
+        mine(2, 1, n_max=4).found_graph6()
+
+
 def test_mine_external_source(fullhouse):
     source = [SimpleGraph.path(3), SimpleGraph.complete(4), fullhouse]
     run = mine(2, 2, source=source)

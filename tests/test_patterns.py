@@ -196,7 +196,7 @@ def test_orbit_keys_follow_the_form(q, k):
                      if all(f.mul(gram[x][w], gram[x][w]) == norm[x] for x in range(len(pts)))]
             assert len(poles) == 1
             keys[poles[0]] = 3
-        roots = [v for v in range(len(pts)) if pat.masks.roots >> v & 1]
+        roots = [v for v in range(len(pts)) if pat.roots >> v & 1]
         assert sorted(keys[v] for v in roots) == sorted(set(keys))
 
         blocks = list(isometry_generators(pat.form, ps.points))
