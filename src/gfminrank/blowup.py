@@ -33,9 +33,11 @@ is returned.
 Over q > 2, ``min_rank`` sweeps k upward from the zero forcing bound
 mr >= n - Z(G), which holds over every field (AIM Minimum Rank-Special
 Graphs Work Group, LAA 428, 2008), so no k below it is ever searched.  Z is
-computed exactly per connected component of up to 12 vertices (or on the
-twin quotient of a larger one), by trying vertex sets of each size with
-bitmask rows.
+computed per connected component by a wavefront search, a cheapest path
+over forcing closures on bitmask rows (Brimkov, Fast and Hicks, EJOR 273,
+2019).  It is exact unless a component uses up ZERO_FORCING_BUDGET closure
+computations; then a greedily completed zero forcing set stands in for it,
+whose size is at least Z, so the bound stays valid.
 
 Over GF(2), ``min_rank`` uses no patterns.  Every nonzero off-diagonal
 entry is 1 there, so the matrices with graph G are exactly A(G) + D for the
@@ -52,7 +54,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .graphs import ClassStatus, LoopedGraph, SimpleGraph, _components, _least_twins, twin_reduce
+from .graphs import ClassStatus, LoopedGraph, SimpleGraph, _component_masks, twin_reduce
 from .patterns import DEFAULT_VERTEX_BUDGET, Pattern, VertexBudgetError, generate
 
 
@@ -245,46 +247,128 @@ def member(g: SimpleGraph, q: int, k: int,
     return False, None, None
 
 
-# components (or their twin quotients) searched for Z; a larger one adds 0
-_ZERO_FORCING_MAX_N = 12
+# closure computations before _component_zero_forcing stops its exact
+# search and completes a cheapest open closed set greedily (G(24, 1/2)
+# needs 130-230; 40-vertex random trees often reach it)
+ZERO_FORCING_BUDGET = 50_000
 
 
-def _forces_all(rows, black: int, full: int) -> bool:
-    """Whether black spreads to every vertex by zero forcing: a black vertex
-    with exactly one white neighbour turns that neighbour black."""
+def _closure(rows, black: int, new: int) -> int:
+    """The forcing closure of black, in which only the vertices of new and
+    their neighbours can force at first (black minus new is closed, or new
+    is all of black): a black vertex with exactly one white neighbour turns
+    that neighbour black."""
+    check, m = new, new
+    while m:
+        low = m & -m
+        m ^= low
+        check |= rows[low.bit_length() - 1]
+    check &= black
+    while check:
+        low = check & -check
+        check ^= low
+        white = rows[low.bit_length() - 1] & ~black
+        if white and not white & (white - 1):
+            black |= white
+            check |= (rows[white.bit_length() - 1] | white) & black
+    return black
+
+
+def _greedy_completion(rows, moves, full: int, black: int, cost: int) -> int:
+    """cost plus the cost of moves that take the closed set black to full,
+    each the move that blackens the most vertices per unit of cost (the
+    first such in moves)."""
     while black != full:
-        grown = b = black
-        while b:
-            low = b & -b
-            b ^= low
-            white = rows[low.bit_length() - 1] & ~grown
-            if not white & (white - 1):
-                grown |= white
-        if grown == black:
-            return False
-        black = grown
-    return True
+        best_step, best_gain, best = 1, 0, black
+        for m in moves:
+            new = m & ~black
+            if new:
+                step = new.bit_count() - 1 or 1
+                t = _closure(rows, black | new, new)
+                gain = (t ^ black).bit_count()
+                if gain * best_step > best_gain * step:
+                    best_step, best_gain, best = step, gain, t
+        cost += best_step
+        black = best
+    return cost
 
 
 def _zero_forcing_number(h: SimpleGraph) -> int:
-    """Z(h), the size of a smallest zero forcing set of h, by trying vertex
-    sets of each size upward.
+    """Z(h), the size of a smallest zero forcing set of h (at least Z(h)
+    past the budget): the sum of _component_zero_forcing over its connected
+    components."""
+    return sum(_component_zero_forcing(h.rows, comp) for comp in _component_masks(h.rows))
 
-    The search starts at max(min degree, n - c) for the c twin classes of
-    _least_twins (no vertex has twins of both kinds, see twin_reduce): the
-    first force needs a black vertex with all but one neighbour black, and
-    mr(h) <= c (1 on every edge, on the diagonal of true-twin classes and
-    nowhere else gives twins equal rows), so Z >= n - mr >= n - c.
+
+def _component_zero_forcing(rows, full: int) -> int:
+    """Z of the connected component with vertex set full (a bitmask), by
+    the wavefront search (Brimkov, Fast and Hicks, "Computational
+    approaches for zero forcing and related problems", EJOR 273, 2019);
+    past ZERO_FORCING_BUDGET closure computations, the size of some zero
+    forcing set, which is at least Z.
+
+    The states are closed sets (forcing closures), expanded in order of
+    cost.  A move at v blackens N[v] minus the state and closes the result;
+    it costs one less than the vertices it blackens, since v forces the
+    last of them, but at least 1.  A cheapest path from the start to the
+    whole component costs Z: the moves at the forcing vertices of any zero
+    forcing set S, in the order they force, together cost at most |S|.  A
+    move whose cost reaches the cheapest complete set found so far is
+    skipped, and the search ends once the cost reached does too.  Past the
+    budget, a cheapest open state is completed by _greedy_completion.
+
+    The start is the closure of all but the least vertex of each twin class
+    (equal N(v) or equal N[v]), at the count of those vertices.  Every zero forcing set holds
+    all but at most one vertex of a class, since a vertex forcing a class
+    member is adjacent to all of them; and swapping twins is an
+    automorphism, so some smallest one holds all but the least.
     """
-    n, rows = h.n, h.rows
-    full = (1 << n) - 1
-    bits = [1 << v for v in range(n)]
-    start = max(min(r.bit_count() for r in rows), n - len(set(_least_twins(rows))))
-    for size in range(start, n):
-        for black in itertools.combinations(bits, size):
-            if _forces_all(rows, sum(black), full):
-                return size
-    return n  # the whole vertex set
+    start, seen, closed = 0, set(), []
+    m = full
+    while m:
+        low = m & -m
+        m ^= low
+        r = rows[low.bit_length() - 1]
+        c = r | low  # never equal to another vertex's open row
+        if r in seen or c in seen:
+            start |= low
+        else:
+            seen.add(r)
+            seen.add(c)
+        closed.append(c)
+    n, base = len(closed), start.bit_count()
+    start = _closure(rows, start, start)
+    moves = [m for m in dict.fromkeys(closed) if m & ~start]
+    if not moves:
+        return base
+    best = n
+    cost = {start: base}
+    buckets: list[list[int]] = [[] for _ in range(n - base)]
+    buckets[0].append(start)
+    budget = ZERO_FORCING_BUDGET
+    for c in range(base, n):
+        if c >= best:
+            break
+        for s in buckets[c - base]:
+            if cost[s] < c:
+                continue  # reached more cheaply since it was queued
+            for m in moves:
+                new = m & ~s
+                if not new:
+                    continue
+                d = c + (new.bit_count() - 1 or 1)
+                if d >= best:
+                    continue
+                budget -= 1
+                if budget < 0:
+                    return min(best, _greedy_completion(rows, moves, full, s, c))
+                t = _closure(rows, s | new, new)
+                if t == full:
+                    best = d
+                elif cost.get(t, n) > d:
+                    cost[t] = d
+                    buckets[d - base].append(t)
+    return best
 
 
 def _rank_lower_bound(g: SimpleGraph) -> int:
@@ -293,23 +377,14 @@ def _rank_lower_bound(g: SimpleGraph) -> int:
     mr_F(h) >= |h| - Z(h) over every field F (AIM Minimum Rank-Special
     Graphs Work Group, LAA 428, 2008), and both mr and Z add over connected
     components, so the bound sums |h| - Z(h) over the components h with two
-    or more vertices.  A component on more than 12 vertices is replaced by
-    its twin quotient, an induced subgraph (one vertex per class) whose mr
-    is at most the component's, and adds 0 when that is still too large.
+    or more vertices.  Z is exact unless a component uses up
+    ZERO_FORCING_BUDGET; then the size of a greedily completed zero forcing
+    set stands in for it, and |h| minus that size is still a lower bound.
     The bound dominates the induced-path bound: for an induced path P,
     the other vertices and one end of P force P one vertex at a time.
     """
-    bound = 0
-    for comp in _components(g):
-        if len(comp) < 2:
-            continue
-        h = g if len(comp) == g.n else g.induced(comp)
-        if h.n > _ZERO_FORCING_MAX_N:
-            h = twin_reduce(h).quotient.simple()
-            if h.n > _ZERO_FORCING_MAX_N:
-                continue
-        bound += h.n - _zero_forcing_number(h)
-    return bound
+    return sum(comp.bit_count() - _component_zero_forcing(g.rows, comp)
+               for comp in _component_masks(g.rows) if comp & (comp - 1))
 
 
 # search nodes (row choices) before _gf2_min_rank refuses, as for the oracle

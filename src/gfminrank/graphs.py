@@ -162,26 +162,36 @@ def _induced_rows(rows, verts) -> list[int]:
     return [_relabel_mask(rows[v] & keep, pos) for v in verts]
 
 
+def _component_masks(rows) -> list[int]:
+    """The vertex sets of the connected components of the graph with these
+    adjacency rows, as bitmasks, by least vertex."""
+    comps = []
+    rest = (1 << len(rows)) - 1
+    while rest:
+        comp = frontier = rest & -rest
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                reach |= rows[low.bit_length() - 1]
+            frontier = reach & ~comp
+            comp |= frontier
+        rest ^= comp
+        comps.append(comp)
+    return comps
+
+
 def _components(g: SimpleGraph) -> list[list[int]]:
     """The sorted vertex lists of g's connected components, by least vertex."""
-    seen = 0
     comps = []
-    for v in range(g.n):
-        if (seen >> v) & 1:
-            continue
-        stack = [v]
+    for m in _component_masks(g.rows):
         comp = []
-        seen |= 1 << v
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            m = g.rows[u] & ~seen
-            while m:
-                w = (m & -m).bit_length() - 1
-                seen |= 1 << w
-                stack.append(w)
-                m = g.rows[u] & ~seen
-        comps.append(sorted(comp))
+        while m:
+            low = m & -m
+            m ^= low
+            comp.append(low.bit_length() - 1)
+        comps.append(comp)
     return comps
 
 
@@ -200,6 +210,15 @@ class SimpleGraph:
     def __init__(self, n: int, rows):
         self.n = n
         self.rows = _check_rows(n, rows)
+
+    @classmethod
+    def _trusted(cls, n: int, rows) -> "SimpleGraph":
+        """A graph on rows that are symmetric, loop-free and in range by
+        construction, which _check_rows is not run on."""
+        g = cls.__new__(cls)
+        g.n = n
+        g.rows = tuple(rows)
+        return g
 
     @classmethod
     def empty(cls, n: int) -> "SimpleGraph":
@@ -407,7 +426,7 @@ def parse_graph6(text: str | bytes) -> SimpleGraph:
             i += 1
             if i == j:
                 i, j = 0, j + 1
-    return SimpleGraph(n, rows)
+    return SimpleGraph._trusted(n, rows)  # each pair set both ways, never i == j
 
 
 def emit_graph6(g: SimpleGraph) -> str:

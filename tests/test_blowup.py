@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import os
 import random
 import subprocess
@@ -126,6 +127,31 @@ def _longest_induced_path(g: SimpleGraph) -> int:
     return best
 
 
+def _brute_zero_forcing_number(g: SimpleGraph) -> int:
+    """Z(g) by trying vertex sets by size upward from the minimum degree
+    (the first force needs a black vertex with all but one neighbour black)."""
+    full = (1 << g.n) - 1
+
+    def forces_all(black: int) -> bool:
+        while black != full:
+            grown = black
+            for v in range(g.n):
+                white = g.rows[v] & ~grown
+                if (black >> v) & 1 and white.bit_count() == 1:
+                    grown |= white
+            if grown == black:
+                return False
+            black = grown
+        return True
+
+    start = min((r.bit_count() for r in g.rows), default=0)
+    for size in range(start, g.n):
+        for black in itertools.combinations(range(g.n), size):
+            if forces_all(sum(1 << v for v in black)):
+                return size
+    return g.n
+
+
 def test_zero_forcing_number_of_families():
     for n in range(2, 10):
         assert _zero_forcing_number(SimpleGraph.path(n)) == 1
@@ -140,6 +166,21 @@ def test_zero_forcing_number_of_families():
     assert _zero_forcing_number(union) == 1 + 2 + 3
 
 
+def test_zero_forcing_number_matches_brute_force_on_small_graphs():
+    for n in range(8):
+        for g in enumerate_graphs(n):
+            assert _zero_forcing_number(g) == _brute_zero_forcing_number(g), emit_graph6(g)
+
+
+def test_zero_forcing_number_matches_brute_force_on_seeded_draws():
+    rng = random.Random(2019)
+    for _ in range(520):
+        n, p = rng.randrange(8, 12), rng.choice((0.2, 0.35, 0.5, 0.7))
+        g = SimpleGraph.from_edges(
+            n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        assert _zero_forcing_number(g) == _brute_zero_forcing_number(g), emit_graph6(g)
+
+
 def test_zero_forcing_bound_dominates_the_induced_path_bound():
     for n in range(1, 8):
         for g in enumerate_graphs(n):
@@ -147,19 +188,51 @@ def test_zero_forcing_bound_dominates_the_induced_path_bound():
 
 
 def test_zero_forcing_bound_sums_over_components_past_twelve_vertices():
-    # 13 vertices, no twins: the whole graph is over the cap, its parts are not
+    # 13 vertices, no twins: Z(P6) + Z(P7) = 2
     assert _rank_lower_bound(_union(SimpleGraph.path(6), SimpleGraph.path(7))) == 5 + 6
-    # K_{7,7} is over the cap; its twin quotient K2 gives 1, and P3 gives 2
+    # Z(K_{7,7}) = 12, and P3 gives 2
     k77 = SimpleGraph.complete_multipartite([7, 7])
-    assert _rank_lower_bound(_union(k77, SimpleGraph.path(3))) == 1 + 2
-    # over the cap with no twins to merge: the component adds nothing
-    assert _rank_lower_bound(SimpleGraph.path(13)) == 0
+    assert _rank_lower_bound(_union(k77, SimpleGraph.path(3))) == 2 + 2
+    assert _rank_lower_bound(SimpleGraph.path(13)) == 12
+
+
+def _random_tree(n: int, rng: random.Random) -> SimpleGraph:
+    return SimpleGraph.from_edges(n, [(rng.randrange(v), v) for v in range(1, n)])
+
+
+def test_zero_forcing_bound_past_its_budget_completes_greedily(monkeypatch):
+    rng = random.Random(1616)
+    trees = [_random_tree(16, rng) for _ in range(8)]
+    exact = [_rank_lower_bound(t) for t in trees]
+    mrs = [min_rank(t, 2) for t in trees]
+    completions = []
+    real = blowup._greedy_completion
+
+    def counted(*args):
+        completions.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(blowup, "_greedy_completion", counted)
+    monkeypatch.setattr(blowup, "ZERO_FORCING_BUDGET", 3)
+    for t, b, mr in zip(trees, exact, mrs):
+        bound = _rank_lower_bound(t)
+        assert completions, emit_graph6(t)
+        completions.clear()
+        assert 0 <= bound <= b <= mr, emit_graph6(t)
+
+
+def test_zero_forcing_bound_of_large_sparse_and_twin_rich_graphs():
+    # the budget bounds a 60-vertex tree; twins make K_{40,40,40} exact at once
+    bound = _rank_lower_bound(_random_tree(60, random.Random(60)))
+    assert 0 < bound < 60
+    assert _rank_lower_bound(SimpleGraph.complete_multipartite([40, 40, 40])) == 2
 
 
 def test_the_sweep_starts_at_the_zero_forcing_bound(monkeypatch):
-    # both took seconds to minutes refusing k = mr - 1; the bound equals mr
+    # each took seconds to minutes, or did not finish, refusing k = mr - 1;
+    # the bound equals mr
     real = blowup.member
-    for g6, q, mr in [("KN{pGA?VRDkd", 3, 7), ("HCdRjyh", 4, 6)]:
+    for g6, q, mr in [("KN{pGA?VRDkd", 3, 7), ("HCdRjyh", 4, 6), ("Lb}~xC_wvvcChJ", 3, 7)]:
         def guarded(g, q, k, mr=mr, **kwargs):
             if k < mr:
                 raise AssertionError(f"sweep tried k = {k} below the bound {mr}")
@@ -169,10 +242,15 @@ def test_the_sweep_starts_at_the_zero_forcing_bound(monkeypatch):
         assert min_rank(parse_graph6(g6), q) == mr
 
 
+def test_path_past_the_pattern_budget_is_refused_at_its_bound():
+    # mr(P13) = 12 = the bound, and the k = 12 patterns over GF(3) are over budget
+    with pytest.raises(MinRankBoundError) as err:
+        min_rank(SimpleGraph.path(13), 3)
+    assert err.value.lower_bound == 11
+
+
 def _brute_is_blowup(g: SimpleGraph, h: LoopedGraph) -> bool:
     """Ground truth by trying every vertex-level map, shared images included."""
-    import itertools
-
     core = [v for v in range(g.n) if g.rows[v]]
     gc = g.induced(core)
     if gc.n == 0:

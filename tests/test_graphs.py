@@ -251,6 +251,22 @@ def test_graph6_roundtrip_hypothesis(n, seed):
     assert parse_graph6(emit_graph6(g)) == g
 
 
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_parsed_rows_pass_the_row_check(data):
+    # parse_graph6 skips _check_rows: any well-formed line must still give
+    # symmetric, loop-free rows in range, and emit back to itself
+    n = data.draw(st.integers(0, 70))
+    bits = n * (n - 1) // 2
+    body = data.draw(st.lists(st.integers(0, 63), min_size=-(-bits // 6), max_size=-(-bits // 6)))
+    if body:
+        body[-1] &= ~((1 << (-bits % 6)) - 1)  # padding bits are zero
+    text = (graphs._g6_encode_size(n) + bytes(b + 63 for b in body)).decode("ascii")
+    g = parse_graph6(text)
+    assert graphs._check_rows(g.n, g.rows) == g.rows
+    assert emit_graph6(g) == text
+
 # -- complement ------------------------------------------------------------------
 
 def test_complement_fully_looped_complete():
