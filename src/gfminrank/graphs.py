@@ -4,8 +4,9 @@ both), graph6 read and written in one pass over the upper triangle
 (column by column, six bits to a byte: time linear in the line, no
 n(n-1)/2-bit integer), complements, one-pass twin reduction by grouping
 equal neighbourhoods, blowups of looped patterns (a complete
-multipartite graph is the blowup of a loopless complete pattern),
-backtracking isomorphism for desk-scale graphs, and a canonical form.
+multipartite graph is the blowup of a loopless complete pattern), and
+a canonical form of loop-free and looped graphs, whose keys decide
+isomorphism.
 
 Every graph's rows are checked on construction with no Python loop over
 vertex pairs: they are packed into one integer, row i at bit i*s for the
@@ -25,12 +26,14 @@ canonical_form(g) is g relabelled by the least leaf of its
 individualisation-refinement tree (McKay and Piperno, "Practical graph
 isomorphism, II", 2014): each node refines an ordered partition to an
 equitable one by neighbour counts per cell, then branches on the first
-non-singleton cell.  Equal keys mean isomorphic graphs.  A node tries one
-vertex per twin class of that cell (N(u) = N(w) or N[u] = N[w]): swapping
-two twins is an automorphism fixing every vertex individualised so far, so
-the subtrees it skips give the same leaves.  There is no other pruning, so
-are_isomorphic stays the tool for large pattern graphs, whose automorphism
-groups make the unpruned tree too big.
+non-singleton cell.  The root is the cells (nonlooped, looped), so looped
+graphs take the same search.  Equal keys mean isomorphic graphs, and
+are_isomorphic compares keys.  The search skips every subtree that an
+automorphism fixing the vertices individualised so far maps onto a
+searched one: that subtree repeats the searched one's certificates.  Such
+automorphisms are the swaps of two twins in the branching cell, known in
+advance, and the maps between leaves with equal certificates, found on the
+way; these end the current subtree, and prune later branches by orbits.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from __future__ import annotations
 import enum
 import functools
 import json
-from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import compress
@@ -612,93 +614,11 @@ def blow_up(pattern: LoopedGraph, sizes) -> SimpleGraph:
     return SimpleGraph(at, rows)
 
 
-# -- isomorphism ----------------------------------------------------------------
+# -- canonical form and isomorphism ------------------------------------------------
 
 class IsoBudgetError(Exception):
     """Raised when the isomorphism search exceeds its node budget."""
 
-
-def _refined_colors(g: LoopedGraph) -> list[int]:
-    """Each vertex's cell in the equitable refinement of (nonlooped, looped)."""
-    full = (1 << g.n) - 1
-    cells = [c for c in (full & ~g.loops, g.loops) if c]
-    cells = _refine(g.rows, cells, cells)
-    return [next(i for i, c in enumerate(cells) if c >> v & 1) for v in range(g.n)]
-
-
-def are_isomorphic(g: LoopedGraph | SimpleGraph, h: LoopedGraph | SimpleGraph,
-                   node_budget: int = 2_000_000) -> bool:
-    """Loop-respecting graph isomorphism by backtracking.
-
-    Candidates are pruned by iterated color refinement and each vertex is
-    matched after one of its neighbors whenever possible, which keeps the
-    search shallow on regular graphs.  Intended for desk-scale inputs; the
-    search aborts with IsoBudgetError after node_budget assignments.
-    """
-    if isinstance(g, SimpleGraph):
-        g = g.with_loops(0)
-    if isinstance(h, SimpleGraph):
-        h = h.with_loops(0)
-    if g.n != h.n or g.loops.bit_count() != h.loops.bit_count():
-        return False
-    gc = _refined_colors(g)
-    hc = _refined_colors(h)
-    hist = Counter(gc)
-    if hist != Counter(hc):
-        return False
-
-    # order: rarest color first, then prefer vertices adjacent to the mapped set
-    order: list[int] = []
-    placed = 0
-    while len(order) < g.n:
-        best = None
-        for v in range(g.n):
-            if (placed >> v) & 1:
-                continue
-            key = (not g.rows[v] & placed, hist[gc[v]], v)
-            if best is None or key < best[0]:
-                best = (key, v)
-        order.append(best[1])
-        placed |= 1 << best[1]
-
-    by_color: dict[int, list[int]] = {}
-    for u in range(h.n):
-        by_color.setdefault(hc[u], []).append(u)
-    mapped = [-1] * g.n
-    used = 0
-    nodes = 0
-
-    def backtrack(depth: int) -> bool:
-        nonlocal used, nodes
-        if depth == g.n:
-            return True
-        v = order[depth]
-        for u in by_color.get(gc[v], ()):
-            nodes += 1
-            if nodes > node_budget:
-                raise IsoBudgetError(f"isomorphism search exceeded {node_budget} nodes")
-            if (used >> u) & 1:
-                continue
-            ok = True
-            for d2 in range(depth):
-                w = order[d2]
-                if g.has_edge(v, w) != h.has_edge(u, mapped[w]):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            mapped[v] = u
-            used |= 1 << u
-            if backtrack(depth + 1):
-                return True
-            used &= ~(1 << u)
-            mapped[v] = -1
-        return False
-
-    return backtrack(0)
-
-
-# -- canonical form ----------------------------------------------------------------
 
 def _refine(rows, cells: list[int], splitters: list[int]) -> list[int]:
     """Equitable refinement of an ordered partition (cells as vertex masks).
@@ -708,8 +628,8 @@ def _refine(rows, cells: list[int], splitters: list[int]) -> list[int]:
     order and become splitters themselves.  Every step depends only on the
     counts and on the positions of cells, never on vertex labels.  The
     result is equitable when the partition already was equitable against
-    every cell that is not a splitter: the caller passes the whole vertex
-    set at the root, and {v} after individualising v in an equitable
+    every cell that is not a splitter: the caller passes every cell at the
+    root, and {v} after individualising v in an equitable
     partition (counts into the rest of v's old cell are the old counts
     minus those into {v})."""
     n = len(rows)
@@ -739,35 +659,74 @@ def _refine(rows, cells: list[int], splitters: list[int]) -> list[int]:
     return cells
 
 
-def canonical_form(g: SimpleGraph, node_budget: int = 2_000_000) -> SimpleGraph:
+def _orbits(perms, n: int) -> list[int]:
+    """Each vertex's least orbit-mate under the group the permutations
+    perms (lists, perm[v] the image of v) generate."""
+    parent = list(range(n))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    for perm in perms:
+        for v, w in enumerate(perm):
+            a, b = find(v), find(w)
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+    return [find(v) for v in range(n)]
+
+
+def canonical_form(g: SimpleGraph | LoopedGraph,
+                   node_budget: int = 2_000_000) -> SimpleGraph | LoopedGraph:
     """g relabelled by the least leaf of its individualisation-refinement
-    tree, so canonical_form(g) == canonical_form(h) exactly when g and h
-    are isomorphic.
+    tree, of g's type, so canonical_form(g) == canonical_form(h) exactly
+    when g and h are isomorphic (respecting loops).
 
     A tree node is an ordered partition made equitable by _refine; the root
-    starts from one cell.  A node branches on its first non-singleton cell,
-    individualising each choice of vertex v (the cell becomes {v} followed
-    by the rest).  A leaf is a discrete partition; it orders the vertices,
-    and its certificate is the graph relabelled in that order.  The key is
-    the least certificate over all leaves, which relabelling g cannot
-    change.
+    starts from the cells (nonlooped, looped), the empty one dropped, so a
+    simple graph starts from one cell.  A node branches on its first
+    non-singleton cell, individualising each choice of vertex v (the cell
+    becomes {v} followed by the rest).  A leaf is a discrete partition; it
+    orders the vertices, and its certificate is the adjacency relabelled in
+    that order.  The looped vertices take the last places at every leaf, so
+    certificates need no loop part, and the key's loop mask is the
+    relabelled one.  The key is the least certificate over all leaves,
+    which relabelling g cannot change.
 
-    Only one vertex per twin class (of _least_twins; no vertex has twins of
-    both kinds, see twin_reduce) in the branching cell is tried.  Two
-    twins u and w (N(u) = N(w) or N[u] = N[w]) in that cell are not yet
-    individualised, so swapping them is an automorphism of g that fixes
-    every individualised vertex; it maps the subtree under u onto the
-    subtree under w, leaf for leaf with equal certificates, so skipping w
-    loses no certificate.  Past node_budget tree nodes the search raises
-    IsoBudgetError.
+    Subtrees that an automorphism fixing every individualised vertex maps
+    onto searched ones repeat their certificates, so three kinds are
+    skipped without changing the key:
+    - twins: only one vertex per twin class (of _least_twins; no vertex has
+      twins of both kinds, see twin_reduce) in the branching cell is tried.
+      Swapping two twins u and w (N(u) = N(w) or N[u] = N[w]) in that cell
+      is such an automorphism, since the root split keeps a looped and a
+      nonlooped vertex out of one cell.
+    - leaves equal to the best one: the map gamma from the best leaf's
+      order to an equal leaf's order is an automorphism (both orders give
+      one certificate), and as refinement never looks at labels, it takes
+      the best leaf's path to this leaf's path.  It fixes the common prefix
+      and maps the best leaf's subtree below it, already searched, onto the
+      current one, so the search returns to the node where the paths part.
+    - orbits: a node skips a vertex in the orbit of a tried one under the
+      recorded gammas that fix every vertex on the node's path.
+    Past node_budget tree nodes the search raises IsoBudgetError.
     """
     n, rows = g.n, g.rows
+    loops = g.loops if isinstance(g, LoopedGraph) else 0
+    full = (1 << n) - 1
+    root = [c for c in (full & ~loops, loops) if c]
     twin = _least_twins(rows)
     best: tuple[int, ...] | None = None
+    best_pos: list[int] = []
+    best_path: list[int] = []
+    autos: list[list[int]] = []
     nodes = 0
 
-    def search(cells: list[int], splitters: list[int]) -> None:
-        nonlocal best, nodes
+    def search(cells: list[int], splitters: list[int], path: list[int]) -> int:
+        """Search the subtree at path; the depth to resume at, less than
+        len(path) when a leaf shows an ancestor's subtree repeats."""
+        nonlocal best, best_pos, best_path, nodes
         nodes += 1
         if nodes > node_budget:
             raise IsoBudgetError(f"canonical form search exceeded {node_budget} nodes")
@@ -781,17 +740,46 @@ def canonical_form(g: SimpleGraph, node_budget: int = 2_000_000) -> SimpleGraph:
                 pos[c.bit_length() - 1] = i
             cert = tuple(_relabel_mask(rows[c.bit_length() - 1], pos) for c in cells)
             if best is None or cert < best:
-                best = cert
-            return
-        tried = set()
+                best, best_pos, best_path = cert, pos, path
+            elif cert == best:
+                autos.append([cells[p].bit_length() - 1 for p in best_pos])
+                return next(d for d, (u, v) in enumerate(zip(path, best_path)) if u != v)
+            return len(path)
+        depth = len(path)
+        tried: list[int] = []
+        twins: set[int] = set()
+        orbit, seen = None, 0
         m = c
         while m:
             low = m & -m
             m ^= low
-            t = twin[low.bit_length() - 1]
-            if t not in tried:
-                tried.add(t)
-                search(cells[:i] + [low, c ^ low] + cells[i + 1:], [low])
+            v = low.bit_length() - 1
+            if twin[v] in twins:
+                continue
+            if len(autos) > seen:
+                seen = len(autos)
+                orbit = _orbits([a for a in autos if all(a[u] == u for u in path)], n)
+            if orbit and any(orbit[w] == orbit[v] for w in tried):
+                continue
+            twins.add(twin[v])
+            tried.append(v)
+            back = search(cells[:i] + [low, c ^ low] + cells[i + 1:], [low], path + [v])
+            if back < depth:
+                return back
+        return depth
 
-    search([(1 << n) - 1] if n else [], [(1 << n) - 1])
-    return SimpleGraph(n, best)
+    search(root, root, [])
+    if isinstance(g, LoopedGraph):
+        return LoopedGraph(n, best, _relabel_mask(loops, best_pos))
+    return SimpleGraph._trusted(n, best)  # a relabelling of checked rows
+
+
+def are_isomorphic(g: LoopedGraph | SimpleGraph, h: LoopedGraph | SimpleGraph,
+                   node_budget: int = 2_000_000) -> bool:
+    """Loop-respecting graph isomorphism: equal canonical_form keys of g
+    and h as looped graphs (a simple graph has no loops).  Either search
+    raises IsoBudgetError past node_budget tree nodes."""
+    g, h = (x.with_loops(0) if isinstance(x, SimpleGraph) else x for x in (g, h))
+    if g.n != h.n or g.loops.bit_count() != h.loops.bit_count():
+        return False
+    return canonical_form(g, node_budget) == canonical_form(h, node_budget)

@@ -14,9 +14,10 @@ Every "have I seen this graph?" check (deduplicating the enumeration's
 candidates, and the mined graphs of one run, resumed checkpoints included)
 is a set lookup on graphs.canonical_form: g relabelled by the least leaf of
 its individualisation-refinement tree, so two graphs get the same key
-exactly when they are isomorphic.  The tree tries one vertex per twin class
-of a cell, since swapping twins is an automorphism fixing everything
-individualised before them and so only repeats leaves.
+exactly when they are isomorphic.  The search skips a subtree only when an
+automorphism fixing everything individualised before it (a swap of twins,
+or one found between two equal leaves) maps it onto a searched one, so
+every skipped leaf repeats a searched certificate.
 """
 
 from __future__ import annotations

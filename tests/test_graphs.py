@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import itertools
 import json
 import random
 import time
@@ -11,7 +13,8 @@ from hypothesis import strategies as st
 
 from gfminrank import graphs
 from gfminrank import (LoopedGraph, SimpleGraph, are_isomorphic, blow_up,
-                       canonical_form, emit_graph6, parse_graph6, twin_reduce)
+                       canonical_form, emit_graph6, generate, parse_graph6,
+                       twin_reduce)
 from gfminrank.graphs import (ClassStatus, IsoBudgetError, looped_from_json,
                               looped_to_json, to_dot)
 from gfminrank.miner import GRAPH_COUNTS, enumerate_graphs
@@ -421,8 +424,13 @@ def test_isomorphism_budget():
 
 # -- canonical form ----------------------------------------------------------------
 
-def cycle(n):
-    return SimpleGraph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+def cycles(*lengths):
+    """The disjoint union of cycles of these lengths."""
+    edges, at = [], 0
+    for n in lengths:
+        edges += [(at + i, at + (i + 1) % n) for i in range(n)]
+        at += n
+    return SimpleGraph.from_edges(at, edges)
 
 
 def petersen():
@@ -447,7 +455,7 @@ def _keyed_graphs(rng):
         g = blow_up(pattern, [rng.choice((1, 2, 3)) for _ in range(m)])
         if g.n <= 10:
             graphs.append(g)
-    for g in (cycle(7), petersen()):
+    for g in (cycles(7), petersen()):
         graphs += [g, g.complement()]
     return graphs
 
@@ -463,17 +471,67 @@ def test_canonical_form_ignores_relabelling():
             assert canonical_form(g.relabel(perm)) == key, emit_graph6(g)
 
 
+def _least_leaf(g: LoopedGraph):
+    """The reference certificate: the least over every leaf of the
+    individualisation-refinement tree, searched with no pruning."""
+    full = (1 << g.n) - 1
+    root = [c for c in (full & ~g.loops, g.loops) if c]
+
+    def leaves(cells, splitters):
+        cells = graphs._refine(g.rows, cells, splitters)
+        cell = next((i for i, c in enumerate(cells) if c & (c - 1)), None)
+        if cell is None:
+            pos = {c.bit_length() - 1: i for i, c in enumerate(cells)}
+            yield tuple(graphs._relabel_mask(g.rows[c.bit_length() - 1], pos) for c in cells)
+            return
+        c = cells[cell]
+        for v in range(g.n):
+            if c >> v & 1:
+                yield from leaves(cells[:cell] + [1 << v, c ^ 1 << v] + cells[cell + 1:],
+                                  [1 << v])
+
+    return min(leaves(root, root))
+
+
+def test_pruning_keeps_the_least_leaf():
+    """Unions of cycles and a cubic bipartite double cover on 16 vertices
+    are graphs where returning too far up the tree, or taking orbits
+    under automorphisms that move the path, loses the least leaf under
+    some labellings."""
+    rng = random.Random(8008)
+    cases = [cycles(3, 3, 4), cycles(3, 4, 5), cycles(4, 6), petersen(),
+             parse_graph6("O????@caccCgOocOL??w?")]
+    cases += [random_graph(n, rng) for n in range(2, 9) for _ in range(5)]
+    for g in cases:
+        for i in range(20):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            h = g.relabel(perm).with_loops(rng.getrandbits(g.n) if i % 2 else 0)
+            assert canonical_form(h).rows == _least_leaf(h), looped_to_json(h)
+
+
 def test_canonical_forms_of_all_small_graphs_are_distinct():
-    keys = {canonical_form(g) for n in range(1, 8) for g in enumerate_graphs(n)}
-    assert len(keys) == sum(GRAPH_COUNTS[1:]) == 1252
+    keys = [canonical_form(g) for n in range(1, 8) for g in enumerate_graphs(n)]
+    assert len(set(keys)) == sum(GRAPH_COUNTS[1:]) == 1252
+    digest = hashlib.sha256("\n".join(map(emit_graph6, keys)).encode("ascii"))
+    assert digest.hexdigest() == \
+        "0b221137c3b4f2ce256372fcef8129280e13800e2b90c93f536d53377530812d"
+
+
+def _brute_isomorphic(g, h):
+    """The reference: some permutation of g's vertices maps g onto h,
+    loops included."""
+    return g.n == h.n and any(g.relabel(p) == h for p in itertools.permutations(range(g.n)))
 
 
 def test_equal_canonical_forms_agree_with_isomorphism():
     rng = random.Random(7007)
     pairs = 0
     while pairs < 400:
-        n = rng.randrange(1, 9)
+        n = rng.randrange(1, 7)  # 6! permutations per non-isomorphic pair
         g, h = random_graph(n, rng), random_graph(n, rng)
+        if pairs % 2:
+            g, h = g.with_loops(rng.getrandbits(n)), h.with_loops(rng.getrandbits(n))
         if rng.random() < 0.3:
             perm = list(range(n))
             rng.shuffle(perm)
@@ -482,7 +540,38 @@ def test_equal_canonical_forms_agree_with_isomorphism():
         if degrees != sorted(h.degree(v) for v in range(n)):
             continue  # keep the pairs a degree count cannot tell apart
         pairs += 1
-        assert (canonical_form(g) == canonical_form(h)) == are_isomorphic(g, h)
+        same = _brute_isomorphic(g, h)
+        assert (canonical_form(g) == canonical_form(h)) == same == are_isomorphic(g, h)
+
+
+def test_looped_keys_count_the_looped_graphs():
+    """Over all labelled looped graphs on n vertices the keys number the
+    unlabelled ones (OEIS A000666), and a looped key of a graph without
+    loops is its simple key."""
+    for n, count in enumerate((1, 2, 6, 20, 90, 544)):
+        pairs = list(itertools.combinations(range(n), 2))
+        keys = set()
+        for edges in range(1 << len(pairs)):
+            g = SimpleGraph.from_edges(n, itertools.compress(pairs, map(int, bin(edges)[:1:-1])))
+            loopless = canonical_form(g.with_loops(0))
+            assert loopless.loops == 0 and loopless.rows == canonical_form(g).rows
+            keys.add(loopless)
+            keys.update(canonical_form(g.with_loops(loops)) for loops in range(1, 1 << n))
+        assert len(keys) == count
+
+
+@pytest.mark.parametrize("q,k", [(7, 3), (2, 6), (3, 5)])
+def test_relabelled_patterns_have_equal_looped_keys(q, k):
+    rng = random.Random(2)
+    keys = []
+    for pat in generate(q, k).patterns:
+        perm = list(range(pat.graph.n))
+        rng.shuffle(perm)
+        key = canonical_form(pat.graph)
+        assert isinstance(key, LoopedGraph) and key.loops.bit_count() == pat.graph.loops.bit_count()
+        assert canonical_form(pat.graph.relabel(perm)) == key
+        keys.append(key)
+    assert len(set(keys)) == len(keys)  # the two patterns of (2, 6) differ
 
 
 def test_canonical_form_budget():

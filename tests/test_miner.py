@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -38,11 +39,14 @@ def test_deletion_classes_are_the_classes_of_the_deletions():
 
 
 def test_enumeration_has_no_duplicates():
-    for n in range(6):
-        graphs = enumerate_graphs(n)
-        for i, g in enumerate(graphs):
-            for h in graphs[i + 1:]:
-                assert not are_isomorphic(g, h)
+    """By brute force: the relabellings of different representatives never
+    coincide, and together they are all 2^(n(n-1)/2) labelled graphs."""
+    for n in range(7):
+        owner = {}
+        for i, g in enumerate(enumerate_graphs(n)):
+            for perm in itertools.permutations(range(n)):
+                assert owner.setdefault(g.relabel(perm).rows, i) == i
+        assert len(owner) == 1 << n * (n - 1) // 2
 
 
 def test_mine_rank1_ground_truth():
