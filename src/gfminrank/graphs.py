@@ -34,6 +34,8 @@ searched one: that subtree repeats the searched one's certificates.  Such
 automorphisms are the swaps of two twins in the branching cell, known in
 advance, and the maps between leaves with equal certificates, found on the
 way; these end the current subtree, and prune later branches by orbits.
+Together they generate g's automorphism group, and _canonical returns
+them with the key.
 """
 
 from __future__ import annotations
@@ -681,7 +683,13 @@ def canonical_form(g: SimpleGraph | LoopedGraph,
                    node_budget: int = 2_000_000) -> SimpleGraph | LoopedGraph:
     """g relabelled by the least leaf of its individualisation-refinement
     tree, of g's type, so canonical_form(g) == canonical_form(h) exactly
-    when g and h are isomorphic (respecting loops).
+    when g and h are isomorphic (respecting loops).  See _canonical."""
+    return _canonical(g, node_budget)[0]
+
+
+def _canonical(g: SimpleGraph | LoopedGraph, node_budget: int = 2_000_000
+               ) -> tuple[SimpleGraph | LoopedGraph, list[list[int]]]:
+    """(canonical_form(g), automorphisms of g that generate its group).
 
     A tree node is an ordered partition made equitable by _refine; the root
     starts from the cells (nonlooped, looped), the empty one dropped, so a
@@ -692,7 +700,9 @@ def canonical_form(g: SimpleGraph | LoopedGraph,
     that order.  The looped vertices take the last places at every leaf, so
     certificates need no loop part, and the key's loop mask is the
     relabelled one.  The key is the least certificate over all leaves,
-    which relabelling g cannot change.
+    which relabelling g cannot change.  A leaf's certificate is compared
+    with the best one row by row as it is built: a greater row ends the
+    leaf, and after a smaller row the rest is built without comparing.
 
     Subtrees that an automorphism fixing every individualised vertex maps
     onto searched ones repeat their certificates, so three kinds are
@@ -710,6 +720,12 @@ def canonical_form(g: SimpleGraph | LoopedGraph,
       current one, so the search returns to the node where the paths part.
     - orbits: a node skips a vertex in the orbit of a tried one under the
       recorded gammas that fix every vertex on the node's path.
+    Every leaf is thus searched or is the image of a searched leaf under
+    the group of the recorded gammas and the twin swaps, so these
+    generate the automorphism group.  The generators returned (perm[v] the
+    image of v) are the gammas and, for each twin class, the swaps of its
+    least vertex with the others of the same loop status (a swap across
+    loop status is no automorphism).
     Past node_budget tree nodes the search raises IsoBudgetError.
     """
     n, rows = g.n, g.rows
@@ -717,7 +733,7 @@ def canonical_form(g: SimpleGraph | LoopedGraph,
     full = (1 << n) - 1
     root = [c for c in (full & ~loops, loops) if c]
     twin = _least_twins(rows)
-    best: tuple[int, ...] | None = None
+    best: list[int] | None = None
     best_pos: list[int] = []
     best_path: list[int] = []
     autos: list[list[int]] = []
@@ -738,12 +754,19 @@ def canonical_form(g: SimpleGraph | LoopedGraph,
             pos = [0] * n
             for i, c in enumerate(cells):
                 pos[c.bit_length() - 1] = i
-            cert = tuple(_relabel_mask(rows[c.bit_length() - 1], pos) for c in cells)
-            if best is None or cert < best:
-                best, best_pos, best_path = cert, pos, path
-            elif cert == best:
-                autos.append([cells[p].bit_length() - 1 for p in best_pos])
-                return next(d for d, (u, v) in enumerate(zip(path, best_path)) if u != v)
+            cert: list[int] = []
+            if best is not None:
+                for c, b in zip(cells, best):
+                    cert.append(_relabel_mask(rows[c.bit_length() - 1], pos))
+                    if cert[-1] != b:
+                        break
+                else:  # equal certificates
+                    autos.append([cells[p].bit_length() - 1 for p in best_pos])
+                    return next(d for d, (u, v) in enumerate(zip(path, best_path)) if u != v)
+                if cert[-1] > b:
+                    return len(path)
+            cert += [_relabel_mask(rows[c.bit_length() - 1], pos) for c in cells[len(cert):]]
+            best, best_pos, best_path = cert, pos, path
             return len(path)
         depth = len(path)
         tried: list[int] = []
@@ -769,9 +792,16 @@ def canonical_form(g: SimpleGraph | LoopedGraph,
         return depth
 
     search(root, root, [])
+    first: dict[tuple[int, int], int] = {}
+    for v, t in enumerate(twin):
+        u = first.setdefault((t, loops >> v & 1), v)
+        if u != v:
+            swap = list(range(n))
+            swap[u], swap[v] = v, u
+            autos.append(swap)
     if isinstance(g, LoopedGraph):
-        return LoopedGraph(n, best, _relabel_mask(loops, best_pos))
-    return SimpleGraph._trusted(n, best)  # a relabelling of checked rows
+        return LoopedGraph(n, best, _relabel_mask(loops, best_pos)), autos
+    return SimpleGraph._trusted(n, best), autos  # a relabelling of checked rows
 
 
 def are_isomorphic(g: LoopedGraph | SimpleGraph, h: LoopedGraph | SimpleGraph,

@@ -17,7 +17,11 @@ its individualisation-refinement tree, so two graphs get the same key
 exactly when they are isomorphic.  The search skips a subtree only when an
 automorphism fixing everything individualised before it (a swap of twins,
 or one found between two equal leaves) maps it onto a searched one, so
-every skipped leaf repeats a searched certificate.
+every skipped leaf repeats a searched certificate.  Those automorphisms
+generate the graph's automorphism group, and the enumeration keeps them
+for each representative: two attachment sets of a parent in one orbit of
+its group give isomorphic candidates, so each orbit is tried once, by its
+least mask (McKay, "Isomorph-free exhaustive generation", 1998).
 """
 
 from __future__ import annotations
@@ -31,46 +35,82 @@ from .blowup import InvariantError, member
 # are_isomorphic is no longer called here but stays imported: the span
 # tracer in perfbench/spans.py rebinds gfminrank.miner.are_isomorphic
 # through this module's namespace, and every traced run needs the name
-from .graphs import (SimpleGraph, _components, are_isomorphic, canonical_form,
-                     emit_graph6, parse_graph6)
+from .graphs import (SimpleGraph, _canonical, _components, _orbits, are_isomorphic,
+                     canonical_form, emit_graph6, parse_graph6)
 
 CHECKPOINT_EVERY = 10_000
 
-# iso-class counts for n = 0..7, used as enumeration self-checks
+# iso-class counts for n = 0..7 (OEIS A000088), checked by _enumerate
 GRAPH_COUNTS = (1, 1, 2, 4, 11, 34, 156, 1044)
 TREE_COUNTS = (1, 1, 1, 2, 3, 6, 11)  # n = 1..7
 
 
+def _orbit_minima(gens, n: int) -> list[int]:
+    """The least mask of each orbit of the group that the permutations gens
+    of range(n) generate, acting on the subsets of range(n) as masks, in
+    increasing order."""
+    size = 1 << n
+    images = []
+    for perm in gens:
+        image = [0] * size
+        for m in range(1, size):
+            low = m & -m
+            image[m] = image[m ^ low] | 1 << perm[low.bit_length() - 1]
+        images.append(image)
+    return [m for m, least in enumerate(_orbits(images, size)) if least == m]
+
+
 @functools.lru_cache(maxsize=None)
-def _enumerate(n: int) -> tuple[tuple[SimpleGraph, ...], tuple[tuple[int, ...], ...]]:
-    """(enumerate_graphs(n), deletion_classes(n)), built in one pass."""
+def _enumerate(n: int) -> tuple[tuple[SimpleGraph, ...], tuple[tuple[int, ...], ...],
+                                tuple[list[list[int]], ...]]:
+    """(enumerate_graphs(n), deletion_classes(n), generators of each
+    representative's automorphism group), built in one pass.
+
+    A parent's attachment sets in one orbit of its automorphism group give
+    isomorphic candidates, so only the least mask of each orbit is built.
+    That keeps the first candidate of every class, the least mask m* of the
+    first parent that yields it: m*'s orbit yields the same class, so m* is
+    its least mask.  Every parent of a class still has a kept mask in it,
+    so the deletion classes are unchanged."""
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
     if n == 0:
-        return (SimpleGraph.empty(0),), ((),)
-    # per canonical_form key: the first candidate and the parents of all
-    classes: dict[SimpleGraph, tuple[SimpleGraph, set[int]]] = {}
-    # candidates are streamed, not held: n = 8 has 133,632 of them
-    for j, parent in enumerate(enumerate_graphs(n - 1)):
-        for mask in range(1 << (n - 1)):
-            rows = [r | (((mask >> i) & 1) << (n - 1)) for i, r in enumerate(parent.rows)]
+        return (SimpleGraph.empty(0),), ((),), ([],)
+    # per canonical_form key: the first candidate, the parents of all and
+    # the first candidate's automorphism generators
+    classes: dict[SimpleGraph, tuple[SimpleGraph, set[int], list[list[int]]]] = {}
+    bit = 1 << (n - 1)
+    # candidates are streamed, not held: n = 8 has 79,264 of them
+    below, _, gens_below = _enumerate(n - 1)
+    for j, (parent, gens) in enumerate(zip(below, gens_below)):
+        for mask in _orbit_minima(gens, n - 1):
+            rows = [r | bit if mask >> i & 1 else r for i, r in enumerate(parent.rows)]
             rows.append(mask)
-            g = SimpleGraph(n, rows)
-            classes.setdefault(canonical_form(g), (g, set()))[1].add(j)
-    return (tuple(g for g, _ in classes.values()),
-            tuple(tuple(sorted(parents)) for _, parents in classes.values()))
+            g = SimpleGraph._trusted(n, rows)  # the new row and column agree
+            key, auts = _canonical(g)
+            entry = classes.get(key)
+            if entry is None:
+                classes[key] = entry = (g, set(), auts)
+            entry[1].add(j)
+    if n < len(GRAPH_COUNTS) and len(classes) != GRAPH_COUNTS[n]:
+        raise InvariantError(f"enumeration found {len(classes)} classes on {n} vertices, "
+                             f"not {GRAPH_COUNTS[n]}")
+    return (tuple(g for g, _, _ in classes.values()),
+            tuple(tuple(sorted(parents)) for _, parents, _ in classes.values()),
+            tuple(auts for _, _, auts in classes.values()))
 
 
 def enumerate_graphs(n: int) -> tuple[SimpleGraph, ...]:
     """One representative per isomorphism class of simple graphs on n vertices.
 
     Built by extending every (n-1)-vertex representative with one new vertex
-    over all attachment sets, then keeping the first candidate of each
-    canonical_form key, so the representatives and their order do not
-    depend on how the keys are computed.  n <= 7 (1253 classes from 11,291
-    candidates) takes about 0.8 s on a 2-CPU Intel Xeon host; n = 8 (12,346
-    classes from 133,632 candidates, streamed) about 10.5 s and 35 MB peak
-    RSS.
+    over one attachment set per orbit of its automorphism group (the least
+    mask), then keeping the first candidate of each canonical_form key, so
+    the representatives and their order do not depend on how the keys are
+    computed.  n <= 7 (1253 classes from 5,759 candidates, 11,291 without
+    the orbits) takes about 0.3-0.4 s on a 2-CPU Intel Xeon host; n = 8
+    (12,346 classes from 79,264 candidates, streamed) about 5 s and 48 MB
+    peak RSS.
     """
     return _enumerate(n)[0]
 

@@ -574,6 +574,61 @@ def test_relabelled_patterns_have_equal_looped_keys(q, k):
     assert len(set(keys)) == len(keys)  # the two patterns of (2, 6) differ
 
 
+def _group_order(gens, n):
+    """The order of the group the permutations gens of range(n) generate."""
+    group = {tuple(range(n))}
+    frontier = list(group)
+    while frontier:
+        a = frontier.pop()
+        for p in gens:
+            b = tuple(p[v] for v in a)
+            if b not in group:
+                group.add(b)
+                frontier.append(b)
+    return len(group)
+
+
+def test_canonical_generators_generate_the_automorphisms():
+    """Every generator is an automorphism, and on small graphs, with and
+    without loops, they generate the whole group (counted by brute force)."""
+    rng = random.Random(9009)
+    for n in range(7):
+        for g in enumerate_graphs(n):
+            for h in (g, g.with_loops(rng.getrandbits(n))):
+                key, gens = graphs._canonical(h)
+                assert key == canonical_form(h)
+                assert all(h.relabel(p) == h for p in gens), emit_graph6(g)
+                autos = sum(h.relabel(p) == h for p in itertools.permutations(range(n)))
+                assert _group_order(gens, n) == autos, emit_graph6(g)
+
+
+@pytest.mark.parametrize("q,k", [(2, 4), (3, 3)])
+def test_generators_of_relabelled_looped_patterns_are_automorphisms(q, k):
+    """Relabelled pattern graphs, with their own loops and with random
+    ones, and their blowups by 1 or 2 with random loops, where twins of
+    different loop status occur: a swap of those is no automorphism."""
+    rng = random.Random(10010)
+    mixed = 0
+    for pat in generate(q, k).patterns:
+        g = pat.graph
+        for i in range(6):
+            if i < 3:
+                h = g if i == 0 else LoopedGraph(g.n, g.rows, rng.getrandbits(g.n))
+            else:
+                b = blow_up(g, [rng.choice((1, 2)) for _ in range(g.n)])
+                h = b.with_loops(rng.getrandbits(b.n))
+            perm = list(range(h.n))
+            rng.shuffle(perm)
+            h = h.relabel(perm)
+            key, gens = graphs._canonical(h)
+            assert key == canonical_form(h) and all(h.relabel(p) == h for p in gens)
+            if i == 0:
+                assert gens  # these patterns have automorphisms
+            twin = graphs._least_twins(h.rows)
+            mixed += sum(h.has_loop(v) != h.has_loop(twin[v]) for v in range(h.n))
+    assert mixed
+
+
 def test_canonical_form_budget():
     with pytest.raises(IsoBudgetError):
         canonical_form(petersen(), node_budget=1)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import hashlib
 import itertools
 import json
@@ -9,7 +10,8 @@ import pytest
 from gfminrank import (SimpleGraph, are_isomorphic, canonical_form,
                        check_f2r2_form, emit_graph6, member, mine,
                        oracle_min_rank)
-from gfminrank import miner
+from gfminrank import graphs, miner
+from gfminrank.blowup import InvariantError
 from gfminrank.miner import (GRAPH_COUNTS, TREE_COUNTS, deletion_classes,
                              enumerate_graphs, enumerate_trees)
 
@@ -36,6 +38,36 @@ def test_deletion_classes_are_the_classes_of_the_deletions():
         for g, classes in zip(enumerate_graphs(n), deletion_classes(n), strict=True):
             assert classes == tuple(sorted({below[canonical_form(h)]
                                             for h in miner._deletions(g)})), emit_graph6(g)
+
+
+def test_enumeration_canonicalises_one_candidate_per_orbit(monkeypatch):
+    """Per level, one candidate per orbit of each parent's automorphism
+    group on its attachment sets, counted by brute force for n <= 6."""
+    canonical = miner._canonical
+    calls = collections.Counter()
+
+    def counted(g, *args):
+        calls[g.n] += 1
+        return canonical(g, *args)
+
+    monkeypatch.setattr(miner, "_canonical", counted)
+    miner._enumerate.cache_clear()
+    enumerate_graphs(7)
+    assert [calls[n] for n in range(1, 8)] == [1, 2, 6, 20, 90, 544, 5096]
+    for n in range(1, 7):
+        orbits = 0
+        for parent in enumerate_graphs(n - 1):
+            autos = [p for p in itertools.permutations(range(n - 1)) if parent.relabel(p) == parent]
+            images = {frozenset(graphs._relabel_mask(m, p) for p in autos)
+                      for m in range(1 << (n - 1))}
+            orbits += len(images)
+        assert orbits == calls[n]
+
+
+def test_enumeration_checks_the_class_counts(monkeypatch):
+    monkeypatch.setattr(miner, "GRAPH_COUNTS", (1, 1, 2, 5))
+    with pytest.raises(InvariantError, match="4 classes on 3 vertices, not 5"):
+        miner._enumerate.__wrapped__(3)
 
 
 def test_enumeration_has_no_duplicates():
