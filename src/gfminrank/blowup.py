@@ -35,9 +35,10 @@ mr >= n - Z(G), which holds over every field (AIM Minimum Rank-Special
 Graphs Work Group, LAA 428, 2008), so no k below it is ever searched.  Z is
 computed per connected component by a wavefront search, a cheapest path
 over forcing closures on bitmask rows (Brimkov, Fast and Hicks, EJOR 273,
-2019).  It is exact unless a component uses up ZERO_FORCING_BUDGET closure
-computations; then a greedily completed zero forcing set stands in for it,
-whose size is at least Z, so the bound stays valid.
+2019).  It is exact unless a component uses up ZERO_FORCING_BUDGET, each
+closure charged the component's vertex count; then a greedily completed
+zero forcing set stands in for it, whose size is at least Z, so the bound
+stays valid.
 
 Over GF(2), ``min_rank`` uses no patterns.  Every nonzero off-diagonal
 entry is 1 there, so the matrices with graph G are exactly A(G) + D for the
@@ -247,10 +248,14 @@ def member(g: SimpleGraph, q: int, k: int,
     return False, None, None
 
 
-# closure computations before _component_zero_forcing stops its exact
-# search and completes a cheapest open closed set greedily (G(24, 1/2)
-# needs 130-230; 40-vertex random trees often reach it)
-ZERO_FORCING_BUDGET = 50_000
+# work before _component_zero_forcing stops its exact search and completes
+# a cheapest open closed set greedily, each closure charged the vertex
+# count of its component, since its work grows with it: G(n, 1/2) over
+# seeds 1-10 needs 1,600-5,200 at n = 24 and 18,000-63,000 at n = 40, and
+# 40-vertex random trees often reach it.  On a 2-CPU Intel Xeon host the
+# bound takes 0.14 s on G(60, 1/2) and 0.18 s on G(100, 1/2)
+# (random.Random(1)), where counting closures took 0.2 s and 1.7 s
+ZERO_FORCING_BUDGET = 500_000
 
 
 def _closure(rows, black: int, new: int) -> int:
@@ -304,8 +309,8 @@ def _component_zero_forcing(rows, full: int) -> int:
     """Z of the connected component with vertex set full (a bitmask), by
     the wavefront search (Brimkov, Fast and Hicks, "Computational
     approaches for zero forcing and related problems", EJOR 273, 2019);
-    past ZERO_FORCING_BUDGET closure computations, the size of some zero
-    forcing set, which is at least Z.
+    past ZERO_FORCING_BUDGET, each closure charged the component's vertex
+    count, the size of some zero forcing set, which is at least Z.
 
     The states are closed sets (forcing closures), expanded in order of
     cost.  A move at v blackens N[v] minus the state and closes the result;
@@ -359,7 +364,7 @@ def _component_zero_forcing(rows, full: int) -> int:
                 d = c + (new.bit_count() - 1 or 1)
                 if d >= best:
                     continue
-                budget -= 1
+                budget -= n
                 if budget < 0:
                     return min(best, _greedy_completion(rows, moves, full, s, c))
                 t = _closure(rows, s | new, new)

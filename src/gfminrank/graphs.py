@@ -8,15 +8,14 @@ multipartite graph is the blowup of a loopless complete pattern), and
 a canonical form of loop-free and looped graphs, whose keys decide
 isomorphism.
 
-Every graph's rows are checked on construction with no Python loop over
-vertex pairs: they are packed into one integer, row i at bit i*s for the
-stride s, the power of two >= max(n, 8), so that each row is whole bytes.
-One mask finds bits outside the vertex range and loops, and log2(s) delta
-swaps transpose the packed bit matrix; the rows are symmetric exactly when
-the transpose equals the packed integer.  The masks are cached per n (the
-swaps per s) up to stride MASK_CACHE_MAX_STRIDE.  Above it they are built
-per check, and the swap masks lazily: each is made just before its swap
-and dropped after it, so a check holds one of the log2(s), not all.
+Rows are checked on entry and trusted inside: SimpleGraph(n, rows) and
+LoopedGraph(n, rows, loops) check each row for range, then for a loop,
+then the rows for symmetry.  Every graph the library derives is symmetric
+by construction and built unchecked by the private _trusted classmethods:
+from_edges, from_parts, empty, complete, path, induced, relabel,
+complement, add_isolated, with_loops, simple, blow_up, parse_graph6, the
+twin_reduce quotient, canonical keys and patterns.pattern_graph.  Each
+checks its own arguments (edges, permutations, vertices, loops, sizes).
 looped_to_json and to_dot write their text one adjacency row at a time:
 the row's binary digits select the neighbours' names from a list made
 once per graph, and a str.join writes the row's edges, so no Python
@@ -41,55 +40,9 @@ them with the key.
 from __future__ import annotations
 
 import enum
-import functools
 import json
-from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import compress
-
-
-def _iter_swap_masks(s: int) -> Iterator[tuple[int, int]]:
-    """(d, mask) for the delta swaps that transpose an s x s bit matrix
-    stored row i at bit i*s (Warren, Hacker's Delight, 7-3): for block
-    size j = s/2, ..., 1 the mask holds the entries (i, c) with bit j of i
-    clear and of c set, which trade places with (i + j, c - j), d = j(s-1)
-    bits higher.  Built by repeating bytes, which takes time linear in the
-    mask's size, where summing shifted rows does not.  Yielded one at a
-    time, so a caller that does not keep them holds one mask at once."""
-    nb = s // 8
-    j = s // 2
-    while j:
-        cols = ((1 << s) - 1) // ((1 << 2 * j) - 1) * (((1 << j) - 1) << j)
-        block = cols.to_bytes(nb, "little") * j + bytes(nb * j)
-        yield j * (s - 1), int.from_bytes(block * (s // (2 * j)), "little")
-        j >>= 1
-
-
-@functools.lru_cache(maxsize=8)
-def _swap_masks(s: int) -> tuple[tuple[int, int], ...]:
-    """The delta swaps of _iter_swap_masks(s), kept per stride."""
-    return tuple(_iter_swap_masks(s))
-
-
-@functools.lru_cache(maxsize=32)
-def _row_masks(n: int) -> tuple[int, int]:
-    """(stride, mask) for n rows packed at the stride s, the power of two
-    >= max(n, 8).  The mask holds the bits a valid row set never has: bits
-    n..s-1 and the diagonal bit of each of the n rows."""
-    s = max(8, 1 << (n - 1).bit_length())
-    nb = s // 8
-    bad = bytearray((((1 << s) - 1) >> n << n).to_bytes(nb, "little") * n)
-    for i in range(n):
-        bad[i * nb + (i >> 3)] |= 1 << (i & 7)
-    return s, int.from_bytes(bad, "little")
-
-
-# the largest stride whose masks are cached (n <= it has a stride <= it):
-# 2048, for the 2047-vertex patterns over GF(2) at k = 11.  A larger
-# stride's masks are built one at a time during a check and each dropped
-# after its swap, since cached, those of one 8191-vertex check would keep
-# 104 MB alive, and at stride 16384 about 450 MB
-MASK_CACHE_MAX_STRIDE = 2048
 
 
 def _check_rows(n: int, rows) -> tuple[int, ...]:
@@ -98,32 +51,33 @@ def _check_rows(n: int, rows) -> tuple[int, ...]:
     rows = tuple(map(int, rows))
     if len(rows) != n:
         raise ValueError("adjacency row count does not match n")
-    cached = n <= MASK_CACHE_MAX_STRIDE
-    s, bad = _row_masks(n) if cached else _row_masks.__wrapped__(n)
-    nb = s // 8
-    try:
-        t = int.from_bytes(b"".join([r.to_bytes(nb, "little") for r in rows]), "little")
-    except OverflowError:  # a negative row, or a bit at or past the stride
-        t = bad  # sends it to the row-by-row diagnosis
-    if t & bad:
-        full = (1 << n) - 1
-        for i, r in enumerate(rows):
-            if r & ~full:
-                raise ValueError("adjacency bits outside vertex range")
-            if (r >> i) & 1:
-                raise ValueError(f"loop stored in adjacency at vertex {i}")
-    u = t
-    for d, m in _swap_masks(s) if cached else _iter_swap_masks(s):
-        x = (u ^ (u >> d)) & m
-        u ^= x ^ (x << d)
-    if u != t:
+    full = (1 << n) - 1
+    for i, r in enumerate(rows):
+        if r & ~full:
+            raise ValueError("adjacency bits outside vertex range")
+        if r >> i & 1:
+            raise ValueError(f"loop stored in adjacency at vertex {i}")
+    # row i's binary digits, lowest first, at i*n..i*n+n-1: column j is
+    # bits[j::n], and the matrix is symmetric when each column is its row
+    bits = "".join([bin(r)[:1:-1].ljust(n, "0") for r in rows])
+    if any(bits[j::n] != bits[j * n:j * n + n] for j in range(n)):
         raise ValueError("adjacency is not symmetric")
     return rows
+
+
+def _loop_mask(n: int, loops) -> int:
+    """loops as an int, once it is checked to hold only vertices 0..n-1."""
+    loops = int(loops)
+    if loops & ~((1 << n) - 1):
+        raise ValueError("loop bits outside vertex range")
+    return loops
 
 
 def _edge_rows(n: int, edges) -> list[int]:
     """Adjacency rows of an edge list; a loop (u, u) or an endpoint
     outside 0..n-1 is a ValueError."""
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
     rows = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
@@ -226,16 +180,16 @@ class SimpleGraph:
 
     @classmethod
     def empty(cls, n: int) -> "SimpleGraph":
-        return cls(n, [0] * n)
+        return cls.from_edges(n, ())
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "SimpleGraph":
-        return cls(n, _edge_rows(n, edges))
+        return cls._trusted(n, _edge_rows(n, edges))
 
     @classmethod
     def complete(cls, n: int) -> "SimpleGraph":
         full = (1 << n) - 1
-        return cls(n, [full ^ (1 << i) for i in range(n)])
+        return cls._trusted(n, [full ^ (1 << i) for i in range(n)])
 
     @classmethod
     def path(cls, n: int) -> "SimpleGraph":
@@ -262,22 +216,30 @@ class SimpleGraph:
         return [v for v in range(self.n) if not self.rows[v]]
 
     def induced(self, verts) -> "SimpleGraph":
+        """The subgraph induced on the distinct vertices verts, verts[i]
+        becoming vertex i."""
         verts = list(verts)
-        return SimpleGraph(len(verts), _induced_rows(self.rows, verts))
+        if len(set(verts)) != len(verts) or not all(0 <= v < self.n for v in verts):
+            raise ValueError(f"induced vertices are not distinct vertices in 0..{self.n - 1}")
+        return SimpleGraph._trusted(len(verts), _induced_rows(self.rows, verts))
 
     def relabel(self, perm) -> "SimpleGraph":
         """perm[i] is the new label of vertex i."""
-        return SimpleGraph(self.n, _relabel_rows(self.rows, perm))
+        if sorted(perm) != list(range(self.n)):
+            raise ValueError(f"relabelling is not a permutation of 0..{self.n - 1}")
+        return SimpleGraph._trusted(self.n, _relabel_rows(self.rows, perm))
 
     def complement(self) -> "SimpleGraph":
-        full = (1 << self.n) - 1
-        return SimpleGraph(self.n, [(~r & full) & ~(1 << i) for i, r in enumerate(self.rows)])
+        full = (1 << self.n) - 1  # row i of the complete graph is full ^ 1 << i
+        return SimpleGraph._trusted(self.n, [full ^ 1 << i ^ r for i, r in enumerate(self.rows)])
 
     def add_isolated(self, t: int) -> "SimpleGraph":
-        return SimpleGraph(self.n + t, list(self.rows) + [0] * t)
+        if t < 0:
+            raise ValueError("cannot add a negative number of vertices")
+        return SimpleGraph._trusted(self.n + t, self.rows + (0,) * t)
 
     def with_loops(self, loops: int = 0) -> "LoopedGraph":
-        return LoopedGraph(self.n, self.rows, loops)
+        return LoopedGraph._trusted(self.n, self.rows, _loop_mask(self.n, loops))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, SimpleGraph)
@@ -298,14 +260,20 @@ class LoopedGraph:
     def __init__(self, n: int, rows, loops: int):
         self.n = n
         self.rows = _check_rows(n, rows)
-        loops = int(loops)
-        if loops & ~((1 << n) - 1):
-            raise ValueError("loop bits outside vertex range")
-        self.loops = loops
+        self.loops = _loop_mask(n, loops)
+
+    @classmethod
+    def _trusted(cls, n: int, rows, loops: int) -> "LoopedGraph":
+        """SimpleGraph._trusted with a loop mask inside 0..n-1."""
+        g = cls.__new__(cls)
+        g.n = n
+        g.rows = tuple(rows)
+        g.loops = loops
+        return g
 
     @classmethod
     def from_parts(cls, n: int, edges, looped) -> "LoopedGraph":
-        return cls(n, _edge_rows(n, edges), sum(1 << v for v in set(looped)))
+        return SimpleGraph.from_edges(n, edges).with_loops(sum(1 << v for v in set(looped)))
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.rows[u] >> v) & 1)
@@ -327,17 +295,14 @@ class LoopedGraph:
         return _row_edges(self.rows)
 
     def simple(self) -> SimpleGraph:
-        return SimpleGraph(self.n, self.rows)
+        return SimpleGraph._trusted(self.n, self.rows)
 
     def complement(self) -> "LoopedGraph":
-        full = (1 << self.n) - 1
-        rows = [(~r & full) & ~(1 << i) for i, r in enumerate(self.rows)]
-        return LoopedGraph(self.n, rows, ~self.loops & full)
+        return self.simple().complement().with_loops(~self.loops & ((1 << self.n) - 1))
 
     def relabel(self, perm) -> "LoopedGraph":
         """perm[i] is the new label of vertex i."""
-        return LoopedGraph(self.n, _relabel_rows(self.rows, perm),
-                           _relabel_mask(self.loops, perm))
+        return self.simple().relabel(perm).with_loops(_relabel_mask(self.loops, perm))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, LoopedGraph) and self.n == other.n
@@ -593,16 +558,16 @@ def twin_reduce(g: SimpleGraph) -> TwinReduction:
     statuses = tuple(ClassStatus.FREE if len(c) == 1 else ClassStatus.LOOPED
                      if rows[c[0]] >> c[1] & 1 else ClassStatus.NONLOOPED for c in classes)
     loops = sum(1 << i for i, st in enumerate(statuses) if st is ClassStatus.LOOPED)
-    return TwinReduction(classes, statuses,
-                         LoopedGraph(len(classes), _induced_rows(rows, list(groups)), loops))
+    return TwinReduction(classes, statuses, LoopedGraph._trusted(
+        len(classes), _induced_rows(rows, list(groups)), loops))
 
 
 def blow_up(pattern: LoopedGraph, sizes) -> SimpleGraph:
     """Expand a looped pattern: looped vertices become cliques, nonlooped
     vertices independent sets, edges become complete joins."""
     sizes = list(sizes)
-    if len(sizes) != pattern.n:
-        raise ValueError("one size per pattern vertex required")
+    if len(sizes) != pattern.n or not all(isinstance(s, int) and s >= 0 for s in sizes):
+        raise ValueError("one nonnegative integer size per pattern vertex required")
     blocks, at = [], 0
     for s in sizes:
         blocks.append(range(at, at + s))
@@ -613,7 +578,7 @@ def blow_up(pattern: LoopedGraph, sizes) -> SimpleGraph:
         joined = pattern.rows[u] | (pattern.loops & 1 << u)
         nbrs = sum(m for w, m in enumerate(masks) if joined >> w & 1)
         rows.extend(nbrs & ~(1 << v) for v in block)
-    return SimpleGraph(at, rows)
+    return SimpleGraph._trusted(at, rows)
 
 
 # -- canonical form and isomorphism ------------------------------------------------
@@ -800,8 +765,8 @@ def _canonical(g: SimpleGraph | LoopedGraph, node_budget: int = 2_000_000
             swap[u], swap[v] = v, u
             autos.append(swap)
     if isinstance(g, LoopedGraph):
-        return LoopedGraph(n, best, _relabel_mask(loops, best_pos)), autos
-    return SimpleGraph._trusted(n, best), autos  # a relabelling of checked rows
+        return LoopedGraph._trusted(n, best, _relabel_mask(loops, best_pos)), autos
+    return SimpleGraph._trusted(n, best), autos
 
 
 def are_isomorphic(g: LoopedGraph | SimpleGraph, h: LoopedGraph | SimpleGraph,

@@ -64,7 +64,8 @@ def _orbit_minima(gens, n: int) -> list[int]:
 def _enumerate(n: int) -> tuple[tuple[SimpleGraph, ...], tuple[tuple[int, ...], ...],
                                 tuple[list[list[int]], ...]]:
     """(enumerate_graphs(n), deletion_classes(n), generators of each
-    representative's automorphism group), built in one pass.
+    representative's automorphism group), built in one pass.  Building
+    level n + 1 empties the generator lists of level n, its only reader.
 
     A parent's attachment sets in one orbit of its automorphism group give
     isomorphic candidates, so only the least mask of each orbit is built.
@@ -95,6 +96,8 @@ def _enumerate(n: int) -> tuple[tuple[SimpleGraph, ...], tuple[tuple[int, ...], 
     if n < len(GRAPH_COUNTS) and len(classes) != GRAPH_COUNTS[n]:
         raise InvariantError(f"enumeration found {len(classes)} classes on {n} vertices, "
                              f"not {GRAPH_COUNTS[n]}")
+    for gens in gens_below:  # read by this level's build only
+        gens.clear()
     return (tuple(g for g, _, _ in classes.values()),
             tuple(tuple(sorted(parents)) for _, parents, _ in classes.values()),
             tuple(auts for _, _, auts in classes.values()))

@@ -81,7 +81,7 @@ def pattern_graph(points: np.ndarray, b: MatrixFq) -> LoopedGraph:
         packed = np.packbits(nz, axis=1, bitorder="little")
         data, width = packed.tobytes(), packed.shape[1]
         rows += [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
-    return LoopedGraph(len(points), rows, loops)
+    return LoopedGraph._trusted(len(points), rows, loops)  # symmetric, as B is
 
 
 def gram_matrix(points: np.ndarray, b: MatrixFq) -> MatrixFq:

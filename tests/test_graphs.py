@@ -5,7 +5,6 @@ import itertools
 import json
 import random
 import time
-import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -87,32 +86,94 @@ def test_row_check_names_the_first_fault(rows, message):
         LoopedGraph(3, rows, 0)
 
 
-def test_row_masks_above_the_cached_stride_are_built_per_check():
-    graphs._row_masks.cache_clear()
-    graphs._swap_masks.cache_clear()
-    big = SimpleGraph.complete(4095)  # stride 4096
-    assert graphs._row_masks.cache_info().currsize == 0
-    assert graphs._swap_masks.cache_info().currsize == 0
-    rows = list(big.rows)
-    rows[7] ^= 1 << 4000
-    with pytest.raises(ValueError, match="not symmetric"):
-        SimpleGraph(4095, rows)
-    SimpleGraph.complete(graphs.MASK_CACHE_MAX_STRIDE)
-    assert graphs._row_masks.cache_info().currsize == 1
-    assert graphs._swap_masks.cache_info().currsize == 1
+@pytest.mark.parametrize("build", [
+    lambda: SimpleGraph.path(3).induced([1, 1, 2]),
+    lambda: SimpleGraph.path(3).induced([0, 0]),
+    lambda: SimpleGraph.path(3).induced([0, 3]),
+    lambda: SimpleGraph.path(3).induced([-1, 0]),
+    lambda: SimpleGraph.empty(2).relabel([0, 0]),
+    lambda: SimpleGraph.empty(2).relabel([0, 1, 2]),
+    lambda: SimpleGraph.empty(2).relabel([1]),
+    lambda: SimpleGraph.path(2).with_loops(1).relabel([1, 1]),
+    lambda: SimpleGraph.empty(2).add_isolated(-1),
+    lambda: SimpleGraph.empty(2).with_loops(0b100),
+    lambda: SimpleGraph.empty(2).with_loops(-1),
+    lambda: LoopedGraph.from_parts(2, [], [2]),
+    lambda: SimpleGraph.empty(-1),
+    lambda: SimpleGraph.path(-1),
+    lambda: blow_up(SimpleGraph.path(2).with_loops(), [1]),
+    lambda: blow_up(SimpleGraph.path(2).with_loops(), [1, -1]),
+    lambda: blow_up(SimpleGraph.path(2).with_loops(), [1, 1.0]),
+    lambda: SimpleGraph.complete_multipartite([2, -1]),
+], ids=["induced-repeat-in-range", "induced-repeat", "induced-past-n", "induced-negative",
+        "relabel-repeat", "relabel-long", "relabel-short", "looped-relabel-repeat",
+        "add-negative", "loop-past-n", "loop-negative", "from-parts-loop-past-n",
+        "empty-negative", "path-negative", "blow-up-short", "blow-up-negative",
+        "blow-up-float", "multipartite-negative"])
+def test_derived_graphs_check_their_arguments(build):
+    with pytest.raises(ValueError):
+        build()
 
 
-def test_swap_masks_above_the_cached_stride_are_built_one_at_a_time():
-    assert tuple(graphs._iter_swap_masks(64)) == graphs._swap_masks(64)
-    rows = list(SimpleGraph.complete(4095).rows)  # stride 4096: twelve 2 MB masks
-    tracemalloc.start()
-    try:
-        SimpleGraph(4095, rows)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # all twelve at once would be 24 MB on their own; a lazy check is near 15 MB
-    assert peak < 12 * 4096 ** 2 // 8
+def _assert_checked(g):
+    assert isinstance(g.rows, tuple) and pair_loop_accepts(g.n, g.rows)
+    if isinstance(g, LoopedGraph):
+        assert 0 <= g.loops < 1 << g.n
+
+
+def _trusted_derivations(g, rng):
+    """Every graph the library derives from g without the row check."""
+    n = g.n
+    verts = rng.sample(range(n), rng.randrange(n + 1))
+    perm = rng.sample(range(n), n)
+    looped = g.with_loops(rng.getrandbits(n) if n else 0)
+    yield from (g.induced(verts), g.relabel(perm), g.complement(), g.add_isolated(2), looped,
+                looped.simple(), looped.complement(), looped.relabel(perm),
+                canonical_form(g), canonical_form(looped), twin_reduce(g).quotient,
+                blow_up(looped, [rng.randrange(3) for _ in range(n)]),
+                SimpleGraph.from_edges(n, g.edges()),
+                LoopedGraph.from_parts(n, g.edges(), looped.looped_vertices()),
+                SimpleGraph.empty(n), SimpleGraph.complete(n), SimpleGraph.path(n),
+                SimpleGraph.complete_multipartite([rng.randrange(4) for _ in range(n % 5)]))
+
+
+def test_trusted_paths_build_checked_rows(rng):
+    for n in list(range(9)) + [20, 33, 64, 65]:
+        for _ in range(5):
+            for h in _trusted_derivations(random_graph(n, rng, rng.random()), rng):
+                _assert_checked(h)
+
+
+@pytest.mark.parametrize("q,k", [(2, 9), (3, 4), (4, 3)])
+def test_pattern_rows_pass_the_reference_check(q, k, rng):
+    for pat in generate(q, k).patterns:
+        _assert_checked(pat.graph)
+    for h in _trusted_derivations(generate(q, k).patterns[-1].graph.simple(), rng):
+        _assert_checked(h)
+
+
+def test_library_paths_never_run_the_row_check(monkeypatch):
+    from gfminrank import min_rank, miner, mine, patterns
+    calls = []
+    real = graphs._check_rows
+
+    def counted(n, rows):
+        calls.append(n)
+        return real(n, rows)
+
+    monkeypatch.setattr(graphs, "_check_rows", counted)
+    miner._enumerate.cache_clear()
+    for q, k in ((2, 3), (3, 3), (4, 3), (2, 2)):
+        mine(q, k, n_max=7)
+    patterns._generate_cached.cache_clear()
+    generate(2, 11)
+    rng = random.Random(7)
+    for q in (3, 4):
+        for _ in range(5):
+            min_rank(random_graph(7, rng), q)
+    assert calls == []
+    LoopedGraph(2, [2, 1], 1)
+    assert calls == [2]
 
 
 @pytest.mark.parametrize("edge", [(0, 5), (5, 0), (0, 2), (-1, 1), (1, -3)])

@@ -64,6 +64,13 @@ def test_enumeration_canonicalises_one_candidate_per_orbit(monkeypatch):
         assert orbits == calls[n]
 
 
+def test_enumeration_frees_the_generators_below_the_top_level():
+    miner._enumerate.cache_clear()
+    assert tuple(len(enumerate_graphs(n)) for n in range(8)) == GRAPH_COUNTS
+    assert all(gens == [] for n in range(7) for gens in miner._enumerate(n)[2])
+    assert sum(map(len, miner._enumerate(7)[2])) > 0
+
+
 def test_enumeration_checks_the_class_counts(monkeypatch):
     monkeypatch.setattr(miner, "GRAPH_COUNTS", (1, 1, 2, 5))
     with pytest.raises(InvariantError, match="4 classes on 3 vertices, not 5"):
