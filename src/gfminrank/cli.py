@@ -7,10 +7,11 @@ results leave as line-delimited JSON on stdout; diagnostics go to stderr.
 A line that does not parse (an undecodable byte spoils only its own line),
 or whose member patterns exceed the vertex budget, gets an error record and
 the stream goes on; minrank reports a budget it runs out of as minrank_gt.
-A field order is written q or p^e in ASCII digits.  A refused order,
-matrix or checkpoint and a file that cannot be read or written end the run
-with one "error:" line on stderr.  Exit codes: 0 success, 1 domain error
-(including any bad line), 2 usage error.
+A field order is written q or p^e in ASCII digits; oracle takes orders up
+to 1024 only.  A refused order, matrix or checkpoint and a file that
+cannot be read or written end the run with one "error:" line on stderr.
+Exit codes: 0 success, 1 domain error (including any bad line), 2 usage
+error.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .gf import Q_MAX, factor_prime_power
 from .graphs import emit_graph6, looped_to_json, parse_graph6, to_dot
 from .matfq import MatrixFq, classify_invertible_symmetric
 from .miner import mine
-from .oracle import DEFAULT_BUDGET, OracleBudgetError, oracle_min_rank
+from .oracle import DEFAULT_BUDGET, OracleBudgetError, check_order, oracle_min_rank
 from .patterns import DEFAULT_VERTEX_BUDGET, VertexBudgetError, generate, gram_matrix
 
 # Q_MAX = 65536 has five digits and its largest exponent, 16, has two, so a
@@ -137,6 +138,7 @@ def cmd_member(args) -> int:
 
 def cmd_oracle(args) -> int:
     q = parse_order(args.q)
+    check_order(q)
 
     def answer(g):
         try:

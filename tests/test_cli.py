@@ -156,9 +156,12 @@ def test_member_with_witness(capsys):
 def test_oracle_stream_and_budget(capsys):
     code, out, _ = run_cli(capsys, ["oracle", "--q", "3"], stdin=fullhouse_g6() + "\n")
     assert code == 0 and json.loads(out)["minrank"] == 2
-    # the kernel tables stop at q = 1024
-    code, out, _ = run_cli(capsys, ["oracle", "--q", "1031"], stdin="Dz[\n")
-    assert code == 0 and json.loads(out) == {"graph6": "Dz[", "error": "budget"}
+    # the kernel tables stop at q = 1024: a larger order is refused before
+    # any line is read, edgeless and single-edge graphs included
+    for q in ("1031", "2048", "2^16"):
+        code, out, err = run_cli(capsys, ["oracle", "--q", q], stdin="Dz[\nA_\n@\n")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "1024" in err and len(err.splitlines()) == 1
     code, out, _ = run_cli(capsys, ["oracle", "--q", "3", "--budget", "10"],
                            stdin=fullhouse_g6() + "\n")
     assert code == 0 and json.loads(out) == {"graph6": fullhouse_g6(), "error": "budget"}

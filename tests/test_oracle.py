@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -30,6 +31,14 @@ def test_edgeless_is_rank_zero():
 def test_single_edge_has_rank_one():
     for q in (2, 3, 9):
         assert oracle_min_rank(SimpleGraph.complete(2), q) == 1
+
+
+def test_field_order_past_the_kernel_tables_is_refused_before_the_graph_is_read():
+    # before, K2 over GF(2048) was an OracleBudgetError and K0 answered 0
+    for g in (SimpleGraph.complete(2), SimpleGraph.empty(3)):
+        for q in (2048, 65536):
+            with pytest.raises(ValueError, match="up to 1024"):
+                oracle_min_rank(g, q)
 
 
 def test_budget_refusal():
@@ -113,7 +122,8 @@ def test_forest_scan_matches_full_enumeration(q):
 
 
 def test_reduced_count_and_scan_set():
-    # the search covers q^n (q-1)^(m-n+c) matrices, at most q^n (q-1)^m
+    # the forest-normalised set has q^n (q-1)^(m-n+c) matrices, at most
+    # q^n (q-1)^m; the search covers only part of it
     graphs = [g for n in range(1, 5) for g in enumerate_graphs(n) if g.edge_count()]
     graphs.append(SimpleGraph.from_edges(5, [(0, 1), (2, 3)]))
     for q in (2, 3, 4, 5):
@@ -135,3 +145,56 @@ def test_gf2_exhaustive_dense_graphs():
     for g in (SimpleGraph.complete(8), SimpleGraph.complete_multipartite([4, 4])):
         assert enumeration_size(g.n, g.edge_count(), 2) == 2 ** g.n
         assert oracle_min_rank(g, 2) in (1, 2)
+
+
+def _shuffled(g: SimpleGraph, rng: random.Random) -> SimpleGraph:
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return g.relabel(perm)
+
+
+def _disjoint_union(*parts: SimpleGraph) -> SimpleGraph:
+    edges, offset = [], 0
+    for h in parts:
+        edges += [(u + offset, v + offset) for u, v in h.edges()]
+        offset += h.n
+    return SimpleGraph.from_edges(offset, edges)
+
+
+def _cycle(n: int) -> SimpleGraph:
+    return SimpleGraph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_answers_do_not_depend_on_vertex_order(q):
+    # which entry of a component leads, and so is fixed to 1, depends on the
+    # vertex order and the spanning forest; the least rank must not
+    rng = random.Random(f"oracle-relabel:{q}")
+    for n in (6, 6, 7):
+        g = SimpleGraph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                       if rng.random() < 0.5])
+        want = oracle_min_rank(g, q)
+        for _ in range(2):
+            assert oracle_min_rank(_shuffled(g, rng), q) == want, (q, emit_graph6(g))
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_disjoint_unions_add_up_in_any_vertex_order(q):
+    # odd cycles and triangles have free edges within one side of their
+    # forest, bipartite components (even cycles, K_{2,3}, paths) have none,
+    # and an isolated vertex has only its diagonal
+    parts = [_cycle(5), _cycle(4), SimpleGraph.complete(3), SimpleGraph.path(3),
+             SimpleGraph.complete_multipartite([2, 3]), SimpleGraph.empty(1)]
+    assert [oracle_min_rank(h, q) for h in parts] == [3, 2, 1, 2, 2, 0]
+    rng = random.Random(f"oracle-unions:{q}")
+    for chosen in [[parts[0], parts[1], parts[5]]] + [rng.sample(parts, 2) for _ in range(5)]:
+        g = _disjoint_union(*chosen)
+        want = sum(oracle_min_rank(h, q) for h in chosen)
+        assert oracle_min_rank(g, q) == want
+        assert oracle_min_rank(_shuffled(g, rng), q) == want, (q, emit_graph6(g))
+
+
+def test_one_matrix_per_scaling_class_fits_a_node_budget():
+    # FnBGO over GF(5) (mr 5) takes 72,112 nodes with one matrix per scaling
+    # class and 288,115 with every forest-normalised matrix
+    assert oracle_min_rank(parse_graph6("FnBGO"), 5, budget=100_000) == 5
