@@ -30,7 +30,14 @@ isometries of the pattern's form, computed from explicit generators (see
 Every witness is re-verified against the raw blowup definition before it
 is returned.
 
-Over q > 2, ``min_rank`` sweeps k upward from the zero forcing bound
+``min_rank`` first splits G into its connected parts: a matrix whose graph
+is a disjoint union is, with its vertices taken part by part, a direct sum
+of one block per part, so mr adds over them, and an isolated vertex adds 0.
+Each part with an edge is searched alone, a connected graph as it is, under
+a ceiling that max_k leaves it.  ``member`` keeps the whole graph, since its
+witness is one blowup.
+
+Over q > 2, a part's k sweeps upward from the zero forcing bound
 mr >= n - Z(G), which holds over every field (AIM Minimum Rank-Special
 Graphs Work Group, LAA 428, 2008), so no k below it is ever searched.  Z is
 computed per connected component by a wavefront search, a cheapest path
@@ -43,10 +50,10 @@ stays valid.
 Over GF(2), ``min_rank`` uses no patterns.  Every nonzero off-diagonal
 entry is 1 there, so the matrices with graph G are exactly A(G) + D for the
 2^n diagonals D with 0/1 entries, and mr is the least rank among them.
-``_gf2_min_rank`` finds it by a row-by-row branch and bound over D on
-bitset rows, which stops once it meets the zero forcing bound and refuses
-past a fixed node budget.  It shares no code with the oracle, which stays
-an independent check, and the pattern vertex budget does not limit it.
+``_gf2_min_rank`` finds it for each part by a row-by-row branch and bound
+over D on bitset rows, which stops once it meets the zero forcing bound and
+refuses past a fixed node budget.  It shares no code with the oracle, which
+stays an independent check, and the pattern vertex budget does not limit it.
 ``member`` still decides GF(2) by patterns, since it returns a witness.
 """
 
@@ -55,7 +62,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .graphs import ClassStatus, LoopedGraph, SimpleGraph, _component_masks, twin_reduce
+from .graphs import (ClassStatus, LoopedGraph, SimpleGraph, _component_masks, _components,
+                     twin_reduce)
 from .patterns import DEFAULT_VERTEX_BUDGET, Pattern, VertexBudgetError, generate
 
 
@@ -68,6 +76,7 @@ class MinRankBoundError(Exception):
     def __init__(self, lower_bound: int, reason: str):
         super().__init__(f"minimum rank > {lower_bound} ({reason})")
         self.lower_bound = lower_bound
+        self.reason = reason
 
 
 class InvariantError(AssertionError):
@@ -301,7 +310,7 @@ def _greedy_completion(rows, moves, full: int, black: int, cost: int) -> int:
 def _zero_forcing_number(h: SimpleGraph) -> int:
     """Z(h), the size of a smallest zero forcing set of h (at least Z(h)
     past the budget): the sum of _component_zero_forcing over its connected
-    components."""
+    components, 1 for each isolated vertex."""
     return sum(_component_zero_forcing(h.rows, comp) for comp in _component_masks(h.rows))
 
 
@@ -328,6 +337,8 @@ def _component_zero_forcing(rows, full: int) -> int:
     member is adjacent to all of them; and swapping twins is an
     automorphism, so some smallest one holds all but the least.
     """
+    if not full & (full - 1):
+        return 1  # an isolated vertex
     start, seen, closed = 0, set(), []
     m = full
     while m:
@@ -377,41 +388,32 @@ def _component_zero_forcing(rows, full: int) -> int:
 
 
 def _rank_lower_bound(g: SimpleGraph) -> int:
-    """The zero forcing bound, a field-independent minimum-rank lower bound.
-
-    mr_F(h) >= |h| - Z(h) over every field F (AIM Minimum Rank-Special
-    Graphs Work Group, LAA 428, 2008), and both mr and Z add over connected
-    components, so the bound sums |h| - Z(h) over the components h with two
-    or more vertices.  Z is exact unless a component uses up
-    ZERO_FORCING_BUDGET; then the size of a greedily completed zero forcing
-    set stands in for it, and |h| minus that size is still a lower bound.
-    The bound dominates the induced-path bound: for an induced path P,
-    the other vertices and one end of P force P one vertex at a time.
+    """The zero forcing bound: mr_F(g) >= n - Z(g) over every field F (AIM
+    Minimum Rank-Special Graphs Work Group, LAA 428, 2008), both sides
+    adding over connected components.  It still holds past
+    ZERO_FORCING_BUDGET, where a greedy zero forcing set stands in for a
+    smallest one.  It dominates the induced-path bound: for an induced path
+    P, the other vertices and one end of P force P one vertex at a time.
     """
-    return sum(comp.bit_count() - _component_zero_forcing(g.rows, comp)
-               for comp in _component_masks(g.rows) if comp & (comp - 1))
+    return g.n - _zero_forcing_number(g)
 
 
 # search nodes (row choices) before _gf2_min_rank refuses, as for the oracle
 GF2_NODE_BUDGET = 4 * 10 ** 6
 
 
-def _gf2_min_rank(g: SimpleGraph, max_k: int | None = None) -> int:
-    """mr(GF(2), g) as the least rank of A(g) + D over 0/1 diagonals D.
+def _gf2_min_rank(g: SimpleGraph, floor: int, ceiling: int) -> int | None:
+    """mr(GF(2), g) as the least rank of A(g) + D over 0/1 diagonals D, or
+    None when it is over ceiling; floor is a lower bound on it.
 
     Every nonzero off-diagonal entry over GF(2) is 1, so these are all the
     matrices with graph g.  Depth i chooses row i's diagonal bit; the row is
     reduced against an echelon basis of rows 0..i-1 (pivot = lowest set
     bit), whose size bounds the rank of every matrix below the node, so a
     branch is cut once it reaches the least rank found.  The search stops
-    at the zero forcing bound (at least 1 on a graph with an edge), and
-    refuses past GF2_NODE_BUDGET nodes.
+    at floor, and refuses past GF2_NODE_BUDGET nodes.
     """
     n, rows = g.n, g.rows
-    if not any(rows):
-        return 0  # the zero matrix
-    floor = max(_rank_lower_bound(g), 1)
-    ceiling = n if max_k is None else min(max_k, n)
     best = ceiling + 1
     basis: list[tuple[int, int]] = []  # (pivot bit, row) in insertion order
     kept = [0] * n  # basis size before row i
@@ -445,37 +447,53 @@ def _gf2_min_rank(g: SimpleGraph, max_k: int | None = None) -> int:
             if e & p:
                 e ^= b
         todo[i] = [r ^ e, r]  # d = 0, then d = 1
-    if best > ceiling:
-        raise MinRankBoundError(max(max_k, floor - 1), f"GF(2) search capped at {max_k}")
-    return best
+    return best if best <= ceiling else None
 
 
-def min_rank(g: SimpleGraph, q: int, max_k: int | None = None,
-             vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> int:
-    """Smallest k with mr(GF(q), g) <= k.
-
-    Over GF(2) this is ``_gf2_min_rank``, a search over the diagonal that
-    ``vertex_budget`` does not limit.  Over larger fields k sweeps upward
-    from the zero forcing bound (``_rank_lower_bound``), so it never has to
-    refuse a k that the bound already rules out.  Raises MinRankBoundError
-    when max_k, the pattern vertex budget or the GF(2) node budget is
-    exhausted first; the exception carries the established lower bound,
-    which is at least the zero forcing bound minus one even when max_k is
-    below it.
-    """
-    if q == 2:
-        return _gf2_min_rank(g, max_k)
-    start = _rank_lower_bound(g)
-    ceiling = g.n if max_k is None else min(max_k, g.n)
-    for k in range(start, ceiling + 1):
+def _sweep(g: SimpleGraph, q: int, floor: int, ceiling: int, vertex_budget: int) -> int | None:
+    """mr(GF(q), g), the least k in floor..ceiling at which g is a member,
+    or None when there is none and ceiling < n; floor is a lower bound on it."""
+    for k in range(floor, ceiling + 1):
         try:
             if member(g, q, k, vertex_budget=vertex_budget)[0]:
                 return k
         except VertexBudgetError as exc:
             raise MinRankBoundError(k - 1, str(exc)) from exc
     if ceiling < g.n:
-        raise MinRankBoundError(max(max_k, start - 1), f"k sweep capped at {max_k}")
+        return None
     raise InvariantError("sweep refused k = n, but every n-vertex graph has mr <= n")
+
+
+def min_rank(g: SimpleGraph, q: int, max_k: int | None = None,
+             vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> int:
+    """Smallest k with mr(GF(q), g) <= k: the sum of mr over g's connected
+    parts, each searched from its zero forcing bound by ``_gf2_min_rank``
+    over GF(2), which ``vertex_budget`` does not limit, or else ``_sweep``.
+
+    Raises MinRankBoundError when a part passes its ceiling (max_k less the
+    mr of the parts before it and the bounds of those after it), the
+    pattern vertex budget or the GF(2) node budget.  Its lower bound adds
+    those mr and bounds to the part's, so it is at least the zero forcing
+    bound minus one even when max_k is below it.
+    """
+    comps = [c for c in _components(g) if len(c) > 1]
+    parts = [g] if len(comps) == 1 else [g.induced(c) for c in comps]
+    floors = [_rank_lower_bound(h) for h in parts]
+    cap = g.n if max_k is None else max_k
+    done, ahead = 0, sum(floors)
+    for h, floor in zip(parts, floors):
+        ahead -= floor
+        ceiling = min(h.n, cap - done - ahead)
+        try:
+            mr = (_gf2_min_rank(h, floor, ceiling) if q == 2
+                  else _sweep(h, q, floor, ceiling, vertex_budget))
+        except MinRankBoundError as exc:
+            raise MinRankBoundError(done + exc.lower_bound + ahead, exc.reason) from exc
+        if mr is None:
+            raise MinRankBoundError(done + max(ceiling, floor - 1) + ahead,
+                                    f"capped at {max_k}")
+        done += mr
+    return done
 
 
 def multipartite_bound_check(parts, q: int) -> bool:

@@ -644,16 +644,18 @@ def _orbits(perms, n: int) -> list[int]:
     return [find(v) for v in range(n)]
 
 
-def canonical_form(g: SimpleGraph | LoopedGraph,
-                   node_budget: int = 2_000_000) -> SimpleGraph | LoopedGraph:
+# tree nodes before canonical_form (and so are_isomorphic) raises IsoBudgetError
+ISO_NODE_BUDGET = 2_000_000
+
+
+def canonical_form(g: SimpleGraph | LoopedGraph) -> SimpleGraph | LoopedGraph:
     """g relabelled by the least leaf of its individualisation-refinement
     tree, of g's type, so canonical_form(g) == canonical_form(h) exactly
     when g and h are isomorphic (respecting loops).  See _canonical."""
-    return _canonical(g, node_budget)[0]
+    return _canonical(g)[0]
 
 
-def _canonical(g: SimpleGraph | LoopedGraph, node_budget: int = 2_000_000
-               ) -> tuple[SimpleGraph | LoopedGraph, list[list[int]]]:
+def _canonical(g: SimpleGraph | LoopedGraph) -> tuple[SimpleGraph | LoopedGraph, list[list[int]]]:
     """(canonical_form(g), automorphisms of g that generate its group).
 
     A tree node is an ordered partition made equitable by _refine; the root
@@ -691,7 +693,7 @@ def _canonical(g: SimpleGraph | LoopedGraph, node_budget: int = 2_000_000
     image of v) are the gammas and, for each twin class, the swaps of its
     least vertex with the others of the same loop status (a swap across
     loop status is no automorphism).
-    Past node_budget tree nodes the search raises IsoBudgetError.
+    Past ISO_NODE_BUDGET tree nodes the search raises IsoBudgetError.
     """
     n, rows = g.n, g.rows
     loops = g.loops if isinstance(g, LoopedGraph) else 0
@@ -709,8 +711,8 @@ def _canonical(g: SimpleGraph | LoopedGraph, node_budget: int = 2_000_000
         len(path) when a leaf shows an ancestor's subtree repeats."""
         nonlocal best, best_pos, best_path, nodes
         nodes += 1
-        if nodes > node_budget:
-            raise IsoBudgetError(f"canonical form search exceeded {node_budget} nodes")
+        if nodes > ISO_NODE_BUDGET:
+            raise IsoBudgetError(f"canonical form search exceeded {ISO_NODE_BUDGET} nodes")
         cells = _refine(rows, cells, splitters)
         for i, c in enumerate(cells):
             if c & (c - 1):
@@ -769,12 +771,11 @@ def _canonical(g: SimpleGraph | LoopedGraph, node_budget: int = 2_000_000
     return SimpleGraph._trusted(n, best), autos
 
 
-def are_isomorphic(g: LoopedGraph | SimpleGraph, h: LoopedGraph | SimpleGraph,
-                   node_budget: int = 2_000_000) -> bool:
+def are_isomorphic(g: LoopedGraph | SimpleGraph, h: LoopedGraph | SimpleGraph) -> bool:
     """Loop-respecting graph isomorphism: equal canonical_form keys of g
     and h as looped graphs (a simple graph has no loops).  Either search
-    raises IsoBudgetError past node_budget tree nodes."""
+    raises IsoBudgetError past ISO_NODE_BUDGET tree nodes."""
     g, h = (x.with_loops(0) if isinstance(x, SimpleGraph) else x for x in (g, h))
     if g.n != h.n or g.loops.bit_count() != h.loops.bit_count():
         return False
-    return canonical_form(g, node_budget) == canonical_form(h, node_budget)
+    return canonical_form(g) == canonical_form(h)

@@ -1,31 +1,35 @@
 """Independent brute-force minimum rank.
 
+A symmetric matrix whose graph is a disjoint union is, with its vertices
+taken component by component, the direct sum of one block per component,
+so the minimum rank adds over connected components.  ``oracle_min_rank``
+searches each connected part with an edge (an isolated vertex adds 0)
+under one node budget shared by all of them.
+
 Conjugating a symmetric matrix A by a nonsingular diagonal D (A -> D A D)
-keeps its rank and its off-diagonal support.  Root each tree of a spanning
-forest of the graph, put d = 1 at the root and d_v = 1 / (d_u a_uv) along
-each forest edge uv away from it: then every forest edge of D A D is 1,
-while its diagonal d_v^2 a_vv still ranges over all of GF(q).  So the
-minimum rank over all matrices realising the graph is the minimum over
-the q^n (q-1)^(m-n+c) matrices with forest edges 1, every diagonal and
-every nonzero value on the other edges (n vertices, m edges, c connected
-components counting isolated vertices).
+keeps its rank and its off-diagonal support.  Take a spanning tree of a
+connected part rooted at its vertex 0, put d = 1 at the root and
+d_v = 1 / (d_u a_uv) along each tree edge uv away from it: then every tree
+edge of D A D is 1, while its diagonal d_v^2 a_vv still ranges over all of
+GF(q).  So the minimum rank of a part with n vertices and m edges is the
+minimum over the q^n (q-1)^(m-n+1) matrices with tree edges 1, every
+diagonal and every nonzero value on the other edges (the forest-normalised
+set of the part).
 
-A second symmetry keeps the forest edges at 1.  Give each vertex a side,
-the parity of its forest depth from the least vertex of its component.
-For mu != 0, scaling one component's block to mu D A D, with d = 1 on side
-0 and 1/mu on side 1, multiplies its side-0 diagonal entries and side-0
-free edges by mu and its side-1 ones by 1/mu, and leaves every edge
-between the sides, forest edges among them, alone.  Rank adds over the
-blocks, so rank and graph are kept, and each orbit holds a matrix in which
-every component's first nonzero scaled entry (a diagonal entry, or a free
-edge within one side) in search order is 1.  Only those are searched: up
-to q-1 times fewer per component, and none fewer over GF(2).
+A second symmetry keeps the tree edges at 1.  Give each vertex a side, the
+parity of its tree depth.  For mu != 0, mu D A D with d = 1 on side 0 and
+1/mu on side 1 multiplies the side-0 diagonal entries and side-0 free edges
+by mu and the side-1 ones by 1/mu, and leaves every edge between the sides,
+tree edges among them, alone; rank and graph are kept.  So each orbit holds
+a matrix whose first nonzero scaled entry (a diagonal entry, or a free edge
+within one side) in search order is 1.  Only those are searched: up to q-1
+times fewer, and none fewer over GF(2).
 
-``_kernels.scan_min_rank`` searches them row by row, cutting every branch
-whose leading rows already have rank at least the least rank found, so it
-visits far fewer nodes.  For the path P5 over GF(5) it visits 200 nodes,
-where the forest-normalised set has 3,125 matrices and the search without
-the scaling symmetry visits 785.
+``_kernels.scan_min_rank`` searches them for one connected part, row by
+row, cutting every branch whose leading rows already have rank at least the
+least rank found, so it visits far fewer nodes.  For the path P5 over GF(5)
+it visits 200 nodes, where the forest-normalised set has 3,125 matrices and
+the search without the scaling symmetry visits 785.
 
 The search reads dense field tables, so the oracle takes field orders up
 to ``gf.KERNEL_TABLE_MAX_Q`` (1024) only and refuses larger ones with a
@@ -40,7 +44,7 @@ from __future__ import annotations
 
 from . import _kernels
 from .gf import KERNEL_TABLE_MAX_Q, field_from_order
-from .graphs import SimpleGraph
+from .graphs import SimpleGraph, _components, _induced_rows
 
 # Search nodes (row choices) before refusing.  On a 2-CPU Intel Xeon host
 # the search visits about 37k nodes per second on a G(28, 1/2) draw over
@@ -57,35 +61,12 @@ class OracleScanError(AssertionError):
     """The search returned a rank outside 1..n: the kernel broke its contract."""
 
 
-def enumeration_size(n: int, m: int, q: int, components: int | None = None) -> int:
-    """Matrices with forest edges 1 for a graph with n vertices, m edges
-    and this many connected components: the forest-normalised set, an
-    upper bound on the matrices the search covers (one per scaling class)
-    and not the nodes it visits.  Without ``components`` the count is
-    q^n (q-1)^m, an upper bound for every such graph."""
-    c = n if components is None else components
-    return q ** n * (q - 1) ** (m - n + c)
-
-
-def _spanning_forest(g: SimpleGraph) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """Split g's edges, in sorted order, into a spanning forest and the rest."""
-    root = list(range(g.n))
-
-    def find(v: int) -> int:
-        while root[v] != v:
-            root[v] = root[root[v]]
-            v = root[v]
-        return v
-
-    forest, rest = [], []
-    for u, v in g.edges():
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            rest.append((u, v))
-        else:
-            root[ru] = rv
-            forest.append((u, v))
-    return forest, rest
+def enumeration_size(n: int, m: int, q: int) -> int:
+    """q^n (q-1)^m, an upper bound on the forest-normalised set of every
+    graph with n vertices and m edges (q^n (q-1)^(m-n+1) for a connected
+    one, the product of those over its parts for any other), and so on the
+    matrices the search covers; not the nodes it visits."""
+    return q ** n * (q - 1) ** m
 
 
 def check_order(q: int) -> None:
@@ -95,21 +76,25 @@ def check_order(q: int) -> None:
 
 
 def oracle_min_rank(g: SimpleGraph, q: int, budget: int = DEFAULT_BUDGET) -> int:
-    """Minimum rank of g over GF(q) by exhaustive search.
+    """Minimum rank of g over GF(q) by exhaustive search: the sum over
+    its connected parts with an edge, each searched by the kernel.
 
     Raises ValueError for a q that is not a prime power or is over
-    ``KERNEL_TABLE_MAX_Q``, and OracleBudgetError when the search would
-    visit more than ``budget`` nodes.
+    ``KERNEL_TABLE_MAX_Q``, and OracleBudgetError when the searches of all
+    parts together would visit more than ``budget`` nodes.
     """
     check_order(q)
     field = field_from_order(q)
-    if g.edge_count() == 0:
-        return 0  # the zero matrix realises every edgeless graph
-    forest, rest = _spanning_forest(g)
-    tables = field.kernel_tables()
-    best = _kernels.scan_min_rank(g.n, forest, rest, q, tables, budget)
-    if best is None:
-        raise OracleBudgetError(f"search exceeds the budget of {budget} nodes")
-    if not 1 <= best <= g.n:
-        raise OracleScanError(f"search returned rank {best} for n = {g.n}")
-    return best
+    total, left = 0, budget
+    for part in _components(g):
+        if len(part) < 2:
+            continue  # an isolated vertex is a zero block
+        rows = g.rows if len(part) == g.n else _induced_rows(g.rows, part)
+        best, nodes = _kernels.scan_min_rank(rows, q, field.kernel_tables(), left)
+        if best is None:
+            raise OracleBudgetError(f"search exceeds the budget of {budget} nodes")
+        if not 1 <= best <= len(part):
+            raise OracleScanError(f"search returned rank {best} for n = {len(part)}")
+        left -= nodes
+        total += best
+    return total

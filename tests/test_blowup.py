@@ -15,6 +15,7 @@ from gfminrank import (LoopedGraph, SimpleGraph, blow_up, emit_graph6, generate,
 from gfminrank import blowup
 from gfminrank.blowup import (MinRankBoundError, _rank_lower_bound, _zero_forcing_number,
                               verify_blowup)
+from gfminrank.graphs import _components
 from gfminrank.miner import enumerate_graphs, enumerate_trees
 from gfminrank.patterns import DEFAULT_VERTEX_BUDGET, VertexBudgetError
 from gfminrank.projgeo import point_count
@@ -464,6 +465,85 @@ def test_gf2_search_refuses_past_its_node_budget(monkeypatch):
     with pytest.raises(MinRankBoundError) as err:
         min_rank(g, 2)
     assert err.value.lower_bound == _rank_lower_bound(g) - 1
+
+
+def test_a_refusing_part_keeps_the_parts_before_and_after_it(monkeypatch):
+    # P3 takes at most 10 nodes, H^Zwu[O more
+    g = parse_graph6("H^Zwu[O")
+    floor = _rank_lower_bound(g)
+    monkeypatch.setattr(blowup, "GF2_NODE_BUDGET", 10)
+    assert min_rank(SimpleGraph.path(3), 2) == 2
+    with pytest.raises(MinRankBoundError) as err:
+        min_rank(_union(SimpleGraph.path(3), g), 2)
+    assert err.value.lower_bound == 2 + floor - 1
+    # the floor of a part after it, K3's 1, still counts
+    with pytest.raises(MinRankBoundError) as err:
+        min_rank(_union(SimpleGraph.path(3), g, SimpleGraph.complete(3)), 2)
+    assert err.value.lower_bound == 2 + floor - 1 + 1
+
+
+def _seeded_unions(rng: random.Random, count: int) -> list[SimpleGraph]:
+    """Disjoint unions of two or three G(n, 1/2) draws on 2-5 vertices and
+    at times an isolated vertex, in shuffled vertex order."""
+    out = []
+    for _ in range(count):
+        parts = []
+        for _ in range(rng.choice((2, 3))):
+            n = rng.randint(2, 5)
+            parts.append(SimpleGraph.from_edges(
+                n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]))
+        g = _union(*parts).add_isolated(rng.randint(0, 1))
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        out.append(g.relabel(perm))
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_disjoint_unions_match_the_oracle(q):
+    for g in _seeded_unions(random.Random(f"unions:{q}"), 12):
+        assert min_rank(g, q) == oracle_min_rank(g, q), emit_graph6(g)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_max_k_caps_the_sum_over_the_parts(q):
+    # over GF(2), H^Zwu[O has mr 7 above its bound 4, so with K3 before it
+    # the cap falls on the second part
+    extra = [_union(SimpleGraph.complete(3), parse_graph6("H^Zwu[O"))] if q == 2 else []
+    for g in extra + _seeded_unions(random.Random(f"capped unions:{q}"), 8):
+        mr = min_rank(g, q)
+        if mr == 0:
+            continue
+        assert min_rank(g, q, max_k=mr) == mr
+        with pytest.raises(MinRankBoundError) as err:
+            min_rank(g, q, max_k=mr - 1)
+        assert err.value.lower_bound == mr - 1, emit_graph6(g)
+
+
+def test_each_part_gets_the_ceiling_the_others_leave(monkeypatch):
+    # H^Zwu[O (mr 7, bound 4), P3 (mr 2 = bound) and K3 (mr 1 = bound) over
+    # GF(2) with max_k 10: a part's ceiling is 10 less the mr before it and
+    # the bounds after it, each below the part's vertex count
+    g = _union(parse_graph6("H^Zwu[O"), SimpleGraph.path(3), SimpleGraph.complete(3))
+    calls = []
+    real = blowup._gf2_min_rank
+
+    def recorded(h, floor, ceiling):
+        calls.append((h.n, floor, ceiling))
+        return real(h, floor, ceiling)
+
+    monkeypatch.setattr(blowup, "_gf2_min_rank", recorded)
+    assert min_rank(g, 2, max_k=10) == 10
+    assert calls == [(9, 4, 10 - 2 - 1), (3, 2, 10 - 7 - 1), (3, 1, 10 - 7 - 2)]
+
+
+def test_rank_lower_bound_sums_over_the_components():
+    # n - Z(g), with Z = 1 for an isolated vertex, equals the sum of
+    # |h| - Z(h) over the components h with two or more vertices
+    for n in range(1, 8):
+        for g in enumerate_graphs(n):
+            parts = [g.induced(c) for c in _components(g) if len(c) > 1]
+            assert _rank_lower_bound(g) == sum(h.n - _zero_forcing_number(h) for h in parts)
 
 
 def test_gf2_search_answers_past_the_pattern_vertex_budget():

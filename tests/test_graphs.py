@@ -476,11 +476,12 @@ def test_non_isomorphic_pairs():
     assert not are_isomorphic(SimpleGraph.complete(3).with_loops(0b111), SimpleGraph.complete(3))
 
 
-def test_isomorphism_budget():
+def test_isomorphism_budget(monkeypatch):
     g = SimpleGraph.empty(12)
     h = SimpleGraph.empty(12)
+    monkeypatch.setattr(graphs, "ISO_NODE_BUDGET", 5)
     with pytest.raises(IsoBudgetError):
-        are_isomorphic(g, h, node_budget=5)
+        are_isomorphic(g, h)
 
 
 # -- canonical form ----------------------------------------------------------------
@@ -690,9 +691,10 @@ def test_generators_of_relabelled_looped_patterns_are_automorphisms(q, k):
     assert mixed
 
 
-def test_canonical_form_budget():
+def test_canonical_form_budget(monkeypatch):
+    monkeypatch.setattr(graphs, "ISO_NODE_BUDGET", 1)
     with pytest.raises(IsoBudgetError):
-        canonical_form(petersen(), node_budget=1)
+        canonical_form(petersen())
 
 
 # -- serialisation -----------------------------------------------------------------

@@ -122,22 +122,43 @@ def test_forest_scan_matches_full_enumeration(q):
 
 
 def test_reduced_count_and_scan_set():
-    # the forest-normalised set has q^n (q-1)^(m-n+c) matrices, at most
-    # q^n (q-1)^m; the search covers only part of it
-    graphs = [g for n in range(1, 5) for g in enumerate_graphs(n) if g.edge_count()]
-    graphs.append(SimpleGraph.from_edges(5, [(0, 1), (2, 3)]))
+    # a connected graph's forest-normalised set has q^n (q-1)^(m-n+1)
+    # matrices, at most enumeration_size = q^n (q-1)^m; every row has two or
+    # more choices, so the search tree of the part it covers has fewer than
+    # twice as many nodes as that set
+    graphs = [g for n in range(2, 6) for g in enumerate_graphs(n) if _components(g) == 1]
     for q in (2, 3, 4, 5):
+        tables = field_from_order(q).kernel_tables()
         for g in graphs:
-            m, c = g.edge_count(), _components(g)
-            total = enumeration_size(g.n, m, q, c)
-            assert total == q ** g.n * (q - 1) ** (m - g.n + c)
-            assert total <= enumeration_size(g.n, m, q)
+            m = g.edge_count()
+            total = q ** g.n * (q - 1) ** (m - g.n + 1)
+            assert total <= enumeration_size(g.n, m, q) == q ** g.n * (q - 1) ** m
+            best, nodes = _kernels.scan_min_rank(g.rows, q, tables, 10 ** 9)
+            assert best == oracle_min_rank(g, q)
+            assert nodes < 2 * total, (q, emit_graph6(g))
 
 
 def test_scan_range_and_result_are_checked(fullhouse, monkeypatch):
-    monkeypatch.setattr(_kernels, "scan_min_rank", lambda *args, **kwargs: 0)
+    monkeypatch.setattr(_kernels, "scan_min_rank", lambda *args, **kwargs: (0, 1))
     with pytest.raises(OracleScanError):
         oracle_min_rank(fullhouse, 3)
+
+
+def test_kernel_refuses_a_disconnected_graph():
+    tables = field_from_order(3).kernel_tables()
+    for g in (_disjoint_union(_cycle(3), SimpleGraph.complete(2)),
+              SimpleGraph.path(3).add_isolated(1)):
+        with pytest.raises(ValueError, match="connected"):
+            _kernels.scan_min_rank(g.rows, 3, tables, 10 ** 6)
+
+
+def test_one_budget_is_shared_by_the_parts():
+    # each copy of FnBGO over GF(5) fits 100,000 nodes, the two together do not
+    g = parse_graph6("FnBGO")
+    assert oracle_min_rank(g, 5, budget=100_000) == 5
+    with pytest.raises(OracleBudgetError):
+        oracle_min_rank(_disjoint_union(g, g), 5, budget=100_000)
+    assert oracle_min_rank(_disjoint_union(g, g), 5, budget=200_000) == 10
 
 
 def test_gf2_exhaustive_dense_graphs():
