@@ -62,7 +62,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .graphs import (ClassStatus, LoopedGraph, SimpleGraph, _component_masks, _components,
+from .graphs import (LoopedGraph, SimpleGraph, _component_masks, _components, _least_twins,
                      twin_reduce)
 from .patterns import DEFAULT_VERTEX_BUDGET, Pattern, VertexBudgetError, generate
 
@@ -135,19 +135,19 @@ def is_blowup(g: SimpleGraph, h: LoopedGraph | Pattern) -> BlowupWitness | None:
         return BlowupWitness({})
     red = twin_reduce(g)
     sizes = red.class_sizes()
-    q_adj = red.quotient.rows
+    q_adj, q_loops = red.quotient.rows, red.quotient.loops
     rows, loops = h.rows, h.loops
     full = (1 << h.n) - 1
     nonloops = full & ~loops
     # per class: where a single image may go (loop status matching the
     # class), and where the members of a spread go (the opposite status)
     single, spread = [], []
-    for st in red.statuses:
-        if st is ClassStatus.FREE:
+    for c, size in enumerate(sizes):
+        if size == 1:
             single.append(full)
             spread.append(0)
         else:
-            looped = st is ClassStatus.LOOPED
+            looped = q_loops >> c & 1
             single.append(loops if looped else nonloops)
             spread.append(nonloops if looped else loops)
     nclasses = len(sizes)
@@ -184,7 +184,7 @@ def is_blowup(g: SimpleGraph, h: LoopedGraph | Pattern) -> BlowupWitness | None:
         merged clique and pairwise nonadjacent for a merged independent set,
         meeting roots."""
         need = sizes[cls]
-        looped = red.statuses[cls] is ClassStatus.LOOPED
+        looped = q_loops >> cls & 1
 
         def grow(chosen: tuple[int, ...], hit: bool, avail: int):
             if len(chosen) == need:
@@ -310,11 +310,12 @@ def _greedy_completion(rows, moves, full: int, black: int, cost: int) -> int:
 def _zero_forcing_number(h: SimpleGraph) -> int:
     """Z(h), the size of a smallest zero forcing set of h (at least Z(h)
     past the budget): the sum of _component_zero_forcing over its connected
-    components, 1 for each isolated vertex."""
-    return sum(_component_zero_forcing(h.rows, comp) for comp in _component_masks(h.rows))
+    components, 1 for each isolated vertex, from one _least_twins of h."""
+    twin = _least_twins(h.rows)
+    return sum(_component_zero_forcing(h.rows, comp, twin) for comp in _component_masks(h.rows))
 
 
-def _component_zero_forcing(rows, full: int) -> int:
+def _component_zero_forcing(rows, full: int, twin: list[int]) -> int:
     """Z of the connected component with vertex set full (a bitmask), by
     the wavefront search (Brimkov, Fast and Hicks, "Computational
     approaches for zero forcing and related problems", EJOR 273, 2019);
@@ -331,27 +332,24 @@ def _component_zero_forcing(rows, full: int) -> int:
     skipped, and the search ends once the cost reached does too.  Past the
     budget, a cheapest open state is completed by _greedy_completion.
 
-    The start is the closure of all but the least vertex of each twin class
-    (equal N(v) or equal N[v]), at the count of those vertices.  Every zero forcing set holds
-    all but at most one vertex of a class, since a vertex forcing a class
-    member is adjacent to all of them; and swapping twins is an
-    automorphism, so some smallest one holds all but the least.
+    The start is the closure of the v with twin[v] != v (twin being the
+    graph's _least_twins), all but the least vertex of each twin class,
+    at the count of those vertices.  Every zero forcing set holds all but
+    at most one vertex of a class, since a vertex forcing a class member
+    is adjacent to all of them; and swapping twins is an automorphism, so
+    some smallest one holds all but the least.
     """
     if not full & (full - 1):
         return 1  # an isolated vertex
-    start, seen, closed = 0, set(), []
+    start, closed = 0, []
     m = full
     while m:
         low = m & -m
         m ^= low
-        r = rows[low.bit_length() - 1]
-        c = r | low  # never equal to another vertex's open row
-        if r in seen or c in seen:
+        v = low.bit_length() - 1
+        closed.append(rows[v] | low)
+        if twin[v] != v:
             start |= low
-        else:
-            seen.add(r)
-            seen.add(c)
-        closed.append(c)
     n, base = len(closed), start.bit_count()
     start = _closure(rows, start, start)
     moves = [m for m in dict.fromkeys(closed) if m & ~start]

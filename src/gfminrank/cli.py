@@ -27,7 +27,7 @@ from .blowup import MinRankBoundError, member, min_rank
 from .gf import Q_MAX, factor_prime_power
 from .graphs import emit_graph6, looped_to_json, parse_graph6, to_dot
 from .matfq import MatrixFq, classify_invertible_symmetric
-from .miner import mine
+from .miner import GRAPH_COUNTS, mine
 from .oracle import DEFAULT_BUDGET, OracleBudgetError, check_order, oracle_min_rank
 from .patterns import DEFAULT_VERTEX_BUDGET, VertexBudgetError, generate, gram_matrix
 
@@ -231,7 +231,8 @@ def _build_parser() -> argparse.ArgumentParser:
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--input", help=INPUT_HELP)
     source.add_argument("--max-n", type=_nonnegative, default=None,
-                        help="mine all graphs on up to this many vertices")
+                        help="mine all graphs on up to this many vertices, "
+                        f"at most {len(GRAPH_COUNTS) - 1}")
     p.add_argument("--max-graphs", type=int, default=None)
     p.add_argument("--resume", help="checkpoint file to write and resume from")
     p.set_defaults(func=cmd_mine)

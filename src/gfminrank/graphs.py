@@ -39,7 +39,6 @@ them with the key.
 
 from __future__ import annotations
 
-import enum
 import json
 from dataclasses import dataclass
 from itertools import compress
@@ -503,18 +502,14 @@ def to_dot(g: LoopedGraph | SimpleGraph, name: str = "G") -> str:
 
 # -- twin reduction ------------------------------------------------------------
 
-class ClassStatus(enum.Enum):
-    LOOPED = "looped"        # class is a clique of size >= 2
-    NONLOOPED = "nonlooped"  # class is an independent set of size >= 2
-    FREE = "free"            # singleton
-
-
 @dataclass(frozen=True)
 class TwinReduction:
-    """Fixpoint of merging independent and true twins of a simple graph."""
+    """Fixpoint of merging independent and true twins of a simple graph:
+    the classes, and the quotient on them, whose looped vertices are the
+    merged cliques.  A class of two or more members without a loop is a
+    merged independent set, and a class of one is free."""
 
     classes: tuple[tuple[int, ...], ...]
-    statuses: tuple[ClassStatus, ...]
     quotient: LoopedGraph
 
     def class_sizes(self) -> tuple[int, ...]:
@@ -539,26 +534,23 @@ def twin_reduce(g: SimpleGraph) -> TwinReduction:
     """Merge twin vertices until no pair remains, in one pass.
 
     The classes are those of _least_twins, ordered by least vertex.  True
-    twins (equal closed neighbourhoods N[v]) form the LOOPED classes, those
-    whose first two members are adjacent; independent twins (equal open
-    neighbourhoods N(v)) form the NONLOOPED classes, and the rest are FREE
-    singletons.  The quotient joins two classes whose representatives are
-    adjacent.  One pass reaches the fixpoint of pairwise merging because
-    no vertex has twins of both kinds (if u has an independent twin v and
-    a true twin w, then w ~ u gives w ~ v, so v is in N[w] = N[u],
-    contradicting v !~ u), and merging twins creates no new twins: classes
-    of the quotient are twins there exactly when their members are twins
-    in g.
+    twins (equal closed neighbourhoods N[v]) form the classes whose first
+    two members are adjacent, which the quotient loops; independent twins
+    (equal open neighbourhoods N(v)) form the other classes of two or more.
+    The quotient joins two classes whose representatives are adjacent.
+    One pass reaches the fixpoint of pairwise merging because no vertex
+    has twins of both kinds (if u has an independent twin v and a true
+    twin w, then w ~ u gives w ~ v, so v is in N[w] = N[u], contradicting
+    v !~ u), and merging twins creates no new twins: classes of the
+    quotient are twins there exactly when their members are twins in g.
     """
     rows = g.rows
     groups: dict[int, list[int]] = {}  # a class enters at its least vertex
     for v, t in enumerate(_least_twins(rows)):
         groups.setdefault(t, []).append(v)
     classes = tuple(map(tuple, groups.values()))
-    statuses = tuple(ClassStatus.FREE if len(c) == 1 else ClassStatus.LOOPED
-                     if rows[c[0]] >> c[1] & 1 else ClassStatus.NONLOOPED for c in classes)
-    loops = sum(1 << i for i, st in enumerate(statuses) if st is ClassStatus.LOOPED)
-    return TwinReduction(classes, statuses, LoopedGraph._trusted(
+    loops = sum(1 << i for i, c in enumerate(classes) if len(c) > 1 and rows[c[0]] >> c[1] & 1)
+    return TwinReduction(classes, LoopedGraph._trusted(
         len(classes), _induced_rows(rows, list(groups)), loops))
 
 

@@ -18,10 +18,11 @@ exactly when they are isomorphic.  The search skips a subtree only when an
 automorphism fixing everything individualised before it (a swap of twins,
 or one found between two equal leaves) maps it onto a searched one, so
 every skipped leaf repeats a searched certificate.  Those automorphisms
-generate the graph's automorphism group, and the enumeration keeps them
-for each representative: two attachment sets of a parent in one orbit of
-its group give isomorphic candidates, so each orbit is tried once, by its
-least mask (McKay, "Isomorph-free exhaustive generation", 1998).
+generate the graph's automorphism group, and _canonical returns them with
+the key, so the enumeration canonicalises each parent once more to extend
+it: two attachment sets of a parent in one orbit of its group give
+isomorphic candidates, so each orbit is tried once, by its least mask
+(McKay, "Isomorph-free exhaustive generation", 1998).
 """
 
 from __future__ import annotations
@@ -40,8 +41,9 @@ from .graphs import (SimpleGraph, _canonical, _components, _orbits, are_isomorph
 
 CHECKPOINT_EVERY = 10_000
 
-# iso-class counts for n = 0..7 (OEIS A000088), checked by _enumerate
-GRAPH_COUNTS = (1, 1, 2, 4, 11, 34, 156, 1044)
+# iso-class counts for n = 0..8 (OEIS A000088), checked by _enumerate; mine
+# enumerates internally only as far as these reach
+GRAPH_COUNTS = (1, 1, 2, 4, 11, 34, 156, 1044, 12346)
 TREE_COUNTS = (1, 1, 1, 2, 3, 6, 11)  # n = 1..7
 
 
@@ -61,46 +63,35 @@ def _orbit_minima(gens, n: int) -> list[int]:
 
 
 @functools.lru_cache(maxsize=None)
-def _enumerate(n: int) -> tuple[tuple[SimpleGraph, ...], tuple[tuple[int, ...], ...],
-                                tuple[list[list[int]], ...]]:
-    """(enumerate_graphs(n), deletion_classes(n), generators of each
-    representative's automorphism group), built in one pass.  Building
-    level n + 1 empties the generator lists of level n, its only reader.
+def _enumerate(n: int) -> tuple[tuple[SimpleGraph, ...], tuple[tuple[int, ...], ...]]:
+    """(enumerate_graphs(n), deletion_classes(n)), built in one pass.
 
     A parent's attachment sets in one orbit of its automorphism group give
-    isomorphic candidates, so only the least mask of each orbit is built.
-    That keeps the first candidate of every class, the least mask m* of the
+    isomorphic candidates, so only the least mask of each orbit is built,
+    the orbits those of the generators _canonical(parent) returns.  That
+    keeps the first candidate of every class, the least mask m* of the
     first parent that yields it: m*'s orbit yields the same class, so m* is
     its least mask.  Every parent of a class still has a kept mask in it,
     so the deletion classes are unchanged."""
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
     if n == 0:
-        return (SimpleGraph.empty(0),), ((),), ([],)
-    # per canonical_form key: the first candidate, the parents of all and
-    # the first candidate's automorphism generators
-    classes: dict[SimpleGraph, tuple[SimpleGraph, set[int], list[list[int]]]] = {}
+        return (SimpleGraph.empty(0),), ((),)
+    # per canonical_form key: the first candidate and the parents of all
+    classes: dict[SimpleGraph, tuple[SimpleGraph, set[int]]] = {}
     bit = 1 << (n - 1)
     # candidates are streamed, not held: n = 8 has 79,264 of them
-    below, _, gens_below = _enumerate(n - 1)
-    for j, (parent, gens) in enumerate(zip(below, gens_below)):
-        for mask in _orbit_minima(gens, n - 1):
+    for j, parent in enumerate(_enumerate(n - 1)[0]):
+        for mask in _orbit_minima(_canonical(parent)[1], n - 1):
             rows = [r | bit if mask >> i & 1 else r for i, r in enumerate(parent.rows)]
             rows.append(mask)
             g = SimpleGraph._trusted(n, rows)  # the new row and column agree
-            key, auts = _canonical(g)
-            entry = classes.get(key)
-            if entry is None:
-                classes[key] = entry = (g, set(), auts)
-            entry[1].add(j)
+            classes.setdefault(_canonical(g)[0], (g, set()))[1].add(j)
     if n < len(GRAPH_COUNTS) and len(classes) != GRAPH_COUNTS[n]:
         raise InvariantError(f"enumeration found {len(classes)} classes on {n} vertices, "
                              f"not {GRAPH_COUNTS[n]}")
-    for gens in gens_below:  # read by this level's build only
-        gens.clear()
-    return (tuple(g for g, _, _ in classes.values()),
-            tuple(tuple(sorted(parents)) for _, parents, _ in classes.values()),
-            tuple(auts for _, _, auts in classes.values()))
+    return (tuple(g for g, _ in classes.values()),
+            tuple(tuple(sorted(parents)) for _, parents in classes.values()))
 
 
 def enumerate_graphs(n: int) -> tuple[SimpleGraph, ...]:
@@ -111,9 +102,9 @@ def enumerate_graphs(n: int) -> tuple[SimpleGraph, ...]:
     mask), then keeping the first candidate of each canonical_form key, so
     the representatives and their order do not depend on how the keys are
     computed.  n <= 7 (1253 classes from 5,759 candidates, 11,291 without
-    the orbits) takes about 0.3-0.4 s on a 2-CPU Intel Xeon host; n = 8
-    (12,346 classes from 79,264 candidates, streamed) about 5 s and 48 MB
-    peak RSS.
+    the orbits) takes about 0.3-0.5 s on a 2-CPU Intel Xeon host; n = 8
+    (12,346 classes from 79,264 candidates, streamed) about 4.5-6 s and
+    44 MB peak RSS, of which the interpreter and imports take 32 MB.
     """
     return _enumerate(n)[0]
 
@@ -133,7 +124,8 @@ def deletion_classes(n: int) -> tuple[tuple[int, ...], ...]:
 def enumerate_trees(n: int) -> tuple[SimpleGraph, ...]:
     """One representative per isomorphism class of trees on n >= 1 vertices:
     the connected graphs of enumerate_graphs(n) with n - 1 edges.  Like
-    enumerate_graphs, practical for n <= 7."""
+    enumerate_graphs, practical for n <= 8 (23 trees; enumerate_graphs(8)
+    takes about 5 s and 44 MB peak RSS)."""
     if n < 1:
         raise ValueError("trees need at least one vertex")
     return tuple(g for g in enumerate_graphs(n)
@@ -283,8 +275,8 @@ def mine(q: int, k: int, n_max: int | None = None, source=None,
     """Collect minimal forbidden subgraphs for membership in G_k over GF(q).
 
     ``source`` may be an iterable of SimpleGraph (e.g. parsed from a graph6
-    stream); otherwise all graphs on up to n_max <= 7 vertices are
-    enumerated internally.  Progress is checkpointed every CHECKPOINT_EVERY
+    stream); otherwise all graphs on up to n_max <= 8 vertices are
+    enumerated internally, as far as GRAPH_COUNTS checks the class counts.  Progress is checkpointed every CHECKPOINT_EVERY
     graphs so a run can resume, and ``max_graphs`` (at least 1) caps the
     graphs scanned after the ones a checkpoint covers.
     The checkpoint keeps a sha256 over the graph6 lines of the graphs it
@@ -308,8 +300,8 @@ def mine(q: int, k: int, n_max: int | None = None, source=None,
     if source is None:
         if n_max is None:
             raise ValueError("n_max is required for internal enumeration")
-        if n_max > 7:
-            raise ValueError("internal enumeration supports n_max <= 7; "
+        if n_max >= len(GRAPH_COUNTS):
+            raise ValueError(f"internal enumeration supports n_max <= {len(GRAPH_COUNTS) - 1}; "
                              "stream larger graphs from an external generator")
         stream = _internal_stream(n_max)
         source_desc = f"internal:n<={n_max}"

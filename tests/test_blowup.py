@@ -546,6 +546,36 @@ def test_rank_lower_bound_sums_over_the_components():
             assert _rank_lower_bound(g) == sum(h.n - _zero_forcing_number(h) for h in parts)
 
 
+# -- metamorphic checks past the oracle's range ------------------------------------
+
+def _gnp_half(n: int, seed: int) -> SimpleGraph:
+    """G(n, 1/2) from random.Random(seed), one random() per pair i < j."""
+    rng = random.Random(seed)
+    return SimpleGraph.from_edges(
+        n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5])
+
+
+METAMORPHIC_DRAWS = [(n, seed) for n in (9, 10, 11) for seed in (1, 2, 3, 4)]
+
+
+@pytest.mark.parametrize("n,seed", METAMORPHIC_DRAWS)
+def test_minimum_rank_does_not_grow_over_an_extension_field(n, seed):
+    """A GF(2) matrix is a GF(4) matrix with the same graph and rank."""
+    g = _gnp_half(n, seed)
+    assert min_rank(g, 4) <= min_rank(g, 2), emit_graph6(g)
+
+
+@pytest.mark.parametrize("n,seed", METAMORPHIC_DRAWS)
+def test_a_vertex_deletion_lowers_minimum_rank_by_at_most_two(n, seed):
+    """mr(G) - 2 <= mr(G - v) <= mr(G) over GF(3): deleting v deletes a row
+    and a column of a matrix, and keeps a principal submatrix of any."""
+    g = _gnp_half(n, seed)
+    mr = min_rank(g, 3)
+    for v in range(n):
+        h = g.induced([u for u in range(n) if u != v])
+        assert mr - 2 <= min_rank(h, 3) <= mr, (emit_graph6(g), v)
+
+
 def test_gf2_search_answers_past_the_pattern_vertex_budget():
     # G(18, 1/2), seed 1: mr 14, where the GF(2) patterns have 16383 points
     rng = random.Random(1)

@@ -14,8 +14,7 @@ from gfminrank import graphs
 from gfminrank import (LoopedGraph, SimpleGraph, are_isomorphic, blow_up,
                        canonical_form, emit_graph6, generate, parse_graph6,
                        twin_reduce)
-from gfminrank.graphs import (ClassStatus, IsoBudgetError, looped_from_json,
-                              looped_to_json, to_dot)
+from gfminrank.graphs import IsoBudgetError, looped_from_json, looped_to_json, to_dot
 from gfminrank.miner import GRAPH_COUNTS, enumerate_graphs
 
 
@@ -359,7 +358,7 @@ def test_simple_complement(fullhouse):
 def test_twin_reduce_multipartite():
     red = twin_reduce(SimpleGraph.complete_multipartite([2, 2, 2]))
     assert red.quotient.n == 3
-    assert all(st is ClassStatus.NONLOOPED for st in red.statuses)
+    assert red.class_sizes() == (2, 2, 2)
     assert red.quotient.simple() == SimpleGraph.complete(3)
     assert red.quotient.loops == 0
 
@@ -367,29 +366,32 @@ def test_twin_reduce_multipartite():
 def test_twin_reduce_complete():
     red = twin_reduce(SimpleGraph.complete(5))
     assert red.quotient.n == 1
-    assert red.statuses == (ClassStatus.LOOPED,)
+    assert red.quotient.loops == 1
     assert red.classes == ((0, 1, 2, 3, 4),)
 
 
 def test_twin_reduce_path():
     red = twin_reduce(SimpleGraph.path(4))
     assert red.quotient.n == 4
-    assert all(st is ClassStatus.FREE for st in red.statuses)
+    assert red.class_sizes() == (1, 1, 1, 1)
+    assert red.quotient.loops == 0
 
 
 def _has_mergeable_pair(red) -> bool:
     """Whether any two quotient classes could still merge as twins, given
-    their loop statuses."""
+    their kinds: a looped quotient vertex is a merged clique, an unlooped
+    class of two or more a merged independent set."""
     q = red.quotient
+    merged_set = [len(c) > 1 and not q.has_loop(i) for i, c in enumerate(red.classes)]
     for i in range(q.n):
         for j in range(i + 1, q.n):
             if q.has_edge(i, j):
-                if ClassStatus.NONLOOPED in (red.statuses[i], red.statuses[j]):
+                if merged_set[i] or merged_set[j]:
                     continue
                 if (q.rows[i] | (1 << i) | (1 << j)) == (q.rows[j] | (1 << i) | (1 << j)):
                     return True
             else:
-                if ClassStatus.LOOPED in (red.statuses[i], red.statuses[j]):
+                if q.has_loop(i) or q.has_loop(j):
                     continue
                 if (q.rows[i] & ~(1 << j)) == (q.rows[j] & ~(1 << i)):
                     return True
@@ -411,31 +413,28 @@ def test_twin_reduce_reconstruction_exhaustive():
 
 
 def _twin_reduction_by_definition(g):
-    """Classes, statuses and quotient straight from the definition: the
-    groups of equal closed neighbourhoods of size >= 2, then the groups of
-    equal open neighbourhoods of size >= 2 among the other vertices, then
-    singletons, ordered by least vertex; the quotient joins classes whose
-    representatives are adjacent."""
+    """Classes and quotient straight from the definition: the groups of
+    equal closed neighbourhoods of size >= 2, then the groups of equal open
+    neighbourhoods of size >= 2 among the other vertices, then singletons,
+    ordered by least vertex; the quotient joins classes whose
+    representatives are adjacent and loops the merged cliques, the first
+    groups."""
     n, rows = g.n, g.rows
     true = {tuple(u for u in range(n) if rows[u] | 1 << u == rows[v] | 1 << v)
             for v in range(n)}
     looped = {c for c in true if len(c) > 1}
     rest = [v for v in range(n) if not any(v in c for c in looped)]
     classes = sorted(looped | {tuple(u for u in rest if rows[u] == rows[v]) for v in rest})
-    statuses = tuple(ClassStatus.LOOPED if c in looped else
-                     ClassStatus.NONLOOPED if len(c) > 1 else ClassStatus.FREE
-                     for c in classes)
     edges = [(i, j) for i, c in enumerate(classes) for j, d in enumerate(classes)
              if i < j and g.has_edge(c[0], d[0])]
     quotient = LoopedGraph.from_parts(len(classes), edges,
-                                      [i for i, st in enumerate(statuses)
-                                       if st is ClassStatus.LOOPED])
-    return tuple(classes), statuses, quotient
+                                      [i for i, c in enumerate(classes) if c in looped])
+    return tuple(classes), quotient
 
 
 def _assert_twin_reduction_is_the_definition(g):
     red = twin_reduce(g)
-    assert (red.classes, red.statuses, red.quotient) == _twin_reduction_by_definition(g), \
+    assert (red.classes, red.quotient) == _twin_reduction_by_definition(g), \
         emit_graph6(g)
 
 
@@ -574,7 +573,7 @@ def test_pruning_keeps_the_least_leaf():
 
 def test_canonical_forms_of_all_small_graphs_are_distinct():
     keys = [canonical_form(g) for n in range(1, 8) for g in enumerate_graphs(n)]
-    assert len(set(keys)) == sum(GRAPH_COUNTS[1:]) == 1252
+    assert len(set(keys)) == sum(GRAPH_COUNTS[1:8]) == 1252
     digest = hashlib.sha256("\n".join(map(emit_graph6, keys)).encode("ascii"))
     assert digest.hexdigest() == \
         "0b221137c3b4f2ce256372fcef8129280e13800e2b90c93f536d53377530812d"

@@ -17,7 +17,7 @@ from gfminrank.miner import (GRAPH_COUNTS, TREE_COUNTS, deletion_classes,
 
 
 def test_enumeration_counts():
-    assert tuple(len(enumerate_graphs(n)) for n in range(8)) == GRAPH_COUNTS
+    assert tuple(len(enumerate_graphs(n)) for n in range(8)) == GRAPH_COUNTS[:8]
     assert tuple(len(enumerate_trees(n)) for n in range(1, 8)) == TREE_COUNTS
 
 
@@ -42,7 +42,9 @@ def test_deletion_classes_are_the_classes_of_the_deletions():
 
 def test_enumeration_canonicalises_one_candidate_per_orbit(monkeypatch):
     """Per level, one candidate per orbit of each parent's automorphism
-    group on its attachment sets, counted by brute force for n <= 6."""
+    group on its attachment sets, counted by brute force for n <= 6.  Each
+    parent on n < 7 vertices is canonicalised once more for its generators,
+    so those GRAPH_COUNTS[n] calls are not candidates."""
     canonical = miner._canonical
     calls = collections.Counter()
 
@@ -53,7 +55,9 @@ def test_enumeration_canonicalises_one_candidate_per_orbit(monkeypatch):
     monkeypatch.setattr(miner, "_canonical", counted)
     miner._enumerate.cache_clear()
     enumerate_graphs(7)
-    assert [calls[n] for n in range(1, 8)] == [1, 2, 6, 20, 90, 544, 5096]
+    candidates = [calls[n] - GRAPH_COUNTS[n] * (n < 7) for n in range(1, 8)]
+    assert candidates == [1, 2, 6, 20, 90, 544, 5096]
+    assert calls[0] == 1
     for n in range(1, 7):
         orbits = 0
         for parent in enumerate_graphs(n - 1):
@@ -61,14 +65,16 @@ def test_enumeration_canonicalises_one_candidate_per_orbit(monkeypatch):
             images = {frozenset(graphs._relabel_mask(m, p) for p in autos)
                       for m in range(1 << (n - 1))}
             orbits += len(images)
-        assert orbits == calls[n]
+        assert orbits == candidates[n - 1]
 
 
-def test_enumeration_frees_the_generators_below_the_top_level():
+def test_enumeration_holds_graphs_and_deletion_classes_only():
+    """The cache keeps no automorphism generators: each level is the
+    representatives and their deletion classes, nothing more."""
     miner._enumerate.cache_clear()
-    assert tuple(len(enumerate_graphs(n)) for n in range(8)) == GRAPH_COUNTS
-    assert all(gens == [] for n in range(7) for gens in miner._enumerate(n)[2])
-    assert sum(map(len, miner._enumerate(7)[2])) > 0
+    for n in range(8):
+        assert miner._enumerate(n) == (enumerate_graphs(n), deletion_classes(n))
+        assert len(enumerate_graphs(n)) == len(deletion_classes(n)) == GRAPH_COUNTS[n]
 
 
 def test_enumeration_checks_the_class_counts(monkeypatch):
@@ -289,8 +295,15 @@ def test_mine_over_the_vertex_budget_finds_nothing():
 
 
 def test_mine_rejects_oversize_internal_enumeration():
-    with pytest.raises(ValueError):
-        mine(2, 1, n_max=8)
+    with pytest.raises(ValueError, match="n_max <= 8"):
+        mine(2, 1, n_max=9)
+
+
+def test_mine_to_8_vertices_builds_levels_only_as_it_scans():
+    miner._enumerate.cache_clear()
+    run = mine(2, 1, n_max=8, max_graphs=1)
+    assert run.stats["scanned"] == 1 and run.stats["source"] == "internal:n<=8"
+    assert miner._enumerate.cache_info().currsize == 2  # levels 0 and 1
 
 
 def test_f2r2_form_reference_cases(fullhouse):
