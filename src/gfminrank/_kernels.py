@@ -9,7 +9,9 @@ Depth i chooses vertex i's diagonal and its free entries toward later
 vertices; its entries toward earlier vertices were fixed by symmetry, so
 row i is then whole.  It is reduced against an echelon basis of rows
 0..i-1, and the basis size, a lower bound on the rank of every matrix below
-the node, cuts the node once it reaches the least rank found so far.
+the node, cuts the node once it reaches the least rank found so far.  The
+search stops at the first matrix whose rank reaches the floor it is given,
+a proved lower bound (the oracle's induced-path floor).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import itertools
 
 
-def scan_min_rank(rows, q: int, tables, budget: int) -> tuple[int | None, int]:
+def scan_min_rank(rows, q: int, tables, budget: int, floor: int) -> tuple[int | None, int]:
     """(the least rank over the matrices above, or None past ``budget``
     nodes; the nodes visited).
 
@@ -26,8 +28,10 @@ def scan_min_rank(rows, q: int, tables, budget: int) -> tuple[int | None, int]:
     breadth-first search from vertex 0 gives the spanning tree, the free
     edges (the others) and each vertex's side, the parity of its distance
     from vertex 0; it raises ValueError unless it reaches every vertex.  A
-    node is one choice of a row.  The search stops as soon as it finds rank
-    1, the least rank of a graph with an edge.
+    node is one choice of a row.  The search stops as soon as it finds a
+    rank of at most ``floor``, which must be a lower bound on the least rank
+    (1 is one for every graph with an edge); so the rank it returns is that
+    least rank.
 
     The scaled entries are the diagonal and the free edges joining two
     vertices on the same side; they are chosen in row order, and within a
@@ -94,17 +98,18 @@ def scan_min_rank(rows, q: int, tables, budget: int) -> tuple[int | None, int]:
             if r[p]:
                 mc = mul[r[p]]
                 r = [sub[x][mc[y]] for x, y in zip(r, b)]
-        p = next((j for j, x in enumerate(r) if x), None)
-        if p is not None:
-            mi = mul[inv[r[p]]]
-            basis.append((p, [mi[x] for x in r]))
-        if len(basis) >= best:
+        rank = len(basis) + any(r)
+        if rank >= best:
             continue
         if i == n - 1:
-            best = len(basis)
-            if best <= 1:
+            best = rank
+            if best <= floor:
                 break
             continue
+        if rank > len(basis):
+            p = next(j for j, x in enumerate(r) if x)
+            mi = mul[inv[r[p]]]
+            basis.append((p, [mi[x] for x in r]))
         s = settled[i] or bool(choice[0]) or lead[i] is not None
         i += 1
         kept[i] = len(basis)

@@ -2,14 +2,16 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
 import pytest
 
 from gfminrank import (MatrixFq, SimpleGraph, emit_graph6, field_from_order,
                        min_rank, oracle_min_rank, parse_graph6, rank)
-from gfminrank import _kernels
+from gfminrank import _kernels, oracle
 from gfminrank.miner import enumerate_graphs
-from gfminrank.oracle import OracleBudgetError, OracleScanError, enumeration_size
+from gfminrank.oracle import (OracleBudgetError, OracleScanError, enumeration_size,
+                              induced_path_floor)
 
 
 def test_fullhouse_reference_values(fullhouse):
@@ -133,7 +135,7 @@ def test_reduced_count_and_scan_set():
             m = g.edge_count()
             total = q ** g.n * (q - 1) ** (m - g.n + 1)
             assert total <= enumeration_size(g.n, m, q) == q ** g.n * (q - 1) ** m
-            best, nodes = _kernels.scan_min_rank(g.rows, q, tables, 10 ** 9)
+            best, nodes = _kernels.scan_min_rank(g.rows, q, tables, 10 ** 9, 1)
             assert best == oracle_min_rank(g, q)
             assert nodes < 2 * total, (q, emit_graph6(g))
 
@@ -149,16 +151,23 @@ def test_kernel_refuses_a_disconnected_graph():
     for g in (_disjoint_union(_cycle(3), SimpleGraph.complete(2)),
               SimpleGraph.path(3).add_isolated(1)):
         with pytest.raises(ValueError, match="connected"):
-            _kernels.scan_min_rank(g.rows, 3, tables, 10 ** 6)
+            _kernels.scan_min_rank(g.rows, 3, tables, 10 ** 6, 1)
+
+
+def test_scan_below_the_floor_is_checked(fullhouse, monkeypatch):
+    # the fullhouse holds an induced P3, so a rank-1 answer breaks the floor
+    monkeypatch.setattr(_kernels, "scan_min_rank", lambda *args, **kwargs: (1, 1))
+    with pytest.raises(OracleScanError, match="floor 2"):
+        oracle_min_rank(fullhouse, 3)
 
 
 def test_one_budget_is_shared_by_the_parts():
-    # each copy of FnBGO over GF(5) fits 100,000 nodes, the two together do not
+    # FnBGO over GF(5) takes 131 nodes: one copy fits 200, two (262) do not
     g = parse_graph6("FnBGO")
-    assert oracle_min_rank(g, 5, budget=100_000) == 5
+    assert oracle_min_rank(g, 5, budget=200) == 5
     with pytest.raises(OracleBudgetError):
-        oracle_min_rank(_disjoint_union(g, g), 5, budget=100_000)
-    assert oracle_min_rank(_disjoint_union(g, g), 5, budget=200_000) == 10
+        oracle_min_rank(_disjoint_union(g, g), 5, budget=200)
+    assert oracle_min_rank(_disjoint_union(g, g), 5, budget=300) == 10
 
 
 def test_gf2_exhaustive_dense_graphs():
@@ -208,7 +217,7 @@ def test_disjoint_unions_add_up_in_any_vertex_order(q):
              SimpleGraph.complete_multipartite([2, 3]), SimpleGraph.empty(1)]
     assert [oracle_min_rank(h, q) for h in parts] == [3, 2, 1, 2, 2, 0]
     rng = random.Random(f"oracle-unions:{q}")
-    for chosen in [[parts[0], parts[1], parts[5]]] + [rng.sample(parts, 2) for _ in range(5)]:
+    for chosen in [[parts[0], parts[1], parts[5]]] + [rng.sample(parts, 3) for _ in range(5)]:
         g = _disjoint_union(*chosen)
         want = sum(oracle_min_rank(h, q) for h in chosen)
         assert oracle_min_rank(g, q) == want
@@ -216,6 +225,77 @@ def test_disjoint_unions_add_up_in_any_vertex_order(q):
 
 
 def test_one_matrix_per_scaling_class_fits_a_node_budget():
-    # FnBGO over GF(5) (mr 5) takes 72,112 nodes with one matrix per scaling
-    # class and 288,115 with every forest-normalised matrix
-    assert oracle_min_rank(parse_graph6("FnBGO"), 5, budget=100_000) == 5
+    # without a floor, FnBGO over GF(5) (mr 5) takes 72,112 nodes with one
+    # matrix per scaling class and 288,115 with every forest-normalised
+    # matrix; with the floor 5 of its induced P6 the oracle takes 131
+    g = parse_graph6("FnBGO")
+    tables = field_from_order(5).kernel_tables()
+    assert _kernels.scan_min_rank(g.rows, 5, tables, 100_000, 1) == (5, 72_112)
+    assert induced_path_floor(g.rows) == 5
+    assert oracle_min_rank(g, 5, budget=131) == 5
+
+
+def _brute_longest_induced_path(g: SimpleGraph) -> int:
+    """Vertex count of a largest vertex set inducing a path: connected, one
+    edge fewer than vertices, and no vertex of degree over 2."""
+    best = 0
+    for mask in range(1, 1 << g.n):
+        k = mask.bit_count()
+        if k <= best:
+            continue
+        degrees = [(g.rows[v] & mask).bit_count() for v in range(g.n) if mask >> v & 1]
+        if sum(degrees) == 2 * (k - 1) and max(degrees) <= 2 \
+                and _components(g.induced([v for v in range(g.n) if mask >> v & 1])) == 1:
+            best = k
+    return best
+
+
+def test_floor_is_the_longest_induced_path_on_small_graphs():
+    for n in range(8):
+        for g in enumerate_graphs(n):
+            assert induced_path_floor(g.rows) == max(_brute_longest_induced_path(g) - 1, 0), \
+                emit_graph6(g)
+
+
+def test_floor_is_exact_on_paths_and_cycles():
+    # mr(P_n) = n - 1 and mr(C_n) = n - 2 over every field, so the kernel
+    # stops at its first leaf of that rank, within 100 nodes here
+    for n in range(1, 41):
+        assert induced_path_floor(SimpleGraph.path(n).rows) == n - 1
+    for n in range(3, 41):
+        assert induced_path_floor(_cycle(n).rows) == n - 2
+    for q in (2, 3, 5):
+        for n in (10, 30):
+            assert oracle_min_rank(SimpleGraph.path(n), q, budget=100) == n - 1
+            assert oracle_min_rank(_cycle(n), q, budget=100) == n - 2
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_floor_keeps_every_answer_and_never_adds_nodes(q):
+    tables = field_from_order(q).kernel_tables()
+    for n in range(2, 7):
+        for g in enumerate_graphs(n):
+            if _components(g) > 1:
+                continue
+            floor = induced_path_floor(g.rows)
+            plain = _kernels.scan_min_rank(g.rows, q, tables, 10 ** 9, 1)
+            floored = _kernels.scan_min_rank(g.rows, q, tables, 10 ** 9, floor)
+            assert floored[0] == plain[0] >= floor, (q, emit_graph6(g))
+            assert floored[1] <= plain[1], (q, emit_graph6(g))
+
+
+def test_capped_floor_search_on_a_sparse_60_vertex_draw(monkeypatch):
+    # 10^7 path extensions take seconds without ending the search; every
+    # path it finds is induced, so the floor it keeps at the cap is valid
+    rng = random.Random(60)
+    g = SimpleGraph.from_edges(60, [(u, v) for u in range(60) for v in range(u + 1, 60)
+                                    if rng.random() < 0.1])
+    start = time.perf_counter()
+    floor = induced_path_floor(g.rows)
+    with pytest.raises(OracleBudgetError):
+        oracle_min_rank(g, 2, budget=1000)
+    assert time.perf_counter() - start < 2
+    monkeypatch.setattr(oracle, "FLOOR_PATH_CAP", 100)
+    assert 1 <= induced_path_floor(g.rows) <= floor < 59
+    monkeypatch.setattr(oracle, "FLOOR_PATH_CAP", 0)
+    assert induced_path_floor(g.rows) == 0
