@@ -26,7 +26,7 @@ than members, and it branches on the class with the fewest single
 candidates (ties: larger class, then lower index).  Only the first class
 branched on is pruned by symmetry, to one vertex per orbit of a group of
 isometries of the pattern's form, computed from explicit generators (see
-``patterns.isometry_roots``).
+``patterns.isometry_roots``) only once that class backtracks.
 Every witness is re-verified against the raw blowup definition before it
 is returned.
 
@@ -59,7 +59,6 @@ stays an independent check, and the pattern vertex budget does not limit it.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .graphs import (LoopedGraph, SimpleGraph, _component_masks, _components, _least_twins,
@@ -126,11 +125,21 @@ def is_blowup(g: SimpleGraph, h: LoopedGraph | Pattern) -> BlowupWitness | None:
     root of each isometry orbit, and a spread there must meet the roots: an
     isometry carrying any witness's image vertex to the root of its orbit
     gives another witness.
+
+    The roots are read only once that class moves past its least single
+    candidate, so a yes decided there never builds them.  That candidate is
+    a root, so the order of the search, its answer and its witness are
+    those of reading the roots up front.  At the top every domain is
+    single | spread, which is every vertex, so the class's single candidates
+    are all, the looped or the nonlooped vertices.  Each of these is a union
+    of isometry orbits, since an isometry keeps B(x, x) != 0, and
+    ``isometry_roots`` keeps the least point of each orbit.
     """
+    top: int | Pattern = h
     if isinstance(h, Pattern):
-        roots, h = h.roots, h.graph
+        h = h.graph
     else:
-        roots = (1 << h.n) - 1
+        top = (1 << h.n) - 1
     if not any(g.rows):
         return BlowupWitness({})
     red = twin_reduce(g)
@@ -203,19 +212,29 @@ def is_blowup(g: SimpleGraph, h: LoopedGraph | Pattern) -> BlowupWitness | None:
 
         yield from grow((), False, avail)
 
-    def search(doms: dict[int, int], cls: int, roots: int) -> bool:
-        """Place cls, then the rest of doms (which it owns), or report failure."""
-        dom = doms.pop(cls)
-        singles = []
-        cand = dom & single[cls] & roots
+    def groups(cls: int, dom: int, roots: int | Pattern):
+        """The groups cls may take from dom, single vertices in increasing
+        order and then spreads, all meeting roots: a mask, or at the top the
+        Pattern whose roots are read only past the least single candidate."""
+        cand = dom & single[cls]
+        if isinstance(roots, Pattern):
+            if cand:
+                low = cand & -cand
+                cand ^= low
+                yield (low.bit_length() - 1,)
+            roots = roots.roots
+        cand &= roots
         while cand:
             low = cand & -cand
             cand ^= low
-            singles.append((low.bit_length() - 1,))
-        groups = singles
+            yield (low.bit_length() - 1,)
         if sizes[cls] >= 2:
-            groups = itertools.chain(singles, spreads(cls, dom & spread[cls], roots))
-        for group in groups:
+            yield from spreads(cls, dom & spread[cls], roots)
+
+    def search(doms: dict[int, int], cls: int, roots: int | Pattern) -> bool:
+        """Place cls, then the rest of doms (which it owns), or report failure."""
+        dom = doms.pop(cls)
+        for group in groups(cls, dom, roots):
             step = narrow(q_adj[cls], group, doms)
             if step is not None and (not doms or search(*step, full)):
                 images[cls] = group
@@ -225,7 +244,7 @@ def is_blowup(g: SimpleGraph, h: LoopedGraph | Pattern) -> BlowupWitness | None:
     # all but the isolated class, whose rows in g are empty (not just in the quotient)
     first = narrow(0, (), {c: single[c] | spread[c] for c in range(nclasses)
                            if g.rows[red.classes[c][0]]})
-    if first is None or not search(*first, roots):
+    if first is None or not search(*first, top):
         return None
 
     assignment: dict[int, int] = {}

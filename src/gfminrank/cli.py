@@ -11,13 +11,15 @@ A field order is written q or p^e in ASCII digits; oracle takes orders up
 to 1024 only.  A refused order, matrix or checkpoint and a file that
 cannot be read or written end the run with one "error:" line on stderr.
 Exit codes: 0 success, 1 domain error (including any bad line), 2 usage
-error.
+error.  A process that calls main many times parses each distinct command
+line once, and every call gets its own copy of the parsed options.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import re
 import sys
@@ -252,9 +254,20 @@ def _build_parser() -> argparse.ArgumentParser:
 # not each build it (argparse's gettext lookups included)
 PARSER = _build_parser()
 
+# distinct command lines whose parses one process keeps
+PARSE_CACHE_SIZE = 32
+
+
+@functools.lru_cache(maxsize=PARSE_CACHE_SIZE)
+def _parse(argv: tuple[str, ...]) -> argparse.Namespace:
+    """PARSER's parse of argv, once per distinct argv; a usage error raises
+    SystemExit, which is not cached, so it exits 2 on every call."""
+    return PARSER.parse_args(list(argv))
+
 
 def main(argv=None) -> int:
-    args = PARSER.parse_args(argv)
+    # a copy of the kept parse, so a command cannot change the next call's args
+    args = argparse.Namespace(**vars(_parse(tuple(sys.argv[1:] if argv is None else argv))))
     try:
         return args.func(args)
     except BrokenPipeError:  # an OSError: a closed reader ends the run quietly

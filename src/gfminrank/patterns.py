@@ -48,7 +48,8 @@ class Pattern:
     @functools.cached_property
     def roots(self) -> int:
         """The vertices the first class the blowup search branches on may
-        take (see isometry_roots), found on first use and kept."""
+        take (see isometry_roots), found when the first class moves past
+        its least candidate, and kept."""
         return isometry_roots(self.form)
 
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -17,7 +19,7 @@ from gfminrank.blowup import (MinRankBoundError, _rank_lower_bound, _zero_forcin
                               verify_blowup)
 from gfminrank.graphs import _components
 from gfminrank.miner import enumerate_graphs, enumerate_trees
-from gfminrank.patterns import DEFAULT_VERTEX_BUDGET, VertexBudgetError
+from gfminrank.patterns import DEFAULT_VERTEX_BUDGET, Pattern, VertexBudgetError
 from gfminrank.projgeo import point_count
 
 
@@ -435,6 +437,72 @@ def test_blowups_are_recognised_with_orbit_pruning():
                     assert is_blowup(g, pat) is not None, (q, k, sizes)
 
 
+ROOT_SETS = [(2, k) for k in range(2, 6)] + [(3, k) for k in range(2, 5)] + [
+    (4, 2), (4, 3), (5, 2), (5, 3), (7, 3), (9, 2), (9, 3)]
+
+
+@pytest.mark.parametrize("q,k", ROOT_SETS)
+def test_the_least_single_candidates_are_roots(q, k):
+    # is_blowup tries the least single candidate of its first class before it
+    # reads the roots; at the top that candidate is the least vertex, the
+    # least looped or the least nonlooped one, so each must be a root
+    for pat in generate(q, k).patterns:
+        g = pat.graph
+        full = (1 << g.n) - 1
+        for cand in (full, g.loops, full & ~g.loops):
+            if cand:
+                assert pat.roots & cand & -cand, (q, k, cand & -cand)
+
+
+def test_roots_are_built_only_on_a_backtrack():
+    # FlTc? is decided at its first candidate over GF(3) at k = 4, and K_{2,2,2,2}
+    # has mr 3 over GF(3), so k = 2 is refused after a search
+    first = generate(3, 4).patterns[0]
+    pat = Pattern(first.form, first.graph)
+    assert is_blowup(parse_graph6("FlTc?"), pat) is not None
+    assert "roots" not in pat.__dict__
+    for pattern in generate(3, 2).patterns:
+        pat = Pattern(pattern.form, pattern.graph)
+        assert is_blowup(SimpleGraph.complete_multipartite([2, 2, 2, 2]), pat) is None
+        assert pat.__dict__["roots"] == pattern.roots
+    # GbB|I[ is found over GF(3) at k = 4 only after the first class moves on
+    pat = Pattern(first.form, first.graph)
+    assert is_blowup(parse_graph6("GbB|I["), pat) is not None
+    assert "roots" in pat.__dict__
+
+
+def _member_cases():
+    """(q, g, k): every q > 2 sweep-pool graph of perfbench's reference data
+    at k = mr - 1, mr and mr + 1, then G(n, 1/2) draws for n = 5..8 and seeds
+    1..15 over GF(3), GF(4) and GF(5) at k = 2, 3 and 4."""
+    refs = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "data" /
+                       "refs.json").read_text())
+    for pool in refs["sweep_pools"]:
+        if pool["q"] > 2:
+            for item in pool["graphs"]:
+                g = parse_graph6(item["g6"])
+                mr = min_rank(g, pool["q"])
+                yield from ((pool["q"], g, k) for k in (mr - 1, mr, mr + 1))
+    for q in (3, 4, 5):
+        for n in range(5, 9):
+            for seed in range(1, 16):
+                g = _gnp_half(n, seed)
+                yield from ((q, g, k) for k in (2, 3, 4))
+
+
+def test_member_answers_and_witnesses_are_pinned():
+    # recorded before the roots were built lazily: the search order, and so
+    # every answer, pattern index and witness, must not move
+    digest, count = hashlib.sha256(), 0
+    for q, g, k in _member_cases():
+        ok, w, idx = member(g, q, k)
+        record = [q, k, emit_graph6(g), ok, idx, None if w is None else sorted(w.assignment.items())]
+        digest.update(json.dumps(record).encode() + b"\n")
+        count += 1
+    assert count == 960
+    assert digest.hexdigest() == "ebe90d5d8b3f43723f5368b28d4e36fccc484e98e1fb320f244e3cb6d636d15d"
+
+
 def test_sweep_matches_oracle_on_nine_vertex_graphs_gf2():
     # nine vertices need the k = 6 patterns over GF(2), where the pattern of
     # the identity form has an absolute pole; H^Zwu[O has mr 7
@@ -582,6 +650,60 @@ def test_a_vertex_deletion_lowers_minimum_rank_by_at_most_two(n, seed):
     for v in range(n):
         h = g.induced([u for u in range(n) if u != v])
         assert mr - 2 <= min_rank(h, 3) <= mr, (emit_graph6(g), v)
+
+
+# about 3 s in all; seed 17 is the first to take long: over GF(5) its n = 9
+# draw toggled, HIl@Ia], takes 42 s at its bound, mr 5 (ROADMAP.md, the wall)
+METAMORPHIC_SEEDS = range(1, 17)
+
+
+def _mr_or_skip(g: SimpleGraph, q: int) -> int | None:
+    """mr(GF(q), g), or None (a skipped check) when min_rank stops short."""
+    try:
+        return min_rank(g, q)
+    except MinRankBoundError:
+        return None
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+@pytest.mark.parametrize("n", [9, 10, 11])
+def test_metamorphic_battery(q, n):
+    """Over G(n, 1/2) draws for METAMORPHIC_SEEDS, each with one edge uv
+    toggled and one relabelling drawn from random.Random(f"{q} {n} {seed}"):
+    - toggling an edge changes mr by at most 2: changing the entries uv and
+      vu of a least-rank matrix of one graph, a change of rank at most 2,
+      gives a matrix of the other;
+    - relabelling changes nothing;
+    - mr adds over a disjoint union, here of the draw and its toggled copy
+      on interleaved labels.
+    A check whose min_rank stops short (the pattern vertex budget) is
+    skipped."""
+    checks = 0
+    for seed in METAMORPHIC_SEEDS:
+        g = _gnp_half(n, seed)
+        rng = random.Random(f"{q} {n} {seed}")
+        u, v = rng.sample(range(n), 2)
+        rows = list(g.rows)
+        rows[u] ^= 1 << v
+        rows[v] ^= 1 << u
+        toggled = SimpleGraph(n, rows)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        union = SimpleGraph.from_edges(2 * n, [(2 * a, 2 * b) for a, b in g.edges()] +
+                                       [(2 * a + 1, 2 * b + 1) for a, b in toggled.edges()])
+        mr, mr_toggled = _mr_or_skip(g, q), _mr_or_skip(toggled, q)
+        mr_relabelled, mr_union = _mr_or_skip(g.relabel(perm), q), _mr_or_skip(union, q)
+        where = (emit_graph6(g), u, v, perm)
+        if None not in (mr, mr_toggled):
+            assert abs(mr - mr_toggled) <= 2, where
+            checks += 1
+        if None not in (mr, mr_relabelled):
+            assert mr_relabelled == mr, where
+            checks += 1
+        if None not in (mr, mr_toggled, mr_union):
+            assert mr_union == mr + mr_toggled, where
+            checks += 1
+    assert checks >= 30
 
 
 def test_gf2_search_answers_past_the_pattern_vertex_budget():

@@ -116,8 +116,9 @@ def test_minrank_max_k_below_the_sweep_start_reports_the_bound(capsys):
 
 
 def test_cached_parser_parses_each_call_afresh(capsys, monkeypatch):
-    # main reuses one module-level parser; an option given in one call must
-    # not leak into the next
+    # main reuses one module-level parser and keeps its parses; an option
+    # given in one call must not leak into the next
+    cli._parse.cache_clear()
     calls = []
     parse_args = cli.PARSER.parse_args
     monkeypatch.setattr(cli.PARSER, "parse_args",
@@ -127,7 +128,36 @@ def test_cached_parser_parses_each_call_afresh(capsys, monkeypatch):
     assert code == 0 and json.loads(out)["minrank_gt"] == 2
     code, out, _ = run_cli(capsys, ["minrank", "--q", "2"], stdin=fullhouse_g6() + "\n")
     assert code == 0 and json.loads(out)["minrank"] == 3
+    # the first command line again: served from the kept parse
+    code, out, _ = run_cli(capsys, ["minrank", "--q", "2", "--max-k", "2"],
+                           stdin=fullhouse_g6() + "\n")
+    assert code == 0 and json.loads(out)["minrank_gt"] == 2
     assert len(calls) == 2
+
+
+def test_a_usage_error_exits_2_on_every_call(capsys):
+    # a usage error raises, and raising keeps no parse to serve later calls
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["member", "--q", "2", "--k", "-1"])
+        assert exc.value.code == 2
+        assert "invalid nonnegative integer" in capsys.readouterr().err
+
+
+def test_one_call_cannot_change_the_args_of_the_next(capsys, monkeypatch):
+    seen = []
+
+    def record(args):
+        seen.append(vars(args).copy())
+        args.max_k = 0
+        args.stale = True
+        return 0
+
+    argv = ["minrank", "--q", "2"]
+    # the kept parse serves both calls; teardown restores its command
+    monkeypatch.setattr(cli._parse(tuple(argv)), "func", record)
+    assert main(argv) == 0 and main(argv) == 0
+    assert seen[0] == seen[1] and seen[1]["max_k"] is None and "stale" not in seen[1]
 
 
 def test_minrank_vertex_budget_reports_bound(capsys):
