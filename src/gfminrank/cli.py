@@ -23,15 +23,19 @@ import functools
 import json
 import re
 import sys
+from itertools import chain
 
 from . import selftest
 from .blowup import MinRankBoundError, member, min_rank
 from .gf import Q_MAX, factor_prime_power
-from .graphs import emit_graph6, looped_to_json, parse_graph6, to_dot
+from .graphs import dot_chunks, emit_graph6, looped_json_chunks, parse_graph6
+# not called here, but perfbench/spans.py wraps gfminrank.cli.looped_to_json
+from .graphs import looped_to_json  # noqa: F401
 from .matfq import MatrixFq, classify_invertible_symmetric
 from .miner import GRAPH_COUNTS, mine
 from .oracle import DEFAULT_BUDGET, OracleBudgetError, check_order, oracle_min_rank
-from .patterns import DEFAULT_VERTEX_BUDGET, VertexBudgetError, generate, gram_matrix
+from .patterns import DEFAULT_VERTEX_BUDGET, VertexBudgetError, generate
+from .projgeo import pairing_rows
 
 # Q_MAX = 65536 has five digits and its largest exponent, 16, has two, so a
 # longer number is refused before int() sees it
@@ -96,20 +100,32 @@ def _serve(args, answer) -> int:
     return 1 if status or bad else 0
 
 
+# rows of pairings per block of --format matrix
+MATRIX_ROWS = 64
+
+
+def _matrix_lines(points, b):
+    """The lines of --format matrix for the form b: the rows of U^t B U,
+    made from blocks of MATRIX_ROWS rows, so no n x n matrix is held."""
+    names = list(map(str, range(b.field.q)))
+    for block in pairing_rows(points, b, MATRIX_ROWS):
+        for row in block.tolist():
+            yield " ".join([names[x] for x in row]) + "\n"
+
+
 def cmd_patterns(args) -> int:
+    """Each pattern's text is written piece by piece as it is made, so no
+    whole pattern's text is held."""
     q = parse_order(args.q)
     ps = generate(q, args.k, vertex_budget=args.vertex_budget)
     for idx, pat in enumerate(ps.patterns):
         if args.format == "json":
-            sys.stdout.write(looped_to_json(pat.graph, q=q, k=args.k, pattern=idx) + "\n")
+            pieces = chain(looped_json_chunks(pat.graph, q=q, k=args.k, pattern=idx), ["\n"])
         elif args.format == "dot":
-            sys.stdout.write(to_dot(pat.graph, name=f"pattern_{idx}") + "\n")
-        else:  # matrix
-            gm = gram_matrix(ps.points, pat.form)
-            for row in gm.to_lists():
-                sys.stdout.write(" ".join(str(x) for x in row) + "\n")
-            if idx + 1 < len(ps.patterns):
-                sys.stdout.write("\n")
+            pieces = chain(dot_chunks(pat.graph, name=f"pattern_{idx}"), ["\n"])
+        else:  # one empty line between two patterns' matrices
+            pieces = chain(["\n"] if idx else [], _matrix_lines(ps.points, pat.form))
+        sys.stdout.writelines(pieces)
     return 0
 
 

@@ -16,10 +16,12 @@ from_edges, from_parts, empty, complete, path, induced, relabel,
 complement, add_isolated, with_loops, simple, blow_up, parse_graph6, the
 twin_reduce quotient, canonical keys and patterns.pattern_graph.  Each
 checks its own arguments (edges, permutations, vertices, loops, sizes).
-looped_to_json and to_dot write their text one adjacency row at a time:
-the row's binary digits select the neighbours' names from a list made
-once per graph, and a str.join writes the row's edges, so no Python
-object is made per edge.
+looped_to_json and to_dot join the pieces of looped_json_chunks and
+dot_chunks, which make their edge text a few adjacency rows at a time:
+the rows' set bits pick the neighbours' names from a list made once per
+graph, and a str.join writes each row's edges, so no Python object is
+made per edge.  A writer that takes the pieces as they come
+(cli patterns does) never holds a whole graph's text.
 
 canonical_form(g) is g relabelled by the least leaf of its
 individualisation-refinement tree (McKay and Piperno, "Practical graph
@@ -42,6 +44,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import compress
+
+import numpy as np
 
 
 def _check_rows(n: int, rows) -> tuple[int, ...]:
@@ -419,27 +423,69 @@ def _named(mask: int, names):
     return compress(names, bin(mask)[:1:-1].encode().translate(_BIT_BYTES))
 
 
-def _edge_text(rows, names, left: str, right: str, sep: str) -> str:
-    """sep.join(left.format(u) + names[v] + right) over the edges (u, v),
-    u < v, in _row_edges order, built one row at a time."""
-    parts = []
-    for u, r in enumerate(rows):
-        m = r >> (u + 1)
-        if m:
+# rows whose edges make one piece of text; from _BLOCK_TEXT_MIN vertices on,
+# they are unpacked together with numpy, whose cost per call outweighs what
+# it saves on fewer
+_TEXT_ROWS = 32
+_BLOCK_TEXT_MIN = 1024
+
+
+def _neighbour_blocks(rows, names):
+    """For each _TEXT_ROWS rows, the list of (u, the names of u's
+    neighbours v > u in increasing order) over those rows u that have any.
+    On _BLOCK_TEXT_MIN or more vertices, the rows are unpacked into one bit
+    matrix, whose set bits above the diagonal pick the names in one
+    gather; on fewer, each row's binary digits pick them (_named)."""
+    n = len(rows)
+    if n < _BLOCK_TEXT_MIN:
+        for lo in range(0, n, _TEXT_ROWS):
+            yield [(u, _named(r >> (u + 1), names[u + 1:]))
+                   for u, r in enumerate(rows[lo:lo + _TEXT_ROWS], lo) if r >> (u + 1)]
+        return
+    width, named, cols = (n + 7) // 8, np.array(names, dtype=object), np.arange(n)
+    for lo in range(0, n, _TEXT_ROWS):
+        block = rows[lo:lo + _TEXT_ROWS]
+        data = np.frombuffer(b"".join([r.to_bytes(width, "little") for r in block]), np.uint8)
+        bits = np.unpackbits(data.reshape(len(block), width), axis=1, count=n,
+                             bitorder="little").view(bool)
+        bits &= cols > np.arange(lo, lo + len(block))[:, None]  # v > u
+        picked = named[np.flatnonzero(bits) % n].tolist()
+        ends = np.cumsum(np.count_nonzero(bits, axis=1)).tolist()
+        yield [(u, picked[start:end]) for u, start, end
+               in zip(range(lo, lo + len(block)), [0] + ends, ends) if end > start]
+
+
+def _edge_chunks(rows, names, left: str, right: str, sep: str, first: str = ""):
+    """The text of the edges (u, v), u < v, in _row_edges order:
+    left.format(u) + names[v] + right joined by sep and led by first, in
+    one piece per _TEXT_ROWS rows that have any."""
+    lead = first
+    for block in _neighbour_blocks(rows, names):
+        texts = []
+        for u, picked in block:
             head = left.format(u)
-            parts.append(head + (right + sep + head).join(_named(m, names[u + 1:])) + right)
-    return sep.join(parts)
+            texts.append(head + (right + sep + head).join(picked) + right)
+        if texts:
+            texts[0] = lead + texts[0]
+            yield sep.join(texts)
+            lead = sep
+
+
+def looped_json_chunks(g: LoopedGraph, **extra):
+    """looped_to_json(g, **extra) in pieces: the head with the loops, the
+    edges of _TEXT_ROWS rows at a time, then the tail."""
+    names = list(map(str, range(g.n)))
+    tail = json.dumps(extra)[1:-1]
+    yield f'{{"n": {g.n}, "loops": [{", ".join(_named(g.loops, names))}], "edges": ['
+    yield from _edge_chunks(g.rows, names, "[{}, ", "]", ", ")
+    yield f']{", " + tail if tail else ""}}}'
 
 
 def looped_to_json(g: LoopedGraph, **extra) -> str:
     """The JSON text of {"n": .., "loops": .., "edges": .., **extra}, byte
     for byte what json.dumps gives, for extra keys other than those
     three."""
-    names = list(map(str, range(g.n)))
-    tail = json.dumps(extra)[1:-1]
-    return (f'{{"n": {g.n}, "loops": [{", ".join(_named(g.loops, names))}], '
-            f'"edges": [{_edge_text(g.rows, names, "[{}, ", "]", ", ")}]'
-            f'{", " + tail if tail else ""}}}')
+    return "".join(looped_json_chunks(g, **extra))
 
 
 def _json_vertex(x, what: str, n: int) -> int:
@@ -483,21 +529,25 @@ def looped_from_json(obj: dict) -> LoopedGraph:
     return LoopedGraph.from_parts(n, edges, loops)
 
 
-def to_dot(g: LoopedGraph | SimpleGraph, name: str = "G") -> str:
-    """DOT output; looped vertices are drawn filled, nonlooped empty."""
+def dot_chunks(g: LoopedGraph | SimpleGraph, name: str = "G"):
+    """to_dot(g, name) in pieces: the head, one piece per vertex, the edges
+    of _TEXT_ROWS rows at a time, then the closing brace; each piece after
+    the first starts a new line."""
     if isinstance(g, SimpleGraph):
         g = g.with_loops(0)
-    lines = [f"graph {name} {{", "  node [shape=circle];"]
+    yield f"graph {name} {{\n  node [shape=circle];"
     for v in range(g.n):
         if g.has_loop(v):
-            lines.append(f"  {v} [style=filled, fillcolor=black, fontcolor=white];")
+            yield f"\n  {v} [style=filled, fillcolor=black, fontcolor=white];"
         else:
-            lines.append(f"  {v} [style=filled, fillcolor=white];")
-    edges = _edge_text(g.rows, list(map(str, range(g.n))), "  {} -- ", ";", "\n")
-    if edges:
-        lines.append(edges)
-    lines.append("}")
-    return "\n".join(lines)
+            yield f"\n  {v} [style=filled, fillcolor=white];"
+    yield from _edge_chunks(g.rows, list(map(str, range(g.n))), "  {} -- ", ";", "\n", "\n")
+    yield "\n}"
+
+
+def to_dot(g: LoopedGraph | SimpleGraph, name: str = "G") -> str:
+    """DOT output; looped vertices are drawn filled, nonlooped empty."""
+    return "".join(dot_chunks(g, name))
 
 
 # -- twin reduction ------------------------------------------------------------

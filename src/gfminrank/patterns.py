@@ -67,11 +67,12 @@ def pattern_graph(points: np.ndarray, b: MatrixFq) -> LoopedGraph:
     a point is non-absolute.
 
     The nonzero pairings come from projgeo.pairing_support, one block of a
-    few hundred rows at a time: one float64 BLAS product for every q, with
+    few hundred rows at a time: k e integer multiply-adds for every q, with
     each element of GF(p^e) written as its e base-p digits, whose sums of
-    at most k e (p-1)^2 are exact below 2^53 (checked, not assumed).  Each
-    block's diagonal becomes loops and the rest is packed straight into the
-    int rows, so no n x n array is ever held."""
+    at most k e (p-1)^2 are held in the narrowest unsigned word that holds
+    that bound (checked, not assumed).  Each block's diagonal becomes loops
+    and the rest is packed straight into the int rows, so no n x n array
+    is ever held."""
     rows: list[int] = []
     loops = 0
     for nz in pairing_support(points, b):

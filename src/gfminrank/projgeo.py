@@ -10,13 +10,14 @@ counter over element reps.  This particular order is what makes the
 generated pattern matrices reproducible column for column.
 
 pairing_matrix computes the full n x n int64 matrix of pairings, for the
-matrix U^t B U itself.  The pattern graphs only need to know which
-pairings are nonzero, and pairing_support gives that in row blocks of a
-few hundred points: one float64 BLAS product of base-p digits per block
-(FieldCtx.digits and FieldCtx.mul_matrix), exact because no sum reaches
-2^53 (exact_sum_bound), then a test for a nonzero residue mod p with no
-division.  No n x n array is made, so a 10,000-point set needs some 20 MB
-per block, not 800 MB.
+matrix U^t B U itself, and pairing_rows the same rows a block at a time.
+The pattern graphs only need to know which pairings are nonzero, and
+pairing_support gives that in row blocks of a few hundred points: k e
+broadcast multiply-adds of base-p digits per block (FieldCtx.digits and
+FieldCtx.mul_matrix), in the narrowest unsigned word that holds every
+sum (sum_word), then a test for a nonzero residue mod p with no
+division.  No n x n array is made: a block of a 10,000-point set holds
+256 x 10,000 words (2.5 MB over GF(2), in bytes), not 800 MB.
 """
 
 from __future__ import annotations
@@ -89,20 +90,29 @@ def pairing_matrix(pts: np.ndarray, b: MatrixFq) -> np.ndarray:
     return f.matmul(f.matmul(pts, b.entries), pts.T)
 
 
-# rows of the float64 product per block of pairing_support: the points of a
-# block times e, so a block holds at most this many times n entries
+def pairing_rows(pts: np.ndarray, b: MatrixFq, step: int) -> Iterator[np.ndarray]:
+    """The rows of pairing_matrix(pts, b), yielded as consecutive int64 row
+    blocks of at most step rows each, so that no n x n array is held."""
+    f = b.field
+    left = f.matmul(pts, b.entries)
+    for lo in range(0, len(pts), step):
+        yield f.matmul(left[lo:lo + step], pts.T)
+
+
+# points per block of pairing_support, times e: a block's sums fill this
+# many times n words
 _BLOCK_ROWS = 256
 
 
-def exact_sum_bound(terms: int, p: int) -> int:
-    """The largest integer sum of terms products of two digits mod p,
-    terms (p-1)^2; OverflowError unless it is below 2^53, so that every
-    such sum, and each partial sum, is exact in float64."""
+def sum_word(terms: int, p: int) -> np.dtype:
+    """The narrowest unsigned integer type that holds every sum of terms
+    products of two digits mod p, each at most (p-1)^2; OverflowError if
+    no type of 64 bits or fewer does."""
     bound = terms * (p - 1) ** 2
-    if bound >= 1 << 53:
+    if bound >= 1 << 64:
         raise OverflowError(f"{terms} products of digits mod {p} reach {bound}, "
-                            f"past the 2^53 of exact float64 sums")
-    return bound
+                            f"past the 2^64 of the widest unsigned word")
+    return np.min_scalar_type(bound)
 
 
 def pairing_support(pts: np.ndarray, b: MatrixFq) -> Iterator[np.ndarray]:
@@ -112,39 +122,52 @@ def pairing_support(pts: np.ndarray, b: MatrixFq) -> Iterator[np.ndarray]:
     Over GF(p^e), a product by a is a GF(p)-linear map on the e base-p
     digits of the reps, the e x e matrix f.mul_matrix(a).  So with
     left = pts B, digit i of x^t B y is the sum over t and j of entry
-    (i, j) of mul_matrix(left[x, t]) times digit j of y[t] (f.digits): one
-    (n e) x (k e) by (k e) x n product, in which the e rows of point x
-    hold the digit sums of its pairings, and a pairing is nonzero iff one
-    of its e sums is nonzero mod p.  Over GF(p), e = 1 and this is
-    left times pts^t.
+    (i, j) of mul_matrix(left[x, t]) times digit j of y[t] (f.digits):
+    the e rows of point x hold the digit sums of its pairings, and a
+    pairing is nonzero iff one of its e sums is nonzero mod p.  Over
+    GF(p), e = 1 and this is left times pts^t.
 
-    Each block is one float64 BLAS product, exact since a sum is at most
-    exact_sum_bound(k e, p) < 2^53.  The sums are cast to the narrowest
-    unsigned type of w bits that holds that bound.  For p = 2 the parity
-    is the low bit.  For odd p, x < 2^w is a multiple of p iff
-    x p^-1 mod 2^w <= (2^w - 1) / p (Granlund and Montgomery, "Division by
-    invariant integers using multiplication", 1994): multiplying by p^-1
-    maps the multiples m p onto 0..(2^w - 1) / p and, being a bijection,
-    the rest elsewhere.  So no remainder is taken over the n x n entries.
+    A block sums its k e terms (t, j): each is the outer product of the
+    block's part of lhs row (t, j) and rhs row (t, j), multiplied into one
+    reused array and added into the sums.  Everything is held in the
+    narrowest unsigned word of w bits that holds k e (p-1)^2 (sum_word),
+    so no sum wraps and every sum is exact; no BLAS call and no float is
+    involved.
+
+    For p = 2 the parity is the low bit.  For odd p, x < 2^w is a
+    multiple of p iff x p^-1 mod 2^w <= (2^w - 1) / p (Granlund and
+    Montgomery, "Division by invariant integers using multiplication",
+    1994): multiplying by p^-1 maps the multiples m p onto
+    0..(2^w - 1) / p and, being a bijection, the rest elsewhere.  So no
+    remainder is taken over the n x n entries.
     """
     f = b.field
     p, e = f.p, f.e
     n, k = pts.shape
-    bound = exact_sum_bound(k * e, p)
-    # entry (i, j) of the product matrix of left[x, t] at [(x, i), (t, j)],
+    word = sum_word(k * e, p)
+    terms = max(k * e, 1)  # an empty sum is one product of zeros
+    # entry (i, j) of the product matrix of left[x, t] at [(t, j), (x, i)],
     # digit j of y[t] at [(t, j), y]
-    lhs = f.mul_matrix(f.matmul(pts, b.entries)).transpose(0, 2, 1, 3)
-    lhs = lhs.reshape(n * e, k * e).astype(np.float64)
-    rhs = f.digits(pts).reshape(n, k * e).astype(np.float64).T
-    word = np.min_scalar_type(bound)  # unsigned, of w = 8, 16, 32 or 64 bits
+    lhs, rhs = np.zeros((terms, n * e), dtype=word), np.zeros((terms, n), dtype=word)
+    mats = f.mul_matrix(f.matmul(pts, b.entries))  # entry (i, j) at [x, t, i, j]
+    lhs[:k * e] = mats.transpose(1, 3, 0, 2).reshape(k * e, n * e)
+    rhs[:k * e] = f.digits(pts).reshape(n, k * e).T
     if p > 2:
         w = 8 * word.itemsize
         inverse, limit = word.type(pow(p, -1, 1 << w)), word.type(((1 << w) - 1) // p)
     step = max(1, _BLOCK_ROWS // e)
+    products = np.empty((min(step, n) * e, n), dtype=word)
     for lo in range(0, n, step):
-        sums = (lhs[lo * e:(lo + step) * e] @ rhs).astype(word)
+        rows = slice(lo * e, min(lo + step, n) * e)
+        # a new array per block: the bool view below yields it to the caller
+        sums = np.multiply.outer(lhs[0, rows], rhs[0])
+        product = products[:len(sums)]
+        for t in range(1, terms):
+            np.multiply.outer(lhs[t, rows], rhs[t], out=product)
+            sums += product
         if p == 2:
-            nz = (sums & 1).astype(bool)
+            sums &= 1
+            nz = sums.view(bool) if word.itemsize == 1 else sums.astype(bool)
         else:
             sums *= inverse  # mod 2^w
             nz = sums > limit

@@ -13,6 +13,8 @@ import pytest
 from gfminrank import MatrixFq, SimpleGraph, emit_graph6, field_new
 from gfminrank import cli
 from gfminrank.cli import main, parse_order
+from gfminrank.graphs import looped_to_json, to_dot
+from gfminrank.patterns import generate, gram_matrix
 from gfminrank.refdata import F2R3_GRAM, FULLHOUSE_EDGES
 
 
@@ -65,6 +67,59 @@ def test_patterns_json_and_dot(capsys):
     assert len(objs) == 2 and all(o["n"] == 3 for o in objs)
     code, out, _ = run_cli(capsys, ["patterns", "--q", "2^2", "--k", "1", "--format", "dot"])
     assert code == 0 and "fillcolor=black" in out
+
+
+STREAMED_SETS = [(2, 0), (3, 1), (2, 3), (4, 3), (16, 3)]
+
+
+@pytest.mark.parametrize("q, k", STREAMED_SETS)
+def test_patterns_streams_the_text_of_each_pattern(capsys, q, k):
+    ps = generate(q, k)
+    argv = ["patterns", "--q", str(q), "--k", str(k), "--format"]
+    code, out, err = run_cli(capsys, argv + ["json"])
+    assert (code, err) == (0, "")
+    assert out == "".join(looped_to_json(pat.graph, q=q, k=k, pattern=idx) + "\n"
+                          for idx, pat in enumerate(ps.patterns))
+    code, out, err = run_cli(capsys, argv + ["dot"])
+    assert (code, err) == (0, "")
+    assert out == "".join(to_dot(pat.graph, name=f"pattern_{idx}") + "\n"
+                          for idx, pat in enumerate(ps.patterns))
+
+
+@pytest.mark.parametrize("q, k", STREAMED_SETS)
+def test_patterns_matrix_rows_come_in_blocks(capsys, monkeypatch, q, k):
+    ps = generate(q, k)
+    whole = "\n".join("".join(" ".join(map(str, row)) + "\n"
+                              for row in gram_matrix(ps.points, pat.form).to_lists())
+                      for pat in ps.patterns)
+    for rows in (1, 5, cli.MATRIX_ROWS):
+        monkeypatch.setattr(cli, "MATRIX_ROWS", rows)
+        code, out, err = run_cli(capsys, ["patterns", "--q", str(q), "--k", str(k),
+                                          "--format", "matrix"])
+        assert (code, out, err) == (0, whole, "")
+
+
+class ClosingReader(io.StringIO):
+    """A stdout whose reader goes away after a few writes."""
+
+    def __init__(self, writes: int):
+        super().__init__()
+        self.left = writes
+
+    def write(self, text: str) -> int:
+        if self.left == 0:
+            raise BrokenPipeError(32, "Broken pipe")
+        self.left -= 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("fmt", ["json", "dot", "matrix"])
+def test_patterns_to_a_closed_reader_exits_1_quietly(capsys, monkeypatch, fmt):
+    stdout = ClosingReader(3)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["patterns", "--q", "4", "--k", "3", "--format", fmt]) == 1
+    assert stdout.left == 0 and len(stdout.getvalue()) > 0
+    assert capsys.readouterr().err == ""
 
 
 def test_patterns_rejects_graph6_format(capsys):

@@ -766,3 +766,14 @@ def test_dot_output_matches_an_edge_at_a_time_writer(rng):
                   else f"  {v} [style=filled, fillcolor=white];" for v in range(g.n)]
         lines += [f"  {u} -- {v};" for u, v in g.edges()] + ["}"]
         assert to_dot(g, name="P") == "\n".join(lines)
+
+
+@pytest.mark.parametrize("bit_blocks_from", [0, 10 ** 6])
+@pytest.mark.parametrize("rows_at_a_time", [1, 3, 64])
+def test_edge_text_is_the_same_in_any_blocks_of_rows(rng, monkeypatch, bit_blocks_from,
+                                                      rows_at_a_time):
+    cases = list(serialisation_cases(rng)) + [generate(2, 5).patterns[0].graph]
+    expected = [(looped_to_json(g, pattern=1), to_dot(g)) for g in cases]
+    monkeypatch.setattr(graphs, "_BLOCK_TEXT_MIN", bit_blocks_from)
+    monkeypatch.setattr(graphs, "_TEXT_ROWS", rows_at_a_time)
+    assert [(looped_to_json(g, pattern=1), to_dot(g)) for g in cases] == expected

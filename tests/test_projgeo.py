@@ -8,8 +8,8 @@ import pytest
 from gfminrank import (MatrixFq, canonical_representatives, count_absolute,
                        enumerate_points, field_from_order, pairing)
 from gfminrank import projgeo
-from gfminrank.projgeo import (_BLOCK_ROWS, canonicalize, exact_sum_bound, pairing_matrix,
-                               pairing_support, point_count, point_index)
+from gfminrank.projgeo import (_BLOCK_ROWS, canonicalize, pairing_matrix, pairing_support,
+                               point_count, point_index, sum_word)
 from gfminrank.refdata import F2R3_U, F2R4_U, F3R3_U
 
 
@@ -124,7 +124,7 @@ def _random_form(f, k, gen) -> MatrixFq:
 @pytest.mark.parametrize("k", [2, 6, 12])
 def test_pairing_support_is_exact_at_the_largest_prime(k):
     # sums reach k (p-1)^2, about 2^34.6 at k = 6 and 2^35.6 at k = 12: past
-    # float32 and any 32-bit cast, so only the exact 64-bit test passes
+    # 2^32, so only sums in 64-bit words are exact
     f = field_from_order(65521)
     gen = np.random.default_rng(k)
     pts = gen.integers(0, f.q, (300, k))
@@ -159,15 +159,55 @@ def test_pairing_support_at_the_block_boundaries(q):
         assert (nz == (pairing_matrix(pts, b) != 0)).all()
 
 
-def test_exact_sum_bound_refuses_sums_past_2_53():
-    assert exact_sum_bound(3, 7) == 108
-    assert exact_sum_bound((1 << 53) - 1, 2) == (1 << 53) - 1
-    with pytest.raises(OverflowError, match="2\\^53"):
-        exact_sum_bound(1 << 53, 2)
-    most = ((1 << 53) - 1) // 65520 ** 2  # 2098176, just past 2^21
-    assert exact_sum_bound(most, 65521) < 1 << 53
+# (q, k) whose bound k e (p-1)^2 lies just below and just above 2^8, 2^16
+# and 2^32, with the width in bits of the word that holds it.  A word one
+# size too narrow gives wrong answers on (9, 32), (257, 1) and (65521, 2);
+# on (2, 256) and (13, 2) it happens not to (a wrapped sum keeps its
+# parity, and no sum of (13, 2) from 256 to 288 changes its test mod 13)
+WORD_EDGES = [(2, 255, 8), (2, 256, 16), (9, 31, 8), (9, 32, 16), (13, 1, 8), (13, 2, 16),
+              (251, 1, 16), (257, 1, 32), (65521, 1, 32), (65521, 2, 64)]
+
+
+@pytest.mark.parametrize("q, k, bits", WORD_EDGES)
+def test_pairing_support_at_the_edges_of_each_word(q, k, bits):
+    f = field_from_order(q)
+    assert 8 * sum_word(k * f.e, f.p).itemsize == bits
+    gen = np.random.default_rng(q * 1000 + k)
+    full = np.full((k, k), q - 1)
+    # over GF(p), the unit row e_0 under the all-(q-1) form pairs with the
+    # all-(q-1) row to k (p-1)^2, the bound itself
+    pts = [np.eye(1, k, dtype=np.int64), full[:1], gen.integers(0, q, (60, k))]
+    forms = [_random_form(f, k, gen), MatrixFq(f, full.tolist())]
+    if f.e == 1 and k > 1:
+        # and pairs with y to zero under a form whose row 0 is (q-1, .., q-1, c),
+        # y = (q-1, .., q-1, d) with c d = -(k-1) mod p: a multiple of p near
+        # the bound, which a word too narrow for it would not see as zero
+        c, d = max(((c, -(k - 1) * pow(c, -1, q) % q) for c in range(1, q)),
+                   key=lambda cd: cd[0] * cd[1])
+        cancel = full.copy()
+        cancel[0, -1] = c
+        y = full[:1].copy()
+        y[0, -1] = d
+        pts.append(y)
+        forms.append(MatrixFq(f, cancel.tolist()))
+        assert pairing(pts[0][0], y[0], forms[-1]) == 0
+    pts = np.concatenate(pts)
+    for b in forms:
+        assert (_support(pts, b) == (pairing_matrix(pts, b) != 0)).all()
+
+
+def test_sum_word_refuses_sums_past_2_64():
+    assert sum_word(3, 7) == np.uint8  # 108
+    assert sum_word(0, 2) == np.uint8
+    assert sum_word((1 << 16) - 1, 2) == np.uint16
+    assert sum_word(1 << 16, 2) == np.uint32
+    assert sum_word((1 << 64) - 1, 2) == np.uint64
+    with pytest.raises(OverflowError, match="2\\^64"):
+        sum_word(1 << 64, 2)
+    most = ((1 << 64) - 1) // 65520 ** 2  # just past 2^32
+    assert sum_word(most, 65521) == np.uint64
     with pytest.raises(OverflowError):
-        exact_sum_bound(most + 1, 65521)
+        sum_word(most + 1, 65521)
 
 
 def test_pairing_support_checks_the_bound_of_its_digit_sums(monkeypatch):
@@ -175,9 +215,9 @@ def test_pairing_support_checks_the_bound_of_its_digit_sums(monkeypatch):
 
     def refuse(terms, p):
         seen.append((terms, p))
-        raise OverflowError("past 2^53")
+        raise OverflowError("past 2^64")
 
-    monkeypatch.setattr(projgeo, "exact_sum_bound", refuse)
+    monkeypatch.setattr(projgeo, "sum_word", refuse)
     f = field_from_order(9)
     with pytest.raises(OverflowError):
         next(pairing_support(enumerate_points(f, 3), MatrixFq.identity(f, 3)))
