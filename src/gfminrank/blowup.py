@@ -28,7 +28,8 @@ branched on is pruned by symmetry, to one vertex per orbit of a group of
 isometries of the pattern's form, computed from explicit generators (see
 ``patterns.isometry_roots``) only once that class backtracks.
 Every witness is re-verified against the raw blowup definition before it
-is returned.
+is returned.  ``extend_blowup`` grows a witness for g minus its last
+vertex into one for g without a search, or reports that it cannot.
 
 ``min_rank`` first splits G into its connected parts: a matrix whose graph
 is a disjoint union is, with its vertices taken part by part, a direct sum
@@ -115,6 +116,87 @@ def verify_blowup(g: SimpleGraph, h: LoopedGraph, assignment: dict[int, int]) ->
             if g.has_edge(u, v) != expected:
                 return False
     return True
+
+
+def _apart(rows, avail: int, need: int) -> tuple[int, ...] | None:
+    """need pairwise nonadjacent vertices of avail, lexicographically least,
+    or None when there are none."""
+    if not need:
+        return ()
+    while avail.bit_count() >= need:
+        low = avail & -avail
+        avail ^= low
+        y = low.bit_length() - 1
+        rest = _apart(rows, avail & ~rows[y], need - 1)
+        if rest is not None:
+            return (y, *rest)
+    return None
+
+
+def _place(rows, loops: int, cand: int, seen: int, need: int, lone: bool
+           ) -> tuple[int, tuple[int, ...]] | None:
+    """(x, spots): the new vertex on x in cand and its need new neighbours
+    on spots, each adjacent to x and not in seen, pairwise apart; None when
+    there are none.  lone: the new vertex has one neighbour, a new one."""
+    if lone:
+        # the two are adjacent twins, a new component, and first try to
+        # share a looped vertex apart from every image, as is_blowup merges
+        # twins: that leaves later vertices the most room
+        twins = loops & ~seen
+        if twins:
+            x = (twins & -twins).bit_length() - 1
+            return x, (x,)
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        x = low.bit_length() - 1
+        free = (rows[x] | (loops >> x & 1) << x) & ~seen
+        bare = free & ~loops
+        spots = (((bare & -bare).bit_length() - 1,) * need if bare
+                 else _apart(rows, free, need))
+        if spots is not None:
+            return x, spots
+    return None
+
+
+def extend_blowup(g: SimpleGraph, h: LoopedGraph, assignment: dict[int, int]
+                  ) -> dict[int, int] | None:
+    """A blowup assignment of g onto h extending assignment, a witness that
+    g - v is a blowup of h for v the last vertex of g, or None when no
+    extension exists (g may still be a blowup of h or of another pattern).
+
+    Three steps.  (1) v takes a pattern vertex x whose adjacency to the image
+    of every assigned vertex u matches g's (x equal to the image counts as
+    adjacent when it is looped): one AND per u.  (2) The vertices isolated
+    in g - v that v joins, S, are adjacent to v alone and pairwise apart, so
+    each takes a vertex adjacent to x and to no image: all of S one such
+    nonlooped vertex if there is one, else |S| distinct and pairwise
+    nonadjacent looped ones, by a small exhaustive search, for each x in
+    turn (_place).  (3) The result is re-verified by verify_blowup, and
+    failing it raises InvariantError: assignment was no witness for g - v.
+    """
+    v = g.n - 1
+    nbrs = g.rows[v]
+    rows, loops = h.rows, h.loops
+    cand, seen, core = (1 << h.n) - 1, 0, 0
+    for u, p in assignment.items():
+        row = rows[p] | (loops >> p & 1) << p
+        cand &= row if nbrs >> u & 1 else ~row
+        seen |= row
+        core |= 1 << u
+    out = assignment
+    if nbrs:
+        joined = nbrs & ~core
+        need = joined.bit_count()
+        placed = _place(rows, loops, cand, seen, need, need == 1 and nbrs == joined)
+        if placed is None:
+            return None
+        x, spots = placed
+        out = {**assignment, v: x}
+        out.update(zip((u for u in range(v) if joined >> u & 1), spots))
+    if not verify_blowup(g, h, out):
+        raise InvariantError("extended witness failed the raw blowup definition")
+    return out
 
 
 def is_blowup(g: SimpleGraph, h: LoopedGraph | Pattern) -> BlowupWitness | None:

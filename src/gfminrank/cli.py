@@ -25,7 +25,6 @@ import re
 import sys
 from itertools import chain
 
-from . import selftest
 from .blowup import MinRankBoundError, member, min_rank
 from .gf import Q_MAX, factor_prime_power
 from .graphs import dot_chunks, emit_graph6, looped_json_chunks, parse_graph6
@@ -185,6 +184,10 @@ def cmd_classify(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    # imported here, not at the top: only this command uses selftest and
+    # its refdata, and every other command would pay for compiling them
+    # when bytecode is not cached
+    from . import selftest
     failures = 0
     for name, ok, detail in selftest.run_selftest():
         _emit({"check": name, "ok": ok, **({"detail": detail} if detail else {})})

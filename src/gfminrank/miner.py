@@ -10,6 +10,14 @@ and not minimal.  The enumeration records the classes of each graph's
 deletions (deletion_classes), so mine reads them from the verdicts of the
 level below and decides each graph by at most one member call.
 
+Most graphs need none.  A member's witness is a blowup of a pattern, and
+a graph on n vertices is its first candidate: its first parent, with its
+labelling, plus a new last vertex.  So mine keeps the witness of every
+representative on one vertex fewer and first tries to extend the first
+parent's witness by the new vertex (blowup.extend_blowup); a fit,
+re-verified against the blowup definition, is a member witness, and
+member runs only when there is none.
+
 Every "have I seen this graph?" check (deduplicating the enumeration's
 candidates, and the mined graphs of one run, resumed checkpoints included)
 is a set lookup on graphs.canonical_form: g relabelled by the least leaf of
@@ -32,12 +40,13 @@ import json
 import os
 from dataclasses import dataclass
 
-from .blowup import InvariantError, member
+from .blowup import InvariantError, extend_blowup, member
 # are_isomorphic is no longer called here but stays imported: the span
 # tracer in perfbench/spans.py rebinds gfminrank.miner.are_isomorphic
 # through this module's namespace, and every traced run needs the name
 from .graphs import (SimpleGraph, _canonical, _components, _orbits, are_isomorphic,
                      canonical_form, emit_graph6, parse_graph6)
+from .patterns import generate
 
 CHECKPOINT_EVERY = 10_000
 
@@ -116,7 +125,9 @@ def deletion_classes(n: int) -> tuple[tuple[int, ...], ...]:
     Recorded while enumerating, as the parents of the candidates that fall
     in g's class: a candidate minus its new vertex is its parent, and if
     g - v is isomorphic to parent P by some map s, then P extended by a
-    vertex joined to s(N(v)) is a candidate isomorphic to g."""
+    vertex joined to s(N(v)) is a candidate isomorphic to g.  g itself is
+    the candidate of the first, so g minus its last vertex is that
+    representative, labelling and all."""
     return _enumerate(n)[1]
 
 
@@ -198,6 +209,35 @@ def _is_member(g: SimpleGraph, q: int, k: int) -> bool:
     return member(g, q, k)[0]
 
 
+# the witness of a member with no blowup to extend: the graph on no
+# vertices, or a graph on n <= k vertices that member decides over the
+# pattern vertex budget
+_BARE = (None, None)
+
+
+def _member_witness(g: SimpleGraph, q: int, k: int):
+    """g's member witness by one member call: (pattern graph, assignment),
+    _BARE when member answers yes without one, or None for a non-member."""
+    yes, w, idx = member(g, q, k)
+    if not yes:
+        return None
+    if w is None:
+        return _BARE
+    return generate(q, k).patterns[idx].graph, w.assignment
+
+
+def _witness(g: SimpleGraph, q: int, k: int, parent):
+    """g's member witness as _member_witness gives it, for g whose vertices
+    but the last induce a member with witness parent: that blowup extended
+    by blowup.extend_blowup when it fits g, else by a member call."""
+    h, assignment = parent
+    if h is not None:
+        fit = extend_blowup(g, h, assignment)
+        if fit is not None:
+            return h, fit
+    return _member_witness(g, q, k)
+
+
 def _deletions(g: SimpleGraph):
     """The one-vertex-deleted subgraphs g - v, v = 0..n-1, relabelled in order."""
     for v in range(g.n):
@@ -211,18 +251,23 @@ def _check_minimal_forbidden(g: SimpleGraph, q: int, k: int) -> bool:
 
 
 def _is_minimal_forbidden(g: SimpleGraph, q: int, k: int,
-                          deletions_are_members: bool | None) -> bool:
-    """Whether g is minimal forbidden, given whether its one-vertex
-    deletions are all members, or None when that is not known.
+                          deletions_are_members: bool | None, parent=None):
+    """(whether g is minimal forbidden, g's member witness or None), given
+    whether its one-vertex deletions are all members, or None when that is
+    not known, and the member witness parent of g minus its last vertex.
 
-    A non-member deletion decides at no member call, members decide by one
-    member call on g, and None leaves _check_minimal_forbidden.  mine calls
+    A non-member deletion decides at once, with no witness.  Members decide
+    by _witness, which extends parent or else makes one member call, and
+    None leaves _check_minimal_forbidden, again with no witness.  mine calls
     this exactly once per scanned graph and for nothing else, so a clock on
     this name times the scanned graphs.
     """
     if deletions_are_members is None:
-        return _check_minimal_forbidden(g, q, k)
-    return deletions_are_members and not _is_member(g, q, k)
+        return _check_minimal_forbidden(g, q, k), None
+    if not deletions_are_members:
+        return False, None
+    witness = _witness(g, q, k, parent)
+    return witness is None, witness
 
 
 def _internal_stream(n_max: int):
@@ -285,15 +330,18 @@ def mine(q: int, k: int, n_max: int | None = None, source=None,
 
     Verdicts follow heredity (see the module docstring).  The internal
     enumeration gives each graph its deletion classes (deletion_classes),
-    and the run keeps the member verdict of every representative, level by
-    level: a graph with a non-member deletion class is a non-member and not
-    minimal, at no member call, and any other graph costs one member call.
-    The graphs a checkpoint covers get their verdicts by that member call
-    too, so a run resumed partway through a level still knows the level
-    below.  Graphs from ``source`` have no deletion classes and are checked
-    by the definition (_check_minimal_forbidden).  The mined graphs are
-    re-verified at the end by the definition, so that check does not rest
-    on the enumeration.
+    and the run keeps the member witness of every representative on one
+    vertex fewer than the graph being scanned (and builds those of its
+    level): a graph with a non-member deletion class is a non-member and
+    not minimal, at no member call.  Any other graph is a member when the
+    witness of its first parent extends to it (blowup.extend_blowup), at
+    no member call either, and otherwise costs one member call, whose
+    witness is kept.  The graphs a checkpoint covers get their witnesses
+    the same way, so a run resumed partway through a level still knows the
+    level below.  Graphs from ``source`` have no deletion classes and are
+    checked by the definition (_check_minimal_forbidden).  The mined graphs
+    are re-verified at the end by the definition, through member alone, so
+    that check rests neither on the enumeration nor on the extensions.
     """
     if max_graphs is not None and max_graphs < 1:
         raise ValueError(f"max_graphs must be at least 1, not {max_graphs}")
@@ -323,9 +371,11 @@ def mine(q: int, k: int, n_max: int | None = None, source=None,
                           source_sha256.hexdigest() if skip_sha256 is None else skip_sha256)
 
     found_keys = {canonical_form(g) for g in found}
-    # member verdicts of the enumerated graphs, by order and representative;
-    # the graph on no vertices has rank 0
-    verdicts: list[list[bool]] = [[True]]
+    # member witnesses (see _member_witness) of the enumerated
+    # representatives, by index, on one vertex fewer than the graphs being
+    # scanned (below) and on as many (level); the graph on no vertices is
+    # a member with no blowup to extend
+    below, level, depth = [], [_BARE], 0
     scanned = 0
 
     def save():
@@ -335,20 +385,21 @@ def mine(q: int, k: int, n_max: int | None = None, source=None,
         if checkpoint:
             source_sha256.update(emit_graph6(g).encode("ascii") + b"\n")
         scanned += 1
-        deletions_are_members = None
+        deletions_are_members = parent = None
         if classes is not None:
-            if g.n == len(verdicts):
-                verdicts.append([])
-            deletions_are_members = all(verdicts[g.n - 1][j] for j in classes)
+            if g.n > depth:
+                below, level, depth = level, [], g.n
+            deletions_are_members = all(below[j] is not None for j in classes)
+            parent = below[classes[0]]
         if scanned <= skip:
             if scanned == skip and source_sha256.hexdigest() != skip_sha256:
                 raise ValueError("checkpoint was written for a different source")
-            if deletions_are_members is not None:
-                verdicts[g.n].append(deletions_are_members and _is_member(g, q, k))
+            if classes is not None:
+                level.append(_witness(g, q, k, parent) if deletions_are_members else None)
             continue
-        minimal = _is_minimal_forbidden(g, q, k, deletions_are_members)
-        if deletions_are_members is not None:
-            verdicts[g.n].append(deletions_are_members and not minimal)
+        minimal, witness = _is_minimal_forbidden(g, q, k, deletions_are_members, parent)
+        if classes is not None:
+            level.append(witness)
         if minimal:
             key = canonical_form(g)
             if key not in found_keys:
