@@ -18,19 +18,23 @@ parent's witness by the new vertex (blowup.extend_blowup); a fit,
 re-verified against the blowup definition, is a member witness, and
 member runs only when there is none.
 
-Every "have I seen this graph?" check (deduplicating the enumeration's
-candidates, and the mined graphs of one run, resumed checkpoints included)
-is a set lookup on graphs.canonical_form: g relabelled by the least leaf of
-its individualisation-refinement tree, so two graphs get the same key
-exactly when they are isomorphic.  The search skips a subtree only when an
-automorphism fixing everything individualised before it (a swap of twins,
-or one found between two equal leaves) maps it onto a searched one, so
-every skipped leaf repeats a searched certificate.  Those automorphisms
-generate the graph's automorphism group, and _canonical returns them with
-the key, so the enumeration canonicalises each parent once more to extend
-it: two attachment sets of a parent in one orbit of its group give
-isomorphic candidates, so each orbit is tried once, by its least mask
-(McKay, "Isomorph-free exhaustive generation", 1998).
+The enumeration extends each representative on n - 1 vertices (a parent)
+by a new vertex.  Two attachment sets of a parent in one orbit of its
+automorphism group give isomorphic candidates, so each orbit is tried
+once, by its least mask (McKay, "Isomorph-free exhaustive generation",
+1998), the group's generators coming from _canonical(parent), one call
+per parent.  Candidates are told apart not by a canonical labelling but
+by a vertex invariant (as nauty refines by one; McKay and Piperno,
+"Practical graph isomorphism II", 2014): the profile, each vertex's
+multiset of (adjacency, common neighbours) over the other vertices.
+Every class occurs among the candidates and isomorphic graphs share a
+profile, so the number of profiles is at most the number of classes, and
+equal to it, which GRAPH_COUNTS checks, exactly when the profile tells
+the classes apart.  Past that table the key is graphs.canonical_form: g
+relabelled by the least leaf of its individualisation-refinement tree, so
+two graphs get the same key exactly when they are isomorphic.  The mined
+graphs of one run (resumed checkpoints included) are deduplicated by a
+set lookup on canonical_form too.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from __future__ import annotations
 import functools
 import json
 import os
+import struct
 from dataclasses import dataclass
 
 from .blowup import InvariantError, extend_blowup, member
@@ -50,8 +55,10 @@ from .patterns import generate
 
 CHECKPOINT_EVERY = 10_000
 
-# iso-class counts for n = 0..8 (OEIS A000088), checked by _enumerate; mine
-# enumerates internally only as far as these reach
+# iso-class counts for n = 0..8 (OEIS A000088, and sum(n!/|Aut g|) over the
+# classes is 2^(n(n-1)/2) in the tests); _enumerate keys candidates by their
+# profiles as far as these reach, where reaching the count proves the
+# profile exact, and mine enumerates internally only that far
 GRAPH_COUNTS = (1, 1, 2, 4, 11, 34, 156, 1044, 12346)
 TREE_COUNTS = (1, 1, 1, 2, 3, 6, 11)  # n = 1..7
 
@@ -60,15 +67,68 @@ def _orbit_minima(gens, n: int) -> list[int]:
     """The least mask of each orbit of the group that the permutations gens
     of range(n) generate, acting on the subsets of range(n) as masks, in
     increasing order."""
-    size = 1 << n
     images = []
     for perm in gens:
-        image = [0] * size
-        for m in range(1, size):
-            low = m & -m
-            image[m] = image[m ^ low] | 1 << perm[low.bit_length() - 1]
+        image = [0]
+        for p in perm:  # bit i, imaged to p, joins every mask below 1 << i
+            image += [m | 1 << p for m in image]
         images.append(image)
-    return [m for m, least in enumerate(_orbits(images, size)) if least == m]
+    return [m for m, least in enumerate(_orbits(images, 1 << n)) if least == m]
+
+
+def _extend(parent: SimpleGraph, mask: int) -> SimpleGraph:
+    """The candidate of parent and mask: parent plus a new last vertex
+    joined to the vertices in mask."""
+    n = parent.n
+    bit = 1 << n
+    rows = [r | bit if mask >> i & 1 else r for i, r in enumerate(parent.rows)]
+    rows.append(mask)
+    return SimpleGraph._trusted(n + 1, rows)  # the new row and column agree
+
+
+def _profiles(parent: SimpleGraph, masks):
+    """The profile of _extend(parent, mask) for each mask in masks, on at
+    most 8 vertices, computed from parent's without building the candidate.
+
+    A vertex v's profile is the multiset of (A[v][u], (A^2)[v][u]) over
+    u != v: adjacency and the number of common neighbours.  It is kept as
+    one int, the count of each pair (a, c) in the 4-bit slot a * 8 + c
+    (c <= 6 and counts <= 7 on 8 vertices, so it fits in 64 bits), and a
+    graph's profile is its vertices' ints, sorted and packed as bytes.
+    Relabelling permutes the vertices and, for each, the u, so the profile
+    is an isomorphism invariant.
+
+    The new vertex x changes parent's pairs only through x itself: a pair
+    (u, w) gains x as a common neighbour exactly when both lie in mask,
+    which moves its count one slot up (slot * 16 = slot + 15 * slot).  So
+    each parent vertex u keeps the sum of its pairs' slots and, per mask,
+    the part over w in mask; the new pair (u, x) is (u in mask,
+    |N(u) & mask|), and x's profile is the sum of those."""
+    rows = parent.rows
+    pack = struct.Struct(f"<{parent.n + 1}Q").pack
+    # per parent vertex u: its row, its bit, the sum of its pairs' slots
+    # and, indexed by mask, the sum over the w in mask
+    vertices = []
+    for u, r in enumerate(rows):
+        slots = [0 if w == u else 1 << ((r >> w & 1) << 5 | (r & s).bit_count() << 2)
+                 for w, s in enumerate(rows)]
+        within = [0]
+        for slot in slots:  # w's slot joins every mask below 1 << w
+            within += [p + slot for p in within]
+        vertices.append((r, 1 << u, within[-1], within))
+    for mask in masks:
+        profile, x = [], 0
+        for r, bit, whole, within in vertices:
+            if mask & bit:
+                pair = 1 << (32 | (r & mask).bit_count() << 2)
+                profile.append(whole + pair + 15 * within[mask])
+            else:
+                pair = 1 << ((r & mask).bit_count() << 2)
+                profile.append(whole + pair)
+            x += pair
+        profile.append(x)
+        profile.sort()
+        yield pack(*profile)
 
 
 @functools.lru_cache(maxsize=None)
@@ -76,31 +136,46 @@ def _enumerate(n: int) -> tuple[tuple[SimpleGraph, ...], tuple[tuple[int, ...], 
     """(enumerate_graphs(n), deletion_classes(n)), built in one pass.
 
     A parent's attachment sets in one orbit of its automorphism group give
-    isomorphic candidates, so only the least mask of each orbit is built,
+    isomorphic candidates, so only the least mask of each orbit is keyed,
     the orbits those of the generators _canonical(parent) returns.  That
     keeps the first candidate of every class, the least mask m* of the
     first parent that yields it: m*'s orbit yields the same class, so m* is
     its least mask.  Every parent of a class still has a kept mask in it,
-    so the deletion classes are unchanged."""
+    so the deletion classes are unchanged.
+
+    Candidates are keyed by _profiles as far as GRAPH_COUNTS reaches, and
+    past it by canonical_form.  Every class on n vertices has a candidate
+    (g minus its last vertex is isomorphic to some parent, and the least
+    mask of the orbit of g's last row under that isomorphism gives a
+    candidate isomorphic to g), and isomorphic candidates have one profile,
+    so there are at most GRAPH_COUNTS[n] profiles, and exactly that many
+    only when no two classes share one.  The count check therefore proves
+    the profile exact, and a short count raises."""
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
     if n == 0:
         return (SimpleGraph.empty(0),), ((),)
-    # per canonical_form key: the first candidate and the parents of all
-    classes: dict[SimpleGraph, tuple[SimpleGraph, set[int]]] = {}
-    bit = 1 << (n - 1)
-    # candidates are streamed, not held: n = 8 has 79,264 of them
-    for j, parent in enumerate(_enumerate(n - 1)[0]):
-        for mask in _orbit_minima(_canonical(parent)[1], n - 1):
-            rows = [r | bit if mask >> i & 1 else r for i, r in enumerate(parent.rows)]
-            rows.append(mask)
-            g = SimpleGraph._trusted(n, rows)  # the new row and column agree
-            classes.setdefault(_canonical(g)[0], (g, set()))[1].add(j)
-    if n < len(GRAPH_COUNTS) and len(classes) != GRAPH_COUNTS[n]:
+    below = _enumerate(n - 1)[0]
+    exact = n < len(GRAPH_COUNTS)
+    # per key: the first candidate's parent index and mask, and the
+    # indices of all its parents; candidates are streamed, not held (n = 8
+    # has 79,264 of them)
+    classes: dict[bytes | SimpleGraph, tuple[int, int, set[int]]] = {}
+    for j, parent in enumerate(below):
+        masks = _orbit_minima(_canonical(parent)[1], n - 1)
+        keys = (_profiles(parent, masks) if exact
+                else (canonical_form(_extend(parent, mask)) for mask in masks))
+        for mask, key in zip(masks, keys):
+            entry = classes.get(key)
+            if entry is None:
+                classes[key] = (j, mask, {j})
+            else:
+                entry[2].add(j)
+    if exact and len(classes) != GRAPH_COUNTS[n]:
         raise InvariantError(f"enumeration found {len(classes)} classes on {n} vertices, "
                              f"not {GRAPH_COUNTS[n]}")
-    return (tuple(g for g, _ in classes.values()),
-            tuple(tuple(sorted(parents)) for _, parents in classes.values()))
+    return (tuple(_extend(below[j], mask) for j, mask, _ in classes.values()),
+            tuple(tuple(sorted(parents)) for _, _, parents in classes.values()))
 
 
 def enumerate_graphs(n: int) -> tuple[SimpleGraph, ...]:
@@ -108,12 +183,14 @@ def enumerate_graphs(n: int) -> tuple[SimpleGraph, ...]:
 
     Built by extending every (n-1)-vertex representative with one new vertex
     over one attachment set per orbit of its automorphism group (the least
-    mask), then keeping the first candidate of each canonical_form key, so
-    the representatives and their order do not depend on how the keys are
-    computed.  n <= 7 (1253 classes from 5,759 candidates, 11,291 without
-    the orbits) takes about 0.3-0.5 s on a 2-CPU Intel Xeon host; n = 8
-    (12,346 classes from 79,264 candidates, streamed) about 4.5-6 s and
-    44 MB peak RSS, of which the interpreter and imports take 32 MB.
+    mask), then keeping the first candidate of each key (the profile up to
+    8 vertices, canonical_form past it), so the representatives and their
+    order do not depend on how the keys are computed.  n <= 7 (1253
+    classes from 5,759 candidates, 11,291 without the orbits) takes about
+    0.04-0.05 s on a 2-CPU Intel Xeon host (0.2 s by canonical_form); n = 8
+    (12,346 classes from 79,264 candidates, streamed) about 0.5-0.7 s
+    (3.3-4 s) and 44 MB peak RSS, of which the interpreter and imports
+    take 32 MB.
     """
     return _enumerate(n)[0]
 
@@ -136,7 +213,7 @@ def enumerate_trees(n: int) -> tuple[SimpleGraph, ...]:
     """One representative per isomorphism class of trees on n >= 1 vertices:
     the connected graphs of enumerate_graphs(n) with n - 1 edges.  Like
     enumerate_graphs, practical for n <= 8 (23 trees; enumerate_graphs(8)
-    takes about 5 s and 44 MB peak RSS)."""
+    takes about 0.6 s and 44 MB peak RSS)."""
     if n < 1:
         raise ValueError("trees need at least one vertex")
     return tuple(g for g in enumerate_graphs(n)

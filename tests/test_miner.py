@@ -4,8 +4,11 @@ import collections
 import hashlib
 import itertools
 import json
+import math
+import random
 
 import pytest
+from test_graphs import _group_order
 
 from gfminrank import (SimpleGraph, are_isomorphic, canonical_form,
                        check_f2r2_form, emit_graph6, generate, member, mine,
@@ -48,24 +51,30 @@ def test_first_parent_is_the_representative_minus_its_last_vertex():
             assert g.induced(range(n - 1)) == below[classes[0]], emit_graph6(g)
 
 
-def test_enumeration_canonicalises_one_candidate_per_orbit(monkeypatch):
+def test_enumeration_keys_one_candidate_per_orbit(monkeypatch):
     """Per level, one candidate per orbit of each parent's automorphism
-    group on its attachment sets, counted by brute force for n <= 6.  Each
-    parent on n < 7 vertices is canonicalised once more for its generators,
-    so those GRAPH_COUNTS[n] calls are not candidates."""
-    canonical = miner._canonical
-    calls = collections.Counter()
+    group on its attachment sets, counted where the candidates are keyed
+    and by brute force for n <= 6.  _canonical runs once per parent, for
+    its generators, and never on a candidate."""
+    profiles, canonical = miner._profiles, miner._canonical
+    keyed, canonicalised = collections.Counter(), collections.Counter()
 
-    def counted(g, *args):
-        calls[g.n] += 1
+    def counted_profiles(parent, masks):
+        for key in profiles(parent, masks):
+            keyed[parent.n + 1] += 1
+            yield key
+
+    def counted_canonical(g, *args):
+        canonicalised[g.n] += 1
         return canonical(g, *args)
 
-    monkeypatch.setattr(miner, "_canonical", counted)
+    monkeypatch.setattr(miner, "_profiles", counted_profiles)
+    monkeypatch.setattr(miner, "_canonical", counted_canonical)
     miner._enumerate.cache_clear()
     enumerate_graphs(7)
-    candidates = [calls[n] - GRAPH_COUNTS[n] * (n < 7) for n in range(1, 8)]
+    candidates = [keyed[n] for n in range(1, 8)]
     assert candidates == [1, 2, 6, 20, 90, 544, 5096]
-    assert calls[0] == 1
+    assert [canonicalised[n] for n in range(8)] == [*GRAPH_COUNTS[:7], 0]
     for n in range(1, 7):
         orbits = 0
         for parent in enumerate_graphs(n - 1):
@@ -74,6 +83,121 @@ def test_enumeration_canonicalises_one_candidate_per_orbit(monkeypatch):
                       for m in range(1 << (n - 1))}
             orbits += len(images)
         assert orbits == candidates[n - 1]
+
+
+def _profile(g):
+    """g's profile, as _enumerate keys g as a candidate: its vertices but
+    the last, extended by the last."""
+    return next(miner._profiles(g.induced(range(g.n - 1)), [g.rows[-1]]))
+
+
+def _defined_profile(g):
+    """The profile by its definition: each vertex's sorted (adjacency,
+    common neighbours) over the other vertices, sorted."""
+    return tuple(sorted(
+        tuple(sorted((g.has_edge(v, u), (g.rows[v] & g.rows[u]).bit_count())
+                     for u in range(g.n) if u != v))
+        for v in range(g.n)))
+
+
+def _candidates(n):
+    """Every candidate on n vertices: each parent extended by the least
+    mask of each orbit of its automorphism group."""
+    for parent in enumerate_graphs(n - 1):
+        for mask in miner._orbit_minima(graphs._canonical(parent)[1], n - 1):
+            yield miner._extend(parent, mask)
+
+
+def test_profile_is_unchanged_by_relabelling():
+    # every graph on up to 7 vertices, and random ones on 8, where the
+    # counts take the top slots of the 64-bit ints
+    rng = random.Random(3803)
+    samples = [g for n in range(1, 8) for g in enumerate_graphs(n)]
+    for _ in range(300):
+        edges = [e for e in itertools.combinations(range(8), 2) if rng.random() < 0.7]
+        samples.append(SimpleGraph.from_edges(8, edges))
+    for g in samples:
+        perm = list(range(g.n))
+        for _ in range(3):
+            rng.shuffle(perm)
+            h = g.relabel(perm)
+            assert _profile(h) == _profile(g), emit_graph6(g)
+            assert _defined_profile(h) == _defined_profile(g)
+
+
+def test_profiles_tell_the_candidates_apart_exactly_as_canonical_forms_do():
+    """On every candidate with n <= 7, two profiles are equal exactly when
+    the canonical forms are, and when the profiles by the definition are."""
+    for n in range(1, 8):
+        keys = {(_profile(g), canonical_form(g), _defined_profile(g))
+                for g in _candidates(n)}
+        assert len(keys) == GRAPH_COUNTS[n]
+        for i in range(3):
+            assert len({key[i] for key in keys}) == GRAPH_COUNTS[n]
+
+
+def test_enumeration_past_the_table_keys_by_canonical_form(monkeypatch):
+    """With the table cut to n <= 3, levels 4-7 are keyed by canonical_form
+    alone, and give the same representatives and deletion classes."""
+    expected = [miner._enumerate(n) for n in range(8)]
+    profiles, canonical_form = miner._profiles, miner.canonical_form
+    keyed, canonicalised = collections.Counter(), collections.Counter()
+
+    def counted_profiles(parent, masks):
+        keyed[parent.n + 1] += len(masks)
+        return profiles(parent, masks)
+
+    def counted_canonical_form(g):
+        canonicalised[g.n] += 1
+        return canonical_form(g)
+
+    monkeypatch.setattr(miner, "GRAPH_COUNTS", (1, 1, 2, 4))
+    monkeypatch.setattr(miner, "_profiles", counted_profiles)
+    monkeypatch.setattr(miner, "canonical_form", counted_canonical_form)
+    miner._enumerate.cache_clear()
+    try:
+        assert miner._enumerate.__wrapped__(7) == expected[7]
+        assert [miner._enumerate(n) for n in range(7)] == expected[:7]
+    finally:
+        miner._enumerate.cache_clear()
+    assert keyed == {1: 1, 2: 2, 3: 6}
+    assert canonicalised == {4: 20, 5: 90, 6: 544, 7: 5096}
+
+
+def test_a_weakened_profile_raises_and_never_merges_classes(monkeypatch):
+    """Keyed by the degree sequence, which tells the 11 graphs on 4
+    vertices apart but not those on 5, every level either raises or is
+    the one the profile gives."""
+    expected = [miner._enumerate(n) for n in range(8)]
+
+    def degrees(parent, masks):
+        for mask in masks:
+            g = miner._extend(parent, mask)
+            yield bytes(sorted(g.degree(v) for v in range(g.n)))
+
+    monkeypatch.setattr(miner, "_profiles", degrees)
+    raised = []
+    try:
+        for n in range(8):
+            miner._enumerate.cache_clear()
+            try:
+                assert miner._enumerate(n) == expected[n]
+            except InvariantError as err:
+                assert "on 5 vertices, not 34" in str(err)
+                raised.append(n)
+    finally:
+        miner._enumerate.cache_clear()
+    assert raised == [5, 6, 7]
+
+
+def test_class_sizes_add_up_to_the_labelled_graphs():
+    """Orbit-stabiliser: the class of g holds n!/|Aut(g)| labelled graphs,
+    so the classes cover all 2^(n(n-1)/2) exactly when GRAPH_COUNTS[n] is
+    right, with no isomorphic representatives and none missing."""
+    for n in range(8):
+        labelled = sum(math.factorial(n) // _group_order(graphs._canonical(g)[1], n)
+                       for g in enumerate_graphs(n))
+        assert labelled == 1 << n * (n - 1) // 2
 
 
 def test_enumeration_holds_graphs_and_deletion_classes_only():
