@@ -11,7 +11,7 @@ row i is then whole.  It is reduced against an echelon basis of rows
 0..i-1, and the basis size, a lower bound on the rank of every matrix below
 the node, cuts the node once it reaches the least rank found so far.  The
 search stops at the first matrix whose rank reaches the floor it is given,
-a proved lower bound (the oracle's induced-path floor).
+a proved lower bound (the oracle's zero forcing floor).
 """
 
 from __future__ import annotations

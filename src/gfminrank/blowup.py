@@ -41,12 +41,14 @@ witness is one blowup.
 Over q > 2, a part's k sweeps upward from the zero forcing bound
 mr >= n - Z(G), which holds over every field (AIM Minimum Rank-Special
 Graphs Work Group, LAA 428, 2008), so no k below it is ever searched.  Z is
-computed per connected component by a wavefront search, a cheapest path
-over forcing closures on bitmask rows (Brimkov, Fast and Hicks, EJOR 273,
-2019).  It is exact unless a component uses up ZERO_FORCING_BUDGET, each
-closure charged the component's vertex count; then a greedily completed
-zero forcing set stands in for it, whose size is at least Z, so the bound
-stays valid.
+the size of the zero forcing set that ``graphs._zero_forcing_set`` finds
+per connected component by a wavefront search, a cheapest path over
+forcing closures on bitmask rows (Brimkov, Fast and Hicks, EJOR 273,
+2019).  It is exact unless a component uses up
+``graphs.ZERO_FORCING_BUDGET``; then a greedily completed zero forcing set
+stands in for it, whose size is at least Z, so the bound stays valid.  The
+oracle takes its floors from the same set, once it has checked that the
+set forces every vertex.
 
 Over GF(2), ``min_rank`` uses no patterns.  Every nonzero off-diagonal
 entry is 1 there, so the matrices with graph G are exactly A(G) + D for the
@@ -62,8 +64,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import (LoopedGraph, SimpleGraph, _component_masks, _components, _least_twins,
-                     twin_reduce)
+from .graphs import LoopedGraph, SimpleGraph, _components, _zero_forcing_set, twin_reduce
 from .patterns import DEFAULT_VERTEX_BUDGET, Pattern, VertexBudgetError, generate
 
 
@@ -358,143 +359,16 @@ def member(g: SimpleGraph, q: int, k: int,
     return False, None, None
 
 
-# work before _component_zero_forcing stops its exact search and completes
-# a cheapest open closed set greedily, each closure charged the vertex
-# count of its component, since its work grows with it: G(n, 1/2) over
-# seeds 1-10 needs 1,600-5,200 at n = 24 and 18,000-63,000 at n = 40, and
-# 40-vertex random trees often reach it.  On a 2-CPU Intel Xeon host the
-# bound takes 0.14 s on G(60, 1/2) and 0.18 s on G(100, 1/2)
-# (random.Random(1)), where counting closures took 0.2 s and 1.7 s
-ZERO_FORCING_BUDGET = 500_000
-
-
-def _closure(rows, black: int, new: int) -> int:
-    """The forcing closure of black, in which only the vertices of new and
-    their neighbours can force at first (black minus new is closed, or new
-    is all of black): a black vertex with exactly one white neighbour turns
-    that neighbour black."""
-    check, m = new, new
-    while m:
-        low = m & -m
-        m ^= low
-        check |= rows[low.bit_length() - 1]
-    check &= black
-    while check:
-        low = check & -check
-        check ^= low
-        white = rows[low.bit_length() - 1] & ~black
-        if white and not white & (white - 1):
-            black |= white
-            check |= (rows[white.bit_length() - 1] | white) & black
-    return black
-
-
-def _greedy_completion(rows, moves, full: int, black: int, cost: int) -> int:
-    """cost plus the cost of moves that take the closed set black to full,
-    each the move that blackens the most vertices per unit of cost (the
-    first such in moves)."""
-    while black != full:
-        best_step, best_gain, best = 1, 0, black
-        for m in moves:
-            new = m & ~black
-            if new:
-                step = new.bit_count() - 1 or 1
-                t = _closure(rows, black | new, new)
-                gain = (t ^ black).bit_count()
-                if gain * best_step > best_gain * step:
-                    best_step, best_gain, best = step, gain, t
-        cost += best_step
-        black = best
-    return cost
-
-
-def _zero_forcing_number(h: SimpleGraph) -> int:
-    """Z(h), the size of a smallest zero forcing set of h (at least Z(h)
-    past the budget): the sum of _component_zero_forcing over its connected
-    components, 1 for each isolated vertex, from one _least_twins of h."""
-    twin = _least_twins(h.rows)
-    return sum(_component_zero_forcing(h.rows, comp, twin) for comp in _component_masks(h.rows))
-
-
-def _component_zero_forcing(rows, full: int, twin: list[int]) -> int:
-    """Z of the connected component with vertex set full (a bitmask), by
-    the wavefront search (Brimkov, Fast and Hicks, "Computational
-    approaches for zero forcing and related problems", EJOR 273, 2019);
-    past ZERO_FORCING_BUDGET, each closure charged the component's vertex
-    count, the size of some zero forcing set, which is at least Z.
-
-    The states are closed sets (forcing closures), expanded in order of
-    cost.  A move at v blackens N[v] minus the state and closes the result;
-    it costs one less than the vertices it blackens, since v forces the
-    last of them, but at least 1.  A cheapest path from the start to the
-    whole component costs Z: the moves at the forcing vertices of any zero
-    forcing set S, in the order they force, together cost at most |S|.  A
-    move whose cost reaches the cheapest complete set found so far is
-    skipped, and the search ends once the cost reached does too.  Past the
-    budget, a cheapest open state is completed by _greedy_completion.
-
-    The start is the closure of the v with twin[v] != v (twin being the
-    graph's _least_twins), all but the least vertex of each twin class,
-    at the count of those vertices.  Every zero forcing set holds all but
-    at most one vertex of a class, since a vertex forcing a class member
-    is adjacent to all of them; and swapping twins is an automorphism, so
-    some smallest one holds all but the least.
-    """
-    if not full & (full - 1):
-        return 1  # an isolated vertex
-    start, closed = 0, []
-    m = full
-    while m:
-        low = m & -m
-        m ^= low
-        v = low.bit_length() - 1
-        closed.append(rows[v] | low)
-        if twin[v] != v:
-            start |= low
-    n, base = len(closed), start.bit_count()
-    start = _closure(rows, start, start)
-    moves = [m for m in dict.fromkeys(closed) if m & ~start]
-    if not moves:
-        return base
-    best = n
-    cost = {start: base}
-    buckets: list[list[int]] = [[] for _ in range(n - base)]
-    buckets[0].append(start)
-    budget = ZERO_FORCING_BUDGET
-    for c in range(base, n):
-        if c >= best:
-            break
-        for s in buckets[c - base]:
-            if cost[s] < c:
-                continue  # reached more cheaply since it was queued
-            for m in moves:
-                new = m & ~s
-                if not new:
-                    continue
-                d = c + (new.bit_count() - 1 or 1)
-                if d >= best:
-                    continue
-                budget -= n
-                if budget < 0:
-                    return min(best, _greedy_completion(rows, moves, full, s, c))
-                t = _closure(rows, s | new, new)
-                if t == full:
-                    best = d
-                elif cost.get(t, n) > d:
-                    cost[t] = d
-                    buckets[d - base].append(t)
-    return best
-
-
 def _rank_lower_bound(g: SimpleGraph) -> int:
     """The zero forcing bound: mr_F(g) >= n - Z(g) over every field F (AIM
     Minimum Rank-Special Graphs Work Group, LAA 428, 2008), both sides
-    adding over connected components.  It still holds past
-    ZERO_FORCING_BUDGET, where a greedy zero forcing set stands in for a
-    smallest one.  It dominates the induced-path bound: for an induced path
-    P, the other vertices and one end of P force P one vertex at a time.
+    adding over connected components, as n - |S| for the set S of
+    graphs._zero_forcing_set.  It still holds past its budget, where a
+    greedy zero forcing set stands in for a smallest one.  It dominates the
+    induced-path bound: for an induced path P, the other vertices and one
+    end of P force P one vertex at a time.
     """
-    return g.n - _zero_forcing_number(g)
+    return g.n - _zero_forcing_set(g.rows).bit_count()
 
 
 # search nodes (row choices) before _gf2_min_rank refuses, as for the oracle

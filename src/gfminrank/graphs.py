@@ -3,7 +3,9 @@ bit-packed adjacency rows (one edge iterator and one relabelling serve
 both), graph6 read and written in one pass over the upper triangle
 (column by column, six bits to a byte: time linear in the line, no
 n(n-1)/2-bit integer), complements, one-pass twin reduction by grouping
-equal neighbourhoods, blowups of looped patterns (a complete
+equal neighbourhoods, a smallest zero forcing set by a wavefront search
+over forcing closures (the floor under the minimum rank that both the k
+sweep and the oracle use), blowups of looped patterns (a complete
 multipartite graph is the blowup of a loopless complete pattern), and
 a canonical form of loop-free and looped graphs, whose keys decide
 isomorphism.
@@ -602,6 +604,150 @@ def twin_reduce(g: SimpleGraph) -> TwinReduction:
     loops = sum(1 << i for i, c in enumerate(classes) if len(c) > 1 and rows[c[0]] >> c[1] & 1)
     return TwinReduction(classes, LoopedGraph._trusted(
         len(classes), _induced_rows(rows, list(groups)), loops))
+
+
+# work before _component_zero_forcing stops its exact search and completes
+# a cheapest open closed set greedily, each closure charged the vertex
+# count of its component, since its work grows with it: G(n, 1/2) over
+# seeds 1-10 needs 1,600-5,200 at n = 24 and 18,000-63,000 at n = 40, and
+# 40-vertex random trees often reach it.  On a 2-CPU Intel Xeon host the
+# search takes 0.14 s on G(60, 1/2) and 0.18 s on G(100, 1/2)
+# (random.Random(1)), where counting closures took 0.2 s and 1.7 s
+ZERO_FORCING_BUDGET = 500_000
+
+
+def _closure(rows, black: int, new: int) -> int:
+    """The forcing closure of black, in which only the vertices of new and
+    their neighbours can force at first (black minus new is closed, or new
+    is all of black): a black vertex with exactly one white neighbour turns
+    that neighbour black."""
+    check, m = new, new
+    while m:
+        low = m & -m
+        m ^= low
+        check |= rows[low.bit_length() - 1]
+    check &= black
+    while check:
+        low = check & -check
+        check ^= low
+        white = rows[low.bit_length() - 1] & ~black
+        if white and not white & (white - 1):
+            black |= white
+            check |= (rows[white.bit_length() - 1] | white) & black
+    return black
+
+
+def _move_set(new: int, v: int) -> int:
+    """The vertices that a move at the vertex with bit v adds to a zero
+    forcing set, where new is N[v] minus a closed set: all of new but its
+    least vertex u != v, which v then forces, or v itself when new is {v}.
+    On a closed set new is never one vertex other than v, so the move adds
+    the vertices it pays for."""
+    rest = new & ~v
+    return new ^ (rest & -rest)
+
+
+def _greedy_completion(rows, moves, centre, full: int, black: int, chosen: int) -> int:
+    """chosen, whose closure is black, joined with the vertices of moves
+    that take black to full, each the move that blackens the most vertices
+    per unit of cost (the first such in moves); centre maps a move to the
+    bit of a vertex whose closed neighbourhood it is."""
+    while black != full:
+        best_step, best_gain, best, add = 1, 0, black, 0
+        for m in moves:
+            new = m & ~black
+            if new:
+                step = new.bit_count() - 1 or 1
+                t = _closure(rows, black | new, new)
+                gain = (t ^ black).bit_count()
+                if gain * best_step > best_gain * step:
+                    best_step, best_gain, best, add = step, gain, t, _move_set(new, centre[m])
+        chosen |= add
+        black = best
+    return chosen
+
+
+def _zero_forcing_set(rows) -> int:
+    """A smallest zero forcing set (some zero forcing set past the budget)
+    of the graph with these adjacency rows, as a vertex mask: the union of
+    _component_zero_forcing over its connected components (disjoint, so
+    their sum), from one _least_twins."""
+    twin = _least_twins(rows)
+    return sum(_component_zero_forcing(rows, comp, twin) for comp in _component_masks(rows))
+
+
+def _component_zero_forcing(rows, full: int, twin: list[int]) -> int:
+    """A smallest zero forcing set of the connected component with vertex
+    set full (a bitmask), by the wavefront search (Brimkov, Fast and Hicks,
+    "Computational approaches for zero forcing and related problems",
+    EJOR 273, 2019); past ZERO_FORCING_BUDGET, each closure charged the
+    component's vertex count, some zero forcing set, at least as large.
+
+    The states are closed sets (forcing closures), expanded in order of
+    cost, each with a set of chosen vertices whose closure it is and whose
+    size is its cost.  A move at v blackens N[v] minus the state and
+    closes the result; it chooses the vertices _move_set gives, one less
+    than it blackens, since v forces the last of them, but at least 1.  A
+    cheapest path from the start to the whole component costs Z: the moves
+    at the forcing vertices of any zero forcing set S, in the order they
+    force, together cost at most |S|.  A move whose cost reaches the
+    cheapest complete set found so far is skipped, and the search ends once
+    the cost reached does too.  Past the budget, a cheapest open state is
+    completed by _greedy_completion.
+
+    The start chooses the v with twin[v] != v (twin being the graph's
+    _least_twins), all but the least vertex of each twin class, and is
+    their closure.  Every zero forcing set holds all but at most one vertex
+    of a class, since a vertex forcing a class member is adjacent to all of
+    them; and swapping twins is an automorphism, so some smallest one holds
+    all but the least.
+    """
+    if not full & (full - 1):
+        return full  # an isolated vertex
+    first, centre = 0, {}
+    m = full
+    while m:
+        low = m & -m
+        m ^= low
+        v = low.bit_length() - 1
+        centre.setdefault(rows[v] | low, low)
+        if twin[v] != v:
+            first |= low
+    n, base = full.bit_count(), first.bit_count()
+    start = _closure(rows, first, first)
+    moves = [m for m in centre if m & ~start]
+    if not moves:
+        return first
+    best, best_set = n, full
+    cost = {start: base}
+    # (state, chosen vertices) by cost - base
+    buckets: list[list[tuple[int, int]]] = [[] for _ in range(n - base)]
+    buckets[0].append((start, first))
+    budget = ZERO_FORCING_BUDGET
+    for c in range(base, n):
+        if c >= best:
+            break
+        for s, chosen in buckets[c - base]:
+            if cost[s] < c:
+                continue  # reached more cheaply since it was queued
+            for m in moves:
+                new = m & ~s
+                if not new:
+                    continue
+                d = c + (new.bit_count() - 1 or 1)
+                if d >= best:
+                    continue
+                budget -= n
+                if budget < 0:
+                    done = _greedy_completion(rows, moves, centre, full, s, chosen)
+                    return done if done.bit_count() < best else best_set
+                t = _closure(rows, s | new, new)
+                if t == full:
+                    best, best_set = d, chosen | _move_set(new, centre[m])
+                elif cost.get(t, n) > d:
+                    cost[t] = d
+                    buckets[d - base].append((t, chosen | _move_set(new, centre[m])))
+    return best_set
 
 
 def blow_up(pattern: LoopedGraph, sizes) -> SimpleGraph:

@@ -29,19 +29,22 @@ times fewer, and none fewer over GF(2).
 row, cutting every branch whose leading rows already have rank at least the
 least rank found, so it visits far fewer nodes.
 
-Minimum rank never rises under induced subgraphs, and an induced path on k
-vertices forces rank at least k - 1 over every field (Fallat and Hogben,
-"The minimum rank of symmetric matrices described by a graph: a survey",
-LAA 426, 2007): the principal submatrix on it has the graph P_k, and
-deleting its first row and last column leaves an upper-triangular minor
-whose diagonal is the path's k - 1 edges, all nonzero.  So
-``induced_path_floor`` gives each part a floor, and the kernel stops at the
-first matrix whose rank reaches it; every matrix it visits realises the
-part, so that rank is the part's minimum rank.  The floor search is
-capped, and a shorter path than the longest still gives a valid floor.
-For the path P5 over GF(5) the floor 4 is exact and the search visits 5
-nodes; without the floor it visits 200, without the scaling symmetry too
-785, and the forest-normalised set has 3,125 matrices.
+A zero forcing set S of a graph on n vertices gives the floor
+mr >= n - |S| over every field (AIM Minimum Rank-Special Graphs Work Group,
+LAA 428, 2008).  If A has the graph and Ax = 0 with x zero on the black
+vertices, a black vertex v with one white neighbour u has row v of Ax equal
+to a_vu x_u, so x_u = 0 and u may turn black; so a null vector that is zero
+on S is zero, and the null space has dimension at most |S|.  The oracle
+takes each part's S from the k sweep's search
+(``graphs._component_zero_forcing``, the part being connected), but uses
+it only once its own forcing closure, ``_forces_all``, has turned every
+vertex black; so the part's floor, its vertex count less |S|, rests on
+that check and not on the search.  The kernel stops at the first matrix whose rank
+reaches the floor; every matrix it visits realises the part, so that rank
+is the part's minimum rank.  For the path P5 over GF(5) the floor 4 is
+exact and the search visits 5 nodes; without the floor it visits 200,
+without the scaling symmetry too 785, and the forest-normalised set has
+3,125 matrices.
 
 The search reads dense field tables, so the oracle takes field orders up
 to ``gf.KERNEL_TABLE_MAX_Q`` (1024) only and refuses larger ones with a
@@ -56,7 +59,8 @@ from __future__ import annotations
 
 from . import _kernels
 from .gf import KERNEL_TABLE_MAX_Q, field_from_order
-from .graphs import SimpleGraph, _components, _induced_rows
+from .graphs import (SimpleGraph, _component_zero_forcing, _components, _induced_rows,
+                     _least_twins)
 
 # Search nodes (row choices) before refusing.  On a 2-CPU Intel Xeon host
 # the search visits about 37k nodes per second on a G(28, 1/2) draw over
@@ -64,21 +68,14 @@ from .graphs import SimpleGraph, _components, _induced_rows
 # GF(3), GF(4) and GF(5), so a refusal comes within about 110 s.
 DEFAULT_BUDGET = 4 * 10 ** 6
 
-# Path extensions induced_path_floor makes before it keeps the longest path
-# found.  Parts on up to 7 vertices finish far below it.  On a 2-CPU Intel
-# Xeon host the seeded sparse G(60, 0.1) draw of the tests reaches it in
-# 0.05-0.09 s with floor 25; 10^6 extensions take 0.5 s for floor 27, and
-# 10^7 take 6.5 s for floor 28 without ending the search.
-FLOOR_PATH_CAP = 10 ** 5
-
 
 class OracleBudgetError(Exception):
     """The search would visit more nodes than the configured budget."""
 
 
 class OracleScanError(AssertionError):
-    """The search returned a rank outside floor..n: the kernel broke its
-    contract."""
+    """The zero forcing set does not force every vertex, or the search
+    returned a rank outside floor..n: the search broke its contract."""
 
 
 def enumeration_size(n: int, m: int, q: int) -> int:
@@ -95,62 +92,32 @@ def check_order(q: int) -> None:
         raise ValueError(f"the oracle takes field orders up to {KERNEL_TABLE_MAX_Q}, not {q}")
 
 
-def induced_path_floor(rows) -> int:
-    """k - 1 for the longest induced path, on k vertices, that a depth-first
-    search finds within FLOOR_PATH_CAP extensions of a path by one vertex
-    (0 for at most one vertex): a lower bound on the minimum rank over every
-    field of the graph with adjacency bitmasks ``rows``.  A search that ends
-    within the cap is exhaustive, so k is then the longest.
-
-    A path p_0..p_l is extended at its tip by a neighbour of p_l outside
-    the closed neighbourhoods of p_0..p_(l-1), so every path is induced.  A
-    branch is cut once the path, its next vertex and every vertex outside
-    the closed neighbourhoods of the whole path cannot beat the longest
-    found, and the search ends at a path through every vertex.
-    """
-    n = len(rows)
-    full = (1 << n) - 1
-    closed = [r | 1 << v for v, r in enumerate(rows)]
-    best, cap = 1, FLOOR_PATH_CAP
-    for s in range(n):
-        if 2 + (full & ~closed[s]).bit_count() <= best:
-            continue
-        # [closed neighbourhoods of the path, untried extensions, path length]
-        stack = [[closed[s], rows[s], 1]]
-        while stack:
-            top = stack[-1]
-            seen, untried, length = top
-            if not untried:
-                stack.pop()
-                continue
-            low = untried & -untried
-            top[1] = untried ^ low
-            cap -= 1
-            if cap < 0:
-                return best - 1
-            v = low.bit_length() - 1
-            length += 1
-            if length > best:
-                best = length
-                if best == n:
-                    return best - 1
-            nxt = rows[v] & ~seen
-            seen |= closed[v]
-            if nxt and length + 1 + (full & ~seen).bit_count() > best:
-                stack.append([seen, nxt, length])
-    return best - 1
+def _forces_all(rows, black: int) -> bool:
+    """Whether the vertex set black, a bitmask, forces every vertex of the
+    graph with these adjacency rows: a black vertex with exactly one white
+    neighbour turns it black, until none does."""
+    grown = True
+    while grown:
+        grown = False
+        for v, r in enumerate(rows):
+            white = r & ~black
+            if black >> v & 1 and white and not white & (white - 1):
+                black |= white
+                grown = True
+    return black == (1 << len(rows)) - 1
 
 
 def oracle_min_rank(g: SimpleGraph, q: int, budget: int = DEFAULT_BUDGET) -> int:
     """Minimum rank of g over GF(q) by exhaustive search: the sum over
     its connected parts with an edge, each searched by the kernel down to
-    its ``induced_path_floor``.
+    its zero forcing floor.
 
     Raises ValueError for a q that is not a prime power or is over
     ``KERNEL_TABLE_MAX_Q``, OracleBudgetError when the searches of all
     parts together would visit more than ``budget`` nodes, and
-    OracleScanError when the kernel returns a rank below a part's floor or
-    above its vertex count.
+    OracleScanError when the zero forcing set does not force every vertex
+    or the kernel returns a rank below a part's floor or above its vertex
+    count.
     """
     check_order(q)
     field = field_from_order(q)
@@ -159,7 +126,10 @@ def oracle_min_rank(g: SimpleGraph, q: int, budget: int = DEFAULT_BUDGET) -> int
         if len(part) < 2:
             continue  # an isolated vertex is a zero block
         rows = g.rows if len(part) == g.n else _induced_rows(g.rows, part)
-        floor = induced_path_floor(rows)
+        forcing = _component_zero_forcing(rows, (1 << len(part)) - 1, _least_twins(rows))
+        if not _forces_all(rows, forcing):
+            raise OracleScanError(f"vertex set {forcing:#x} does not force every vertex")
+        floor = len(part) - forcing.bit_count()
         best, nodes = _kernels.scan_min_rank(rows, q, field.kernel_tables(), left, floor)
         if best is None:
             raise OracleBudgetError(f"search exceeds the budget of {budget} nodes")

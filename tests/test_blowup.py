@@ -14,10 +14,9 @@ import pytest
 from gfminrank import (LoopedGraph, SimpleGraph, blow_up, emit_graph6, generate,
                        is_blowup, member, min_rank, multipartite_bound_check,
                        oracle_min_rank, parse_graph6, twin_reduce)
-from gfminrank import blowup
-from gfminrank.blowup import (MinRankBoundError, _rank_lower_bound, _zero_forcing_number,
-                              verify_blowup)
-from gfminrank.graphs import _components
+from gfminrank import blowup, graphs
+from gfminrank.blowup import MinRankBoundError, _rank_lower_bound, verify_blowup
+from gfminrank.graphs import _components, _zero_forcing_set
 from gfminrank.miner import enumerate_graphs, enumerate_trees
 from gfminrank.patterns import DEFAULT_VERTEX_BUDGET, Pattern, VertexBudgetError
 from gfminrank.projgeo import point_count
@@ -130,29 +129,34 @@ def _longest_induced_path(g: SimpleGraph) -> int:
     return best
 
 
+def _forces_all(g: SimpleGraph, black: int) -> bool:
+    """Whether the vertex mask black forces every vertex of g, by rounds."""
+    full = (1 << g.n) - 1
+    while black != full:
+        grown = black
+        for v in range(g.n):
+            white = g.rows[v] & ~grown
+            if (black >> v) & 1 and white.bit_count() == 1:
+                grown |= white
+        if grown == black:
+            return False
+        black = grown
+    return True
+
+
 def _brute_zero_forcing_number(g: SimpleGraph) -> int:
     """Z(g) by trying vertex sets by size upward from the minimum degree
     (the first force needs a black vertex with all but one neighbour black)."""
-    full = (1 << g.n) - 1
-
-    def forces_all(black: int) -> bool:
-        while black != full:
-            grown = black
-            for v in range(g.n):
-                white = g.rows[v] & ~grown
-                if (black >> v) & 1 and white.bit_count() == 1:
-                    grown |= white
-            if grown == black:
-                return False
-            black = grown
-        return True
-
     start = min((r.bit_count() for r in g.rows), default=0)
     for size in range(start, g.n):
         for black in itertools.combinations(range(g.n), size):
-            if forces_all(sum(1 << v for v in black)):
+            if _forces_all(g, sum(1 << v for v in black)):
                 return size
     return g.n
+
+
+def _zero_forcing_number(g: SimpleGraph) -> int:
+    return _zero_forcing_set(g.rows).bit_count()
 
 
 def test_zero_forcing_number_of_families():
@@ -172,7 +176,9 @@ def test_zero_forcing_number_of_families():
 def test_zero_forcing_number_matches_brute_force_on_small_graphs():
     for n in range(8):
         for g in enumerate_graphs(n):
-            assert _zero_forcing_number(g) == _brute_zero_forcing_number(g), emit_graph6(g)
+            s = _zero_forcing_set(g.rows)
+            assert _forces_all(g, s), emit_graph6(g)
+            assert s.bit_count() == _brute_zero_forcing_number(g), emit_graph6(g)
 
 
 def test_zero_forcing_number_matches_brute_force_on_seeded_draws():
@@ -210,23 +216,24 @@ def test_zero_forcing_bound_past_its_budget_completes_greedily(monkeypatch):
     rng = random.Random(1616)
     trees = [_random_tree(16, rng) for _ in range(8)]
     draws = trees + [_gnp_half(n, seed) for n in range(10, 15) for seed in range(1, 5)]
-    graphs = [g for n in range(8) for g in enumerate_graphs(n)] + draws
-    exact = [(_rank_lower_bound(g), min_rank(g, 2)) for g in graphs]
+    cases = [g for n in range(8) for g in enumerate_graphs(n)] + draws
+    exact = [(_rank_lower_bound(g), min_rank(g, 2)) for g in cases]
     completions = []
-    real = blowup._greedy_completion
+    real = graphs._greedy_completion
 
     def counted(*args):
         completions.append(args)
         return real(*args)
 
-    monkeypatch.setattr(blowup, "_greedy_completion", counted)
-    monkeypatch.setattr(blowup, "ZERO_FORCING_BUDGET", 3)
+    monkeypatch.setattr(graphs, "_greedy_completion", counted)
+    monkeypatch.setattr(graphs, "ZERO_FORCING_BUDGET", 3)
     loosened = 0
-    for i, (g, (b, mr)) in enumerate(zip(graphs, exact)):
+    for i, (g, (b, mr)) in enumerate(zip(cases, exact)):
         completions.clear()
         bound = _rank_lower_bound(g)
         assert 0 <= bound <= b <= mr, emit_graph6(g)
-        if i >= len(graphs) - len(draws):
+        assert _forces_all(g, _zero_forcing_set(g.rows)), emit_graph6(g)
+        if i >= len(cases) - len(draws):
             assert completions, emit_graph6(g)
         loosened += bound < b
     assert loosened  # on 24 of the small graphs the greedy bound is the lower

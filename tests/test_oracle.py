@@ -10,8 +10,8 @@ from gfminrank import (MatrixFq, SimpleGraph, emit_graph6, field_from_order,
                        min_rank, oracle_min_rank, parse_graph6, rank)
 from gfminrank import _kernels, oracle
 from gfminrank.miner import enumerate_graphs
-from gfminrank.oracle import (OracleBudgetError, OracleScanError, enumeration_size,
-                              induced_path_floor)
+from gfminrank.graphs import _zero_forcing_set
+from gfminrank.oracle import OracleBudgetError, OracleScanError, enumeration_size
 
 
 def test_fullhouse_reference_values(fullhouse):
@@ -155,7 +155,8 @@ def test_kernel_refuses_a_disconnected_graph():
 
 
 def test_scan_below_the_floor_is_checked(fullhouse, monkeypatch):
-    # the fullhouse holds an induced P3, so a rank-1 answer breaks the floor
+    # the fullhouse has zero forcing number 3, so a rank-1 answer breaks the
+    # floor 5 - 3
     monkeypatch.setattr(_kernels, "scan_min_rank", lambda *args, **kwargs: (1, 1))
     with pytest.raises(OracleScanError, match="floor 2"):
         oracle_min_rank(fullhouse, 3)
@@ -224,46 +225,29 @@ def test_disjoint_unions_add_up_in_any_vertex_order(q):
         assert oracle_min_rank(_shuffled(g, rng), q) == want, (q, emit_graph6(g))
 
 
+def _floor(g: SimpleGraph) -> int:
+    """The oracle's floor for a connected g: n less its zero forcing set."""
+    return g.n - _zero_forcing_set(g.rows).bit_count()
+
+
 def test_one_matrix_per_scaling_class_fits_a_node_budget():
     # without a floor, FnBGO over GF(5) (mr 5) takes 72,112 nodes with one
     # matrix per scaling class and 288,115 with every forest-normalised
-    # matrix; with the floor 5 of its induced P6 the oracle takes 131
+    # matrix; with its zero forcing floor 5 the oracle takes 131
     g = parse_graph6("FnBGO")
     tables = field_from_order(5).kernel_tables()
     assert _kernels.scan_min_rank(g.rows, 5, tables, 100_000, 1) == (5, 72_112)
-    assert induced_path_floor(g.rows) == 5
+    assert _floor(g) == 5
     assert oracle_min_rank(g, 5, budget=131) == 5
-
-
-def _brute_longest_induced_path(g: SimpleGraph) -> int:
-    """Vertex count of a largest vertex set inducing a path: connected, one
-    edge fewer than vertices, and no vertex of degree over 2."""
-    best = 0
-    for mask in range(1, 1 << g.n):
-        k = mask.bit_count()
-        if k <= best:
-            continue
-        degrees = [(g.rows[v] & mask).bit_count() for v in range(g.n) if mask >> v & 1]
-        if sum(degrees) == 2 * (k - 1) and max(degrees) <= 2 \
-                and _components(g.induced([v for v in range(g.n) if mask >> v & 1])) == 1:
-            best = k
-    return best
-
-
-def test_floor_is_the_longest_induced_path_on_small_graphs():
-    for n in range(8):
-        for g in enumerate_graphs(n):
-            assert induced_path_floor(g.rows) == max(_brute_longest_induced_path(g) - 1, 0), \
-                emit_graph6(g)
 
 
 def test_floor_is_exact_on_paths_and_cycles():
     # mr(P_n) = n - 1 and mr(C_n) = n - 2 over every field, so the kernel
     # stops at its first leaf of that rank, within 100 nodes here
     for n in range(1, 41):
-        assert induced_path_floor(SimpleGraph.path(n).rows) == n - 1
+        assert _floor(SimpleGraph.path(n)) == n - 1
     for n in range(3, 41):
-        assert induced_path_floor(_cycle(n).rows) == n - 2
+        assert _floor(_cycle(n)) == n - 2
     for q in (2, 3, 5):
         for n in (10, 30):
             assert oracle_min_rank(SimpleGraph.path(n), q, budget=100) == n - 1
@@ -277,25 +261,41 @@ def test_floor_keeps_every_answer_and_never_adds_nodes(q):
         for g in enumerate_graphs(n):
             if _components(g) > 1:
                 continue
-            floor = induced_path_floor(g.rows)
+            floor = _floor(g)
             plain = _kernels.scan_min_rank(g.rows, q, tables, 10 ** 9, 1)
             floored = _kernels.scan_min_rank(g.rows, q, tables, 10 ** 9, floor)
             assert floored[0] == plain[0] >= floor, (q, emit_graph6(g))
             assert floored[1] <= plain[1], (q, emit_graph6(g))
 
 
-def test_capped_floor_search_on_a_sparse_60_vertex_draw(monkeypatch):
-    # 10^7 path extensions take seconds without ending the search; every
-    # path it finds is induced, so the floor it keeps at the cap is valid
+def test_capped_floor_search_on_a_sparse_60_vertex_draw():
+    # the zero forcing search is capped by its own budget, and the floor
+    # (39) leaves the kernel far too much to search within 1000 nodes
     rng = random.Random(60)
     g = SimpleGraph.from_edges(60, [(u, v) for u in range(60) for v in range(u + 1, 60)
                                     if rng.random() < 0.1])
     start = time.perf_counter()
-    floor = induced_path_floor(g.rows)
     with pytest.raises(OracleBudgetError):
         oracle_min_rank(g, 2, budget=1000)
     assert time.perf_counter() - start < 2
-    monkeypatch.setattr(oracle, "FLOOR_PATH_CAP", 100)
-    assert 1 <= induced_path_floor(g.rows) <= floor < 59
-    monkeypatch.setattr(oracle, "FLOOR_PATH_CAP", 0)
-    assert induced_path_floor(g.rows) == 0
+
+
+def test_a_set_that_does_not_force_every_vertex_is_refused(fullhouse, monkeypatch):
+    # a smallest zero forcing set less one vertex forces too few; the check
+    # raises, and does under python -O too
+    real = oracle._component_zero_forcing
+    monkeypatch.setattr(oracle, "_component_zero_forcing",
+                        lambda *args: real(*args) & (real(*args) - 1))
+    for g in (fullhouse, SimpleGraph.path(6), parse_graph6("FnBGO")):
+        with pytest.raises(OracleScanError, match="does not force"):
+            oracle_min_rank(g, 3)
+
+
+@pytest.mark.parametrize("text, q", [("IEeaSgO}G", 3), ("IEeaSgO}G", 4),
+                                     ("JXdXgZ\\TCJ?", 3), ("HaJnE]F", 4)])
+def test_zero_forcing_floor_reaches_past_ten_vertices(text, q):
+    # G(10, 1/2) and G(11, 1/2) draws (seeds 6 and 10) and a 9-vertex graph:
+    # the zero forcing floor equals mr, and the kernel reaches it within
+    # 396-1,496 nodes
+    g = parse_graph6(text)
+    assert oracle_min_rank(g, q, budget=5_000) == min_rank(g, q)
