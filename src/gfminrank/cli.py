@@ -99,17 +99,12 @@ def _serve(args, answer) -> int:
     return 1 if status or bad else 0
 
 
-# rows of pairings per block of --format matrix
-MATRIX_ROWS = 64
-
-
-def _matrix_lines(points, b):
+def _matrix_lines(b):
     """The lines of --format matrix for the form b: the rows of U^t B U,
-    made from blocks of MATRIX_ROWS rows, so no n x n matrix is held."""
+    made one row at a time, so no n x n matrix is held."""
     names = list(map(str, range(b.field.q)))
-    for block in pairing_rows(points, b, MATRIX_ROWS):
-        for row in block.tolist():
-            yield " ".join([names[x] for x in row]) + "\n"
+    for row in pairing_rows(b):
+        yield " ".join(map(names.__getitem__, row)) + "\n"
 
 
 def cmd_patterns(args) -> int:
@@ -123,7 +118,7 @@ def cmd_patterns(args) -> int:
         elif args.format == "dot":
             pieces = chain(dot_chunks(pat.graph, name=f"pattern_{idx}"), ["\n"])
         else:  # one empty line between two patterns' matrices
-            pieces = chain(["\n"] if idx else [], _matrix_lines(ps.points, pat.form))
+            pieces = chain(["\n"] if idx else [], _matrix_lines(pat.form))
         sys.stdout.writelines(pieces)
     return 0
 

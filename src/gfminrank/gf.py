@@ -7,28 +7,22 @@ encodes the multiplicative identity.  A :class:`FieldCtx` owns the modulus
 polynomial and the lookup tables; every operation is pure and contexts are
 immutable after construction, so they are safe to share across threads.
 
-Each operation (add, neg, sub, mul) takes Python ints or int64 numpy
-arrays of reps, and ``matmul`` multiplies int64 matrices of reps.  Prime
-fields compute directly mod p.  Extension fields add digit-wise mod p (XOR
-when p = 2) and multiply through log/antilog tables over a fixed generator
-g of the multiplicative group.  Zero gets the sentinel log 2(q-1), and the
-antilog table repeats its period once and then holds zeros up to index
-4(q-1), so ``exp[log[a] + log[b]]`` is the product for every pair with no
-reduction mod q-1 and no zero test.  Scalar results of the table path are
-numpy integers.
+Every operation (add, neg, sub, mul, inv) takes Python ints and returns
+Python ints.  Prime fields compute directly mod p.  Extension fields add
+digit-wise mod p (XOR when p = 2) and multiply through log/antilog lists
+over a fixed generator g of the multiplicative group, O(q) entries each.
+Zero gets the sentinel log 2(q-1), and the antilog list repeats its period
+once and then holds zeros up to index 4(q-1), so ``exp[log[a] + log[b]]``
+is the product for every pair with no reduction mod q-1 and no zero test.
 
-The digit form has this one home: ``digits(a)``, the e base-p digits, and
-``mul_matrix(a)``, the e x e GF(p) matrix of x -> a x, which is
-sum_i a_i C^i for C the companion matrix of the modulus.  They build the
-log tables: g is the least rep >= 2 whose matrix to the power (q-1)/r is
-not the identity for any prime r | q-1, and the step table x -> g x is
-one product of the digits of every rep by that matrix.
-
-C also decides the modulus: for e >= 2 it is the first monic f with
-f(0) != 0, coefficients compared low first, that passes Rabin's test on
-its companion matrix (``_is_irreducible``); for e = 1 it is X.  There is
-no polynomial arithmetic: ``_mat_pow`` is the one square-and-multiply, for
-the modulus test and the generator search alike.
+The modulus and the generator come from arithmetic on digit lists (the e
+base-p digits, low first) mod the modulus f: ``_mul_mod`` and its
+square-and-multiply ``_pow_mod``.  For e >= 2 the modulus is the first
+monic f with f(0) != 0, coefficients compared low first, that passes
+Rabin's test (``_is_irreducible``); for e = 1 it is X.  g is the least rep
+>= 2 whose power (q-1)/r is not 1 for any prime r | q-1, and the antilog
+list is the walk 1, g, g^2, ..., each step g times the last as a sum of
+shifts by X (``_times_x``).
 
 The supported orders are the prime powers in 2..Q_MAX.  :func:`factor_prime_power`
 is the one test of an order: ``field_from_order`` and ``FieldCtx`` both
@@ -39,8 +33,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-
-import numpy as np
+import operator
 
 Q_MAX = 1 << 16
 
@@ -50,38 +43,54 @@ Q_MAX = 1 << 16
 KERNEL_TABLE_MAX_Q = 1024
 
 
-def _companion(f, p: int) -> np.ndarray:
-    """The companion matrix of the monic f (coefficients low first) mod p:
-    the matrix of a -> X a on the digits of GF(p)[X]/(f)."""
-    c = np.eye(len(f) - 1, k=-1, dtype=np.int64)
-    c[:, -1] = np.negative(f[:-1]) % p
-    return c
+def _mul_mod(a: list[int], b: list[int], f, p: int) -> list[int]:
+    """a b mod the monic f (coefficients low first) over GF(p), for digit
+    lists a and b of length e = deg f."""
+    e = len(f) - 1
+    prod = [0] * (2 * e - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+    for i in range(2 * e - 2, e - 1, -1):  # cancel X^i by c X^(i-e) f
+        c = prod[i] % p
+        if c:
+            for j in range(e):
+                prod[i - e + j] -= c * f[j]
+    return [x % p for x in prod[:e]]
 
 
-def _mat_pow(m: np.ndarray, k: int, p: int) -> np.ndarray:
-    """m^k mod p by square and multiply."""
-    out = np.eye(len(m), dtype=np.int64)
+def _pow_mod(a: list[int], k: int, f, p: int) -> list[int]:
+    """a^k mod f by square and multiply."""
+    out = [1] + [0] * (len(f) - 2)
     while k:
-        out, m, k = out @ m % p if k & 1 else out, m @ m % p, k >> 1
+        out, a, k = _mul_mod(out, a, f, p) if k & 1 else out, _mul_mod(a, a, f, p), k >> 1
     return out
 
 
+def _times_x(a: list[int], f, p: int) -> list[int]:
+    """X a mod the monic f, for a digit list a of length deg f >= 1."""
+    top, out = a[-1], [0] + a[:-1]
+    return [(x - top * c) % p for x, c in zip(out, f)] if top else out
+
+
 def _is_irreducible(f, p: int) -> bool:
-    """Rabin's test of the monic f of degree e >= 1 over GF(p) on its
-    companion matrix C: C^(p^e) = C, so GF(p)[C] is a product of fields
-    GF(p^d) with d | e, and for each prime r | e, C^(p^(e/r)) - C is a unit
-    there, that is, its (p^e - 1)-th power is I."""
+    """Rabin's test of the monic f of degree e >= 1 over GF(p): X^(p^e) = X
+    mod f, so GF(p)[X]/(f) is a product of fields GF(p^d) with d | e, and
+    for each prime r | e, X^(p^(e/r)) - X is a unit there, that is, its
+    (p^e - 1)-th power is 1."""
     e = len(f) - 1
-    q, c, one = p ** e, _companion(f, p), np.eye(e, dtype=np.int64)
-    return np.array_equal(_mat_pow(c, q, p), c) and all(
-        np.array_equal(_mat_pow((_mat_pow(c, p ** (e // r), p) - c) % p, q - 1, p), one)
+    q, x, one = p ** e, _times_x([1] + [0] * (e - 1), f, p), [1] + [0] * (e - 1)
+    return _pow_mod(x, q, f, p) == x and all(
+        _pow_mod([(a - b) % p for a, b in zip(_pow_mod(x, p ** (e // r), f, p), x)],
+                 q - 1, f, p) == one
         for r in _prime_factors(e))
 
 
 def _find_modulus(p: int, e: int) -> tuple[int, ...]:
     """X for e = 1; else the first irreducible monic f of degree e in
     ascending lexicographic order on (f_0, ..., f_{e-1}).  Candidates with
-    f_0 = 0, divisible by X, are skipped before any matrix power."""
+    f_0 = 0, divisible by X, are skipped before any power."""
     if e == 1:
         return (0, 1)
     for low in itertools.product(range(1, p), *[range(p)] * (e - 1)):
@@ -106,11 +115,21 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
+def _digitwise_sums(p: int, m: int) -> list[list[int]]:
+    """t[a][b] = a + b digit by digit mod p, for reps a, b < p^m: the row
+    of a sums, over the places w (high first, so b counts up), the lists
+    (a_w + d) mod p times w."""
+    places = [p ** i for i in reversed(range(m))]
+    return [list(map(sum, itertools.product(*[[(a // w + d) % p * w for d in range(p)]
+                                               for w in places])))
+            for a in range(p ** m)]
+
+
 class FieldCtx:
     """The field GF(p^e): modulus, element tables, and all arithmetic."""
 
     __slots__ = (
-        "p", "e", "q", "modulus", "_pw", "_companion_powers",
+        "p", "e", "q", "modulus", "_pw",
         "_exp", "_log", "_sqrt", "_nonsquare", "_kernel_tables",
     )
 
@@ -121,19 +140,12 @@ class FieldCtx:
             raise ValueError(f"p^e must be a prime power in 2..{Q_MAX} with p prime")
         self.p = p
         self.e = e
-        self.q = q = p ** e
+        self.q = p ** e
         self.modulus = _find_modulus(p, e)
+        self._pw = [p ** i for i in range(e)]
 
-        self._pw = p ** np.arange(e, dtype=np.int64)
-        # row i is C^i flattened, C the companion matrix of the modulus
-        c = _companion(self.modulus, p)
-        powers = [np.eye(e, dtype=np.int64)]
-        for _ in range(e - 1):
-            powers.append(c @ powers[-1] % p)
-        self._companion_powers = np.stack(powers).reshape(e, e * e)
-
-        self._exp: np.ndarray | None = None
-        self._log: np.ndarray | None = None
+        self._exp: list[int] | None = None
+        self._log: list[int] | None = None
         if e >= 2:
             self._build_log_tables()
 
@@ -144,103 +156,82 @@ class FieldCtx:
 
     # -- construction helpers ------------------------------------------------
 
+    def _digits(self, a: int) -> list[int]:
+        return [a // w % self.p for w in self._pw]
+
+    def _pack(self, digits: list[int]) -> int:
+        return sum(map(operator.mul, digits, self._pw))
+
     def _build_log_tables(self) -> None:
-        n, p, one = self.q - 1, self.p, self.mul_matrix(1)
-        factors = _prime_factors(n)
-        gen = None
-        for g in range(2, self.q):
-            m = self.mul_matrix(g)
-            if not any((_mat_pow(m, n // r, p) == one).all() for r in factors):
-                gen = g
+        n, p, f = self.q - 1, self.p, self.modulus
+        one, factors = self._digits(1), _prime_factors(n)
+        for gen in range(2, self.q):
+            g = self._digits(gen)
+            if all(_pow_mod(g, n // r, f, p) != one for r in factors):
                 break
-        if gen is None:
+        else:
             raise AssertionError("no generator found, but the multiplicative group is cyclic")
-        step = (self.digits(np.arange(self.q)) @ self.mul_matrix(gen).T % p @ self._pw).tolist()
-        powers = [1] * n
+        # the walk x -> g x on x = lo + hi P (P = p^h, h = e // 2): g x is
+        # the digit-wise sum of the tabulated images of lo and of hi P, and
+        # each half of that sum is read from a table of digit-wise sums
+        h = self.e // 2
+        big, small = p ** (self.e - h), p ** h
+        low, high = ([divmod(self._pack(_mul_mod(g, self._digits(a * w), f, p)), small)[::-1]
+                      for a in range(count)] for w, count in ((1, small), (small, big)))
+        add_low, add_high = _digitwise_sums(p, h), _digitwise_sums(p, self.e - h)
+        powers, lo, hi = [1] * n, 1, 0
         for i in range(1, n):
-            powers[i] = step[powers[i - 1]]
+            (al, ah), (bl, bh) = low[lo], high[hi]
+            lo, hi = add_low[al][bl], add_high[ah][bh]
+            powers[i] = lo + hi * small
         # exp: g^0..g^(n-1) twice over (log sums of nonzero elements stay
         # below 2n-1), then zeros up to 4n (any sum involving log[0] = 2n)
-        exp = np.zeros(4 * n + 1, dtype=np.int64)
-        exp[:n] = exp[n:2 * n] = powers
-        log = np.full(self.q, 2 * n, dtype=np.int64)
-        log[exp[:n]] = np.arange(n, dtype=np.int64)
-        self._exp = exp
+        self._exp = powers + powers + [0] * (2 * n + 1)
+        log = [2 * n] * self.q
+        for i, a in enumerate(powers):
+            log[a] = i
         self._log = log
 
     def _build_sqrt_table(self) -> None:
         table = [-1] * self.q
-        reps = np.arange(self.q, dtype=np.int64)
-        for b, s in enumerate(self.mul(reps, reps).tolist()):
-            if table[s] < 0:
-                table[s] = b  # ascending scan keeps the smaller root
+        for b in range(self.q - 1, -1, -1):
+            table[self.mul(b, b)] = b  # the descending scan leaves the smaller root
         self._sqrt = table
-        for a in range(self.q):
-            if table[a] < 0:
-                self._nonsquare = a
-                break
+        self._nonsquare = next((a for a in range(self.q) if table[a] < 0), None)
 
-    # -- arithmetic on ints or int64 arrays of reps ---------------------------
+    # -- arithmetic on ints ----------------------------------------------------
 
-    def add(self, a, b):
+    def add(self, a: int, b: int) -> int:
         if self.e == 1:
             return (a + b) % self.p
         if self.p == 2:
             return a ^ b
-        out = 0
-        for pw in self._pw.tolist():
-            out += ((a // pw + b // pw) % self.p) * pw
-        return out
+        p = self.p
+        return sum((a // w + b // w) % p * w for w in self._pw)
 
-    def neg(self, a):
+    def neg(self, a: int) -> int:
         if self.e == 1:
             return (-a) % self.p
         if self.p == 2:
             return a
-        out = 0
-        for pw in self._pw.tolist():
-            out += ((-(a // pw)) % self.p) * pw
-        return out
+        p = self.p
+        return sum(-(a // w) % p * w for w in self._pw)
 
-    def sub(self, a, b):
+    def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
-    def mul(self, a, b):
+    def mul(self, a: int, b: int) -> int:
         if self.e == 1:
-            return (a * b) % self.p
+            return a * b % self.p
         return self._exp[self._log[a] + self._log[b]]
 
-    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Product of two 2-D int64 arrays of reps."""
-        if a.shape[1] != b.shape[0]:
-            raise ValueError(f"matmul inner dimensions differ: {a.shape[1]} and {b.shape[0]}")
-        if self.e == 1:
-            return (a @ b) % self.p
-        acc = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-        for t in range(a.shape[1]):
-            acc = self.add(acc, self.mul(a[:, t:t + 1], b[t:t + 1, :]))
-        return acc
-
-    def digits(self, a) -> np.ndarray:
-        """The e base-p digits of reps, low first, along a new last axis."""
-        return np.asarray(a)[..., None] // self._pw % self.p
-
-    def mul_matrix(self, a) -> np.ndarray:
-        """The e x e matrices over GF(p) of x -> a x on digits, along two
-        new last axes: mul_matrix(a) @ digits(x) % p is digits(a x)."""
-        return (self.digits(a) @ self._companion_powers % self.p).reshape(
-            np.shape(a) + (self.e, self.e))
-
-    def inv(self, a):
-        """Multiplicative inverse of an int or an int64 array; raises on zero."""
-        if not np.all(a):
+    def inv(self, a: int) -> int:
+        """Multiplicative inverse; raises on zero."""
+        if not a:
             raise ZeroDivisionError("inversion of zero field element")
         if self.e > 1:
             return self._exp[self.q - 1 - self._log[a]]
-        out, k = a ** 0, self.p - 2  # a^(p-2) by repeated squaring
-        while k:
-            out, a, k = out * a % self.p if k & 1 else out, a * a % self.p, k >> 1
-        return out
+        return pow(a, self.p - 2, self.p)
 
     def is_square(self, a: int) -> bool:
         """Whether a has a square root; always so when q is even."""
@@ -280,10 +271,18 @@ class FieldCtx:
         if self.q > KERNEL_TABLE_MAX_Q:
             raise ValueError(f"field order {self.q} too large for dense kernel tables")
         if self._kernel_tables is None:
-            reps = np.arange(self.q, dtype=np.int64)
-            a, b = reps[:, None], reps[None, :]
-            self._kernel_tables = (self.sub(a, b).tolist(), self.mul(a, b).tolist(),
-                                   [0] + self.inv(reps[1:]).tolist())
+            q, p, reps = self.q, self.p, range(self.q)
+            # a - b digit by digit: the row of a is the sum, over the digit
+            # places w (high first, so b counts up), of (a_w - d) mod p times w
+            sub = [list(map(sum, itertools.product(
+                *[[(a // w - d) % p * w for d in range(p)] for w in reversed(self._pw)])))
+                for a in reps]
+            if self.e == 1:
+                mul = [[a * b % p for b in reps] for a in reps]
+            else:
+                exp, log = self._exp, self._log
+                mul = [[exp[la + lb] for lb in log] for la in log]
+            self._kernel_tables = (sub, mul, [0] + [self.inv(a) for a in reps[1:]])
         return self._kernel_tables
 
     # -- misc ----------------------------------------------------------------

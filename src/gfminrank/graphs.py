@@ -47,8 +47,6 @@ import json
 from dataclasses import dataclass
 from itertools import compress
 
-import numpy as np
-
 
 def _check_rows(n: int, rows) -> tuple[int, ...]:
     """rows as a tuple of ints, once they are checked to be the adjacency
@@ -425,36 +423,17 @@ def _named(mask: int, names):
     return compress(names, bin(mask)[:1:-1].encode().translate(_BIT_BYTES))
 
 
-# rows whose edges make one piece of text; from _BLOCK_TEXT_MIN vertices on,
-# they are unpacked together with numpy, whose cost per call outweighs what
-# it saves on fewer
+# rows whose edges make one piece of text
 _TEXT_ROWS = 32
-_BLOCK_TEXT_MIN = 1024
 
 
 def _neighbour_blocks(rows, names):
     """For each _TEXT_ROWS rows, the list of (u, the names of u's
-    neighbours v > u in increasing order) over those rows u that have any.
-    On _BLOCK_TEXT_MIN or more vertices, the rows are unpacked into one bit
-    matrix, whose set bits above the diagonal pick the names in one
-    gather; on fewer, each row's binary digits pick them (_named)."""
-    n = len(rows)
-    if n < _BLOCK_TEXT_MIN:
-        for lo in range(0, n, _TEXT_ROWS):
-            yield [(u, _named(r >> (u + 1), names[u + 1:]))
-                   for u, r in enumerate(rows[lo:lo + _TEXT_ROWS], lo) if r >> (u + 1)]
-        return
-    width, named, cols = (n + 7) // 8, np.array(names, dtype=object), np.arange(n)
-    for lo in range(0, n, _TEXT_ROWS):
-        block = rows[lo:lo + _TEXT_ROWS]
-        data = np.frombuffer(b"".join([r.to_bytes(width, "little") for r in block]), np.uint8)
-        bits = np.unpackbits(data.reshape(len(block), width), axis=1, count=n,
-                             bitorder="little").view(bool)
-        bits &= cols > np.arange(lo, lo + len(block))[:, None]  # v > u
-        picked = named[np.flatnonzero(bits) % n].tolist()
-        ends = np.cumsum(np.count_nonzero(bits, axis=1)).tolist()
-        yield [(u, picked[start:end]) for u, start, end
-               in zip(range(lo, lo + len(block)), [0] + ends, ends) if end > start]
+    neighbours v > u in increasing order) over those rows u that have any;
+    each row's binary digits pick the names (_named)."""
+    for lo in range(0, len(rows), _TEXT_ROWS):
+        yield [(u, _named(r >> (u + 1), names[u + 1:]))
+               for u, r in enumerate(rows[lo:lo + _TEXT_ROWS], lo) if r >> (u + 1)]
 
 
 def _edge_chunks(rows, names, left: str, right: str, sep: str, first: str = ""):

@@ -3,95 +3,115 @@ rank decomposition A = U^t B U with B an invertible principal submatrix.
 
 One Gauss-Jordan elimination (_rref) serves rank, det and
 rank_decomposition; one congruence walk (_diagonalize) serves
-congruence_diagonalize and normalize_invertible_symmetric.  Entries are an
-immutable numpy int64 array of element reps.  Pivots are tie-broken by
-smallest index, so every result is reproducible bit for bit.
+congruence_diagonalize and normalize_invertible_symmetric.  Entries are a
+tuple of row tuples of Python ints (element reps); the working copies
+inside are lists of row lists.  Pivots are tie-broken by smallest index,
+so every result is reproducible bit for bit.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 
-import numpy as np
-
 from .gf import FieldCtx
+
+
+def _product(f: FieldCtx, a, b, cols: int) -> tuple[tuple[int, ...], ...]:
+    """The rows of a b for row sequences a and b, b having cols columns."""
+    if f.e == 1:
+        p = f.p
+        bt = list(zip(*b)) or [()] * cols
+        return tuple(tuple(sum(map(operator.mul, row, col)) % p for col in bt) for row in a)
+    out = []
+    for row in a:
+        acc = [0] * cols
+        for x, brow in zip(row, b):
+            if x:
+                acc = [f.add(s, f.mul(x, y)) for s, y in zip(acc, brow)]
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 class MatrixFq:
     """An immutable rows x cols matrix over a fixed FieldCtx."""
 
-    __slots__ = ("field", "entries")
+    __slots__ = ("field", "entries", "cols")
 
-    def __init__(self, field: FieldCtx, entries):
-        arr = np.array(entries, dtype=np.int64)
-        if arr.ndim != 2:
+    def __init__(self, field: FieldCtx, entries, cols: int | None = None):
+        """entries is a sequence of rows of ints in 0..q-1; cols, needed only
+        when there are no rows, defaults to the length of the first row."""
+        rows = tuple(tuple(map(operator.index, row)) for row in entries)
+        if cols is None:
+            cols = len(rows[0]) if rows else 0
+        if any(len(row) != cols for row in rows):
             raise ValueError("matrix entries must be two-dimensional")
-        if arr.size and (arr.min() < 0 or arr.max() >= field.q):
+        if any(not 0 <= x < field.q for row in rows for x in row):
             raise ValueError(f"entry out of range for GF({field.q})")
-        arr.setflags(write=False)
         self.field = field
-        self.entries = arr
+        self.entries = rows
+        self.cols = cols
 
     @property
     def rows(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.entries.shape[1]
+        return len(self.entries)
 
     @classmethod
     def zeros(cls, field: FieldCtx, rows: int, cols: int) -> "MatrixFq":
-        return cls(field, np.zeros((rows, cols), dtype=np.int64))
+        return cls(field, [[0] * cols for _ in range(rows)], cols)
 
     @classmethod
     def identity(cls, field: FieldCtx, n: int) -> "MatrixFq":
-        return cls(field, np.eye(n, dtype=np.int64))
+        return cls.diagonal(field, [1] * n)
 
     @classmethod
     def diagonal(cls, field: FieldCtx, values) -> "MatrixFq":
-        return cls(field, np.diag(np.asarray(values, dtype=np.int64)))
+        values = list(values)
+        n = len(values)
+        return cls(field, [[values[i] if i == j else 0 for j in range(n)] for i in range(n)], n)
 
     @classmethod
     def block_diagonal(cls, field: FieldCtx, blocks) -> "MatrixFq":
         n = sum(b.rows for b in blocks)
-        out = np.zeros((n, n), dtype=np.int64)
+        out = [[0] * n for _ in range(n)]
         at = 0
         for b in blocks:
-            out[at:at + b.rows, at:at + b.cols] = b.entries
+            for i, row in enumerate(b.entries):
+                out[at + i][at:at + b.cols] = row
             at += b.rows
-        return cls(field, out)
+        return cls(field, out, n)
 
     def transpose(self) -> "MatrixFq":
-        return MatrixFq(self.field, self.entries.T)
+        return MatrixFq(self.field, list(zip(*self.entries)) or [()] * self.cols, self.rows)
 
     def is_symmetric(self) -> bool:
-        return self.rows == self.cols and bool(np.array_equal(self.entries, self.entries.T))
+        return self.rows == self.cols and self.entries == tuple(zip(*self.entries))
 
     def __matmul__(self, other: "MatrixFq") -> "MatrixFq":
         if self.field is not other.field:
             raise ValueError("field mismatch")
         if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        return MatrixFq(self.field, self.field.matmul(self.entries, other.entries))
+            raise ValueError(f"matmul inner dimensions differ: {self.cols} and {other.rows}")
+        return MatrixFq(self.field, _product(self.field, self.entries, other.entries, other.cols),
+                        other.cols)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, MatrixFq) and self.field is other.field
-                and np.array_equal(self.entries, other.entries))
+                and (self.entries, self.cols) == (other.entries, other.cols))
 
     def __hash__(self):
-        return hash((id(self.field), self.entries.tobytes(), self.entries.shape))
+        return hash((id(self.field), self.entries, self.cols))
 
     def to_lists(self) -> list[list[int]]:
-        return self.entries.tolist()
+        return [list(row) for row in self.entries]
 
     def to_json(self) -> dict:
         return {
             "field": self.field.to_json(),
             "rows": self.rows,
             "cols": self.cols,
-            "entries": self.entries.reshape(-1).tolist(),
+            "entries": [x for row in self.entries for x in row],
         }
 
     @classmethod
@@ -107,17 +127,19 @@ class MatrixFq:
             field = field_new(fspec["p"], fspec["e"])
             if "modulus" in fspec and list(field.modulus) != list(fspec["modulus"]):
                 raise ValueError("unsupported modulus; fields use the canonical modulus")
-            rows, cols, ent = obj["rows"], obj["cols"], np.asarray(obj["entries"])
+            rows, cols, ent = obj["rows"], obj["cols"], list(obj["entries"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"matrix JSON needs field, rows, cols, entries: {exc!r}") from exc
         if not all(type(x) is int and x >= 0 for x in (rows, cols)):
             raise ValueError("matrix rows and cols must be nonnegative integers")
-        if ent.size and ent.dtype.kind not in "iu":
+        if not all(type(x) is int for x in ent):
             raise ValueError("matrix entries must be integers")
-        return cls(field, ent.reshape(rows, cols))
+        if len(ent) != rows * cols:
+            raise ValueError(f"matrix JSON has {len(ent)} entries, not rows x cols = {rows * cols}")
+        return cls(field, [ent[i * cols:(i + 1) * cols] for i in range(rows)], cols)
 
     def __repr__(self) -> str:
-        return f"MatrixFq({self.field!r}, {self.entries.tolist()})"
+        return f"MatrixFq({self.field!r}, {self.to_lists()})"
 
 
 class ClassTag(enum.Enum):
@@ -143,47 +165,48 @@ class CongruenceClass:
 
 def rank(a: MatrixFq) -> int:
     """Rank: the number of pivots of the reduced row echelon form."""
-    return len(_rref(a.field, np.array(a.entries))[0])
+    return len(_rref(a.field, a.to_lists())[0])
 
 
 def det(a: MatrixFq) -> int:
     """Determinant: the signed pivot product at full rank, else 0."""
     if a.rows != a.cols:
         raise ValueError("determinant of a non-square matrix")
-    pivots, d = _rref(a.field, np.array(a.entries))
-    return int(d) if len(pivots) == a.rows else 0
+    pivots, d = _rref(a.field, a.to_lists())
+    return d if len(pivots) == a.rows else 0
 
 
-def _rref(field: FieldCtx, m: np.ndarray) -> tuple[list[int], int]:
-    """Reduce m in place to reduced row echelon form by Gauss-Jordan
-    elimination; return (pivot columns, signed pivot product).
+def _rref(field: FieldCtx, m: list[list[int]]) -> tuple[list[int], int]:
+    """Reduce the row lists m in place to reduced row echelon form by
+    Gauss-Jordan elimination; return (pivot columns, signed pivot product).
 
     The product is over the pivots as found, times -1 per row swap, which
     equals the determinant when m is square and of full rank.
     """
-    rows, cols = m.shape
+    f = field
+    rows, cols = len(m), len(m[0]) if m else 0
     pivots: list[int] = []
     d = 1
     for col in range(cols):
         r = len(pivots)
         if r == rows:
             break
-        if not m[r, col]:
-            # m[r, col] is tested alone first: on small matrices one scalar
-            # test is cheaper than a numpy call
-            below = np.flatnonzero(m[r + 1:, col])
-            if not below.size:
-                continue
-            piv = r + 1 + int(below[0])
-            m[[r, piv], :] = m[[piv, r], :]
-            d = field.neg(d)
-        pval = int(m[r, col])
+        piv = next((i for i in range(r, rows) if m[i][col]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            d = f.neg(d)
+        pval = m[r][col]
         if pval != 1:
-            d = field.mul(d, pval)
-            m[r, col:] = field.mul(field.inv(pval), m[r, col:])
-        factors = m[:, col:col + 1].copy()
-        factors[r] = 0
-        m[:, col:] = field.sub(m[:, col:], field.mul(factors, m[r:r + 1, col:]))
+            d = f.mul(d, pval)
+            pinv = f.inv(pval)
+            m[r] = [f.mul(pinv, x) for x in m[r]]
+        prow = m[r]
+        for i in range(rows):
+            c = m[i][col]
+            if c and i != r:
+                m[i] = [f.sub(x, f.mul(c, y)) for x, y in zip(m[i], prow)]
         pivots.append(col)
     return pivots, d
 
@@ -193,42 +216,47 @@ class _CongruenceWorker:
 
     def __init__(self, b: MatrixFq):
         self.field = b.field
-        self.d = np.array(b.entries)
-        self.c = np.eye(b.rows, dtype=np.int64)
+        self.d = b.to_lists()
+        self.c = MatrixFq.identity(b.field, b.rows).to_lists()
 
     def swap(self, i: int, j: int) -> None:
         if i == j:
             return
-        self.d[[i, j], :] = self.d[[j, i], :]
-        self.d[:, [i, j]] = self.d[:, [j, i]]
-        self.c[:, [i, j]] = self.c[:, [j, i]]
+        d = self.d
+        d[i], d[j] = d[j], d[i]
+        for row in d:
+            row[i], row[j] = row[j], row[i]
+        for row in self.c:
+            row[i], row[j] = row[j], row[i]
 
     def addmul(self, i: int, j: int, alpha: int) -> None:
         # congruence by E = I + alpha * e_i e_j^t: column j += alpha * column i
-        f = self.field
-        self.d[j, :] = f.add(self.d[j, :], f.mul(alpha, self.d[i, :]))
-        self.d[:, j] = f.add(self.d[:, j], f.mul(alpha, self.d[:, i]))
-        self.c[:, j] = f.add(self.c[:, j], f.mul(alpha, self.c[:, i]))
+        f, d = self.field, self.d
+        d[j] = [f.add(x, f.mul(alpha, y)) for x, y in zip(d[j], d[i])]
+        for rows in (d, self.c):
+            for row in rows:
+                row[j] = f.add(row[j], f.mul(alpha, row[i]))
 
     def scale(self, i: int, c: int) -> None:
-        f = self.field
-        self.d[i, :] = f.mul(c, self.d[i, :])
-        self.d[:, i] = f.mul(c, self.d[:, i])
-        self.c[:, i] = f.mul(c, self.c[:, i])
+        f, d = self.field, self.d
+        d[i] = [f.mul(c, x) for x in d[i]]
+        for rows in (d, self.c):
+            for row in rows:
+                row[i] = f.mul(c, row[i])
 
-    def apply(self, e: np.ndarray) -> None:
+    def apply(self, e: list[list[int]]) -> None:
         # general congruence by an explicit matrix E
-        f = self.field
-        self.d = f.matmul(f.matmul(e.T, self.d), e)
-        self.c = f.matmul(self.c, e)
+        f, n = self.field, len(e)
+        self.d = list(map(list, _product(f, _product(f, zip(*e), self.d, n), e, n)))
+        self.c = list(map(list, _product(f, self.c, e, n)))
 
     def permute(self, order: list[int]) -> None:
-        idx = np.asarray(order, dtype=np.int64)
-        self.d = self.d[np.ix_(idx, idx)]
-        self.c = self.c[:, idx]
+        self.d = [[self.d[i][j] for j in order] for i in order]
+        self.c = [[row[j] for j in order] for row in self.c]
 
     def result(self) -> tuple[MatrixFq, MatrixFq]:
-        return MatrixFq(self.field, self.c), MatrixFq(self.field, self.d)
+        n = len(self.d)
+        return MatrixFq(self.field, self.c, n), MatrixFq(self.field, self.d, n)
 
 
 def _diagonalize(w: _CongruenceWorker) -> tuple[int, int]:
@@ -236,22 +264,22 @@ def _diagonalize(w: _CongruenceWorker) -> tuple[int, int]:
     return (s, r) with r the size of the nonzero part, so r = rank.  Pivots
     are as congruence_diagonalize states."""
     f = w.field
-    n = w.d.shape[0]
+    n = len(w.d)
     diag_pos: list[int] = []
     hyp_pos: list[int] = []
     r = 0
     while r < n:
-        piv = next((i for i in range(r, n) if w.d[i, i]), -1)
+        piv = next((i for i in range(r, n) if w.d[i][i]), -1)
         if piv >= 0:
             w.swap(r, piv)
-            pinv = f.inv(int(w.d[r, r]))
+            pinv = f.inv(w.d[r][r])
             for j in range(r + 1, n):
-                if w.d[r, j]:
-                    w.addmul(r, j, f.neg(f.mul(int(w.d[r, j]), pinv)))
+                if w.d[r][j]:
+                    w.addmul(r, j, f.neg(f.mul(w.d[r][j], pinv)))
             diag_pos.append(r)
             r += 1
             continue
-        pair = next(((i, j) for i in range(r, n) for j in range(i + 1, n) if w.d[i, j]), None)
+        pair = next(((i, j) for i in range(r, n) for j in range(i + 1, n) if w.d[i][j]), None)
         if pair is None:
             break
         i, j = pair
@@ -261,12 +289,12 @@ def _diagonalize(w: _CongruenceWorker) -> tuple[int, int]:
             continue
         w.swap(r, i)
         w.swap(r + 1, j)
-        binv = f.inv(int(w.d[r, r + 1]))
+        binv = f.inv(w.d[r][r + 1])
         for m in range(r + 2, n):
-            if w.d[r, m]:
-                w.addmul(r + 1, m, f.neg(f.mul(int(w.d[r, m]), binv)))
-            if w.d[r + 1, m]:
-                w.addmul(r, m, f.neg(f.mul(int(w.d[r + 1, m]), binv)))
+            if w.d[r][m]:
+                w.addmul(r + 1, m, f.neg(f.mul(w.d[r][m], binv)))
+            if w.d[r + 1][m]:
+                w.addmul(r, m, f.neg(f.mul(w.d[r + 1][m], binv)))
         hyp_pos += [r, r + 1]
         r += 2
     w.permute(diag_pos + hyp_pos + list(range(r, n)))
@@ -309,7 +337,8 @@ def classify_invertible_symmetric(b: MatrixFq) -> CongruenceClass:
         tag = ClassTag.SQUARE_DET if f.is_square(d) else ClassTag.NONSQUARE_DET
         ptag = ClassTag.IDENTITY if k % 2 == 1 else tag
         return CongruenceClass(k, tag, ptag)
-    tag = ClassTag.IDENTITY if np.diag(b.entries).any() else ClassTag.SYMPLECTIC
+    tag = ClassTag.IDENTITY if any(b.entries[i][i] for i in range(k)) \
+        else ClassTag.SYMPLECTIC
     return CongruenceClass(k, tag, tag)
 
 
@@ -354,43 +383,44 @@ def normalize_invertible_symmetric(b: MatrixFq) -> tuple[MatrixFq, MatrixFq]:
 
     if f.q % 2 == 0:
         for i in range(s):
-            w.scale(i, f.inv(f.sqrt(int(w.d[i, i]))))
+            w.scale(i, f.inv(f.sqrt(w.d[i][i])))
         for pos in range(s, k, 2):
-            w.scale(pos, f.inv(f.sqrt(int(w.d[pos, pos + 1]))))
-            hval = int(w.d[pos, pos + 1])
+            w.scale(pos, f.inv(f.sqrt(w.d[pos][pos + 1])))
+            hval = w.d[pos][pos + 1]
             if hval != 1:
                 w.scale(pos + 1, f.inv(hval))
         # collapse diag(1, H) -> I_3 while an identity coordinate is available
-        collapse = np.array([[1, 1, 1], [1, 0, 1], [0, 1, 1]], dtype=np.int64)
         while s not in (0, k):
-            e = np.eye(k, dtype=np.int64)
-            sl = [s - 1, s, s + 1]
-            e[np.ix_(sl, sl)] = collapse
-            w.apply(e)
+            w.apply(_embedded(k, s - 1, [[1, 1, 1], [1, 0, 1], [0, 1, 1]]))
             s += 2
         return w.result()
 
     # odd characteristic: fully diagonal; sort squares first, scale, pair nonsquares
     nu = f.nonsquare()
-    diag = [int(w.d[i, i]) for i in range(k)]
+    diag = [w.d[i][i] for i in range(k)]
     squares = [i for i in range(k) if f.is_square(diag[i])]
     nonsq = [i for i in range(k) if not f.is_square(diag[i])]
     w.permute(squares + nonsq)
     s, t = len(squares), len(nonsq)
     for i in range(s):
-        w.scale(i, f.inv(f.sqrt(int(w.d[i, i]))))
+        w.scale(i, f.inv(f.sqrt(w.d[i][i])))
     for i in range(s, k):
-        w.scale(i, f.inv(f.sqrt(f.mul(int(w.d[i, i]), f.inv(nu)))))
+        w.scale(i, f.inv(f.sqrt(f.mul(w.d[i][i], f.inv(nu)))))
     cc, dd = f.sum_of_two_squares(nu)
     nu_inv = f.inv(nu)
-    rot = np.array(
-        [[f.mul(nu_inv, cc), f.mul(nu_inv, dd)],
-         [f.mul(nu_inv, f.neg(dd)), f.mul(nu_inv, cc)]], dtype=np.int64)
+    rot = [[f.mul(nu_inv, cc), f.mul(nu_inv, dd)],
+           [f.mul(nu_inv, f.neg(dd)), f.mul(nu_inv, cc)]]
     for pos in range(s, s + t - (t % 2), 2):
-        e = np.eye(k, dtype=np.int64)
-        e[np.ix_([pos, pos + 1], [pos, pos + 1])] = rot
-        w.apply(e)
+        w.apply(_embedded(k, pos, rot))
     return w.result()
+
+
+def _embedded(k: int, at: int, block: list[list[int]]) -> list[list[int]]:
+    """The k x k identity with block placed on the diagonal from (at, at)."""
+    out = [[int(i == j) for j in range(k)] for i in range(k)]
+    for i, row in enumerate(block):
+        out[at + i][at:at + len(row)] = row
+    return out
 
 
 def rank_decomposition(a: MatrixFq) -> tuple[MatrixFq, MatrixFq]:
@@ -405,6 +435,7 @@ def rank_decomposition(a: MatrixFq) -> tuple[MatrixFq, MatrixFq]:
     """
     if not a.is_symmetric():
         raise ValueError("rank decomposition requires a symmetric matrix")
-    m = np.array(a.entries)
+    m = a.to_lists()
     s, _ = _rref(a.field, m)
-    return MatrixFq(a.field, a.entries[np.ix_(s, s)]), MatrixFq(a.field, m[:len(s)])
+    return (MatrixFq(a.field, [[a.entries[i][j] for j in s] for i in s], len(s)),
+            MatrixFq(a.field, m[:len(s)], a.cols))

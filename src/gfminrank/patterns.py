@@ -5,25 +5,26 @@ Each pattern is the looped graph of the matrix U^t B U, where the columns of
 U are the canonically ordered points of PG(k-1, q) and B runs over the
 congruence-class representatives of invertible symmetric k x k matrices.
 Equivalently: the complement of the looped polarity graph of B.  U^t is
-the point array of projgeo.enumerate_points, kept as it is.  The isolated
+the point tuple of projgeo.enumerate_points, kept as it is.  The isolated
 extra vertex that every such family carries is not stored; the blowup
 module accounts for it separately.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import math
+import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-import numpy as np
-
 from .gf import FieldCtx, field_from_order
 from .graphs import LoopedGraph
-from .matfq import MatrixFq, canonical_representatives, rank
-from .projgeo import (canonicalize, enumerate_points, norms, pairing_matrix, pairing_support,
-                      point_count, point_index)
+from .matfq import MatrixFq, _product, _rref, canonical_representatives, rank
+from .projgeo import (_lanes, _Pairings, canonicalize, enumerate_points, norms,
+                      pairing_matrix, pairing_support, point_count, point_index)
 
 DEFAULT_VERTEX_BUDGET = 10_000
 
@@ -58,37 +59,28 @@ class PatternSet:
     q: int
     k: int
     field: FieldCtx
-    points: np.ndarray
+    points: tuple[tuple[int, ...], ...]
     patterns: tuple[Pattern, ...]
 
 
-def pattern_graph(points: np.ndarray, b: MatrixFq) -> LoopedGraph:
-    """Looped graph of U^t B U: edge where the pairing is nonzero, loop where
-    a point is non-absolute.
-
-    The nonzero pairings come from projgeo.pairing_support, one block of a
-    few hundred rows at a time: k e integer multiply-adds for every q, with
-    each element of GF(p^e) written as its e base-p digits, whose sums of
-    at most k e (p-1)^2 are held in the narrowest unsigned word that holds
-    that bound (checked, not assumed).  Each block's diagonal becomes loops
-    and the rest is packed straight into the int rows, so no n x n array
-    is ever held."""
+def pattern_graph(b: MatrixFq) -> LoopedGraph:
+    """Looped graph of U^t B U over the canonical points: edge where the
+    pairing is nonzero, loop where a point is non-absolute.  Each row comes
+    whole from projgeo.pairing_support, its own bit split off as the loop,
+    so no n x n matrix is ever held."""
     rows: list[int] = []
     loops = 0
-    for nz in pairing_support(points, b):
-        lo, own = len(rows), np.arange(len(nz))
-        diagonal = np.packbits(nz[own, lo + own], bitorder="little")
-        loops |= int.from_bytes(diagonal.tobytes(), "little") << lo
-        nz[own, lo + own] = False
-        packed = np.packbits(nz, axis=1, bitorder="little")
-        data, width = packed.tobytes(), packed.shape[1]
-        rows += [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
-    return LoopedGraph._trusted(len(points), rows, loops)  # symmetric, as B is
+    for x, row in enumerate(pairing_support(b)):
+        if row >> x & 1:
+            loops |= 1 << x
+            row ^= 1 << x
+        rows.append(row)
+    return LoopedGraph._trusted(len(rows), rows, loops)  # symmetric, as B is
 
 
-def gram_matrix(points: np.ndarray, b: MatrixFq) -> MatrixFq:
+def gram_matrix(points, b: MatrixFq) -> MatrixFq:
     """The full matrix U^t B U over GF(q) under the canonical point order."""
-    return MatrixFq(b.field, pairing_matrix(points, b))
+    return MatrixFq(b.field, pairing_matrix(points, b), len(points))
 
 
 def generate(q: int, k: int, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> PatternSet:
@@ -105,29 +97,16 @@ def generate(q: int, k: int, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> Patt
     return _generate_cached(field, k)
 
 
-# generators whose point images are computed in one numpy pass
+# generators added to the orbit search at a time
 _GENERATOR_BLOCK = 8
 
 
-def _join(labels: np.ndarray, u: np.ndarray, v: np.ndarray) -> bool:
-    """Merge the classes of u[i] and v[i], each point labelled by the least
-    point of its class; whether any two classes merged."""
-    a, b = labels[u], labels[v]
-    merged = bool((a != b).any())
-    while (a != b).any():
-        np.minimum.at(labels, np.maximum(a, b), np.minimum(a, b))
-        while not np.array_equal(labels[labels], labels):  # labels only point down
-            labels[:] = labels[labels]
-        a, b = labels[u], labels[v]
-    return merged
-
-
-def isometry_generators(b: MatrixFq,
-                        pts: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The maps x -> x + c B(x,a) a for the rows a of pts and c != 0 with
-    c (2 + c B(a,a)) = 0, yielded as arrays (rows a, scalars c) of at most
-    _GENERATOR_BLOCK generators each.  Listed by c, then a, the m of them
-    are visited by a stride near m/phi so that neighbours lie far apart.
+def isometry_generators(b: MatrixFq, nrm: list[int]) -> Iterator[tuple[list[int], list[int]]]:
+    """The maps x -> x + c B(x,a) a for the points a and c != 0 with
+    c (2 + c B(a,a)) = 0, yielded as lists (points a, scalars c) of at most
+    _GENERATOR_BLOCK generators each; nrm holds B(a,a) for every point a.
+    Listed by c, then a, the m of them are visited by a stride near m/phi
+    so that neighbours lie far apart.
 
     Each keeps B, since B(x',y') = B(x,y) + c (2 + c B(a,a)) B(x,a) B(y,a):
     they are the reflections for odd q and the transvections for even q.
@@ -135,22 +114,122 @@ def isometry_generators(b: MatrixFq,
     are the points of that norm and no list of all m pairs is built.
     """
     f = b.field
-    nrm = norms(pts, b)
-    by_norm = np.argsort(nrm, kind="stable")  # ascending points within a norm
-    first = np.searchsorted(nrm[by_norm], np.arange(f.q + 1))
-    scalars = np.arange(1, f.q, dtype=np.int64)
-    norm = f.mul(f.neg(f.add(1, 1)), f.inv(scalars))
-    counts = first[norm + 1] - first[norm]
-    ends = np.cumsum(counts)
-    m = int(ends[-1])
+    by_norm: list[list[int]] = [[] for _ in range(f.q)]
+    for x, v in enumerate(nrm):
+        by_norm[v].append(x)
+    minus_two = f.neg(f.add(1, 1))
+    centres = [by_norm[f.mul(minus_two, f.inv(c))] for c in range(1, f.q)]
+    ends = list(itertools.accumulate(map(len, centres)))
+    m = ends[-1]
     step = max(1, round(m * 0.618))
     while math.gcd(step, m) != 1:
         step += 1
     for lo in range(0, m, _GENERATOR_BLOCK):
-        j = np.arange(lo, min(lo + _GENERATOR_BLOCK, m), dtype=np.int64) * step % m
-        # pair j has scalar g and is centre j - ends[g] + counts[g] of that norm
-        g = np.searchsorted(ends, j, side="right")
-        yield by_norm[first[norm[g]] + j - ends[g] + counts[g]], scalars[g]
+        js = [j * step % m for j in range(lo, min(lo + _GENERATOR_BLOCK, m))]
+        gs = [bisect.bisect_right(ends, j) for j in js]  # pair j has scalar g + 1
+        yield [centres[g][j - ends[g] + len(centres[g])] for j, g in zip(js, gs)], \
+            [g + 1 for g in gs]
+
+
+def _orbit_key_count(b: MatrixFq, nrm: list[int]) -> int:
+    """How many orbits the isometry group has at least: points whose norms
+    differ by more than a nonzero square factor lie in different orbits
+    (an isometry keeps x^t B x, and scaling x by s scales it by s^2), and
+    over even q a form with a nonzero diagonal has a pole w, the one point
+    with B(x,w)^2 = B(x,x) for every x (w = B^-1 u for u_t = sqrt(B_tt)),
+    which every isometry fixes, so it is an orbit of its own."""
+    f = b.field
+    pole = -1
+    if f.p == 2 and any(b.entries[t][t] for t in range(b.rows)):
+        m = [list(row) + [f.sqrt(row[t])] for t, row in enumerate(b.entries)]
+        if len(_rref(f, m)[0]) == b.rows:  # m is now (I | B^-1 u)
+            pole = point_index(f, canonicalize(f, [row[-1] for row in m]))
+    keys = {0 if v == 0 else 1 if f.is_square(v) else 2
+            for x, v in enumerate(nrm) if x != pole}
+    return len(keys) + (pole >= 0)
+
+
+def _lane_images(b: MatrixFq, pts):
+    """images(a, c): the index of x + c B(x,a) a for every point x, for
+    k >= 3 and q <= LANE_MAX_Q.  The image coordinates are value vectors over all
+    points (projgeo._Pairings), brought to canonical form lane by lane: the
+    last nonzero coordinate L is picked out by masks, and each coordinate
+    is divided by L as exp(log x - log L), one bytes.translate per step
+    (the sum of two logarithms, at most 2q - 4, fits its byte)."""
+    f, q = b.field, b.field.q
+    pairs = _Pairings(b)
+    pl, mult, coords = pairs.planes, pairs.multiples, pairs.coords
+    n, index = pl.n, {x: i for i, x in enumerate(pts)}
+    exp = [1]
+    gen = next(g for g in range(1, q) if _order(f, g) == q - 1)
+    while len(exp) < q - 1:
+        exp.append(f.mul(exp[-1], gen))
+    log = dict(zip(exp, range(q - 1)))
+    log_of = bytes(log.get(v, 0) for v in range(q)).ljust(256, b"\0")
+    minus_log = bytes(-log.get(v, 0) % (q - 1) for v in range(q)).ljust(256, b"\0")
+    exp_of = bytes(exp[i % (q - 1)] for i in range(256))
+    nonzero = b"\0" + b"\xff" * 255
+
+    def lanes(data: bytes) -> int:
+        return int.from_bytes(data, "little")
+
+    def images(a: int, c: int) -> list[int]:
+        centre = pts[a]
+        mu = pl.scale(c, functools.reduce(
+            pl.add, (mult[t][x] for t, x in enumerate(centre) if x), pl.zero))
+        image = [pl.reps(pl.add(coords[t], pl.scale(x, mu)) if x else coords[t])
+                 for t, x in enumerate(centre)]
+        masks = [lanes(x.translate(nonzero)) for x in image]
+        last = 0
+        for x, nz in zip(image, masks):
+            last = lanes(x) & nz | last & ~nz
+        shift = lanes(last.to_bytes(n, "little").translate(minus_log))
+        canon = [(lanes((lanes(x.translate(log_of)) + shift).to_bytes(n, "little")
+                        .translate(exp_of)) & nz).to_bytes(n, "little")
+                 for x, nz in zip(image, masks)]
+        return list(map(index.__getitem__, zip(*canon)))
+
+    return images
+
+
+def _order(f: FieldCtx, g: int) -> int:
+    """The multiplicative order of g != 0."""
+    x, order = g, 1
+    while x != 1:
+        x, order = f.mul(x, g), order + 1
+    return order
+
+
+def _point_images(b: MatrixFq, pts):
+    """images(a, c): the index of x + c B(x,a) a for every point x, one
+    point at a time (for k <= 2, or q > LANE_MAX_Q); over GF(p) the sums
+    are plain ints, reduced mod p once per coordinate."""
+    f = b.field
+    add, mul, index = f.add, f.mul, {x: i for i, x in enumerate(pts)}
+
+    def images(a: int, c: int) -> list[int]:
+        centre = pts[a]
+        ba = _product(f, [centre], b.entries, b.cols)[0]  # B(x, a) = x . ba
+        out, p = [], f.p
+        for i, x in enumerate(pts):
+            if f.e == 1:
+                mu = c * sum(map(operator.mul, x, ba)) % p
+                y = [(s + mu * t) % p for s, t in zip(x, centre)]
+            else:
+                mu = mul(c, functools.reduce(add, map(mul, x, ba)))
+                y = list(map(add, x, map(mul, itertools.repeat(mu), centre)))
+            if not mu:
+                out.append(i)
+                continue
+            last = len(y) - 1
+            while not y[last]:
+                last -= 1
+            s = f.inv(y[last])
+            y = [v * s % p for v in y] if f.e == 1 else [mul(s, v) for v in y]
+            out.append(index[tuple(y)])
+        return out
+
+    return images
 
 
 def isometry_roots(b: MatrixFq) -> int:
@@ -162,29 +241,48 @@ def isometry_roots(b: MatrixFq) -> int:
     generated by isometry_generators.  An orbit of any subgroup lies in an
     orbit of the full isometry group, so one point per computed orbit may
     stand for its orbit however many generators are used: they are added in
-    blocks until a block merges no two orbits.
+    blocks until a block merges no two orbits.  Once the orbits are as few
+    as _orbit_key_count allows, no generator can merge two more, and the
+    search stops there with the same orbits.
     """
     f = b.field
     pts = enumerate_points(f, b.rows)
-    points = np.arange(len(pts), dtype=np.int64)
-    labels = points.copy()
-    xb = f.matmul(pts, b.entries)
-    for centres, scalars in isometry_generators(b, pts):
-        a = pts[centres]
-        # images[g, x] = x + c_g B(x, a_g) a_g, one row per generator g
-        coef = f.mul(scalars[:, None], f.matmul(xb, a.T).T)
-        images = f.add(pts[None], f.mul(coef[:, :, None], a[:, None, :]))
-        targets = point_index(f, canonicalize(f, images)).ravel()
-        if not _join(labels, np.tile(points, len(a)), targets):
+    nrm = norms(b)
+    images = (_lane_images if _lanes(b) else _point_images)(b, pts)
+    labels = list(range(len(pts)))  # each point's label: the least point of its orbit
+    orbits, floor = len(pts), _orbit_key_count(b, nrm)
+    for centres, scalars in isometry_generators(b, nrm):
+        merged = False
+        for a, c in zip(centres, scalars):
+            if orbits == floor:
+                break
+            parent: dict[int, int] = {}
+
+            def root(u: int) -> int:
+                while u in parent:
+                    u = parent[u]
+                return u
+
+            for u, w in set(zip(labels, map(labels.__getitem__, images(a, c)))):
+                u, w = root(u), root(w)
+                if u != w:
+                    parent[max(u, w)] = min(u, w)
+                    orbits -= 1
+            if parent:
+                merged = True
+                relabel = list(range(len(pts)))
+                for u in parent:
+                    relabel[u] = root(u)
+                labels = list(map(relabel.__getitem__, labels))
+        if not merged or orbits == floor:
             break
-    roots = np.packbits(labels == points, bitorder="little")
-    return int.from_bytes(roots.tobytes(), "little")
+    return sum(1 << v for v, label in enumerate(labels) if label == v)
 
 
 @functools.lru_cache(maxsize=256)
 def _generate_cached(field: FieldCtx, k: int) -> PatternSet:
     points = enumerate_points(field, k)
-    pats = tuple(Pattern(b, pattern_graph(points, b))
+    pats = tuple(Pattern(b, pattern_graph(b))
                  for b in canonical_representatives(field, k))
     return PatternSet(field.q, k, field, points, pats)
 

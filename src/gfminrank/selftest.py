@@ -100,7 +100,7 @@ def _reps() -> None:
 @_check("canonical point order matches the stored column matrices")
 def _points() -> None:
     for p, k, u in [(2, 3, refdata.F2R3_U), (3, 3, refdata.F3R3_U), (2, 4, refdata.F2R4_U)]:
-        _require(enumerate_points(field_new(p, 1), k).T.tolist() == u, f"q={p} k={k}")
+        _require([list(c) for c in zip(*enumerate_points(field_new(p, 1), k))] == u, f"q={p} k={k}")
 
 
 @_check("absolute point counts: (2,3,I)=3, (3,3,I)=4, (2,4,HH)=15")
@@ -123,7 +123,7 @@ def _patterns() -> None:
     ps = generate(2, 2)
     cols = refdata.u_columns(refdata.G2F2_U)
     live = [j for j, c in enumerate(cols) if any(c)]
-    perm = [live.index(cols.index(tuple(p))) for p in ps.points.tolist()]
+    perm = [live.index(cols.index(p)) for p in ps.points]
     for idx, ref in [(0, refdata.G2F2_IDENTITY_GRAM), (1, refdata.G2F2_SYMPLECTIC_GRAM)]:
         gm = gram_matrix(ps.points, ps.patterns[idx].form)
         expect = [[ref[live[perm[i]]][live[perm[j]]] for j in range(len(live))]

@@ -2,13 +2,13 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gfminrank import field_from_order, field_new, gf
+from gfminrank import MatrixFq, field_from_order, field_new, gf
 from gfminrank.gf import Q_MAX, factor_prime_power
 
 
@@ -142,17 +142,17 @@ def test_inv_of_zero_raises(gf3):
     with pytest.raises(ZeroDivisionError):
         gf3.inv(0)
     with pytest.raises(ZeroDivisionError):
-        gf3.inv(np.array([1, 0, 2]))
+        field_from_order(9).inv(0)
 
 
 def test_inv_of_an_array_matches_the_scalar_inverses():
+    # the inverses of every unit at once against the polynomial product
     for q in (2, 3, 4, 7, 9, 13, 16, 27):
         f = field_from_order(q)
-        units = np.arange(1, q, dtype=np.int64)
-        inv = f.inv(units)
-        assert inv.shape == units.shape
-        assert inv.tolist() == [int(f.inv(int(a))) for a in units]
-        assert (f.mul(units, inv) == 1).all()
+        units = range(1, q)
+        inv = [f.inv(a) for a in units]
+        assert sorted(inv) == list(units)
+        assert all(_poly_mul(f, a, b) == 1 for a, b in zip(units, inv))
 
 
 def test_square_counts():
@@ -281,38 +281,40 @@ def test_field_serialisation(gf9):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
 def test_array_ops_match_scalar_ops_and_kernel_tables(q):
+    # the kernel tables are the q x q arrays of the scalar operations
     f = field_from_order(q)
-    reps = np.arange(q, dtype=np.int64)
-    a, b = np.repeat(reps, q), np.tile(reps, q)  # the full q x q grid, flattened
     sub_t, mul_t, inv_t = f.kernel_tables()
     # the oracle search indexes the tables as Python lists of ints
     assert {type(x) for row in sub_t + mul_t for x in row} | set(map(type, inv_t)) == {int}
-    for op, table in [(f.add, None), (f.sub, sub_t), (f.mul, mul_t)]:
-        got = op(a, b)
-        assert got.dtype == np.int64
-        assert got.tolist() == [op(x, y) for x, y in zip(a.tolist(), b.tolist())]
-        if table is not None:
-            assert got.reshape(q, q).tolist() == table
+    assert sub_t == [[f.sub(a, b) for b in range(q)] for a in range(q)]
+    assert mul_t == [[f.mul(a, b) for b in range(q)] for a in range(q)]
     # the table product agrees with plain polynomial multiplication mod the modulus
-    assert f.mul(a, b).tolist() == [_poly_mul(f, x, y) for x, y in zip(a.tolist(), b.tolist())]
-    assert f.neg(reps).tolist() == [f.neg(x) for x in range(q)]
+    assert mul_t == [[_poly_mul(f, a, b) for b in range(q)] for a in range(q)]
+    # and the difference with the digit-wise difference mod p
+    assert sub_t == [[sum((a // f.p ** i - b // f.p ** i) % f.p * f.p ** i for i in range(f.e))
+                      for b in range(q)] for a in range(q)]
+    assert [f.add(f.sub(a, b), b) for a in range(q) for b in range(q)] == \
+        [a for a in range(q) for _ in range(q)]
+    assert [f.add(x, f.neg(x)) for x in range(q)] == [0] * q
     assert inv_t == [0] + [f.inv(x) for x in range(1, q)]
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 16, 25, 27, 256])
 def test_digits_and_mul_matrix_match_the_reps_and_mul(q):
+    # the digit form (_digits, _pack) and the product on it (gf._mul_mod),
+    # as the e x e matrix of x -> a x over GF(p): column j is the digits of
+    # a X^j, and that matrix times the digits of x is the digits of a x
     f = field_from_order(q)
-    reps = np.arange(q, dtype=np.int64)
-    pw = f.p ** np.arange(f.e, dtype=np.int64)
-    digits = f.digits(reps)
-    assert digits.shape == (q, f.e) and digits.max() < f.p
-    assert (digits @ pw == reps).all()
-    assert f.digits(q - 1).tolist() == [f.p - 1] * f.e
-    a, x = np.repeat(reps, q), np.tile(reps, q)  # the full q x q grid, flattened
-    m = f.mul_matrix(a)
-    assert m.shape == (q * q, f.e, f.e)
-    got = (m @ f.digits(x)[:, :, None])[:, :, 0] % f.p
-    assert (got == f.digits(f.mul(a, x))).all()
+    p, e = f.p, f.e
+    assert all(f._pack(f._digits(a)) == a and max(f._digits(a)) < p for a in range(q))
+    assert f._digits(q - 1) == [p - 1] * e
+    basis = [f._digits(p ** j) for j in range(e)]
+    for a in range(0, q, 1 if q <= 27 else 5):
+        cols = [gf._mul_mod(f._digits(a), x, f.modulus, p) for x in basis]
+        for x in range(q):
+            d = f._digits(x)
+            got = [sum(cols[j][i] * d[j] for j in range(e)) % p for i in range(e)]
+            assert got == f._digits(f.mul(a, x))
 
 
 def test_every_extension_field_keeps_its_generator():
@@ -361,14 +363,14 @@ def test_rabin_test_agrees_with_trial_division():
     assert checked == 824
 
 
-def _naive_matmul(f, a, b):
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
+def _naive_matmul(f, a, b, cols):
+    out = [[0] * cols for _ in a]
+    for i, row in enumerate(a):
+        for j in range(cols):
             acc = 0
-            for t in range(a.shape[1]):
-                acc = f.add(acc, f.mul(int(a[i, t]), int(b[t, j])))
-            out[i, j] = acc
+            for t, x in enumerate(row):
+                acc = f.add(acc, f.mul(x, b[t][j]))
+            out[i][j] = acc
     return out
 
 
@@ -377,28 +379,29 @@ def _naive_matmul(f, a, b):
                                                (5, 6, 2), (3, 0, 2)])
 def test_matmul_matches_naive_triple_loop(q, rows, inner, cols):
     f = field_from_order(q)
-    gen = np.random.default_rng(q * 1000 + rows * 100 + inner * 10 + cols)
-    a = gen.integers(0, q, size=(rows, inner))
-    b = gen.integers(0, q, size=(inner, cols))
-    got = f.matmul(a, b)
-    assert got.shape == (rows, cols) and got.dtype == np.int64
-    assert np.array_equal(got, _naive_matmul(f, a, b))
+    gen = random.Random(q * 1000 + rows * 100 + inner * 10 + cols)
+    a = [[gen.randrange(q) for _ in range(inner)] for _ in range(rows)]
+    b = [[gen.randrange(q) for _ in range(cols)] for _ in range(inner)]
+    got = MatrixFq(f, a, inner) @ MatrixFq(f, b, cols)
+    assert (got.rows, got.cols) == (rows, cols)
+    assert got.to_lists() == _naive_matmul(f, a, b, cols)
+    assert {type(x) for row in got.entries for x in row} <= {int}
 
 
 @pytest.mark.parametrize("q", [3, 4, 9])
 def test_matmul_refuses_mismatched_inner_dimensions(q):
     f = field_from_order(q)
     with pytest.raises(ValueError, match=r"\b3\b.* and 2\b"):
-        f.matmul(np.ones((1, 3), dtype=np.int64), np.ones((2, 4), dtype=np.int64))
+        MatrixFq(f, [[1] * 3]) @ MatrixFq(f, [[1] * 4] * 2)
 
 
 def test_zero_sentinel_at_the_order_cap():
     f = field_new(2, 16)
-    a = np.array([0, 1, 12345, 0, f.q - 1, 0], dtype=np.int64)
-    b = np.array([54321, 0, 0, 0, 7, f.q - 1], dtype=np.int64)
-    got = f.mul(a, b)
-    assert got[[0, 1, 2, 3, 5]].tolist() == [0] * 5
+    a = [0, 1, 12345, 0, f.q - 1, 0]
+    b = [54321, 0, 0, 0, 7, f.q - 1]
+    got = list(map(f.mul, a, b))
+    assert [got[i] for i in (0, 1, 2, 3, 5)] == [0] * 5
     assert got[4] == _poly_mul(f, f.q - 1, 7) != 0
-    x = np.random.default_rng(16).integers(1, f.q, size=500)
-    inverses = np.array([f.inv(v) for v in x.tolist()], dtype=np.int64)
-    assert (f.mul(x, inverses) == 1).all()
+    gen = random.Random(16)
+    x = [gen.randrange(1, f.q) for _ in range(500)]
+    assert all(f.mul(v, f.inv(v)) == 1 for v in x)

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import itertools
 
-import numpy as np
 import pytest
 
 from gfminrank import (ClassTag, MatrixFq, canonical_representatives,
@@ -23,18 +22,17 @@ def random_invertible(field, n, rng):
 
 
 def random_symmetric(field, n, rng):
-    a = np.array([[rng.randrange(field.q) for _ in range(n)] for _ in range(n)], dtype=np.int64)
-    upper = np.triu(a)
-    return MatrixFq(field, upper + np.triu(a, 1).T)
+    a = [[rng.randrange(field.q) for _ in range(n)] for _ in range(n)]
+    return MatrixFq(field, [[a[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)], n)
 
 
 def all_symmetric(field, n):
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
     for values in itertools.product(range(field.q), repeat=len(pairs)):
-        m = np.zeros((n, n), dtype=np.int64)
+        m = [[0] * n for _ in range(n)]
         for (i, j), v in zip(pairs, values):
-            m[i, j] = m[j, i] = v
-        yield MatrixFq(field, m)
+            m[i][j] = m[j][i] = v
+        yield MatrixFq(field, m, n)
 
 
 def congruence_form(c: MatrixFq, b: MatrixFq) -> MatrixFq:
@@ -46,7 +44,7 @@ def test_rank_examples(gf2, gf3):
     fullhouse_ones = MatrixFq(gf2, [[1, 1, 1, 0, 0], [1, 1, 1, 1, 1], [1, 1, 1, 1, 1],
                                     [0, 1, 1, 1, 1], [0, 1, 1, 1, 1]])
     assert rank(fullhouse_ones) == 3
-    assert rank(MatrixFq(gf3, np.ones((5, 5), dtype=np.int64))) == 1
+    assert rank(MatrixFq(gf3, [[1] * 5] * 5)) == 1
     assert rank(MatrixFq.zeros(gf2, 4, 4)) == 0
 
 
@@ -70,7 +68,7 @@ def test_det_matches_bruteforce_3x3(gf3, rng):
                            ((2, 1, 0), -1), ((0, 2, 1), -1), ((1, 0, 2), -1)]:
             term = 1
             for i, j in enumerate(perm):
-                term = f.mul(term, int(e[i, j]))
+                term = f.mul(term, e[i][j])
             total = f.add(total, term if sign > 0 else f.neg(term))
         return total
 
@@ -98,22 +96,21 @@ def _is_canonical_block_form(field, d: MatrixFq) -> bool:
     n = d.rows
     e = d.entries
     i = 0
-    while i < n and e[i, i]:
+    while i < n and e[i][i]:
         i += 1
     s = i
-    while i + 1 < n and e[i, i + 1]:
-        if e[i, i] or e[i + 1, i + 1] or e[i, i + 1] != e[i + 1, i]:
+    while i + 1 < n and e[i][i + 1]:
+        if e[i][i] or e[i + 1][i + 1] or e[i][i + 1] != e[i + 1][i]:
             return False
         i += 2
-    zero_tail = e[i:, i:]
-    if zero_tail.size and zero_tail.any():
+    if any(e[a][b] for a in range(i, n) for b in range(i, n)):
         return False
-    off = e.copy()
+    off = [list(row) for row in e]
     for j in range(s):
-        off[j, j] = 0
+        off[j][j] = 0
     for j in range(s, i, 2):
-        off[j, j + 1] = off[j + 1, j] = 0
-    return not off.any()
+        off[j][j + 1] = off[j + 1][j] = 0
+    return not any(map(any, off))
 
 
 def test_congruence_diagonalize_structure(rng):
@@ -127,7 +124,7 @@ def test_congruence_diagonalize_structure(rng):
             assert congruence_form(c, b) == d
             assert _is_canonical_block_form(f, d)
             if f.p != 2:
-                assert not any(d.entries[i, j] for i in range(n) for j in range(n) if i != j)
+                assert not any(d.entries[i][j] for i in range(n) for j in range(n) if i != j)
 
 
 def test_classify_reference_cases(gf2, gf3):
@@ -241,19 +238,19 @@ def test_classify_matches_bruteforce_orbits_k2():
             c = MatrixFq(f, [list(vals[:2]), list(vals[2:])])
             if rank(c) == 2:
                 invertibles.append(c)
-        seen: dict[bytes, int] = {}
+        seen: dict[tuple, int] = {}
         orbits = []
         for vals in itertools.product(range(q), repeat=3):
             b = MatrixFq(f, [[vals[0], vals[1]], [vals[1], vals[2]]])
-            if rank(b) != 2 or b.entries.tobytes() in seen:
+            if rank(b) != 2 or b.entries in seen:
                 continue
-            orbit = {b.entries.tobytes(): b}
+            orbit = {b.entries: b}
             frontier = [b]
             while frontier:
                 cur = frontier.pop()
                 for c in invertibles:
                     nxt = congruence_form(c, cur)
-                    key = nxt.entries.tobytes()
+                    key = nxt.entries
                     if key not in orbit:
                         orbit[key] = nxt
                         frontier.append(nxt)
@@ -289,12 +286,11 @@ def test_zero_diagonal_preserved_even_q(rng):
         for _ in range(100):
             n = rng.randrange(1, 6)
             b = random_symmetric(f, n, rng)
-            arr = np.array(b.entries)
-            np.fill_diagonal(arr, 0)
-            b = MatrixFq(f, arr)
+            b = MatrixFq(f, [[0 if i == j else x for j, x in enumerate(row)]
+                             for i, row in enumerate(b.entries)], n)
             c = random_matrix(f, n, rng)
             out = congruence_form(c, b)
-            assert not np.diag(out.entries).any()
+            assert not any(out.entries[i][i] for i in range(n))
 
 
 def test_rank_decomposition_reference_cases(gf2, gf3):
@@ -308,7 +304,7 @@ def test_rank_decomposition_reference_cases(gf2, gf3):
     assert b.rows == 3
     assert (u.transpose() @ b @ u) == fullhouse_ones
 
-    ones = MatrixFq(gf3, np.ones((4, 4), dtype=np.int64))
+    ones = MatrixFq(gf3, [[1] * 4] * 4)
     b, u = rank_decomposition(ones)
     assert b.to_lists() == [[1]]
     assert u.to_lists() == [[1, 1, 1, 1]]
@@ -317,7 +313,7 @@ def test_rank_decomposition_reference_cases(gf2, gf3):
 def _greedy_independent_columns(a: MatrixFq) -> list[int]:
     s: list[int] = []
     for j in range(a.cols):
-        if rank(MatrixFq(a.field, a.entries[:, s + [j]])) > len(s):
+        if rank(MatrixFq(a.field, [[row[c] for c in s + [j]] for row in a.entries])) > len(s):
             s.append(j)
     return s
 
@@ -329,7 +325,7 @@ def test_rank_decomposition_exhaustive_gf2_4x4(gf2):
         assert rank(b) == b.rows
         assert (u.transpose() @ b @ u) == a
         s = _greedy_independent_columns(a)
-        assert b.to_lists() == a.entries[np.ix_(s, s)].tolist()
+        assert b.to_lists() == [[a.entries[i][j] for j in s] for i in s]
 
 
 def test_rank_decomposition_randomised(rng):
@@ -342,7 +338,7 @@ def test_rank_decomposition_randomised(rng):
             assert b.rows == rank(a)
             assert (u.transpose() @ b @ u) == a
             s = _greedy_independent_columns(a)
-            assert b.to_lists() == a.entries[np.ix_(s, s)].tolist()
+            assert b.to_lists() == [[a.entries[i][j] for j in s] for i in s]
 
 
 def test_matrix_validation(gf3):

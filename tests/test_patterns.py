@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from gfminrank import (MatrixFq, are_isomorphic, field_from_order, generate,
@@ -10,7 +9,7 @@ from gfminrank.matfq import rank as matrix_rank
 from gfminrank.patterns import (_GENERATOR_BLOCK, PatternPropertyError, VertexBudgetError,
                                 gram_matrix, isometry_generators, pattern_graph,
                                 rank_certificate)
-from gfminrank.projgeo import enumerate_points, pairing, pairing_matrix
+from gfminrank.projgeo import canonicalize, norms, pairing, pairing_matrix
 from gfminrank.refdata import (F2R3_GRAM, F2R4A_GRAM, F2R4B_GRAM, F3R3_GRAM,
                                G2F2_IDENTITY_GRAM, G2F2_SYMPLECTIC_GRAM,
                                G2F2_U, u_columns)
@@ -19,8 +18,8 @@ from gfminrank.refdata import (F2R3_GRAM, F2R4A_GRAM, F2R4B_GRAM, F3R3_GRAM,
 def graph_of_gram(gram: MatrixFq):
     from gfminrank import LoopedGraph
     n = gram.rows
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if gram.entries[i, j]]
-    loops = [i for i in range(n) if gram.entries[i, i]]
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if gram.entries[i][j]]
+    loops = [i for i in range(n) if gram.entries[i][i]]
     return LoopedGraph.from_parts(n, edges, loops)
 
 
@@ -41,7 +40,7 @@ def test_rank2_gf2_patterns_match_reference_up_to_column_order():
     ps = generate(2, 2)
     cols = u_columns(G2F2_U)
     live = [j for j, c in enumerate(cols) if any(c)]
-    pos = [cols.index(tuple(p)) for p in ps.points.tolist()]  # printed column of each point
+    pos = [cols.index(p) for p in ps.points]  # printed column of each point
     for idx, ref in [(0, G2F2_IDENTITY_GRAM), (1, G2F2_SYMPLECTIC_GRAM)]:
         gm = gram_matrix(ps.points, ps.patterns[idx].form)
         expected = [[ref[pos[i]][pos[j]] for j in range(len(live))]
@@ -68,9 +67,10 @@ def test_generate_k0_and_k1():
 
 def test_points_are_read_only():
     ps = generate(2, 3)
-    assert ps.points.shape == (7, 3) and ps.points.dtype == np.int64
-    with pytest.raises(ValueError):
-        ps.points[0, 0] = 1
+    assert len(ps.points) == 7 and {len(p) for p in ps.points} == {3}
+    assert type(ps.points) is tuple and {type(p) for p in ps.points} == {tuple}
+    with pytest.raises(TypeError):
+        ps.points[0][0] = 1
 
 
 def test_vertex_budget_guard(monkeypatch):
@@ -148,12 +148,11 @@ def test_congruent_representative_gives_isomorphic_pattern(q, kmax, rng):
     f = field_from_order(q)
     for k in range(1, kmax + 1):
         ps = generate(q, k)
-        points = enumerate_points(f, k)
         for pat in ps.patterns:
             for _ in range(3):
                 c = _random_invertible(f, k, rng)
                 twisted = c.transpose() @ pat.form @ c
-                g2 = pattern_graph(points, twisted)
+                g2 = pattern_graph(twisted)
                 assert are_isomorphic(pat.graph, g2)
 
 
@@ -162,11 +161,11 @@ def test_congruent_representative_gives_isomorphic_pattern(q, kmax, rng):
 def test_pattern_rows_and_loops_are_the_nonzero_pairings(q, k):
     ps = generate(q, k)
     for pat in ps.patterns:
-        nz = pairing_matrix(ps.points, pat.form) != 0
-        n = len(nz)
+        gram = pairing_matrix(ps.points, pat.form)
+        n = len(gram)
         assert pat.graph.n == n
-        assert pat.graph.loops == sum(1 << v for v in range(n) if nz[v, v])
-        assert pat.graph.rows == tuple(sum(1 << u for u in range(n) if u != v and nz[v, u])
+        assert pat.graph.loops == sum(1 << v for v in range(n) if gram[v][v])
+        assert pat.graph.rows == tuple(sum(1 << u for u in range(n) if u != v and gram[v][u])
                                        for v in range(n))
 
 
@@ -185,10 +184,10 @@ def test_orbit_keys_follow_the_form(q, k):
     # the generators come in blocks, each (a, c) with c (2 + c B(a,a)) = 0
     # exactly once; and every generator the roots come from is an automorphism
     ps = generate(q, k)
-    f, pts = ps.field, [tuple(p) for p in ps.points.tolist()]
+    f, pts = ps.field, list(ps.points)
     index = {p: v for v, p in enumerate(pts)}
     for pat in ps.patterns:
-        gram = pairing_matrix(ps.points, pat.form).tolist()
+        gram = pairing_matrix(ps.points, pat.form)
         norm = [gram[v][v] for v in range(len(pts))]
         keys = [0 if a == 0 else 1 if f.is_square(a) else 2 for a in norm]
         if q % 2 == 0 and pat.graph.loops:
@@ -199,11 +198,10 @@ def test_orbit_keys_follow_the_form(q, k):
         roots = [v for v in range(len(pts)) if pat.roots >> v & 1]
         assert sorted(keys[v] for v in roots) == sorted(set(keys))
 
-        blocks = list(isometry_generators(pat.form, ps.points))
+        blocks = list(isometry_generators(pat.form, norms(pat.form)))
         assert blocks or k == 1
         assert all(0 < len(centres) <= _GENERATOR_BLOCK for centres, _ in blocks)
-        pairs = [(a, c) for centres, scalars in blocks
-                 for a, c in zip(centres.tolist(), scalars.tolist())]
+        pairs = [(a, c) for centres, scalars in blocks for a, c in zip(centres, scalars)]
         two = f.add(1, 1)
         assert len(set(pairs)) == len(pairs)
         assert set(pairs) == {(a, c) for a in range(len(pts)) for c in range(1, q)
@@ -215,3 +213,38 @@ def test_orbit_keys_follow_the_form(q, k):
                 image.append(index[_projective_point(
                     f, [f.add(xi, f.mul(t, ai)) for xi, ai in zip(p, pts[a])])])
             assert pat.graph.relabel(image) == pat.graph, (a, c)
+
+
+SMALL_SETS = [(q, k) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32, 37)
+              for k in range(1, 6) if (q ** k - 1) // (q - 1) <= 40]
+
+
+@pytest.mark.parametrize("q, k", SMALL_SETS)
+def test_roots_are_the_least_points_of_the_orbits_under_every_generator(q, k):
+    # the orbits closed under every reflection (odd q) and transvection
+    # (even q) x -> x + c B(x,a) a with c (2 + c B(a,a)) = 0, by plain scalar
+    # sums, one image at a time
+    ps = generate(q, k)
+    f, pts = ps.field, list(ps.points)
+    index = {p: v for v, p in enumerate(pts)}
+    two = f.add(1, 1)
+    for pat in ps.patterns:
+        label = list(range(len(pts)))
+
+        def find(v):
+            while label[v] != v:
+                v = label[v]
+            return v
+
+        for a, centre in enumerate(pts):
+            for c in range(1, q):
+                if f.mul(c, f.add(two, f.mul(c, pairing(centre, centre, pat.form)))):
+                    continue
+                for v, x in enumerate(pts):
+                    t = f.mul(c, pairing(x, centre, pat.form))
+                    w = index[canonicalize(f, [f.add(xi, f.mul(t, ai))
+                                               for xi, ai in zip(x, centre)])]
+                    rv, rw = find(v), find(w)
+                    label[max(rv, rw)] = min(rv, rw)
+        least = {min(v for v in range(len(pts)) if find(v) == r) for r in map(find, range(len(pts)))}
+        assert pat.roots == sum(1 << v for v in least), (q, k)
