@@ -20,9 +20,10 @@ base-p digits, low first) mod the modulus f: ``_mul_mod`` and its
 square-and-multiply ``_pow_mod``.  For e >= 2 the modulus is the first
 monic f with f(0) != 0, coefficients compared low first, that passes
 Rabin's test (``_is_irreducible``); for e = 1 it is X.  g is the least rep
->= 2 whose power (q-1)/r is not 1 for any prime r | q-1, and the antilog
-list is the walk 1, g, g^2, ..., each step g times the last as a sum of
-shifts by X (``_times_x``).
+whose power (q-1)/r is not 1 for any prime r | q-1, and the antilog list
+is the walk 1, g, g^2, ..., each step g x read from tables of the images
+of x's low and high digits (``_build_log_tables``).  A prime field builds
+these lists only when ``log_tables`` asks for them.
 
 The supported orders are the prime powers in 2..Q_MAX.  :func:`factor_prime_power`
 is the one test of an order: ``field_from_order`` and ``FieldCtx`` both
@@ -115,14 +116,12 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-def _digitwise_sums(p: int, m: int) -> list[list[int]]:
-    """t[a][b] = a + b digit by digit mod p, for reps a, b < p^m: the row
-    of a sums, over the places w (high first, so b counts up), the lists
-    (a_w + d) mod p times w."""
-    places = [p ** i for i in reversed(range(m))]
-    return [list(map(sum, itertools.product(*[[(a // w + d) % p * w for d in range(p)]
-                                               for w in places])))
-            for a in range(p ** m)]
+def _reduced(p: int, base: int, m: int) -> list[int]:
+    """t[s] for s < base^m: the m base-``base`` digits of s, each taken mod
+    p, packed in base p (the first factor of the product is the top digit,
+    so s counts up)."""
+    return list(map(sum, itertools.product(*[[d % p * p ** i for d in range(base)]
+                                             for i in reversed(range(m))])))
 
 
 class FieldCtx:
@@ -159,30 +158,29 @@ class FieldCtx:
     def _digits(self, a: int) -> list[int]:
         return [a // w % self.p for w in self._pw]
 
-    def _pack(self, digits: list[int]) -> int:
-        return sum(map(operator.mul, digits, self._pw))
-
     def _build_log_tables(self) -> None:
         n, p, f = self.q - 1, self.p, self.modulus
         one, factors = self._digits(1), _prime_factors(n)
-        for gen in range(2, self.q):
+        for gen in range(1, self.q):
             g = self._digits(gen)
             if all(_pow_mod(g, n // r, f, p) != one for r in factors):
                 break
         else:
             raise AssertionError("no generator found, but the multiplicative group is cyclic")
-        # the walk x -> g x on x = lo + hi P (P = p^h, h = e // 2): g x is
-        # the digit-wise sum of the tabulated images of lo and of hi P, and
-        # each half of that sum is read from a table of digit-wise sums
-        h = self.e // 2
-        big, small = p ** (self.e - h), p ** h
-        low, high = ([divmod(self._pack(_mul_mod(g, self._digits(a * w), f, p)), small)[::-1]
-                      for a in range(count)] for w, count in ((1, small), (small, big)))
-        add_low, add_high = _digitwise_sums(p, h), _digitwise_sums(p, self.e - h)
-        powers, lo, hi = [1] * n, 1, 0
+        # the walk x -> g x on x = lo + hi P (P = p^h, h = e // 2): the images
+        # of lo and of hi P are tabulated with digits in base B = 2p - 1, so
+        # their digit-wise sum is one integer sum without carries, and each
+        # half of it is taken mod p digit by digit from a table of B^h or
+        # B^(e-h) entries, both at most 2q
+        h, base = self.e // 2, 2 * p - 1
+        small, cut = p ** h, base ** h
+        low, high = ([sum(d * base ** i for i, d in enumerate(_mul_mod(g, self._digits(a * w), f, p)))
+                      for a in range(count)] for w, count in ((1, small), (small, p ** (self.e - h))))
+        reduce_low, reduce_high = _reduced(p, base, h), _reduced(p, base, self.e - h)
+        powers, (hi, lo) = [1] * n, divmod(1, small)
         for i in range(1, n):
-            (al, ah), (bl, bh) = low[lo], high[hi]
-            lo, hi = add_low[al][bl], add_high[ah][bh]
+            s = low[lo] + high[hi]
+            lo, hi = reduce_low[s % cut], reduce_high[s // cut]
             powers[i] = lo + hi * small
         # exp: g^0..g^(n-1) twice over (log sums of nonzero elements stay
         # below 2n-1), then zeros up to 4n (any sum involving log[0] = 2n)
@@ -191,6 +189,14 @@ class FieldCtx:
         for i, a in enumerate(powers):
             log[a] = i
         self._log = log
+
+    def log_tables(self) -> tuple[list[int], list[int]]:
+        """The (antilog, log) lists described above, built with the field
+        for e >= 2 and on the first call for a prime field, whose own
+        arithmetic does not read them."""
+        if self._log is None:
+            self._build_log_tables()
+        return self._exp, self._log
 
     def _build_sqrt_table(self) -> None:
         table = [-1] * self.q
@@ -225,13 +231,20 @@ class FieldCtx:
             return a * b % self.p
         return self._exp[self._log[a] + self._log[b]]
 
+    def dot(self, xs, ys) -> int:
+        """The sum of the products xs[i] ys[i]: over a prime field one
+        plain integer sum, reduced once."""
+        if self.e == 1:
+            return sum(map(operator.mul, xs, ys)) % self.p
+        return functools.reduce(self.add, map(self.mul, xs, ys), 0)
+
     def inv(self, a: int) -> int:
         """Multiplicative inverse; raises on zero."""
         if not a:
             raise ZeroDivisionError("inversion of zero field element")
         if self.e > 1:
             return self._exp[self.q - 1 - self._log[a]]
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     def is_square(self, a: int) -> bool:
         """Whether a has a square root; always so when q is even."""

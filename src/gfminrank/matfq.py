@@ -20,18 +20,8 @@ from .gf import FieldCtx
 
 def _product(f: FieldCtx, a, b, cols: int) -> tuple[tuple[int, ...], ...]:
     """The rows of a b for row sequences a and b, b having cols columns."""
-    if f.e == 1:
-        p = f.p
-        bt = list(zip(*b)) or [()] * cols
-        return tuple(tuple(sum(map(operator.mul, row, col)) % p for col in bt) for row in a)
-    out = []
-    for row in a:
-        acc = [0] * cols
-        for x, brow in zip(row, b):
-            if x:
-                acc = [f.add(s, f.mul(x, y)) for s, y in zip(acc, brow)]
-        out.append(tuple(acc))
-    return tuple(out)
+    bt = list(zip(*b)) or [()] * cols
+    return tuple(tuple(f.dot(row, col) for col in bt) for row in a)
 
 
 class MatrixFq:

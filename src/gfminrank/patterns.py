@@ -16,13 +16,12 @@ import bisect
 import functools
 import itertools
 import math
-import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .gf import FieldCtx, field_from_order
 from .graphs import LoopedGraph
-from .matfq import MatrixFq, _product, _rref, canonical_representatives, rank
+from .matfq import MatrixFq, _rref, canonical_representatives, rank
 from .projgeo import (_lanes, _Pairings, canonicalize, enumerate_points, norms,
                       pairing_matrix, pairing_support, point_count, point_index)
 
@@ -160,13 +159,9 @@ def _lane_images(b: MatrixFq, pts):
     pairs = _Pairings(b)
     pl, mult, coords = pairs.planes, pairs.multiples, pairs.coords
     n, index = pl.n, {x: i for i, x in enumerate(pts)}
-    exp = [1]
-    gen = next(g for g in range(1, q) if _order(f, g) == q - 1)
-    while len(exp) < q - 1:
-        exp.append(f.mul(exp[-1], gen))
-    log = dict(zip(exp, range(q - 1)))
-    log_of = bytes(log.get(v, 0) for v in range(q)).ljust(256, b"\0")
-    minus_log = bytes(-log.get(v, 0) % (q - 1) for v in range(q)).ljust(256, b"\0")
+    exp, log = f.log_tables()  # log[0], the sentinel 2(q-1), reads as 0 mod q - 1
+    log_of = bytes(x % (q - 1) for x in log).ljust(256, b"\0")
+    minus_log = bytes(-x % (q - 1) for x in log).ljust(256, b"\0")
     exp_of = bytes(exp[i % (q - 1)] for i in range(256))
     nonzero = b"\0" + b"\xff" * 255
 
@@ -192,41 +187,20 @@ def _lane_images(b: MatrixFq, pts):
     return images
 
 
-def _order(f: FieldCtx, g: int) -> int:
-    """The multiplicative order of g != 0."""
-    x, order = g, 1
-    while x != 1:
-        x, order = f.mul(x, g), order + 1
-    return order
-
-
 def _point_images(b: MatrixFq, pts):
     """images(a, c): the index of x + c B(x,a) a for every point x, one
-    point at a time (for k <= 2, or q > LANE_MAX_Q); over GF(p) the sums
-    are plain ints, reduced mod p once per coordinate."""
-    f = b.field
-    add, mul, index = f.add, f.mul, {x: i for i, x in enumerate(pts)}
+    point at a time (for k <= 2, or q > LANE_MAX_Q)."""
+    f, index = b.field, {x: i for i, x in enumerate(pts)}
+    add, mul, dot = f.add, f.mul, f.dot
 
     def images(a: int, c: int) -> list[int]:
         centre = pts[a]
-        ba = _product(f, [centre], b.entries, b.cols)[0]  # B(x, a) = x . ba
-        out, p = [], f.p
+        ba = [dot(row, centre) for row in b.entries]  # B(x, a) = x . (B a)
+        out = []
         for i, x in enumerate(pts):
-            if f.e == 1:
-                mu = c * sum(map(operator.mul, x, ba)) % p
-                y = [(s + mu * t) % p for s, t in zip(x, centre)]
-            else:
-                mu = mul(c, functools.reduce(add, map(mul, x, ba)))
-                y = list(map(add, x, map(mul, itertools.repeat(mu), centre)))
-            if not mu:
-                out.append(i)
-                continue
-            last = len(y) - 1
-            while not y[last]:
-                last -= 1
-            s = f.inv(y[last])
-            y = [v * s % p for v in y] if f.e == 1 else [mul(s, v) for v in y]
-            out.append(index[tuple(y)])
+            mu = mul(c, dot(x, ba))
+            out.append(index[canonicalize(f, [add(s, mul(mu, t)) for s, t in zip(x, centre)])]
+                       if mu else i)
         return out
 
     return images

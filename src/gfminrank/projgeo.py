@@ -294,19 +294,13 @@ def _zero_set(f: FieldCtx, a: list[int]) -> int:
                 for t in range(m):
                     s = f.add(s, f.mul(a[t], c // q ** t % q))
                 low |= 1 << c + f.mul(scale, s) * step
-            mask |= low * (((1 << size) - 1) // ((1 << step * q) - 1)) << at
+            if size > step * q:  # repeat the pattern of the first period
+                low *= ((1 << size) - 1) // ((1 << step * q) - 1)
+            mask |= low << at
         elif not a[d - 1]:
             mask |= ((1 << size) - 1) << at
         at += size
     return mask
-
-
-def _times_form(f: FieldCtx, b: MatrixFq):
-    """x -> x B as a list, for the rows x of the hyperplane route."""
-    cols = list(zip(*b.entries))
-    if f.e == 1:
-        return lambda x: [sum(map(operator.mul, x, col)) % f.p for col in cols]
-    return lambda x: [functools.reduce(f.add, map(f.mul, x, col)) for col in cols]
 
 
 def _lanes(b: MatrixFq) -> bool:
@@ -328,23 +322,10 @@ def pairing_support(b: MatrixFq) -> Iterator[int]:
             for c in firsts:
                 yield differs(acc, negs[c])
         return
-    q, pts = f.q, enumerate_points(f, b.rows)
+    pts, cols = enumerate_points(f, b.rows), list(zip(*b.entries))
     full = (1 << len(pts)) - 1
-    if b.rows == 2:  # x's one zero: -a_1/a_0 for a = x B, or the point (1, 0) if a_0 = 0
-        (b00, b01), (b10, b11) = b.entries
-        mul, add, p = f.mul, f.add, f.p
-        for x0, x1 in pts:
-            if f.e == 1:  # plain ints
-                a0, a1 = (x0 * b00 + x1 * b10) % p, (x0 * b01 + x1 * b11) % p
-                zero = -a1 * pow(a0, p - 2, p) % p if a0 else q
-            else:
-                a0, a1 = add(mul(x0, b00), mul(x1, b10)), add(mul(x0, b01), mul(x1, b11))
-                zero = mul(f.neg(a1), f.inv(a0)) if a0 else q
-            yield full ^ 1 << zero if a0 or a1 else 0  # a = 0 pairs to zero with all
-        return
-    times_form = _times_form(f, b)
     for x in pts:
-        yield full ^ _zero_set(f, times_form(x))
+        yield full ^ _zero_set(f, [f.dot(x, col) for col in cols])
 
 
 def pairing_rows(b: MatrixFq) -> Iterator[bytes | tuple[int, ...]]:
@@ -358,10 +339,10 @@ def pairing_rows(b: MatrixFq) -> Iterator[bytes | tuple[int, ...]]:
             for c in firsts:
                 yield pl.reps(pl.add(acc, mult[0][c]))
         return
-    pts, times_form = enumerate_points(f, b.rows), _times_form(f, b)
-    cols = list(zip(*pts))
+    pts, cols = enumerate_points(f, b.rows), list(zip(*b.entries))
     for x in pts:
-        yield _product(f, [times_form(x)], cols, len(pts))[0]
+        a = [f.dot(x, col) for col in cols]
+        yield tuple(f.dot(a, y) for y in pts)
 
 
 def norms(b: MatrixFq) -> list[int]:
@@ -375,9 +356,6 @@ def norms(b: MatrixFq) -> list[int]:
 
     def level(t: int, nrm: int, w: list[int]):  # w[s] = B(r, e_s) for s <= t
         lin, diag = mul(two, w[t]), rows[t][t]
-        if t == 0 and f.e == 1:  # plain ints
-            out.extend((nrm + c * (lin + c * diag)) % f.p for c in reps)
-            return
         if t == 0:
             out.extend(add(nrm, mul(c, add(lin, mul(c, diag)))) for c in reps)
             return

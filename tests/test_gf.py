@@ -301,12 +301,13 @@ def test_array_ops_match_scalar_ops_and_kernel_tables(q):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 16, 25, 27, 256])
 def test_digits_and_mul_matrix_match_the_reps_and_mul(q):
-    # the digit form (_digits, _pack) and the product on it (gf._mul_mod),
+    # the digit form (_digits) and the product on it (gf._mul_mod),
     # as the e x e matrix of x -> a x over GF(p): column j is the digits of
     # a X^j, and that matrix times the digits of x is the digits of a x
     f = field_from_order(q)
     p, e = f.p, f.e
-    assert all(f._pack(f._digits(a)) == a and max(f._digits(a)) < p for a in range(q))
+    assert all(sum(d * p ** i for i, d in enumerate(f._digits(a))) == a and max(f._digits(a)) < p
+               for a in range(q))
     assert f._digits(q - 1) == [p - 1] * e
     basis = [f._digits(p ** j) for j in range(e)]
     for a in range(0, q, 1 if q <= 27 else 5):
@@ -315,6 +316,18 @@ def test_digits_and_mul_matrix_match_the_reps_and_mul(q):
             d = f._digits(x)
             got = [sum(cols[j][i] * d[j] for j in range(e)) % p for i in range(e)]
             assert got == f._digits(f.mul(a, x))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 27, 125, 127, 128, 243])
+def test_log_tables_give_every_product(q):
+    # built with the field for e >= 2, on the first call for a prime field
+    f = field_from_order(q)
+    exp, log = f.log_tables()
+    n = q - 1
+    assert sorted(exp[:n]) == list(range(1, q)) and exp[n:2 * n] == exp[:n]
+    assert len(exp) == 4 * n + 1 and log[0] == 2 * n
+    assert [exp[log[a] + log[b]] for a in range(q) for b in range(q)] == \
+        [f.mul(a, b) if f.e > 1 else a * b % q for a in range(q) for b in range(q)]
 
 
 def test_every_extension_field_keeps_its_generator():

@@ -215,6 +215,24 @@ def test_orbit_keys_follow_the_form(q, k):
             assert pat.graph.relabel(image) == pat.graph, (a, c)
 
 
+@pytest.mark.parametrize("q, k", [(q, k) for q in (2, 3, 4, 5, 7, 8, 9, 11, 16, 25, 27)
+                                  for k in range(3, 9) if (q ** k - 1) // (q - 1) <= 400])
+def test_point_images_match_the_lane_images(monkeypatch, q, k):
+    # the one-point-at-a-time images of fields past LANE_MAX_Q, run where
+    # the lanes serve, for every generator, and the roots they give
+    ps = generate(q, k)
+    for pat in ps.patterns:
+        by_lanes = patterns._lane_images(pat.form, ps.points)
+        by_points = patterns._point_images(pat.form, ps.points)
+        for centres, scalars in isometry_generators(pat.form, norms(pat.form)):
+            for a, c in zip(centres, scalars):
+                assert by_points(a, c) == by_lanes(a, c), (a, c)
+        roots = pat.roots
+        with monkeypatch.context() as m:
+            m.setattr(patterns, "_lanes", lambda b: False)
+            assert patterns.isometry_roots(pat.form) == roots
+
+
 SMALL_SETS = [(q, k) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32, 37)
               for k in range(1, 6) if (q ** k - 1) // (q - 1) <= 40]
 

@@ -8,6 +8,7 @@ import pytest
 
 from gfminrank import (MatrixFq, canonical_representatives, count_absolute,
                        enumerate_points, field_from_order, pairing)
+from gfminrank import projgeo
 from gfminrank.projgeo import (LANE_MAX_Q, canonicalize, norms, pairing_matrix, pairing_rows,
                                pairing_support, point_count, point_index)
 from gfminrank.refdata import F2R3_U, F2R4_U, F3R3_U
@@ -162,6 +163,20 @@ def test_support_and_rows_match_sums_over_all_point_pairs(q, k):
         assert [list(row) for row in pairing_rows(b)] == want
         assert list(pairing_support(b)) == list(map(_mask, want))
         assert norms(b) == [want[v][v] for v in range(len(pts))]
+
+
+@pytest.mark.parametrize("q, k", [(q, k) for q, k in SMALL_SETS if k >= 3])
+def test_hyperplane_route_matches_sums_at_k_3_and_up(monkeypatch, q, k):
+    # the route of fields past LANE_MAX_Q, run where the lanes would serve:
+    # at k >= 3 _zero_set repeats the mask of each block's first period
+    monkeypatch.setattr(projgeo, "_lanes", lambda b: False)
+    f = field_from_order(q)
+    pts = enumerate_points(f, k)
+    rng = random.Random(q * 100 + k + 1)
+    for b in canonical_representatives(f, k) + [_random_symmetric(f, k, rng)]:
+        want = _by_sums(f, b, pts, pts)
+        assert [list(row) for row in pairing_rows(b)] == want
+        assert list(pairing_support(b)) == list(map(_mask, want))
 
 
 def test_spot_rows_of_the_largest_sets_match_sums():
