@@ -100,21 +100,45 @@ class BlowupWitness:
 
 
 def verify_blowup(g: SimpleGraph, h: LoopedGraph, assignment: dict[int, int]) -> bool:
-    """Check an assignment against the raw blowup definition."""
-    core = [v for v in range(g.n) if g.rows[v]]
-    if sorted(assignment) != core:
-        return False
-    for i, u in enumerate(core):
-        pu = assignment[u]
-        if not (0 <= pu < h.n):
-            return False
-        for v in core[i + 1:]:
-            pv = assignment[v]
-            if pu == pv:
-                expected = h.has_loop(pu)
-            else:
-                expected = h.has_edge(pu, pv)
-            if g.has_edge(u, v) != expected:
+    """Check an assignment against the raw blowup definition: it maps
+    exactly the non-isolated vertices of g into h, and two of them u != v
+    are adjacent in g exactly when their images are adjacent in h, or are
+    one looped vertex.
+
+    On bitmask rows: the vertices are grouped by image, each image p gets
+    the mask of the vertices that a vertex on p must be adjacent to (those
+    on the images adjacent to p, and those on p when p is looped), and the
+    row of each vertex on p is compared with that mask, less the vertex
+    itself, in one int comparison.  Every neighbour of a vertex is
+    non-isolated, so both sides lie inside the assigned vertices.
+    """
+    rows, n = g.rows, h.n
+    members: dict[int, int] = {}  # image -> the vertices on it
+    core = 0
+    for u, r in enumerate(rows):
+        if r:
+            p = assignment.get(u, -1)
+            if not 0 <= p < n:
+                return False
+            members[p] = members.get(p, 0) | 1 << u
+            core += 1
+    if len(assignment) != core:
+        return False  # an isolated vertex, or one that g lacks, is assigned
+    h_rows, loops = h.rows, h.loops
+    images = 0
+    for p in members:
+        images |= 1 << p
+    for p, on in members.items():
+        adj = h_rows[p] & images
+        mask = on if loops >> p & 1 else 0
+        while adj:
+            low = adj & -adj
+            adj ^= low
+            mask |= members[low.bit_length() - 1]
+        while on:
+            low = on & -on
+            on ^= low
+            if rows[low.bit_length() - 1] != mask & ~low:
                 return False
     return True
 
@@ -217,47 +241,47 @@ def is_blowup(g: SimpleGraph, h: LoopedGraph | Pattern) -> BlowupWitness | None:
     are all, the looped or the nonlooped vertices.  Each of these is a union
     of isometry orbits, since an isometry keeps B(x, x) != 0, and
     ``isometry_roots`` keeps the least point of each orbit.
+
+    A graph with an edge is reduced once, by this module's ``twin_reduce``.
+    A class placed on one vertex x narrows the other domains by x's row and
+    its complement less x; a spread, by the intersections over its
+    vertices.  When every class is a single vertex the branching ties go by
+    index, with no sort.  A successful search writes each class's members
+    into the assignment as it returns, which ``verify_blowup`` re-checks
+    before the witness is handed out, raising InvariantError if it fails.
     """
-    top: int | Pattern = h
-    if isinstance(h, Pattern):
-        h = h.graph
-    else:
-        top = (1 << h.n) - 1
+    pattern = h if isinstance(h, Pattern) else None
+    if pattern is not None:
+        h = pattern.graph
     if not any(g.rows):
         return BlowupWitness({})
     red = twin_reduce(g)
-    sizes = red.class_sizes()
+    classes, sizes = red.classes, red.class_sizes()
     q_adj, q_loops = red.quotient.rows, red.quotient.loops
     rows, loops = h.rows, h.loops
     full = (1 << h.n) - 1
     nonloops = full & ~loops
     # per class: where a single image may go (loop status matching the
     # class), and where the members of a spread go (the opposite status)
-    single, spread = [], []
-    for c, size in enumerate(sizes):
-        if size == 1:
-            single.append(full)
-            spread.append(0)
-        else:
-            looped = q_loops >> c & 1
-            single.append(loops if looped else nonloops)
-            spread.append(nonloops if looped else loops)
+    single = [full if size == 1 else loops if q_loops >> c & 1 else nonloops
+              for c, size in enumerate(sizes)]
+    spread = [0 if size == 1 else full ^ s for size, s in zip(sizes, single)]
     nclasses = len(sizes)
-    images: list[tuple[int, ...]] = [()] * nclasses
     # ties on the candidate count go to the larger class, then the lower index
-    rank = [0] * nclasses
-    for r, c in enumerate(sorted(range(nclasses), key=lambda c: (-sizes[c], c))):
-        rank[c] = r
+    rank: list[int] | range = range(nclasses)
+    if nclasses < g.n:
+        rank = [0] * nclasses
+        for r, c in enumerate(sorted(range(nclasses), key=lambda c: (-sizes[c], c))):
+            rank[c] = r
     no_class = (h.n + 1) * nclasses
+    assignment: dict[int, int] = {}
 
-    def narrow(adj: int, group: tuple[int, ...], doms: dict[int, int]):
-        """The domains once a class with quotient row adj takes group, and
-        the class to branch on next (fewest single candidates); None as soon
-        as a class is left with no single and too few spread candidates."""
-        joined = apart = -1
-        for v in group:
-            joined &= rows[v]
-            apart &= ~(rows[v] | 1 << v)
+    def narrow(adj: int, joined: int, apart: int, doms: dict[int, int]):
+        """The domains once a class with quotient row adj is placed, where
+        joined is the set of vertices adjacent to all its images and apart
+        the set of those adjacent to and equal to none, and the class to
+        branch on next (fewest single candidates); None as soon as a class
+        is left with no single and too few spread candidates."""
         out = {}
         best, best_key = -1, no_class
         for d, dom in doms.items():
@@ -295,50 +319,49 @@ def is_blowup(g: SimpleGraph, h: LoopedGraph | Pattern) -> BlowupWitness | None:
 
         yield from grow((), False, avail)
 
-    def groups(cls: int, dom: int, roots: int | Pattern):
-        """The groups cls may take from dom, single vertices in increasing
-        order and then spreads, all meeting roots: a mask, or at the top the
-        Pattern whose roots are read only past the least single candidate."""
-        cand = dom & single[cls]
-        if isinstance(roots, Pattern):
-            if cand:
-                low = cand & -cand
-                cand ^= low
-                yield (low.bit_length() - 1,)
-            roots = roots.roots
-        cand &= roots
+    def search(doms: dict[int, int], cls: int, pattern: Pattern | None = None) -> bool:
+        """Place cls, then the rest of doms (which it owns), filling in
+        assignment, or report failure.  cls tries its single candidates in
+        increasing order and then its spreads; with a pattern (at the top),
+        only those meeting its roots, read past the least single candidate."""
+        dom = doms.pop(cls)
+        adj, members = q_adj[cls], classes[cls]
+        roots, cand = full, dom & single[cls]
         while cand:
             low = cand & -cand
             cand ^= low
-            yield (low.bit_length() - 1,)
-        if sizes[cls] >= 2:
-            yield from spreads(cls, dom & spread[cls], roots)
-
-    def search(doms: dict[int, int], cls: int, roots: int | Pattern) -> bool:
-        """Place cls, then the rest of doms (which it owns), or report failure."""
-        dom = doms.pop(cls)
-        for group in groups(cls, dom, roots):
-            step = narrow(q_adj[cls], group, doms)
-            if step is not None and (not doms or search(*step, full)):
-                images[cls] = group
+            x = low.bit_length() - 1
+            row = rows[x]
+            step = narrow(adj, row, ~(row | low), doms)
+            if step is not None and (not doms or search(*step)):
+                for v in members:
+                    assignment[v] = x
                 return True
+            if pattern is not None:
+                roots, pattern = pattern.roots, None
+                cand &= roots
+        if len(members) >= 2:
+            if pattern is not None:
+                roots = pattern.roots
+            for group in spreads(cls, dom & spread[cls], roots):
+                joined = apart = -1
+                for v in group:
+                    joined &= rows[v]
+                    apart &= ~(rows[v] | 1 << v)
+                step = narrow(adj, joined, apart, doms)
+                if step is not None and (not doms or search(*step)):
+                    assignment.update(zip(members, group))
+                    return True
         return False
 
-    # all but the isolated class, whose rows in g are empty (not just in the quotient)
-    first = narrow(0, (), {c: single[c] | spread[c] for c in range(nclasses)
-                           if g.rows[red.classes[c][0]]})
-    if first is None or not search(*first, top):
+    # every class but the isolated one, whose rows in g are empty (not just
+    # in the quotient); single | spread is every vertex
+    first = narrow(0, -1, -1, {c: full for c in range(nclasses) if g.rows[classes[c][0]]})
+    if first is None or not search(*first, pattern):
         return None
-
-    assignment: dict[int, int] = {}
-    for members, group in zip(red.classes, images):  # the isolated class has ()
-        if len(group) == 1:
-            group = group * len(members)
-        assignment.update(zip(members, group))
-    witness = BlowupWitness(assignment)
     if not verify_blowup(g, h, assignment):
         raise InvariantError("witness failed the raw blowup definition")
-    return witness
+    return BlowupWitness(assignment)
 
 
 def member(g: SimpleGraph, q: int, k: int,

@@ -544,7 +544,7 @@ class TwinReduction:
     quotient: LoopedGraph
 
     def class_sizes(self) -> tuple[int, ...]:
-        return tuple(len(c) for c in self.classes)
+        return tuple(map(len, self.classes))
 
 
 def _least_twins(rows) -> list[int]:
@@ -564,11 +564,15 @@ def _least_twins(rows) -> list[int]:
 def twin_reduce(g: SimpleGraph) -> TwinReduction:
     """Merge twin vertices until no pair remains, in one pass.
 
-    The classes are those of _least_twins, ordered by least vertex.  True
-    twins (equal closed neighbourhoods N[v]) form the classes whose first
-    two members are adjacent, which the quotient loops; independent twins
-    (equal open neighbourhoods N(v)) form the other classes of two or more.
-    The quotient joins two classes whose representatives are adjacent.
+    The classes are those of _least_twins, ordered by least vertex: reading
+    the least twins in vertex order, a vertex that is its own least twin
+    opens the next class and any other joins its least twin's.  True twins
+    (equal closed neighbourhoods N[v]) form the classes whose first
+    member's neighbours include another member, which the quotient loops;
+    independent twins (equal open neighbourhoods N(v)) form the other
+    classes of two or more.  The quotient row of a class is the set of the
+    classes of its first member's neighbours, less its own: a vertex
+    adjacent to one member of another class is adjacent to all of them.
     One pass reaches the fixpoint of pairwise merging because no vertex
     has twins of both kinds (if u has an independent twin v and a true
     twin w, then w ~ u gives w ~ v, so v is in N[w] = N[u], contradicting
@@ -576,13 +580,27 @@ def twin_reduce(g: SimpleGraph) -> TwinReduction:
     quotient are twins there exactly when their members are twins in g.
     """
     rows = g.rows
-    groups: dict[int, list[int]] = {}  # a class enters at its least vertex
+    bits = [0] * len(rows)  # 1 << the class of each vertex
+    classes: list[list[int]] = []
     for v, t in enumerate(_least_twins(rows)):
-        groups.setdefault(t, []).append(v)
-    classes = tuple(map(tuple, groups.values()))
-    loops = sum(1 << i for i, c in enumerate(classes) if len(c) > 1 and rows[c[0]] >> c[1] & 1)
-    return TwinReduction(classes, LoopedGraph._trusted(
-        len(classes), _induced_rows(rows, list(groups)), loops))
+        if t == v:
+            bits[v] = 1 << len(classes)
+            classes.append([v])
+        else:
+            bits[v] = bits[t]
+            classes[bits[t].bit_length() - 1].append(v)
+    q_rows, loops = [], 0
+    for members in classes:
+        r, row = rows[members[0]], 0
+        while r:
+            low = r & -r
+            r ^= low
+            row |= bits[low.bit_length() - 1]
+        own = bits[members[0]]
+        loops |= row & own
+        q_rows.append(row & ~own)
+    return TwinReduction(tuple(map(tuple, classes)),
+                         LoopedGraph._trusted(len(classes), q_rows, loops))
 
 
 # work before _component_zero_forcing stops its exact search and completes

@@ -340,6 +340,87 @@ def test_witness_soundness_fuzz(rng):
         assert verify_blowup(g, pat, w.assignment)
 
 
+def _pairwise_verify_blowup(g: SimpleGraph, h: LoopedGraph, assignment: dict[int, int]) -> bool:
+    """The raw blowup definition checked pair by pair over the non-isolated
+    vertices: the reference that verify_blowup is compared with."""
+    core = [v for v in range(g.n) if g.rows[v]]
+    if sorted(assignment) != core:
+        return False
+    for i, u in enumerate(core):
+        pu = assignment[u]
+        if not (0 <= pu < h.n):
+            return False
+        for v in core[i + 1:]:
+            pv = assignment[v]
+            if pu == pv:
+                expected = h.has_loop(pu)
+            else:
+                expected = h.has_edge(pu, pv)
+            if g.has_edge(u, v) != expected:
+                return False
+    return True
+
+
+def _reference_verdict(g: SimpleGraph, h: LoopedGraph, assignment: dict[int, int]) -> bool:
+    # the pairwise check reads a negative image as the second vertex of a
+    # pair before its own range check, and the shift by it raises: a no
+    try:
+        return _pairwise_verify_blowup(g, h, assignment)
+    except ValueError:
+        return False
+
+
+def test_witness_check_agrees_with_the_pairwise_check_exhaustively():
+    # every assignment of every labelled graph on <= 4 vertices, each vertex
+    # left out, on an image below or above range or on a vertex of the host
+    hosts = [pat.graph for q, k in [(2, 2), (3, 2), (2, 3)] for pat in generate(q, k).patterns]
+    verdicts = {True: 0, False: 0}
+    for n in range(5):
+        pairs = list(itertools.combinations(range(n), 2))
+        labelled = [SimpleGraph.from_edges(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
+                    for bits in range(1 << len(pairs))]
+        for h in hosts:
+            for choice in itertools.product((None, *range(-1, h.n + 1)), repeat=n):
+                assignment = {v: p for v, p in enumerate(choice) if p is not None}
+                for g in labelled:
+                    expected = _reference_verdict(g, h, assignment)
+                    assert verify_blowup(g, h, assignment) == expected, (g, h, assignment)
+                    verdicts[expected] += 1
+    assert verdicts == {True: 4935, False: 1125806}
+
+
+def test_witness_check_agrees_with_the_pairwise_check_on_corrupted_witnesses():
+    # real witnesses on <= 8 vertices, each with one image changed (in range
+    # or not) and with the images of two vertices swapped
+    rng = random.Random(4141)
+    hosts = [pat.graph for q, k in [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (5, 2)]
+             for pat in generate(q, k).patterns]
+    witnesses = 0
+    verdicts = {True: 0, False: 0}
+    while witnesses < 300:
+        h = rng.choice(hosts)
+        n = rng.randrange(2, 9)
+        g = SimpleGraph.from_edges(
+            n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5])
+        w = is_blowup(g, h)
+        if w is None or len(w.assignment) < 2:
+            continue
+        witnesses += 1
+        assert verify_blowup(g, h, w.assignment) and _reference_verdict(g, h, w.assignment)
+        for _ in range(10):
+            changed = dict(w.assignment)
+            v = rng.choice(list(changed))
+            changed[v] = rng.choice([p for p in range(-1, h.n + 1) if p != changed[v]])
+            swapped = dict(w.assignment)
+            u, v = rng.sample(list(swapped), 2)
+            swapped[u], swapped[v] = swapped[v], swapped[u]
+            for assignment in (changed, swapped):
+                expected = _reference_verdict(g, h, assignment)
+                assert verify_blowup(g, h, assignment) == expected, (g, h, assignment)
+                verdicts[expected] += 1
+    assert min(verdicts.values()) > 100, verdicts
+
+
 def test_membership_monotone_under_induced_subgraphs(rng):
     for _ in range(40):
         n = rng.randrange(1, 7)
@@ -508,6 +589,45 @@ def test_member_answers_and_witnesses_are_pinned():
         count += 1
     assert count == 960
     assert digest.hexdigest() == "ebe90d5d8b3f43723f5368b28d4e36fccc484e98e1fb320f244e3cb6d636d15d"
+
+
+def test_plain_looped_graph_witnesses_are_pinned():
+    # a LoopedGraph host has no roots, so each call is a full search; the
+    # answers and witnesses were recorded before the witness check and the
+    # twin reduction worked on masks, and must not move
+    digest, count = hashlib.sha256(), 0
+    for q, k in [(2, 3), (3, 3)]:
+        for idx, pat in enumerate(generate(q, k).patterns):
+            for n in range(1, 7):
+                for g in enumerate_graphs(n):
+                    w = is_blowup(g, pat.graph)
+                    record = [q, k, idx, emit_graph6(g),
+                              None if w is None else sorted(w.assignment.items())]
+                    digest.update(json.dumps(record).encode() + b"\n")
+                    count += 1
+    assert count == 416
+    assert digest.hexdigest() == "5f86edbfa52b09e01ff83d66dd491a7119b450622e60ab1c2266acc9646f04e9"
+
+
+def test_each_is_blowup_call_reduces_twins_once(monkeypatch):
+    # a tracer that binds blowup.twin_reduce times one reduction per search
+    calls = {"is_blowup": 0, "twin_reduce": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(blowup, "is_blowup", counted("is_blowup", blowup.is_blowup))
+    monkeypatch.setattr(blowup, "twin_reduce", counted("twin_reduce", blowup.twin_reduce))
+    for seed in range(1, 11):
+        g = _gnp_half(7, seed)
+        assert any(g.rows)  # an edgeless graph is decided before any reduction
+        for k in range(2, 6):
+            member(g, 3, k)
+    assert calls["is_blowup"] >= 40
+    assert calls["twin_reduce"] == calls["is_blowup"]
 
 
 def test_sweep_matches_oracle_on_nine_vertex_graphs_gf2():
