@@ -62,7 +62,7 @@ stays an independent check, and the pattern vertex budget does not limit it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import collections
 
 from .graphs import LoopedGraph, SimpleGraph, _components, _zero_forcing_set, twin_reduce
 from .patterns import DEFAULT_VERTEX_BUDGET, Pattern, VertexBudgetError, generate
@@ -86,11 +86,11 @@ class InvariantError(AssertionError):
     Raised explicitly, so the check survives ``python -O``."""
 
 
-@dataclass(frozen=True)
-class BlowupWitness:
-    """Map from each non-isolated vertex to the pattern vertex it blows up."""
+class BlowupWitness(collections.namedtuple("BlowupWitness", "assignment")):
+    """Map from each non-isolated vertex to the pattern vertex it blows up
+    (assignment: dict[int, int])."""
 
-    assignment: dict[int, int]
+    __slots__ = ()
 
     def class_image(self) -> dict[int, list[int]]:
         out: dict[int, list[int]] = {}
@@ -465,6 +465,9 @@ def min_rank(g: SimpleGraph, q: int, max_k: int | None = None,
     """Smallest k with mr(GF(q), g) <= k: the sum of mr over g's connected
     parts, each searched from its zero forcing bound by ``_gf2_min_rank``
     over GF(2), which ``vertex_budget`` does not limit, or else ``_sweep``.
+    A part on n vertices whose bound is n - 1 (a path, say) has mr = n - 1
+    over every field and is answered without a search, so no budget
+    refuses it.
 
     Raises MinRankBoundError when a part passes its ceiling (max_k less the
     mr of the parts before it and the bounds of those after it), the
@@ -480,6 +483,11 @@ def min_rank(g: SimpleGraph, q: int, max_k: int | None = None,
     for h, floor in zip(parts, floors):
         ahead -= floor
         ceiling = min(h.n, cap - done - ahead)
+        if floor == h.n - 1 <= ceiling:
+            # 1 on every edge and -deg(v) on the diagonal sends the all-ones
+            # vector to 0, so mr <= n - 1 over every field: no search
+            done += floor
+            continue
         try:
             mr = (_gf2_min_rank(h, floor, ceiling) if q == 2
                   else _sweep(h, q, floor, ceiling, vertex_budget))

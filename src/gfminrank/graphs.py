@@ -43,8 +43,8 @@ them with the key.
 
 from __future__ import annotations
 
+import collections
 import json
-from dataclasses import dataclass
 from itertools import compress
 
 
@@ -533,15 +533,14 @@ def to_dot(g: LoopedGraph | SimpleGraph, name: str = "G") -> str:
 
 # -- twin reduction ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TwinReduction:
+class TwinReduction(collections.namedtuple("TwinReduction", "classes quotient")):
     """Fixpoint of merging independent and true twins of a simple graph:
-    the classes, and the quotient on them, whose looped vertices are the
-    merged cliques.  A class of two or more members without a loop is a
-    merged independent set, and a class of one is free."""
+    the classes (tuple of vertex tuples), and the quotient on them (a
+    LoopedGraph), whose looped vertices are the merged cliques.  A class of
+    two or more members without a loop is a merged independent set, and a
+    class of one is free."""
 
-    classes: tuple[tuple[int, ...], ...]
-    quotient: LoopedGraph
+    __slots__ = ()
 
     def class_sizes(self) -> tuple[int, ...]:
         return tuple(map(len, self.classes))

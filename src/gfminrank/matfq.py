@@ -11,9 +11,9 @@ so every result is reproducible bit for bit.
 
 from __future__ import annotations
 
+import collections
 import enum
 import operator
-from dataclasses import dataclass
 
 from .gf import FieldCtx
 
@@ -139,18 +139,16 @@ class ClassTag(enum.Enum):
     NONSQUARE_DET = "nonsquare_det"
 
 
-@dataclass(frozen=True)
-class CongruenceClass:
-    """Congruence class of an invertible symmetric matrix.
+class CongruenceClass(collections.namedtuple("CongruenceClass", "k tag projective_tag")):
+    """Congruence class of an invertible symmetric matrix: its order k and
+    its ClassTag.
 
     ``projective_tag`` collapses classes under an extra nonzero scalar
     factor: for odd q and odd order the two determinant classes merge into
     the class of the identity, reported as ``IDENTITY``.
     """
 
-    k: int
-    tag: ClassTag
-    projective_tag: ClassTag
+    __slots__ = ()
 
 
 def rank(a: MatrixFq) -> int:

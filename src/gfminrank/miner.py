@@ -32,9 +32,18 @@ profile, so the number of profiles is at most the number of classes, and
 equal to it, which GRAPH_COUNTS checks, exactly when the profile tells
 the classes apart.  Past that table the key is graphs.canonical_form: g
 relabelled by the least leaf of its individualisation-refinement tree, so
-two graphs get the same key exactly when they are isomorphic.  The mined
-graphs of one run (resumed checkpoints included) are deduplicated by a
-set lookup on canonical_form too.
+two graphs get the same key exactly when they are isomorphic.
+
+Mined graphs from the internal enumeration need no deduplication: they are
+representatives, which the count check proves pairwise non-isomorphic, and
+a resumed run skips the ones its checkpoint covers.  Only graphs from an
+external source (resumed checkpoints included) are deduplicated, by a set
+lookup on canonical_form.  At the end of a run the mined graphs are
+re-verified by the definition through member alone, and a dict local to
+that check, keyed by labelled rows, decides each labelled graph once (a
+deletion shared by several mined graphs recurs); it starts empty and holds
+none of the scan's verdicts, so the check still rests on neither the
+enumeration nor the extensions.
 """
 
 from __future__ import annotations
@@ -43,14 +52,13 @@ import functools
 import json
 import os
 import struct
-from dataclasses import dataclass
 
 from .blowup import InvariantError, extend_blowup, member
 # are_isomorphic is no longer called here but stays imported: the span
 # tracer in perfbench/spans.py rebinds gfminrank.miner.are_isomorphic
 # through this module's namespace, and every traced run needs the name
-from .graphs import (SimpleGraph, _canonical, _components, _orbits, are_isomorphic,
-                     canonical_form, emit_graph6, parse_graph6)
+from .graphs import (SimpleGraph, _canonical, _components, are_isomorphic, canonical_form,
+                     emit_graph6, parse_graph6)
 from .patterns import generate
 
 CHECKPOINT_EVERY = 10_000
@@ -63,17 +71,40 @@ GRAPH_COUNTS = (1, 1, 2, 4, 11, 34, 156, 1044, 12346)
 TREE_COUNTS = (1, 1, 1, 2, 3, 6, 11)  # n = 1..7
 
 
-def _orbit_minima(gens, n: int) -> list[int]:
+def _orbit_minima(gens, n: int) -> list[int] | range:
     """The least mask of each orbit of the group that the permutations gens
     of range(n) generate, acting on the subsets of range(n) as masks, in
-    increasing order."""
+    increasing order.
+
+    The masks are read in increasing order, and each one not yet reached
+    opens its orbit, which is then closed under the generators' images (a
+    finite group's orbit is its closure under the generators), so the mask
+    that opens an orbit is its least.  Each mask is reached once, and with
+    no generators every mask is its own orbit."""
+    if not gens:
+        return range(1 << n)
     images = []
     for perm in gens:
         image = [0]
         for p in perm:  # bit i, imaged to p, joins every mask below 1 << i
             image += [m | 1 << p for m in image]
         images.append(image)
-    return [m for m, least in enumerate(_orbits(images, 1 << n)) if least == m]
+    seen = bytearray(1 << n)
+    minima = []
+    for m, reached in enumerate(seen):
+        if reached:
+            continue
+        minima.append(m)
+        seen[m] = 1
+        todo = [m]
+        while todo:
+            x = todo.pop()
+            for image in images:
+                y = image[x]
+                if not seen[y]:
+                    seen[y] = 1
+                    todo.append(y)
+    return minima
 
 
 def _extend(parent: SimpleGraph, mask: int) -> SimpleGraph:
@@ -189,8 +220,8 @@ def enumerate_graphs(n: int) -> tuple[SimpleGraph, ...]:
     classes from 5,759 candidates, 11,291 without the orbits) takes about
     0.04-0.05 s on a 2-CPU Intel Xeon host (0.2 s by canonical_form); n = 8
     (12,346 classes from 79,264 candidates, streamed) about 0.5-0.7 s
-    (3.3-4 s) and 44 MB peak RSS, of which the interpreter and imports
-    take 32 MB.
+    (3.3-4 s) and 30 MB peak RSS, of which the interpreter and imports
+    take 16 MB.
     """
     return _enumerate(n)[0]
 
@@ -213,7 +244,7 @@ def enumerate_trees(n: int) -> tuple[SimpleGraph, ...]:
     """One representative per isomorphism class of trees on n >= 1 vertices:
     the connected graphs of enumerate_graphs(n) with n - 1 edges.  Like
     enumerate_graphs, practical for n <= 8 (23 trees; enumerate_graphs(8)
-    takes about 0.6 s and 44 MB peak RSS)."""
+    takes about 0.6 s and 30 MB peak RSS)."""
     if n < 1:
         raise ValueError("trees need at least one vertex")
     return tuple(g for g in enumerate_graphs(n)
@@ -273,10 +304,12 @@ def check_f2r2_form(g: SimpleGraph) -> bool:
 
 # -- mining ----------------------------------------------------------------------
 
-@dataclass
 class MinerRun:
-    found: list[SimpleGraph]
-    stats: dict
+    """What mine found (a list of SimpleGraph) and its stats (a dict)."""
+
+    def __init__(self, found: list[SimpleGraph], stats: dict):
+        self.found = found
+        self.stats = stats
 
     def found_graph6(self) -> list[str]:
         return sorted(emit_graph6(g) for g in self.found)
@@ -321,10 +354,23 @@ def _deletions(g: SimpleGraph):
         yield g.induced([u for u in range(g.n) if u != v])
 
 
-def _check_minimal_forbidden(g: SimpleGraph, q: int, k: int) -> bool:
+def _check_minimal_forbidden(g: SimpleGraph, q: int, k: int,
+                             verdicts: dict[tuple[int, ...], bool] | None = None) -> bool:
     """Whether g is a non-member each of whose one-vertex deletions is a
-    member, with every verdict from member."""
-    return not _is_member(g, q, k) and all(_is_member(h, q, k) for h in _deletions(g))
+    member, with every verdict from member.  verdicts maps labelled rows to
+    member's verdict; it is read before each member call and filled by it,
+    so a labelled graph met again (in g's deletions, or in those of another
+    graph checked with the same dict) is not decided again."""
+    if verdicts is None:
+        verdicts = {}
+
+    def decided(h: SimpleGraph) -> bool:
+        verdict = verdicts.get(h.rows)
+        if verdict is None:
+            verdict = verdicts[h.rows] = _is_member(h, q, k)
+        return verdict
+
+    return not decided(g) and all(map(decided, _deletions(g)))
 
 
 def _is_minimal_forbidden(g: SimpleGraph, q: int, k: int,
@@ -416,9 +462,13 @@ def mine(q: int, k: int, n_max: int | None = None, source=None,
     witness is kept.  The graphs a checkpoint covers get their witnesses
     the same way, so a run resumed partway through a level still knows the
     level below.  Graphs from ``source`` have no deletion classes and are
-    checked by the definition (_check_minimal_forbidden).  The mined graphs
-    are re-verified at the end by the definition, through member alone, so
-    that check rests neither on the enumeration nor on the extensions.
+    checked by the definition (_check_minimal_forbidden), and a graph
+    found is kept unless canonical_form shows an isomorphic copy already
+    found; internal representatives are pairwise non-isomorphic and are
+    kept with no key.  The mined graphs are re-verified at the end by the
+    definition, through member alone, with each distinct labelled graph
+    decided once by a dict of that check's own verdicts, so that check
+    rests neither on the enumeration nor on the extensions.
     """
     if max_graphs is not None and max_graphs < 1:
         raise ValueError(f"max_graphs must be at least 1, not {max_graphs}")
@@ -447,7 +497,10 @@ def mine(q: int, k: int, n_max: int | None = None, source=None,
         _write_checkpoint(checkpoint, q, k, skip, found,
                           source_sha256.hexdigest() if skip_sha256 is None else skip_sha256)
 
-    found_keys = {canonical_form(g) for g in found}
+    # the internal representatives are pairwise non-isomorphic (the class
+    # count check in _enumerate proves it) and a resumed run skips the ones
+    # its checkpoint covers, so only an external source needs keys
+    found_keys = None if source is None else {canonical_form(g) for g in found}
     # member witnesses (see _member_witness) of the enumerated
     # representatives, by index, on one vertex fewer than the graphs being
     # scanned (below) and on as many (level); the graph on no vertices is
@@ -477,11 +530,12 @@ def mine(q: int, k: int, n_max: int | None = None, source=None,
         minimal, witness = _is_minimal_forbidden(g, q, k, deletions_are_members, parent)
         if classes is not None:
             level.append(witness)
-        if minimal:
+        if minimal and found_keys is not None:
             key = canonical_form(g)
-            if key not in found_keys:
-                found_keys.add(key)
-                found.append(g)
+            minimal = key not in found_keys
+            found_keys.add(key)
+        if minimal:
+            found.append(g)
         if checkpoint and (scanned - skip) % CHECKPOINT_EVERY == 0:
             save()
         if max_graphs is not None and scanned - skip >= max_graphs:
@@ -489,9 +543,12 @@ def mine(q: int, k: int, n_max: int | None = None, source=None,
     if scanned < skip:
         raise ValueError(f"checkpoint covers {skip} graphs, the source has {scanned}")
 
-    # report-time re-verification of the minimality invariant, by the definition
+    # report-time re-verification of the minimality invariant, by the
+    # definition; its verdicts are its own, never the scan's, so that it
+    # checks the scan and the extensions
+    verdicts: dict[tuple[int, ...], bool] = {}
     for g in found:
-        if not _check_minimal_forbidden(g, q, k):
+        if not _check_minimal_forbidden(g, q, k, verdicts):
             raise InvariantError(f"mined graph {emit_graph6(g)} failed re-verification")
 
     if checkpoint:

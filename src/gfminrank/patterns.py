@@ -13,11 +13,11 @@ module accounts for it separately.
 from __future__ import annotations
 
 import bisect
+import collections
 import functools
 import itertools
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from .gf import FieldCtx, field_from_order
 from .graphs import LoopedGraph
@@ -40,10 +40,10 @@ class PatternPropertyError(AssertionError):
         self.fact = fact
 
 
-@dataclass(frozen=True)
-class Pattern:
-    form: MatrixFq
-    graph: LoopedGraph
+class Pattern(collections.namedtuple("Pattern", "form graph")):
+    """A k-pattern: its invertible symmetric form (MatrixFq) and its looped
+    graph (LoopedGraph).  No __slots__, so that roots has a __dict__ to be
+    cached in."""
 
     @functools.cached_property
     def roots(self) -> int:
@@ -53,13 +53,11 @@ class Pattern:
         return isometry_roots(self.form)
 
 
-@dataclass(frozen=True)
-class PatternSet:
-    q: int
-    k: int
-    field: FieldCtx
-    points: tuple[tuple[int, ...], ...]
-    patterns: tuple[Pattern, ...]
+class PatternSet(collections.namedtuple("PatternSet", "q k field points patterns")):
+    """The k-patterns over GF(q): the field (FieldCtx), the canonical points
+    (tuple of coordinate tuples) and the patterns (tuple of Pattern)."""
+
+    __slots__ = ()
 
 
 def pattern_graph(b: MatrixFq) -> LoopedGraph:

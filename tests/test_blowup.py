@@ -16,7 +16,9 @@ from gfminrank import (LoopedGraph, SimpleGraph, blow_up, emit_graph6, generate,
                        oracle_min_rank, parse_graph6, twin_reduce)
 from gfminrank import blowup, graphs
 from gfminrank.blowup import MinRankBoundError, _rank_lower_bound, verify_blowup
+from gfminrank.gf import field_from_order
 from gfminrank.graphs import _components, _zero_forcing_set
+from gfminrank.matfq import MatrixFq, rank
 from gfminrank.miner import enumerate_graphs, enumerate_trees
 from gfminrank.patterns import DEFAULT_VERTEX_BUDGET, Pattern, VertexBudgetError
 from gfminrank.projgeo import point_count
@@ -260,11 +262,43 @@ def test_the_sweep_starts_at_the_zero_forcing_bound(monkeypatch):
         assert min_rank(parse_graph6(g6), q) == mr
 
 
-def test_path_past_the_pattern_budget_is_refused_at_its_bound():
-    # mr(P13) = 12 = the bound, and the k = 12 patterns over GF(3) are over budget
+def test_path_past_the_pattern_budget_is_answered_at_its_bound(monkeypatch):
+    # mr(P13) = 12 = the bound n - 1, though the k = 12 patterns over GF(3)
+    # are over budget: a part whose bound is n - 1 needs no search
+    monkeypatch.setattr(blowup, "member", None)
+    monkeypatch.setattr(blowup, "_gf2_min_rank", None)
+    assert min_rank(SimpleGraph.path(13), 3) == 12
+    for n, q in ((7, 7), (7, 8), (7, 9), (6, 11), (6, 13), (8, 5), (5, 2)):
+        assert min_rank(SimpleGraph.path(n), q) == n - 1
+    # two paths add up; P7 + P7 under a cap of 11 is refused below the bound
+    assert min_rank(_union(SimpleGraph.path(6), SimpleGraph.path(7)), 7) == 11
     with pytest.raises(MinRankBoundError) as err:
-        min_rank(SimpleGraph.path(13), 3)
+        min_rank(_union(SimpleGraph.path(7), SimpleGraph.path(7)), 7, max_k=11)
     assert err.value.lower_bound == 11
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_every_graph_has_a_matrix_of_rank_at_most_n_minus_1(q):
+    """1 on every edge and -deg(v) on the diagonal: the all-ones vector is
+    in the kernel, so the rank is at most n - 1, and on a path it is n - 1."""
+    field = field_from_order(q)
+    for n in range(1, 8):
+        for g in (SimpleGraph.path(n), SimpleGraph.complete(n), _gnp_half(n, n)):
+            entries = [[1 if g.has_edge(u, v) else 0 for v in range(n)] for u in range(n)]
+            for v in range(n):
+                entries[v][v] = field.neg(g.rows[v].bit_count() % field.p)
+            r = rank(MatrixFq(field, entries))
+            assert r == n - 1 if g == SimpleGraph.path(n) else r <= n - 1, (n, q)
+
+
+def test_a_tree_past_the_pattern_budget_is_refused_at_its_bound():
+    # P11 with a pendant vertex at its middle: bound 10 = mr < n - 1, and
+    # the k = 10 patterns over GF(3) are over budget
+    spider = SimpleGraph.from_edges(12, [(v, v + 1) for v in range(10)] + [(5, 11)])
+    assert _rank_lower_bound(spider) == 10
+    with pytest.raises(MinRankBoundError) as err:
+        min_rank(spider, 3)
+    assert err.value.lower_bound == 9
 
 
 def _brute_is_blowup(g: SimpleGraph, h: LoopedGraph) -> bool:
@@ -724,10 +758,12 @@ def test_max_k_caps_the_sum_over_the_parts(q):
 
 
 def test_each_part_gets_the_ceiling_the_others_leave(monkeypatch):
-    # H^Zwu[O (mr 7, bound 4), P3 (mr 2 = bound) and K3 (mr 1 = bound) over
-    # GF(2) with max_k 10: a part's ceiling is 10 less the mr before it and
-    # the bounds after it, each below the part's vertex count
-    g = _union(parse_graph6("H^Zwu[O"), SimpleGraph.path(3), SimpleGraph.complete(3))
+    # H^Zwu[O (mr 7, bound 4), K1,3 (mr 2 = bound) and K3 (mr 1 = bound)
+    # over GF(2) with max_k 10: a part's ceiling is 10 less the mr before it
+    # and the bounds after it, each below the part's vertex count (a part
+    # whose bound is n - 1, such as P3, is answered without a search)
+    star = SimpleGraph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+    g = _union(parse_graph6("H^Zwu[O"), star, SimpleGraph.complete(3))
     calls = []
     real = blowup._gf2_min_rank
 
@@ -737,7 +773,10 @@ def test_each_part_gets_the_ceiling_the_others_leave(monkeypatch):
 
     monkeypatch.setattr(blowup, "_gf2_min_rank", recorded)
     assert min_rank(g, 2, max_k=10) == 10
-    assert calls == [(9, 4, 10 - 2 - 1), (3, 2, 10 - 7 - 1), (3, 1, 10 - 7 - 2)]
+    assert calls == [(9, 4, 10 - 2 - 1), (4, 2, 10 - 7 - 1), (3, 1, 10 - 7 - 2)]
+    calls.clear()
+    assert min_rank(_union(parse_graph6("H^Zwu[O"), SimpleGraph.path(3)), 2) == 9
+    assert calls == [(9, 4, 9)]
 
 
 def test_rank_lower_bound_sums_over_the_components():

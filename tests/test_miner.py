@@ -85,6 +85,30 @@ def test_enumeration_keys_one_candidate_per_orbit(monkeypatch):
         assert orbits == candidates[n - 1]
 
 
+def _union_find_orbit_minima(gens, n):
+    """_orbit_minima by a union-find over all 2^n masks, each joined to
+    its image under each generator."""
+    images = []
+    for perm in gens:
+        image = [0]
+        for p in perm:
+            image += [m | 1 << p for m in image]
+        images.append(image)
+    return [m for m, least in enumerate(graphs._orbits(images, 1 << n)) if least == m]
+
+
+def test_orbit_minima_match_a_union_find_on_every_parent():
+    for n in range(8):
+        for parent in enumerate_graphs(n):
+            gens = graphs._canonical(parent)[1]
+            assert list(miner._orbit_minima(gens, n)) == _union_find_orbit_minima(gens, n), \
+                emit_graph6(parent)
+    # a group with no generators fixes every mask; a transposition pairs
+    # masks that differ in exactly one of its two bits
+    assert miner._orbit_minima([], 3) == range(8)
+    assert miner._orbit_minima([[1, 0, 2]], 3) == [0, 1, 3, 4, 5, 7]
+
+
 def _profile(g):
     """g's profile, as _enumerate keys g as a candidate: its vertices but
     the last, extended by the last."""
@@ -398,13 +422,60 @@ def _scan_member_calls(monkeypatch, pairs, n_max):
     return calls
 
 
+BENCHMARK_PAIRS = [(2, 3), (3, 3), (4, 3), (2, 2)]
+
+
 def test_mine_extends_witnesses_in_place_of_most_member_calls(monkeypatch):
     # the pairs of the benchmark's mine workload: 1,888 scan-time member
     # calls without the extension, 441 with it
-    calls = _scan_member_calls(monkeypatch, [(2, 3), (3, 3), (4, 3), (2, 2)], 7)
+    calls = _scan_member_calls(monkeypatch, BENCHMARK_PAIRS, 7)
     assert calls["scan"] <= 460
-    # re-verification of the 113 graphs found is by the definition alone
-    assert calls["report"] == 820
+    # re-verification of the 113 graphs found is by the definition alone,
+    # one member call per distinct labelled graph (820 without the dict)
+    assert calls["report"] == 470
+
+
+@pytest.mark.parametrize("q,k,n_max", [*((q, k, 7) for q, k in BENCHMARK_PAIRS), (2, 3, 8)])
+def test_internal_mining_reports_each_class_once(q, k, n_max):
+    # no canonical form keys an internal run: its graphs are the
+    # representatives, pairwise non-isomorphic
+    found = mine(q, k, n_max=n_max).found
+    assert found
+    assert len({canonical_form(g) for g in found}) == len(found)
+
+
+def test_an_external_stream_of_isomorphic_copies_is_deduplicated():
+    rng = random.Random(5)
+    source = []
+    for n in range(1, 7):
+        for g in enumerate_graphs(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            source += [g, g.relabel(perm)]
+    internal = mine(2, 2, n_max=6).found_graph6()
+    run = mine(2, 2, source=source)
+    assert run.stats["scanned"] == len(source)
+    assert run.found_graph6() == internal
+
+
+def test_a_lie_about_one_deletion_fails_re_verification(monkeypatch):
+    """The re-verification decides each labelled graph once, by member and
+    with no verdict of the scan: member saying no on one deletion of one
+    mined graph, a labelled graph the scan never asks about, is caught."""
+    found = mine(2, 3, n_max=6).found
+    representatives = {g.rows for n in range(7) for g in enumerate_graphs(n)}
+    lie = next(h.rows for g in found for h in miner._deletions(g)
+               if h.rows not in representatives)
+    asked = []
+
+    def lying(g, q, k):
+        asked.append(g.rows)
+        return (False, None, None) if g.rows == lie else member(g, q, k)
+
+    monkeypatch.setattr(miner, "member", lying)
+    with pytest.raises(InvariantError, match="failed re-verification"):
+        mine(2, 3, n_max=6)
+    assert asked.count(lie) == 1
 
 
 def test_mine_over_the_vertex_budget_falls_back_to_member(monkeypatch):

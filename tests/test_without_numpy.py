@@ -1,4 +1,5 @@
-"""gfminrank imports and serves every subcommand with numpy refused."""
+"""gfminrank imports and serves every subcommand with numpy refused, and
+its import path leaves out modules it does not need."""
 
 from __future__ import annotations
 
@@ -51,3 +52,14 @@ def test_every_subcommand_runs_with_numpy_refused():
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr[-2000:] + done.stdout[-2000:]
     assert done.stdout.endswith("ok\n")
+
+
+def test_the_import_path_leaves_dataclasses_out():
+    # dataclasses pulls in inspect, ast, dis and tokenize, a few ms of start-up
+    script = ("import sys, gfminrank.cli\n"
+              "print(sorted({'dataclasses', 'inspect', 'ast'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout == "[]\n"
