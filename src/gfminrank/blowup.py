@@ -24,9 +24,9 @@ adjacent) or its non-neighbour row (classes not adjacent); the search backs
 up as soon as a class has no single candidate and fewer spread candidates
 than members, and it branches on the class with the fewest single
 candidates (ties: larger class, then lower index).  Only the first class
-branched on is pruned by symmetry, to one vertex per orbit of a group of
-isometries of the pattern's form, computed from explicit generators (see
-``patterns.isometry_roots``) only once that class backtracks.
+branched on is pruned by symmetry, to one vertex per orbit of the
+isometry group of the pattern's form, read off the norms in closed form
+(see ``patterns.isometry_roots``) only once that class backtracks.
 Every witness is re-verified against the raw blowup definition before it
 is returned.  ``extend_blowup`` grows a witness for g minus its last
 vertex into one for g without a search, or reports that it cannot.
@@ -239,8 +239,9 @@ def is_blowup(g: SimpleGraph, h: LoopedGraph | Pattern) -> BlowupWitness | None:
     those of reading the roots up front.  At the top every domain is
     single | spread, which is every vertex, so the class's single candidates
     are all, the looped or the nonlooped vertices.  Each of these is a union
-    of isometry orbits, since an isometry keeps B(x, x) != 0, and
-    ``isometry_roots`` keeps the least point of each orbit.
+    of isometry orbits, since an isometry keeps B(x, x) != 0, and the
+    orbits are the key classes of ``isometry_roots``, which keeps the least
+    point of each.
 
     A graph with an edge is reduced once, by this module's ``twin_reduce``.
     A class placed on one vertex x narrows the other domains by x's row and

@@ -22,8 +22,8 @@ monic f with f(0) != 0, coefficients compared low first, that passes
 Rabin's test (``_is_irreducible``); for e = 1 it is X.  g is the least rep
 whose power (q-1)/r is not 1 for any prime r | q-1, and the antilog list
 is the walk 1, g, g^2, ..., each step g x read from tables of the images
-of x's low and high digits (``_build_log_tables``).  A prime field builds
-these lists only when ``log_tables`` asks for them.
+of x's low and high digits (``_build_log_tables``).  A prime field
+computes mod p and builds neither list.
 
 The supported orders are the prime powers in 2..Q_MAX.  :func:`factor_prime_power`
 is the one test of an order: ``field_from_order`` and ``FieldCtx`` both
@@ -189,14 +189,6 @@ class FieldCtx:
         for i, a in enumerate(powers):
             log[a] = i
         self._log = log
-
-    def log_tables(self) -> tuple[list[int], list[int]]:
-        """The (antilog, log) lists described above, built with the field
-        for e >= 2 and on the first call for a prime field, whose own
-        arithmetic does not read them."""
-        if self._log is None:
-            self._build_log_tables()
-        return self._exp, self._log
 
     def _build_sqrt_table(self) -> None:
         table = [-1] * self.q

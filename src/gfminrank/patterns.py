@@ -12,18 +12,14 @@ module accounts for it separately.
 
 from __future__ import annotations
 
-import bisect
 import collections
 import functools
-import itertools
-import math
-from collections.abc import Iterator
 
 from .gf import FieldCtx, field_from_order
 from .graphs import LoopedGraph
 from .matfq import MatrixFq, _rref, canonical_representatives, rank
-from .projgeo import (_lanes, _Pairings, canonicalize, enumerate_points, norms,
-                      pairing_matrix, pairing_support, point_count, point_index)
+from .projgeo import (canonicalize, enumerate_points, norms, pairing_matrix, pairing_support,
+                      point_count, point_index)
 
 DEFAULT_VERTEX_BUDGET = 10_000
 
@@ -94,161 +90,62 @@ def generate(q: int, k: int, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> Patt
     return _generate_cached(field, k)
 
 
-# generators added to the orbit search at a time
-_GENERATOR_BLOCK = 8
-
-
-def isometry_generators(b: MatrixFq, nrm: list[int]) -> Iterator[tuple[list[int], list[int]]]:
-    """The maps x -> x + c B(x,a) a for the points a and c != 0 with
-    c (2 + c B(a,a)) = 0, yielded as lists (points a, scalars c) of at most
-    _GENERATOR_BLOCK generators each; nrm holds B(a,a) for every point a.
-    Listed by c, then a, the m of them are visited by a stride near m/phi
-    so that neighbours lie far apart.
-
-    Each keeps B, since B(x',y') = B(x,y) + c (2 + c B(a,a)) B(x,a) B(y,a):
-    they are the reflections for odd q and the transvections for even q.
-    As c != 0, the condition reads B(a,a) = -2/c, so the centres a for c
-    are the points of that norm and no list of all m pairs is built.
-    """
+def _pole(b: MatrixFq) -> int:
+    """The index of the pole of b, or -1 when q is odd or b is alternating:
+    the one point w with B(x,w)^2 = B(x,x) for every x.  As B(x,x) =
+    (sum_t x_t u_t)^2 for u_t = sqrt(B_tt), w = B^-1 u."""
     f = b.field
-    by_norm: list[list[int]] = [[] for _ in range(f.q)]
-    for x, v in enumerate(nrm):
-        by_norm[v].append(x)
-    minus_two = f.neg(f.add(1, 1))
-    centres = [by_norm[f.mul(minus_two, f.inv(c))] for c in range(1, f.q)]
-    ends = list(itertools.accumulate(map(len, centres)))
-    m = ends[-1]
-    step = max(1, round(m * 0.618))
-    while math.gcd(step, m) != 1:
-        step += 1
-    for lo in range(0, m, _GENERATOR_BLOCK):
-        js = [j * step % m for j in range(lo, min(lo + _GENERATOR_BLOCK, m))]
-        gs = [bisect.bisect_right(ends, j) for j in js]  # pair j has scalar g + 1
-        yield [centres[g][j - ends[g] + len(centres[g])] for j, g in zip(js, gs)], \
-            [g + 1 for g in gs]
-
-
-def _orbit_key_count(b: MatrixFq, nrm: list[int]) -> int:
-    """How many orbits the isometry group has at least: points whose norms
-    differ by more than a nonzero square factor lie in different orbits
-    (an isometry keeps x^t B x, and scaling x by s scales it by s^2), and
-    over even q a form with a nonzero diagonal has a pole w, the one point
-    with B(x,w)^2 = B(x,x) for every x (w = B^-1 u for u_t = sqrt(B_tt)),
-    which every isometry fixes, so it is an orbit of its own."""
-    f = b.field
-    pole = -1
-    if f.p == 2 and any(b.entries[t][t] for t in range(b.rows)):
-        m = [list(row) + [f.sqrt(row[t])] for t, row in enumerate(b.entries)]
-        if len(_rref(f, m)[0]) == b.rows:  # m is now (I | B^-1 u)
-            pole = point_index(f, canonicalize(f, [row[-1] for row in m]))
-    keys = {0 if v == 0 else 1 if f.is_square(v) else 2
-            for x, v in enumerate(nrm) if x != pole}
-    return len(keys) + (pole >= 0)
-
-
-def _lane_images(b: MatrixFq, pts):
-    """images(a, c): the index of x + c B(x,a) a for every point x, for
-    k >= 3 and q <= LANE_MAX_Q.  The image coordinates are value vectors over all
-    points (projgeo._Pairings), brought to canonical form lane by lane: the
-    last nonzero coordinate L is picked out by masks, and each coordinate
-    is divided by L as exp(log x - log L), one bytes.translate per step
-    (the sum of two logarithms, at most 2q - 4, fits its byte)."""
-    f, q = b.field, b.field.q
-    pairs = _Pairings(b)
-    pl, mult, coords = pairs.planes, pairs.multiples, pairs.coords
-    n, index = pl.n, {x: i for i, x in enumerate(pts)}
-    exp, log = f.log_tables()  # log[0], the sentinel 2(q-1), reads as 0 mod q - 1
-    log_of = bytes(x % (q - 1) for x in log).ljust(256, b"\0")
-    minus_log = bytes(-x % (q - 1) for x in log).ljust(256, b"\0")
-    exp_of = bytes(exp[i % (q - 1)] for i in range(256))
-    nonzero = b"\0" + b"\xff" * 255
-
-    def lanes(data: bytes) -> int:
-        return int.from_bytes(data, "little")
-
-    def images(a: int, c: int) -> list[int]:
-        centre = pts[a]
-        mu = pl.scale(c, functools.reduce(
-            pl.add, (mult[t][x] for t, x in enumerate(centre) if x), pl.zero))
-        image = [pl.reps(pl.add(coords[t], pl.scale(x, mu)) if x else coords[t])
-                 for t, x in enumerate(centre)]
-        masks = [lanes(x.translate(nonzero)) for x in image]
-        last = 0
-        for x, nz in zip(image, masks):
-            last = lanes(x) & nz | last & ~nz
-        shift = lanes(last.to_bytes(n, "little").translate(minus_log))
-        canon = [(lanes((lanes(x.translate(log_of)) + shift).to_bytes(n, "little")
-                        .translate(exp_of)) & nz).to_bytes(n, "little")
-                 for x, nz in zip(image, masks)]
-        return list(map(index.__getitem__, zip(*canon)))
-
-    return images
-
-
-def _point_images(b: MatrixFq, pts):
-    """images(a, c): the index of x + c B(x,a) a for every point x, one
-    point at a time (for k <= 2, or q > LANE_MAX_Q)."""
-    f, index = b.field, {x: i for i, x in enumerate(pts)}
-    add, mul, dot = f.add, f.mul, f.dot
-
-    def images(a: int, c: int) -> list[int]:
-        centre = pts[a]
-        ba = [dot(row, centre) for row in b.entries]  # B(x, a) = x . (B a)
-        out = []
-        for i, x in enumerate(pts):
-            mu = mul(c, dot(x, ba))
-            out.append(index[canonicalize(f, [add(s, mul(mu, t)) for s, t in zip(x, centre)])]
-                       if mu else i)
-        return out
-
-    return images
+    if f.p != 2 or not any(b.entries[t][t] for t in range(b.rows)):
+        return -1
+    m = [list(row) + [f.sqrt(row[t])] for t, row in enumerate(b.entries)]
+    if len(_rref(f, m)[0]) != b.rows:  # else m is now (I | B^-1 u)
+        raise ValueError("the form is singular")
+    return point_index(f, canonicalize(f, [row[-1] for row in m]))
 
 
 def isometry_roots(b: MatrixFq) -> int:
-    """The least point of each orbit of PG(k-1, q) under a group of isometries
-    of the symmetric form b, as a bit mask over the canonical point order.
+    """The least point of each orbit of PG(k-1, q) under the isometries of
+    the invertible symmetric form b, as a bit mask over the point order.
 
-    An isometry permutes the points and keeps every pairing, so it is an
-    automorphism of the pattern graph, loops included.  The group is the one
-    generated by isometry_generators.  An orbit of any subgroup lies in an
-    orbit of the full isometry group, so one point per computed orbit may
-    stand for its orbit however many generators are used: they are added in
-    blocks until a block merges no two orbits.  Once the orbits are as few
-    as _orbit_key_count allows, no generator can merge two more, and the
-    search stops there with the same orbits.
+    An isometry keeps every pairing, so it is an automorphism of the
+    pattern graph, loops included.  Its orbits are the key classes: the
+    pole w (_pole) alone, and the other points by B(x,x) = 0, a nonzero
+    square or a non-square (0 or not over even q, where all are squares).
+    Each class is a union of orbits: an isometry g keeps B(x,x), scaling x
+    by s scales it by s^2, and over even q, x -> sqrt(B(x,x)) = B(x,w) is
+    linear and kept by g, so B(x,gw) = B(g^-1 x,w) = B(x,w) and gw = w.
+    Each class is one orbit:
+    - Odd q: if B(x,x) = s^2 B(y,y), s != 0, the isometry y -> x/s of <y>
+      onto <x> extends to the whole space by Witt's extension theorem
+      (Artin, "Geometric Algebra", 1957; Taylor, "The Geometry of the
+      Classical Groups", 1992).
+    - Even q, B alternating: every point has key 0, and Sp is transitive
+      on nonzero vectors (a pair with B(x,x') = 1 extends to a symplectic
+      basis).
+    - Even q, B not alternating: W = w^perp holds the points of norm 0.  B
+      is alternating on W, so of even rank there, with radical W meet <w>.
+      k odd: dim W = k - 1 is even, so w is not in W, B(w,w) = 1 and V is
+      the orthogonal sum <w> + W.  Sp(W), extended by the identity on w,
+      is transitive on the nonzero u in W, so on the points <u> and on
+      the points <w + u> off W but w.
+      k even: dim W is odd, so w is in W.  Take v with B(v,w) = 1, so
+      B(v,v) = 1 and <w,v> is nondegenerate, and the symplectic
+      U = <w,v>^perp, so W = <w> + U.  Two families of isometries: Sp(U)
+      extended by the identity on <w,v>, and w -> w, v -> v + u0 + a w,
+      u -> u + B(u,u0) w for u0 in U and a in GF(q) (they keep B, as
+      B(u0,u0) = B(w,w) = 0 = 2 B(u,u0)).  The
+      second carries <v> to every point <v + a w + u> off W.  On the
+      points <a w + u> of W, u != 0, the first moves u to any u' != 0 and
+      the second turns a into a + B(u,u0), any value.
     """
-    f = b.field
-    pts = enumerate_points(f, b.rows)
-    nrm = norms(b)
-    images = (_lane_images if _lanes(b) else _point_images)(b, pts)
-    labels = list(range(len(pts)))  # each point's label: the least point of its orbit
-    orbits, floor = len(pts), _orbit_key_count(b, nrm)
-    for centres, scalars in isometry_generators(b, nrm):
-        merged = False
-        for a, c in zip(centres, scalars):
-            if orbits == floor:
-                break
-            parent: dict[int, int] = {}
-
-            def root(u: int) -> int:
-                while u in parent:
-                    u = parent[u]
-                return u
-
-            for u, w in set(zip(labels, map(labels.__getitem__, images(a, c)))):
-                u, w = root(u), root(w)
-                if u != w:
-                    parent[max(u, w)] = min(u, w)
-                    orbits -= 1
-            if parent:
-                merged = True
-                relabel = list(range(len(pts)))
-                for u in parent:
-                    relabel[u] = root(u)
-                labels = list(map(relabel.__getitem__, labels))
-        if not merged or orbits == floor:
-            break
-    return sum(1 << v for v, label in enumerate(labels) if label == v)
+    f, pole = b.field, _pole(b)
+    roots, keys = 0 if pole < 0 else 1 << pole, set()
+    for x, v in enumerate(norms(b)):
+        key = 0 if v == 0 else 1 if f.is_square(v) else 2
+        if key not in keys and x != pole:
+            keys.add(key)
+            roots |= 1 << x
+    return roots
 
 
 @functools.lru_cache(maxsize=256)

@@ -43,9 +43,7 @@ from .gf import FieldCtx
 from .matfq import MatrixFq, _product
 
 # the largest field whose vectors are walked bit-sliced: a vector's
-# elements go to and from one byte each (_Planes.reps, from_reps), and the
-# lane-wise division of patterns.isometry_roots adds two logarithms,
-# at most 2q - 4 < 256, in a byte
+# elements go to and from one byte each (_Planes.reps, from_reps)
 LANE_MAX_Q = 128
 
 _DIGIT_BYTE = bytes.maketrans(b"01", b"\0\1")

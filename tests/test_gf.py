@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import operator
 import random
 
 import pytest
@@ -320,14 +321,23 @@ def test_digits_and_mul_matrix_match_the_reps_and_mul(q):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 27, 125, 127, 128, 243])
 def test_log_tables_give_every_product(q):
-    # built with the field for e >= 2, on the first call for a prime field
+    # built with the field for e >= 2, where mul reads them, and checked
+    # against products of digit lists mod the modulus; a prime field
+    # computes mod p and builds neither list
     f = field_from_order(q)
-    exp, log = f.log_tables()
-    n = q - 1
+    if f.e == 1:
+        assert f._exp is None and f._log is None
+        assert [f.mul(a, b) for a in range(q) for b in range(q)] == \
+            [a * b % q for a in range(q) for b in range(q)]
+        return
+    exp, log, n = f._exp, f._log, q - 1
     assert sorted(exp[:n]) == list(range(1, q)) and exp[n:2 * n] == exp[:n]
     assert len(exp) == 4 * n + 1 and log[0] == 2 * n
-    assert [exp[log[a] + log[b]] for a in range(q) for b in range(q)] == \
-        [f.mul(a, b) if f.e > 1 else a * b % q for a in range(q) for b in range(q)]
+    pack = [f.p ** i for i in range(f.e)]
+    digits = [f._digits(a) for a in range(q)]
+    assert [f.mul(a, b) for a in range(q) for b in range(q)] == \
+        [sum(map(operator.mul, gf._mul_mod(x, y, f.modulus, f.p), pack))
+         for x in digits for y in digits]
 
 
 def test_every_extension_field_keeps_its_generator():
