@@ -549,15 +549,21 @@ class TwinReduction(collections.namedtuple("TwinReduction", "classes quotient"))
 def _least_twins(rows) -> list[int]:
     """Each vertex's least twin (N(u) = N(w) or N[u] = N[w]), the vertex
     itself when it has none smaller: the one grouping of vertices by
-    neighbourhood.  A vertex never has twins of both kinds (see
-    twin_reduce), so the smaller of its least open and least closed twin
-    is its least twin."""
-    closed: dict[int, int] = {}
-    open_: dict[int, int] = {}
+    neighbourhood.
+
+    One pass over one dict, which maps open keys N(w) and closed keys N[w]
+    to the least vertex read with that key.  The two kinds never collide:
+    if N(u) = N[v], then v is in N(u), so u ~ v and u is in N[v], while u
+    is not in N(u).  A vertex never has twins of both kinds (see
+    twin_reduce), so a vertex with a smaller open twin has no true twin,
+    and its closed key, which only a true twin would look up, is not
+    stored."""
+    least: dict[int, int] = {}
+    twins = []
     for v, r in enumerate(rows):
-        closed.setdefault(r | 1 << v, v)
-        open_.setdefault(r, v)
-    return [min(closed[r | 1 << v], open_[r]) for v, r in enumerate(rows)]
+        t = least.setdefault(r, v)
+        twins.append(t if t < v else least.setdefault(r | 1 << v, v))
+    return twins
 
 
 def twin_reduce(g: SimpleGraph) -> TwinReduction:

@@ -19,14 +19,16 @@ re-verified against the blowup definition, is a member witness, and
 member runs only when there is none.
 
 The enumeration extends each representative on n - 1 vertices (a parent)
-by a new vertex.  Two attachment sets of a parent in one orbit of its
-automorphism group give isomorphic candidates, so each orbit is tried
+by a new vertex.  Two attachment sets of a parent in one orbit of a group
+of its automorphisms give isomorphic candidates, so each orbit is tried
 once, by its least mask (McKay, "Isomorph-free exhaustive generation",
-1998), the group's generators coming from _canonical(parent), one call
-per parent.  Candidates are told apart not by a canonical labelling but
-by a vertex invariant (as nauty refines by one; McKay and Piperno,
-"Practical graph isomorphism II", 2014): the profile, each vertex's
-multiset of (adjacency, common neighbours) over the other vertices.
+1998).  The group is the one the parent's twin transpositions generate,
+whose least masks are read off its twin classes in closed form
+(_twin_orbit_minima), so no parent is canonically labelled.  Candidates
+are told apart not by a canonical labelling but by a vertex invariant
+(as nauty refines by one; McKay and Piperno, "Practical graph isomorphism
+II", 2014): the profile, each vertex's multiset of (adjacency, common
+neighbours) over the other vertices.
 Every class occurs among the candidates and isomorphic graphs share a
 profile, so the number of profiles is at most the number of classes, and
 equal to it, which GRAPH_COUNTS checks, exactly when the profile tells
@@ -57,7 +59,7 @@ from .blowup import InvariantError, extend_blowup, member
 # are_isomorphic is no longer called here but stays imported: the span
 # tracer in perfbench/spans.py rebinds gfminrank.miner.are_isomorphic
 # through this module's namespace, and every traced run needs the name
-from .graphs import (SimpleGraph, _canonical, _components, are_isomorphic, canonical_form,
+from .graphs import (SimpleGraph, _components, _least_twins, are_isomorphic, canonical_form,
                      emit_graph6, parse_graph6)
 from .patterns import generate
 
@@ -71,40 +73,25 @@ GRAPH_COUNTS = (1, 1, 2, 4, 11, 34, 156, 1044, 12346)
 TREE_COUNTS = (1, 1, 1, 2, 3, 6, 11)  # n = 1..7
 
 
-def _orbit_minima(gens, n: int) -> list[int] | range:
-    """The least mask of each orbit of the group that the permutations gens
-    of range(n) generate, acting on the subsets of range(n) as masks, in
-    increasing order.
+def _twin_orbit_minima(rows) -> list[int]:
+    """The least mask of each orbit of the twin group on the subsets of
+    the vertices with these adjacency rows, as masks, in increasing order.
 
-    The masks are read in increasing order, and each one not yet reached
-    opens its orbit, which is then closed under the generators' images (a
-    finite group's orbit is its closure under the generators), so the mask
-    that opens an orbit is its least.  Each mask is reached once, and with
-    no generators every mask is its own orbit."""
-    if not gens:
-        return range(1 << n)
-    images = []
-    for perm in gens:
-        image = [0]
-        for p in perm:  # bit i, imaged to p, joins every mask below 1 << i
-            image += [m | 1 << p for m in image]
-        images.append(image)
-    seen = bytearray(1 << n)
-    minima = []
-    for m, reached in enumerate(seen):
-        if reached:
-            continue
-        minima.append(m)
-        seen[m] = 1
-        todo = [m]
-        while todo:
-            x = todo.pop()
-            for image in images:
-                y = image[x]
-                if not seen[y]:
-                    seen[y] = 1
-                    todo.append(y)
-    return minima
+    Swapping two twins u and w (N(u) - {w} = N(w) - {u}) is an
+    automorphism, so the transpositions of twins generate a subgroup of
+    the automorphism group: the product of the symmetric groups on the
+    classes of graphs._least_twins.  A mask's orbit under it is fixed by
+    how many vertices the mask takes from each class, and its least mask
+    takes the lowest that many of each."""
+    prefixes: dict[int, list[int]] = {}  # per class: its lowest 0, 1, ... members
+    for v, t in enumerate(_least_twins(rows)):
+        prefix = prefixes.setdefault(t, [0])
+        prefix.append(prefix[-1] | 1 << v)
+    masks = [0]
+    for prefix in prefixes.values():
+        masks = [m | p for p in prefix for m in masks]
+    masks.sort()
+    return masks
 
 
 def _extend(parent: SimpleGraph, mask: int) -> SimpleGraph:
@@ -166,22 +153,26 @@ def _profiles(parent: SimpleGraph, masks):
 def _enumerate(n: int) -> tuple[tuple[SimpleGraph, ...], tuple[tuple[int, ...], ...]]:
     """(enumerate_graphs(n), deletion_classes(n)), built in one pass.
 
-    A parent's attachment sets in one orbit of its automorphism group give
-    isomorphic candidates, so only the least mask of each orbit is keyed,
-    the orbits those of the generators _canonical(parent) returns.  That
-    keeps the first candidate of every class, the least mask m* of the
-    first parent that yields it: m*'s orbit yields the same class, so m* is
-    its least mask.  Every parent of a class still has a kept mask in it,
-    so the deletion classes are unchanged.
+    A parent's attachment sets in one orbit of a group of its automorphisms
+    give isomorphic candidates, so only the least mask of each orbit of
+    its twin group is keyed (_twin_orbit_minima).  That keeps the first
+    candidate of every class, the least mask m* of the first parent that
+    yields it: the masks of a parent that yield one class are closed under
+    its automorphisms, the twin swaps among them, so m* is the least of its
+    twin orbit.  Every parent of a class still has a kept mask in it, so
+    the representatives, their order and the deletion classes are those of
+    the full automorphism group's orbits, with more candidates (7,195 on
+    1..7 vertices, not 5,759) but no canonical labelling of a parent.
 
     Candidates are keyed by _profiles as far as GRAPH_COUNTS reaches, and
     past it by canonical_form.  Every class on n vertices has a candidate
     (g minus its last vertex is isomorphic to some parent, and the least
-    mask of the orbit of g's last row under that isomorphism gives a
-    candidate isomorphic to g), and isomorphic candidates have one profile,
-    so there are at most GRAPH_COUNTS[n] profiles, and exactly that many
-    only when no two classes share one.  The count check therefore proves
-    the profile exact, and a short count raises."""
+    mask of the twin orbit of the image of g's last row under that
+    isomorphism gives a candidate isomorphic to g), and isomorphic
+    candidates have one profile, so there are at most GRAPH_COUNTS[n]
+    profiles, and exactly that many only when no two classes share one.
+    The count check therefore proves the profile exact, and a short count
+    raises."""
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
     if n == 0:
@@ -190,10 +181,10 @@ def _enumerate(n: int) -> tuple[tuple[SimpleGraph, ...], tuple[tuple[int, ...], 
     exact = n < len(GRAPH_COUNTS)
     # per key: the first candidate's parent index and mask, and the
     # indices of all its parents; candidates are streamed, not held (n = 8
-    # has 79,264 of them)
+    # has 94,956 of them)
     classes: dict[bytes | SimpleGraph, tuple[int, int, set[int]]] = {}
     for j, parent in enumerate(below):
-        masks = _orbit_minima(_canonical(parent)[1], n - 1)
+        masks = _twin_orbit_minima(parent.rows)
         keys = (_profiles(parent, masks) if exact
                 else (canonical_form(_extend(parent, mask)) for mask in masks))
         for mask, key in zip(masks, keys):
@@ -213,15 +204,15 @@ def enumerate_graphs(n: int) -> tuple[SimpleGraph, ...]:
     """One representative per isomorphism class of simple graphs on n vertices.
 
     Built by extending every (n-1)-vertex representative with one new vertex
-    over one attachment set per orbit of its automorphism group (the least
-    mask), then keeping the first candidate of each key (the profile up to
-    8 vertices, canonical_form past it), so the representatives and their
+    over one attachment set per orbit of its twin group (the least mask),
+    then keeping the first candidate of each key (the profile up to 8
+    vertices, canonical_form past it), so the representatives and their
     order do not depend on how the keys are computed.  n <= 7 (1253
-    classes from 5,759 candidates, 11,291 without the orbits) takes about
-    0.04-0.05 s on a 2-CPU Intel Xeon host (0.2 s by canonical_form); n = 8
-    (12,346 classes from 79,264 candidates, streamed) about 0.5-0.7 s
-    (3.3-4 s) and 30 MB peak RSS, of which the interpreter and imports
-    take 16 MB.
+    classes from 7,195 candidates, 11,291 without the orbits) takes about
+    0.03 s on a 2-CPU Intel Xeon host (0.26 s by canonical_form); n = 8
+    (12,346 classes from 94,956 candidates, streamed) about 0.36-0.46 s
+    (3.4 s) and 30 MB peak RSS, of which the interpreter and imports take
+    16 MB.
     """
     return _enumerate(n)[0]
 
@@ -244,7 +235,7 @@ def enumerate_trees(n: int) -> tuple[SimpleGraph, ...]:
     """One representative per isomorphism class of trees on n >= 1 vertices:
     the connected graphs of enumerate_graphs(n) with n - 1 edges.  Like
     enumerate_graphs, practical for n <= 8 (23 trees; enumerate_graphs(8)
-    takes about 0.6 s and 30 MB peak RSS)."""
+    takes about 0.4 s and 30 MB peak RSS)."""
     if n < 1:
         raise ValueError("trees need at least one vertex")
     return tuple(g for g in enumerate_graphs(n)
@@ -349,9 +340,14 @@ def _witness(g: SimpleGraph, q: int, k: int, parent):
 
 
 def _deletions(g: SimpleGraph):
-    """The one-vertex-deleted subgraphs g - v, v = 0..n-1, relabelled in order."""
+    """The one-vertex-deleted subgraphs g - v, v = 0..n-1, relabelled in
+    order: every row but v's keeps its bits below v and moves those above
+    v down one, which drops bit v."""
+    rows = g.rows
     for v in range(g.n):
-        yield g.induced([u for u in range(g.n) if u != v])
+        low = (1 << v) - 1
+        yield SimpleGraph._trusted(g.n - 1, [(r & low) | (r >> 1 & ~low)
+                                             for r in rows[:v] + rows[v + 1:]])
 
 
 def _check_minimal_forbidden(g: SimpleGraph, q: int, k: int,

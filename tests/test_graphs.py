@@ -444,6 +444,23 @@ def test_twin_classes_are_the_definition_on_all_small_graphs():
             _assert_twin_reduction_is_the_definition(g)
 
 
+def _least_twins_by_two_dicts(rows):
+    """_least_twins with one dict per kind of twin: the smaller of each
+    vertex's least open twin and least closed twin."""
+    closed, open_ = {}, {}
+    for v, r in enumerate(rows):
+        closed.setdefault(r | 1 << v, v)
+        open_.setdefault(r, v)
+    return [min(closed[r | 1 << v], open_[r]) for v, r in enumerate(rows)]
+
+
+def test_least_twins_match_two_dicts_on_all_small_graphs():
+    for n in range(8):
+        for g in enumerate_graphs(n):
+            assert graphs._least_twins(g.rows) == _least_twins_by_two_dicts(g.rows), \
+                emit_graph6(g)
+
+
 def test_twin_classes_are_the_definition_on_relabelled_blowups():
     rng = random.Random(5005)
     for _ in range(300):

@@ -51,12 +51,25 @@ def test_first_parent_is_the_representative_minus_its_last_vertex():
             assert g.induced(range(n - 1)) == below[classes[0]], emit_graph6(g)
 
 
+def _twin_transpositions(g):
+    """The transpositions of g's twin pairs u < w, N(u) - {w} = N(w) - {u},
+    by that definition, as permutations of range(g.n)."""
+    rows = g.rows
+    perms = []
+    for u, w in itertools.combinations(range(g.n), 2):
+        if rows[u] & ~(1 << w) == rows[w] & ~(1 << u):
+            perm = list(range(g.n))
+            perm[u], perm[w] = w, u
+            perms.append(perm)
+    return perms
+
+
 def test_enumeration_keys_one_candidate_per_orbit(monkeypatch):
-    """Per level, one candidate per orbit of each parent's automorphism
-    group on its attachment sets, counted where the candidates are keyed
-    and by brute force for n <= 6.  _canonical runs once per parent, for
-    its generators, and never on a candidate."""
-    profiles, canonical = miner._profiles, miner._canonical
+    """Per level, one candidate per orbit of each parent's twin group on
+    its attachment sets, counted where the candidates are keyed and by
+    brute force for n <= 6.  The twin transpositions are automorphisms,
+    and _canonical never runs: not on a parent, not on a candidate."""
+    profiles, canonical = miner._profiles, graphs._canonical
     keyed, canonicalised = collections.Counter(), collections.Counter()
 
     def counted_profiles(parent, masks):
@@ -69,25 +82,35 @@ def test_enumeration_keys_one_candidate_per_orbit(monkeypatch):
         return canonical(g, *args)
 
     monkeypatch.setattr(miner, "_profiles", counted_profiles)
-    monkeypatch.setattr(miner, "_canonical", counted_canonical)
+    monkeypatch.setattr(graphs, "_canonical", counted_canonical)
     miner._enumerate.cache_clear()
     enumerate_graphs(7)
     candidates = [keyed[n] for n in range(1, 8)]
-    assert candidates == [1, 2, 6, 20, 90, 544, 5096]
-    assert [canonicalised[n] for n in range(8)] == [*GRAPH_COUNTS[:7], 0]
+    assert candidates == [1, 2, 6, 20, 102, 652, 6412]
+    assert sum(canonicalised.values()) == 0
     for n in range(1, 7):
         orbits = 0
         for parent in enumerate_graphs(n - 1):
-            autos = [p for p in itertools.permutations(range(n - 1)) if parent.relabel(p) == parent]
-            images = {frozenset(graphs._relabel_mask(m, p) for p in autos)
+            swaps = _twin_transpositions(parent)
+            group, frontier = {tuple(range(n - 1))}, [tuple(range(n - 1))]
+            while frontier:  # closed under the twin transpositions
+                a = frontier.pop()
+                for t in swaps:
+                    b = tuple(t[v] for v in a)
+                    if b not in group:
+                        group.add(b)
+                        frontier.append(b)
+            assert all(parent.relabel(p) == parent for p in group)
+            images = {frozenset(graphs._relabel_mask(m, p) for p in group)
                       for m in range(1 << (n - 1))}
             orbits += len(images)
         assert orbits == candidates[n - 1]
 
 
 def _union_find_orbit_minima(gens, n):
-    """_orbit_minima by a union-find over all 2^n masks, each joined to
-    its image under each generator."""
+    """The least mask of each orbit of the group that the permutations
+    gens of range(n) generate, on the masks of range(n), by a union-find
+    over all 2^n masks, each joined to its image under each generator."""
     images = []
     for perm in gens:
         image = [0]
@@ -97,16 +120,23 @@ def _union_find_orbit_minima(gens, n):
     return [m for m, least in enumerate(graphs._orbits(images, 1 << n)) if least == m]
 
 
-def test_orbit_minima_match_a_union_find_on_every_parent():
-    for n in range(8):
+def test_twin_orbit_minima_match_a_union_find_on_every_parent():
+    for n in range(7):
         for parent in enumerate_graphs(n):
-            gens = graphs._canonical(parent)[1]
-            assert list(miner._orbit_minima(gens, n)) == _union_find_orbit_minima(gens, n), \
-                emit_graph6(parent)
-    # a group with no generators fixes every mask; a transposition pairs
-    # masks that differ in exactly one of its two bits
-    assert miner._orbit_minima([], 3) == range(8)
-    assert miner._orbit_minima([[1, 0, 2]], 3) == [0, 1, 3, 4, 5, 7]
+            assert miner._twin_orbit_minima(parent.rows) == \
+                _union_find_orbit_minima(_twin_transpositions(parent), n), emit_graph6(parent)
+    # P4 has no twins, so every mask is its own orbit; the edge 01 of
+    # K2 + K1 pairs masks that differ in exactly one of bits 0 and 1
+    assert miner._twin_orbit_minima(SimpleGraph.path(4).rows) == list(range(16))
+    assert miner._twin_orbit_minima(SimpleGraph.from_edges(3, [(0, 1)]).rows) == \
+        [0, 1, 3, 4, 5, 7]
+
+
+def test_deletions_match_induced_on_every_graph():
+    for n in range(8):
+        for g in enumerate_graphs(n):
+            assert list(miner._deletions(g)) == \
+                [g.induced([u for u in range(n) if u != v]) for v in range(n)], emit_graph6(g)
 
 
 def _profile(g):
@@ -126,9 +156,9 @@ def _defined_profile(g):
 
 def _candidates(n):
     """Every candidate on n vertices: each parent extended by the least
-    mask of each orbit of its automorphism group."""
+    mask of each orbit of its twin group."""
     for parent in enumerate_graphs(n - 1):
-        for mask in miner._orbit_minima(graphs._canonical(parent)[1], n - 1):
+        for mask in miner._twin_orbit_minima(parent.rows):
             yield miner._extend(parent, mask)
 
 
@@ -185,7 +215,7 @@ def test_enumeration_past_the_table_keys_by_canonical_form(monkeypatch):
     finally:
         miner._enumerate.cache_clear()
     assert keyed == {1: 1, 2: 2, 3: 6}
-    assert canonicalised == {4: 20, 5: 90, 6: 544, 7: 5096}
+    assert canonicalised == {4: 20, 5: 102, 6: 652, 7: 6412}
 
 
 def test_a_weakened_profile_raises_and_never_merges_classes(monkeypatch):
