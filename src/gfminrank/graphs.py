@@ -37,8 +37,8 @@ searched one: that subtree repeats the searched one's certificates.  Such
 automorphisms are the swaps of two twins in the branching cell, known in
 advance, and the maps between leaves with equal certificates, found on the
 way; these end the current subtree, and prune later branches by orbits.
-Together they generate g's automorphism group, and _canonical returns
-them with the key.
+Together they generate g's automorphism group; _canonical returns the
+maps between leaves with the key.
 """
 
 from __future__ import annotations
@@ -846,7 +846,8 @@ def canonical_form(g: SimpleGraph | LoopedGraph) -> SimpleGraph | LoopedGraph:
 
 
 def _canonical(g: SimpleGraph | LoopedGraph) -> tuple[SimpleGraph | LoopedGraph, list[list[int]]]:
-    """(canonical_form(g), automorphisms of g that generate its group).
+    """(canonical_form(g), the gammas: automorphisms of g that, with the
+    twin swaps, generate its group).
 
     A tree node is an ordered partition made equitable by _refine; the root
     starts from the cells (nonlooped, looped), the empty one dropped, so a
@@ -868,7 +869,12 @@ def _canonical(g: SimpleGraph | LoopedGraph) -> tuple[SimpleGraph | LoopedGraph,
       twins of both kinds, see twin_reduce) in the branching cell is tried.
       Swapping two twins u and w (N(u) = N(w) or N[u] = N[w]) in that cell
       is such an automorphism, since the root split keeps a looped and a
-      nonlooped vertex out of one cell.
+      nonlooped vertex out of one cell.  So a cell of mutual twins has one
+      child, which individualises its least vertex; the rest is again one
+      cell of twins and nothing splits (a vertex outside sees all of the
+      cell or none of it).  That chain is taken in one step, the cell's
+      vertices individualised in increasing order and each step counted
+      as a node, so a large twin class adds no depth to the recursion.
     - leaves equal to the best one: the map gamma from the best leaf's
       order to an equal leaf's order is an automorphism (both orders give
       one certificate), and as refinement never looks at labels, it takes
@@ -879,8 +885,8 @@ def _canonical(g: SimpleGraph | LoopedGraph) -> tuple[SimpleGraph | LoopedGraph,
       recorded gammas that fix every vertex on the node's path.
     Every leaf is thus searched or is the image of a searched leaf under
     the group of the recorded gammas and the twin swaps, so these
-    generate the automorphism group.  The generators returned (perm[v] the
-    image of v) are the gammas and, for each twin class, the swaps of its
+    generate the automorphism group.  The gammas are returned (perm[v] the
+    image of v); the twin swaps are, for each twin class, the swaps of its
     least vertex with the others of the same loop status (a swap across
     loop status is no automorphism).
     Past ISO_NODE_BUDGET tree nodes the search raises IsoBudgetError.
@@ -890,6 +896,9 @@ def _canonical(g: SimpleGraph | LoopedGraph) -> tuple[SimpleGraph | LoopedGraph,
     full = (1 << n) - 1
     root = [c for c in (full & ~loops, loops) if c]
     twin = _least_twins(rows)
+    klass = [0] * n  # the mask of each twin class, at its least vertex
+    for v, t in enumerate(twin):
+        klass[t] |= 1 << v
     best: list[int] | None = None
     best_pos: list[int] = []
     best_path: list[int] = []
@@ -926,6 +935,13 @@ def _canonical(g: SimpleGraph | LoopedGraph) -> tuple[SimpleGraph | LoopedGraph,
             best, best_pos, best_path = cert, pos, path
             return len(path)
         depth = len(path)
+        if not c & ~klass[twin[(c & -c).bit_length() - 1]]:
+            # mutual twins: the chain of single-child nodes in one step
+            chain = [v for v in range(n) if c >> v & 1]
+            nodes += len(chain) - 2
+            back = search(cells[:i] + [1 << v for v in chain] + cells[i + 1:], [],
+                          path + chain[:-1])
+            return min(back, depth)
         tried: list[int] = []
         twins: set[int] = set()
         orbit, seen = None, 0
@@ -949,16 +965,9 @@ def _canonical(g: SimpleGraph | LoopedGraph) -> tuple[SimpleGraph | LoopedGraph,
         return depth
 
     search(root, root, [])
-    first: dict[tuple[int, int], int] = {}
-    for v, t in enumerate(twin):
-        u = first.setdefault((t, loops >> v & 1), v)
-        if u != v:
-            swap = list(range(n))
-            swap[u], swap[v] = v, u
-            autos.append(swap)
-    if isinstance(g, LoopedGraph):
-        return LoopedGraph._trusted(n, best, _relabel_mask(loops, best_pos)), autos
-    return SimpleGraph._trusted(n, best), autos
+    key = (LoopedGraph._trusted(n, best, _relabel_mask(loops, best_pos))
+           if isinstance(g, LoopedGraph) else SimpleGraph._trusted(n, best))
+    return key, autos
 
 
 def are_isomorphic(g: LoopedGraph | SimpleGraph, h: LoopedGraph | SimpleGraph) -> bool:

@@ -440,9 +440,10 @@ def mine(q: int, k: int, n_max: int | None = None, source=None,
 
     ``source`` may be an iterable of SimpleGraph (e.g. parsed from a graph6
     stream); otherwise all graphs on up to n_max <= 8 vertices are
-    enumerated internally, as far as GRAPH_COUNTS checks the class counts.  Progress is checkpointed every CHECKPOINT_EVERY
-    graphs so a run can resume, and ``max_graphs`` (at least 1) caps the
-    graphs scanned after the ones a checkpoint covers.
+    enumerated internally, as far as GRAPH_COUNTS checks the class counts.
+    Progress is checkpointed every CHECKPOINT_EVERY graphs so a run can
+    resume, and ``max_graphs`` (at least 1) caps the graphs scanned after
+    the ones a checkpoint covers.
     The checkpoint keeps a sha256 over the graph6 lines of the graphs it
     covers; resuming against a source that does not start with those graphs
     is a ValueError.

@@ -21,9 +21,11 @@ pairing_rows (their values) make them one row at a time:
   their planes and p is subtracted where the sum reaches it.  The walk
   (_Pairings.prefixes) starts from the value vectors B(e_t, .) and their
   multiples, and adds one vector per step of every counter digit but the
-  fastest: the row of x is sum_t x_t B(e_t, .).  A pairing is zero where
-  that partial sum equals -x_0 B(e_0, .), so pairing_support reads a
-  whole row from one XOR of the planes.
+  fastest: the row of x is sum_t x_t B(e_t, .).  The planes only add:
+  the products in those vectors are FieldCtx.mul tables applied to the
+  points' coordinates as bytes, before the planes are made (_Pairings).
+  A pairing is zero where that partial sum equals -x_0 B(e_0, .), so
+  pairing_support reads a whole row from one XOR of the planes.
 - For k <= 2, and for larger q (under the default vertex budget only
   k <= 2 anyway), the zero pairings of x are the points of the
   hyperplane (x B)^t y = 0, solved for directly (_zero_set), and
@@ -137,73 +139,26 @@ class _Planes:
         s.append(carry)
         d, borrow = [], 0  # d = s - p, borrow set where s < p
         for j, x in enumerate(s):
+            nx = x ^ ones
             if p >> j & 1:
-                d.append(x ^ borrow ^ ones)
-                borrow = x ^ ones | borrow
+                d.append(nx ^ borrow)
+                borrow |= nx
             else:
                 d.append(x ^ borrow)
-                borrow = (x ^ ones) & borrow
-        return tuple(x & borrow | y & ~borrow for x, y in zip(s[:-1], d))
-
-    def _digits(self, v: tuple) -> list[tuple]:
-        b = self.b
-        return [v[i:i + b] for i in range(0, len(v), b)]
-
-    def _digit_scale(self, u: tuple, c: int) -> tuple:
-        """c u for c in GF(p), by doubling and adding."""
-        if c < 2:
-            return u if c else (0,) * self.b
-        acc = (0,) * self.b
-        for bit in bin(c)[2:]:
-            acc = self._digit_add(acc, acc)
-            if bit == "1":
-                acc = self._digit_add(acc, u)
-        return acc
+                borrow &= nx
+        return tuple(y ^ (x ^ y) & borrow for x, y in zip(s[:-1], d))
 
     def add(self, u: tuple, w: tuple) -> tuple:
-        if self.b == 1:
+        b = self.b
+        if b == 1:
             return tuple(map(operator.xor, u, w))
         return tuple(itertools.chain.from_iterable(
-            map(self._digit_add, self._digits(u), self._digits(w))))
-
-    def _times_x(self, v: tuple) -> tuple:
-        """X v: the digits move up one place, and the top one comes back as
-        minus the low coefficients of the modulus times it."""
-        f, digits = self.field, self._digits(v)
-        low = [(0,) * self.b] + digits[:-1]
-        return tuple(itertools.chain.from_iterable(
-            self._digit_add(a, self._digit_scale(digits[-1], -c % f.p))
-            for a, c in zip(low, f.modulus)))
-
-    def scale(self, c: int, v: tuple) -> tuple:
-        """c v for a field element c: the sum over its digits c_i of c_i X^i v."""
-        if c < 2:
-            return v if c else self.zero
-        acc = self.zero
-        for i, ci in enumerate(self.field._digits(c)):
-            if i and c >= self.field._pw[i]:
-                v = self._times_x(v)
-            if ci:
-                acc = self.add(acc, tuple(itertools.chain.from_iterable(
-                    self._digit_scale(d, ci) for d in self._digits(v))))
-        return acc
-
-    def multiples(self, v: tuple) -> list[tuple]:
-        """c v for every rep c: c v = (c - p^j) v + X^j v, for the lowest
-        nonzero digit j of c."""
-        f = self.field
-        shifts = [v]
-        for _ in range(f.e - 1):
-            shifts.append(self._times_x(shifts[-1]))
-        out = [self.zero]
-        for c in range(1, f.q):
-            j = next(j for j, w in enumerate(f._pw) if c // w % f.p)
-            out.append(self.add(out[c - f._pw[j]], shifts[j]))
-        return out
+            self._digit_add(u[i:i + b], w[i:i + b]) for i in range(0, len(u), b)))
 
     def from_reps(self, reps: bytes) -> tuple:
         """The vector whose element y is reps[y]."""
-        return tuple(int(reps.translate(t)[::-1] or b"0", 2) for t in self._bit)
+        reps = reps[::-1]  # int reads the top lane first
+        return tuple(int(reps.translate(t) or b"0", 2) for t in self._bit)
 
     def reps(self, v: tuple) -> bytes:
         """The elements of v as the bytes of their reps."""
@@ -239,18 +194,33 @@ def _coordinate_reps(q: int, k: int, t: int) -> bytes:
 
 class _Pairings:
     """The value vectors of the form b over the canonical points, for
-    q <= LANE_MAX_Q: coords[t] is coordinate t of every point, and
-    multiples[t][c] is c B(e_t, .)."""
+    q <= LANE_MAX_Q: multiples[t][c] is c B(e_t, .).
+
+    Every product is taken on reps, as bytes mapped by bytes.translate
+    through a table of y -> c y from FieldCtx.mul, built only for the
+    entries c of b and the digit powers p^j.  The term B_ts y_s of
+    B(e_t, y) is coordinate s of every point mapped by the table of B_ts,
+    and p^j B(e_t, .) is the sum of the terms each mapped by the table of
+    p^j again.  The planes only add: the multiples follow as
+    c v = (c - p^j) v + p^j v, j the lowest nonzero digit of c."""
 
     def __init__(self, b: MatrixFq):
         f, k = b.field, b.rows
         self.field, self.k = f, k
         self.planes = pl = _Planes(f, point_count(f.q, k))
-        self.coords = [pl.from_reps(_coordinate_reps(f.q, k, t)) for t in range(k)]
-        self.multiples = [
-            pl.multiples(functools.reduce(pl.add, [pl.scale(c, x) for c, x in
-                                                   zip(row, self.coords) if c] or [pl.zero]))
-            for row in b.entries]
+        times = {c: bytes(f.mul(c, y) for y in range(f.q)).ljust(256, b"\0")
+                 for c in {c for row in b.entries for c in row if c} | set(f._pw)}
+        coords = [_coordinate_reps(f.q, k, s) for s in range(k)]
+        self.multiples = []
+        for row in b.entries:
+            terms = [x.translate(times[c]) for c, x in zip(row, coords) if c]
+            shifts = [functools.reduce(pl.add, [pl.from_reps(x.translate(times[w]))
+                                                for x in terms] or [pl.zero]) for w in f._pw]
+            out = [pl.zero]
+            for c in range(1, f.q):
+                j = next(j for j, w in enumerate(f._pw) if c // w % f.p)
+                out.append(pl.add(out[c - f._pw[j]], shifts[j]))
+            self.multiples.append(out)
 
     def prefixes(self) -> Iterator[tuple[tuple, range | tuple[int]]]:
         """For each run of points in order that differ only in x_0, the

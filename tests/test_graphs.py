@@ -666,6 +666,21 @@ def _group_order(gens, n):
     return len(group)
 
 
+def _canonical_with_swaps(g):
+    """_canonical(g) with the twin swaps added to its gammas: for each twin
+    class, the swaps of its least vertex with the others of the same loop
+    status.  Together they generate the automorphism group of g."""
+    loops = g.loops if isinstance(g, LoopedGraph) else 0
+    (key, gens), first = graphs._canonical(g), {}
+    for v, t in enumerate(graphs._least_twins(g.rows)):
+        u = first.setdefault((t, loops >> v & 1), v)
+        if u != v:
+            swap = list(range(g.n))
+            swap[u], swap[v] = v, u
+            gens.append(swap)
+    return key, gens
+
+
 def test_canonical_generators_generate_the_automorphisms():
     """Every generator is an automorphism, and on small graphs, with and
     without loops, they generate the whole group (counted by brute force)."""
@@ -673,7 +688,7 @@ def test_canonical_generators_generate_the_automorphisms():
     for n in range(7):
         for g in enumerate_graphs(n):
             for h in (g, g.with_loops(rng.getrandbits(n))):
-                key, gens = graphs._canonical(h)
+                key, gens = _canonical_with_swaps(h)
                 assert key == canonical_form(h)
                 assert all(h.relabel(p) == h for p in gens), emit_graph6(g)
                 autos = sum(h.relabel(p) == h for p in itertools.permutations(range(n)))
@@ -698,7 +713,7 @@ def test_generators_of_relabelled_looped_patterns_are_automorphisms(q, k):
             perm = list(range(h.n))
             rng.shuffle(perm)
             h = h.relabel(perm)
-            key, gens = graphs._canonical(h)
+            key, gens = _canonical_with_swaps(h)
             assert key == canonical_form(h) and all(h.relabel(p) == h for p in gens)
             if i == 0:
                 assert gens  # these patterns have automorphisms
@@ -711,6 +726,23 @@ def test_canonical_form_budget(monkeypatch):
     monkeypatch.setattr(graphs, "ISO_NODE_BUDGET", 1)
     with pytest.raises(IsoBudgetError):
         canonical_form(petersen())
+
+
+def test_canonical_form_takes_a_twin_class_in_one_step():
+    """A cell of mutual twins is individualised in one step, in the order
+    the one-at-a-time chain gave, so 1,100 twins need no deep recursion.
+    Each graph here is its own key but the star, whose centre goes last."""
+    n = 1100
+    star = SimpleGraph.from_edges(n, [(0, v) for v in range(1, n)])
+    cases = [(SimpleGraph.empty(n), SimpleGraph.empty(n)),
+             (SimpleGraph.complete(n), SimpleGraph.complete(n)),
+             (star, star.relabel([n - 1] + list(range(n - 1)))),
+             (SimpleGraph.complete_multipartite([550, 550]),) * 2]
+    rng = random.Random(3)
+    for g, key in cases:
+        perm = list(range(n))
+        rng.shuffle(perm)
+        assert canonical_form(g) == key == canonical_form(g.relabel(perm))
 
 
 # -- serialisation -----------------------------------------------------------------

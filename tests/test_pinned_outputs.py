@@ -14,7 +14,7 @@ import sys
 import pytest
 
 from gfminrank import (MatrixFq, canonical_representatives, cli, count_absolute,
-                       field_from_order, rank)
+                       field_from_order, generate, rank)
 from gfminrank.matfq import normalize_invertible_symmetric
 
 PATTERN_DIGESTS = {
@@ -40,6 +40,17 @@ PATTERN_DIGESTS = {
     (3, 6, "dot"): "02be31d3002121cc579441f9b20f78ce7c53c55a19d9167e0a292a2a4e4c768b",
     (3, 6, "matrix"): "caf755b96884d948b6d4520459dad4359eb5bbbee16a400155bf088faf597141",
     (16, 3, "matrix"): "14a3c209e2eb3bee699a04bbbb531eb7a44c29512cb8abf680863a872a583416",
+}
+
+# sha256 over every pattern's rows, then its loop mask, each as
+# ceil(n / 8) little-endian bytes: GF(p^e), e >= 2, for p = 2, 3, 5 and 7,
+# which the pattern lanes walk with the products of FieldCtx.mul
+GRAPH_DIGESTS = {
+    (25, 3): "e2af77ce234928e6b01a716527a6def3b44887a7410a933d0fcb434059ff83a6",
+    (27, 3): "f68e368b5021db95bd4b9f23cd6c54600cb2d1e6b9d2d927d5ab3726e010ea6f",
+    (49, 3): "fe2065d9d762da58ae1d220c9ebcfc3446f703f200b811fda8eda163fb9a4482",
+    (64, 3): "9527e52f89584c194179b37261834b16848503a6b5f3d837bd6c5c409a314a94",
+    (81, 3): "b30d7a77103849865161a2f1b6d298b133c51923307cdd946c2e93b53aaa7964",
 }
 
 # (records, digest of the classify output lines, digest of the (C, N) pairs
@@ -77,6 +88,16 @@ def _sha(text: str) -> str:
 def test_pattern_output_is_pinned(q, k, fmt):
     text = _run(["patterns", "--q", str(q), "--k", str(k), "--format", fmt])
     assert _sha(text) == PATTERN_DIGESTS[q, k, fmt]
+
+
+@pytest.mark.parametrize("q, k", sorted(GRAPH_DIGESTS))
+def test_extension_field_pattern_graphs_are_pinned(q, k):
+    ps = generate(q, k)
+    digest, width = hashlib.sha256(), (len(ps.points) + 7) // 8
+    for pat in ps.patterns:
+        for row in (*pat.graph.rows, pat.graph.loops):
+            digest.update(row.to_bytes(width, "little"))
+    assert digest.hexdigest() == GRAPH_DIGESTS[q, k]
 
 
 def _symmetric(q: int, k: int):

@@ -285,9 +285,11 @@ def test_pairing_support_at_the_edges_of_each_word(q, k, bits):
 
 
 def test_lanes_reach_the_largest_field_they_cover():
-    # GF(127) and GF(2^7), walked as lanes (k >= 3), against the sums
+    # the largest lane fields of each kind (GF(127), GF(2^7)) and the
+    # extension fields GF(7^2), GF(3^4), GF(11^2) and GF(5^3), walked as
+    # lanes (k >= 3), against the sums
     assert LANE_MAX_Q == 128
-    for q in (127, 128):
+    for q in (49, 81, 121, 125, 127, 128):
         f = field_from_order(q)
         b = _random_symmetric(f, 3, random.Random(q))
         pts = enumerate_points(f, 3)
