@@ -13,7 +13,8 @@ for singletons).  One genuine wrinkle: a merged clique can also be realised
 by spreading its members, one each, over a clique of nonlooped pattern
 vertices (dually for independent sets over looped ones), and such a spread
 cannot always be re-pointed at a single vertex.  The search therefore also
-tries exact-size spreads over loop-incompatible vertices.
+tries exact-size spreads over loop-incompatible vertices, enumerated by
+``_spreads``, which ``extend_blowup`` shares.
 
 The search forward-checks on bitsets, in the manner of domain filtering in
 subgraph solvers (McCreesh, Prosser and Trimble, "The Glasgow Subgraph
@@ -143,19 +144,22 @@ def verify_blowup(g: SimpleGraph, h: LoopedGraph, assignment: dict[int, int]) ->
     return True
 
 
-def _apart(rows, avail: int, need: int) -> tuple[int, ...] | None:
-    """need pairwise nonadjacent vertices of avail, lexicographically least,
-    or None when there are none."""
-    if not need:
-        return ()
-    while avail.bit_count() >= need:
+def _spreads(rows, avail: int, need: int, looped: int, roots: int):
+    """The groups of need >= 1 vertices of avail that meet roots, pairwise
+    adjacent when looped (a merged clique's) and pairwise nonadjacent when
+    not (a merged independent set's), in lexicographic order."""
+    while avail.bit_count() >= need and avail & roots:
         low = avail & -avail
         avail ^= low
-        y = low.bit_length() - 1
-        rest = _apart(rows, avail & ~rows[y], need - 1)
-        if rest is not None:
-            return (y, *rest)
-    return None
+        v = low.bit_length() - 1
+        if need == 1:
+            if low & roots:
+                yield (v,)
+            continue
+        # v has left avail, so ~rows[v] needs no 1 << v taken out
+        for rest in _spreads(rows, avail & (rows[v] if looped else ~rows[v]), need - 1,
+                             looped, -1 if low & roots else roots):
+            yield (v, *rest)
 
 
 def _place(rows, loops: int, cand: int, seen: int, need: int, lone: bool
@@ -177,8 +181,8 @@ def _place(rows, loops: int, cand: int, seen: int, need: int, lone: bool
         x = low.bit_length() - 1
         free = (rows[x] | (loops >> x & 1) << x) & ~seen
         bare = free & ~loops
-        spots = (((bare & -bare).bit_length() - 1,) * need if bare
-                 else _apart(rows, free, need))
+        spots = (((bare & -bare).bit_length() - 1,) * need if bare or not need
+                 else next(_spreads(rows, free, need, 0, -1), None))
         if spots is not None:
             return x, spots
     return None
@@ -195,9 +199,9 @@ def extend_blowup(g: SimpleGraph, h: LoopedGraph, assignment: dict[int, int]
     adjacent when it is looped): one AND per u.  (2) The vertices isolated
     in g - v that v joins, S, are adjacent to v alone and pairwise apart, so
     each takes a vertex adjacent to x and to no image: all of S one such
-    nonlooped vertex if there is one, else |S| distinct and pairwise
-    nonadjacent looped ones, by a small exhaustive search, for each x in
-    turn (_place).  (3) The result is re-verified by verify_blowup, and
+    nonlooped vertex if there is one, else the first group of |S| pairwise
+    nonadjacent looped ones that _spreads gives, for each x in turn
+    (_place).  (3) The result is re-verified by verify_blowup, and
     failing it raises InvariantError: assignment was no witness for g - v.
     """
     v = g.n - 1
@@ -296,30 +300,6 @@ def is_blowup(g: SimpleGraph, h: LoopedGraph | Pattern) -> BlowupWitness | None:
                 best, best_key = d, key
         return out, best
 
-    def spreads(cls: int, avail: int, roots: int):
-        """Groups of size(cls) vertices from avail, pairwise adjacent for a
-        merged clique and pairwise nonadjacent for a merged independent set,
-        meeting roots."""
-        need = sizes[cls]
-        looped = q_loops >> cls & 1
-
-        def grow(chosen: tuple[int, ...], hit: bool, avail: int):
-            if len(chosen) == need:
-                if hit:
-                    yield chosen
-                return
-            while avail.bit_count() >= need - len(chosen):
-                if not hit and not avail & roots:
-                    return
-                low = avail & -avail
-                avail ^= low
-                v = low.bit_length() - 1
-                # v has left avail, so ~rows[v] needs no 1 << v taken out
-                yield from grow(chosen + (v,), hit or bool(low & roots),
-                                avail & (rows[v] if looped else ~rows[v]))
-
-        yield from grow((), False, avail)
-
     def search(doms: dict[int, int], cls: int, pattern: Pattern | None = None) -> bool:
         """Place cls, then the rest of doms (which it owns), filling in
         assignment, or report failure.  cls tries its single candidates in
@@ -344,7 +324,8 @@ def is_blowup(g: SimpleGraph, h: LoopedGraph | Pattern) -> BlowupWitness | None:
         if len(members) >= 2:
             if pattern is not None:
                 roots = pattern.roots
-            for group in spreads(cls, dom & spread[cls], roots):
+            looped = q_loops >> cls & 1
+            for group in _spreads(rows, dom & spread[cls], len(members), looped, roots):
                 joined = apart = -1
                 for v in group:
                     joined &= rows[v]

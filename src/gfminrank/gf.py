@@ -69,19 +69,13 @@ def _pow_mod(a: list[int], k: int, f, p: int) -> list[int]:
     return out
 
 
-def _times_x(a: list[int], f, p: int) -> list[int]:
-    """X a mod the monic f, for a digit list a of length deg f >= 1."""
-    top, out = a[-1], [0] + a[:-1]
-    return [(x - top * c) % p for x, c in zip(out, f)] if top else out
-
-
 def _is_irreducible(f, p: int) -> bool:
-    """Rabin's test of the monic f of degree e >= 1 over GF(p): X^(p^e) = X
+    """Rabin's test of the monic f of degree e >= 2 over GF(p): X^(p^e) = X
     mod f, so GF(p)[X]/(f) is a product of fields GF(p^d) with d | e, and
     for each prime r | e, X^(p^(e/r)) - X is a unit there, that is, its
     (p^e - 1)-th power is 1."""
     e = len(f) - 1
-    q, x, one = p ** e, _times_x([1] + [0] * (e - 1), f, p), [1] + [0] * (e - 1)
+    q, x, one = p ** e, [0, 1] + [0] * (e - 2), [1] + [0] * (e - 1)
     return _pow_mod(x, q, f, p) == x and all(
         _pow_mod([(a - b) % p for a, b in zip(_pow_mod(x, p ** (e // r), f, p), x)],
                  q - 1, f, p) == one

@@ -881,8 +881,8 @@ def _canonical(g: SimpleGraph | LoopedGraph) -> tuple[SimpleGraph | LoopedGraph,
       the best leaf's path to this leaf's path.  It fixes the common prefix
       and maps the best leaf's subtree below it, already searched, onto the
       current one, so the search returns to the node where the paths part.
-    - orbits: a node skips a vertex in the orbit of a tried one under the
-      recorded gammas that fix every vertex on the node's path.
+    - orbits: past its first child, a node skips a vertex in the orbit of
+      a tried one under the recorded gammas that fix its path's vertices.
     Every leaf is thus searched or is the image of a searched leaf under
     the group of the recorded gammas and the twin swaps, so these
     generate the automorphism group.  The gammas are returned (perm[v] the
@@ -952,7 +952,7 @@ def _canonical(g: SimpleGraph | LoopedGraph) -> tuple[SimpleGraph | LoopedGraph,
             v = low.bit_length() - 1
             if twin[v] in twins:
                 continue
-            if len(autos) > seen:
+            if tried and len(autos) > seen:
                 seen = len(autos)
                 orbit = _orbits([a for a in autos if all(a[u] == u for u in path)], n)
             if orbit and any(orbit[w] == orbit[v] for w in tried):

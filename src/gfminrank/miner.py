@@ -306,10 +306,6 @@ class MinerRun:
         return sorted(emit_graph6(g) for g in self.found)
 
 
-def _is_member(g: SimpleGraph, q: int, k: int) -> bool:
-    return member(g, q, k)[0]
-
-
 # the witness of a member with no blowup to extend: the graph on no
 # vertices, or a graph on n <= k vertices that member decides over the
 # pattern vertex budget
@@ -363,7 +359,7 @@ def _check_minimal_forbidden(g: SimpleGraph, q: int, k: int,
     def decided(h: SimpleGraph) -> bool:
         verdict = verdicts.get(h.rows)
         if verdict is None:
-            verdict = verdicts[h.rows] = _is_member(h, q, k)
+            verdict = verdicts[h.rows] = member(h, q, k)[0]
         return verdict
 
     return not decided(g) and all(map(decided, _deletions(g)))

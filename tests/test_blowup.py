@@ -593,6 +593,27 @@ def test_roots_are_built_only_on_a_backtrack():
     assert "roots" in pat.__dict__
 
 
+@pytest.mark.parametrize("q,k", [(2, 3), (3, 3), (4, 3), (2, 4)])
+def test_spreads_are_the_filtered_combinations_in_order(q, k):
+    # both is_blowup's spread loop and extend_blowup's placement of joined
+    # isolated vertices read _spreads, so its groups and their order are
+    # checked against a filter of every combination of the available bits
+    rng = random.Random(46)
+    for pat in generate(q, k).patterns:
+        h = pat.graph
+        rows, n, full = h.rows, h.n, (1 << h.n) - 1
+        masks = [full, h.loops, full & ~h.loops] + [rng.getrandbits(n) for _ in range(3)]
+        for avail, looped, need in itertools.product(masks, (0, 1), (1, 2, 3)):
+            groups = [c for c in itertools.combinations(
+                          [v for v in range(n) if avail >> v & 1], need)
+                      if all((rows[a] >> b & 1) == looped
+                             for a, b in itertools.combinations(c, 2))]
+            for roots in [full] + [1 << v for v in range(n)]:
+                want = [c for c in groups if any(roots >> v & 1 for v in c)]
+                assert list(blowup._spreads(rows, avail, need, looped, roots)) == want, \
+                    (q, k, avail, looped, need, roots)
+
+
 def _member_cases():
     """(q, g, k): every q > 2 sweep-pool graph of perfbench's reference data
     at k = mr - 1, mr and mr + 1, then G(n, 1/2) draws for n = 5..8 and seeds

@@ -745,6 +745,18 @@ def test_canonical_form_takes_a_twin_class_in_one_step():
         assert canonical_form(g) == key == canonical_form(g.relabel(perm))
 
 
+def test_canonical_form_of_a_cell_of_many_small_twin_classes():
+    """The orbits under the recorded gammas are read only once a node has
+    tried a child; the keys of 30 and 20 twin classes in one cell are those
+    of a relabelling."""
+    rng = random.Random(46)
+    for parts in ([2] * 30, [3] * 20):
+        g = SimpleGraph.complete_multipartite(parts)
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        assert canonical_form(g) == canonical_form(g.relabel(perm))
+
+
 # -- serialisation -----------------------------------------------------------------
 
 def test_looped_json_roundtrip(rng):

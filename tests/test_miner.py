@@ -386,6 +386,21 @@ def test_an_extended_witness_is_a_blowup_of_a_member(q, k):
     assert fits
 
 
+def test_extended_witnesses_are_pinned():
+    """Every extension of a first parent's witness, or its refusal: which
+    spots a joined isolated vertex takes is part of the witness."""
+    digest, count = hashlib.sha256(), 0
+    for q, k in EXTENSION_PAIRS:
+        for g, h, assignment in _first_parents(q, k):
+            fit = extend_blowup(g, h, assignment)
+            line = repr((q, k, emit_graph6(g), None if fit is None else sorted(fit.items())))
+            digest.update((line + "\n").encode("ascii"))
+            count += 1
+    assert count == 3514
+    assert digest.hexdigest() == \
+        "22b8c61b21dba464a1e4027f1ee576f05bab2e39da28d7aeedc20881a02f2d0a"
+
+
 @pytest.mark.parametrize("q,k", EXTENSION_PAIRS)
 def test_a_corrupted_parent_witness_raises_and_never_fits(q, k):
     raised = 0
